@@ -237,6 +237,31 @@ class TestCli:
         assert payload["l2"] == pytest.approx(1.28e-2)
         assert payload["eta_embed"] == 1e-4
 
+    @pytest.mark.parametrize("mode,factor,json_line", [
+        ("sqrt", math.sqrt(8),
+         '{"rule": "cowclip", "factor": 8.0, "eta_dense": 0.000282842712474619, '
+         '"eta_embed": 0.0001, "l2": 0.0008, "clip_value_factor": 2.8284271247461903}'),
+        ("linear", 8.0,
+         '{"rule": "cowclip", "factor": 8.0, "eta_dense": 0.000282842712474619, '
+         '"eta_embed": 0.0001, "l2": 0.0008, "clip_value_factor": 8.0}'),
+        (None, None,
+         '{"rule": "cowclip", "factor": 8.0, "eta_dense": 0.000282842712474619, '
+         '"eta_embed": 0.0001, "l2": 0.0008, "clip_value_factor": 1.0}'),
+    ])
+    def test_scale_clip_mode(self, capsys, mode, factor, json_line):
+        argv = ["scale", "--rule", "cowclip", "--base-batch", "1024",
+                "--target-batch", "8192", "--eta", "1e-4", "--lambda", "1e-4"]
+        if mode:
+            argv += ["--clip-mode", mode]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        rows = [line.split() for line in lines if line.startswith("clip factor")]
+        if mode:
+            assert [float(v) for v in rows[0][2:]] == [1.0, pytest.approx(factor, rel=1e-5)]
+        else:
+            assert rows == []
+        assert lines[-1] == json_line
+
     def test_verify_subset(self, capsys):
         assert cli.main(["verify", "adam-equivalence", "--seed", "0"]) == 0
         assert "PASS adam-equivalence" in capsys.readouterr().out
