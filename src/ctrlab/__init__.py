@@ -13,7 +13,6 @@ from .data import (
     Dataset,
     FieldSchema,
     FrequencyTable,
-    Sample,
     SyntheticSpec,
     batch_presence_probability,
     count_frequencies,

@@ -63,15 +63,17 @@ def _cmd_scale(args) -> int:
         eta_embed=args.eta,
         l2=args.l2,
     )
-    plan = scaling.plan_for_batch(args.rule, base, args.target_batch, args.clip_mode)
+    plan = scaling.plan_for_batch(args.rule, base, args.target_batch)
     print(f"rule {plan.rule}   s = {plan.factor:g}  ({args.base_batch} -> {args.target_batch})")
     print(f"{'':16}{'base':>14}{'scaled':>14}")
     print(f"{'lr (dense)':16}{base.eta_dense:>14.6g}{plan.eta_dense:>14.6g}")
     print(f"{'lr (embed)':16}{base.eta_embed:>14.6g}{plan.eta_embed:>14.6g}")
     print(f"{'l2':16}{base.l2:>14.6g}{plan.l2:>14.6g}")
+    clip_factor = 1.0
     if args.clip_mode:
-        print(f"{'clip factor':16}{1.0:>14.6g}{plan.clip_value_factor:>14.6g}")
-    print(json.dumps(asdict(plan)))
+        clip_factor = scaling.clip_value_scale(1.0, plan.factor, args.clip_mode)
+        print(f"{'clip factor':16}{1.0:>14.6g}{clip_factor:>14.6g}")
+    print(json.dumps({**asdict(plan), "clip_value_factor": clip_factor}))
     return 0
 
 
@@ -151,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=1e-4)
     p.add_argument("--eta-dense", type=float, default=None)
     p.add_argument("--lambda", dest="l2", type=float, default=1e-4)
-    p.add_argument("--clip-mode", choices=("sqrt", "linear"), default=None)
+    p.add_argument("--clip-mode", choices=scaling.CLIP_MODES, default=None)
     p.set_defaults(func=_cmd_scale)
 
     p = sub.add_parser("train", help="run one training experiment")

@@ -10,8 +10,10 @@ single occurrence:
     threshold(id) = cnt(id) * max(r * ||w[id]||, zeta)
 
 zeta keeps the threshold off the floor for ids whose weights have decayed to
-almost nothing.  Clipping never changes a gradient's direction and is the
-identity on anything already under its threshold.
+almost nothing.  A constant threshold is used as given; batch sweeps scale it
+beforehand with scaling.clip_value_scale.  Clipping never changes a
+gradient's direction and is the identity on anything already under its
+threshold.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ import numpy as np
 
 from .embedding import EmbeddingTable, SparseGradient
 
-VARIANTS = ("none", "global", "fieldwise", "columnwise", "adaptive_fieldwise", "cowclip")
+CONSTANT_VARIANTS = ("global", "fieldwise", "columnwise")
+ADAPTIVE_VARIANTS = ("adaptive_fieldwise", "cowclip")
+VARIANTS = ("none",) + CONSTANT_VARIANTS + ADAPTIVE_VARIANTS
 
 DEFAULT_GLOBAL_CLIP = 25.0
 DEFAULT_R = 1.0
@@ -33,19 +37,17 @@ DEFAULT_ZETA = 1e-4
 @dataclass(frozen=True)
 class ClipConfig:
     variant: str = "none"
-    value: float | None = None            # constant-threshold variants
+    value: float | None = None            # constant-threshold variants, as applied
     r: float | None = None                # adaptive variants
     zeta: float | None = None
-    apply_occurrence_count: bool = True   # cowclip multiplies thresholds by cnt
-    batch_scale_mode: str = "sqrt"        # constant thresholds under batch sweeps
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown clip variant {self.variant!r}")
-        if self.variant in ("global", "fieldwise", "columnwise"):
+        if self.variant in CONSTANT_VARIANTS:
             if self.value is None or self.value <= 0:
                 raise ValueError(f"{self.variant} clipping needs value > 0")
-        if self.variant in ("adaptive_fieldwise", "cowclip"):
+        if self.variant in ADAPTIVE_VARIANTS:
             if self.r is None or self.r <= 0 or self.zeta is None or self.zeta <= 0:
                 raise ValueError(f"{self.variant} clipping needs r > 0 and zeta > 0")
 
@@ -72,7 +74,6 @@ def cowclip(
     sparse_grad: SparseGradient,
     r: float = DEFAULT_R,
     zeta: float = DEFAULT_ZETA,
-    apply_occurrence_count: bool = True,
 ) -> SparseGradient:
     """Adaptive column-wise clipping: per-id threshold cnt * max(r*||w||, zeta)."""
     if r <= 0 or zeta <= 0:
@@ -83,9 +84,7 @@ def cowclip(
         if not len(ids):
             continue
         w_norms = np.linalg.norm(table.weights[j][ids], axis=1)
-        thresholds = np.maximum(r * w_norms, zeta)
-        if apply_occurrence_count:
-            thresholds = out.counts[j] * thresholds
+        thresholds = out.counts[j] * np.maximum(r * w_norms, zeta)
         out.grads[j] = _scale_rows(out.grads[j], thresholds)
     return out
 
@@ -100,19 +99,13 @@ def clip_global(sparse_grad: SparseGradient, value: float = DEFAULT_GLOBAL_CLIP)
     return out
 
 
-def clip_fieldwise(
-    sparse_grad: SparseGradient,
-    value: float,
-    s: float = 1.0,
-    batch_scale_mode: str = "sqrt",
-) -> SparseGradient:
-    """Constant threshold per field block; swept batch sizes rescale the value."""
-    effective = scale_clip_value(value, s, batch_scale_mode)
+def clip_fieldwise(sparse_grad: SparseGradient, value: float) -> SparseGradient:
+    """Constant threshold per field block."""
     out = sparse_grad.copy()
     for j in range(out.n_fields):
         block_norm = float(np.linalg.norm(out.grads[j]))
-        if block_norm > effective and block_norm > 0:
-            out.grads[j] = out.grads[j] * (effective / block_norm)
+        if block_norm > value and block_norm > 0:
+            out.grads[j] = out.grads[j] * (value / block_norm)
     return out
 
 
@@ -143,32 +136,20 @@ def clip_adaptive_fieldwise(
     return out
 
 
-def scale_clip_value(base_value: float, s: float, mode: str = "sqrt") -> float:
-    """Constant clip thresholds grow with the batch factor: s or sqrt(s)."""
-    if s <= 0:
-        raise ValueError("batch factor must be > 0")
-    if mode == "linear":
-        return base_value * s
-    if mode == "sqrt":
-        return base_value * math.sqrt(s)
-    raise ValueError(f"unknown batch_scale_mode {mode!r}")
-
-
 def apply_clip(
     cfg: ClipConfig,
     table: EmbeddingTable,
     sparse_grad: SparseGradient,
-    s: float = 1.0,
 ) -> SparseGradient:
     """Dispatch a ClipConfig; variant "none" returns the input untouched."""
     if cfg.variant == "none":
         return sparse_grad
     if cfg.variant == "global":
-        return clip_global(sparse_grad, scale_clip_value(cfg.value, s, cfg.batch_scale_mode))
+        return clip_global(sparse_grad, cfg.value)
     if cfg.variant == "fieldwise":
-        return clip_fieldwise(sparse_grad, cfg.value, s, cfg.batch_scale_mode)
+        return clip_fieldwise(sparse_grad, cfg.value)
     if cfg.variant == "columnwise":
-        return clip_columnwise(sparse_grad, scale_clip_value(cfg.value, s, cfg.batch_scale_mode))
+        return clip_columnwise(sparse_grad, cfg.value)
     if cfg.variant == "adaptive_fieldwise":
         return clip_adaptive_fieldwise(table, sparse_grad, cfg.r, cfg.zeta)
-    return cowclip(table, sparse_grad, cfg.r, cfg.zeta, cfg.apply_occurrence_count)
+    return cowclip(table, sparse_grad, cfg.r, cfg.zeta)

@@ -43,13 +43,6 @@ class FieldSchema:
             raise ValueError("vocab_size must be >= 0")
 
 
-@dataclass(frozen=True)
-class Sample:
-    label: int
-    dense_values: np.ndarray
-    categorical_ids: np.ndarray
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -100,9 +93,6 @@ class Dataset:
     @property
     def n_categorical(self) -> int:
         return len(self.categorical_fields)
-
-    def sample(self, i: int) -> Sample:
-        return Sample(int(self.labels[i]), self.dense[i], self.categorical[i])
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(
@@ -403,8 +393,23 @@ def generate_synthetic(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: npz container with a JSON schema header
+# Serialization: npz container with a JSON header
 # ---------------------------------------------------------------------------
+
+def save_npz(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write named arrays plus a JSON header, stored as the uint8 array "header"."""
+    np.savez_compressed(
+        path, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays
+    )
+
+
+def load_npz(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read what save_npz wrote: (header, every other array by name)."""
+    with np.load(path) as z:
+        header = json.loads(z["header"].tobytes().decode())
+        arrays = {name: z[name] for name in z.files if name != "header"}
+    return header, arrays
+
 
 def save_dataset(path, dataset: Dataset, meta: dict | None = None) -> None:
     header = {
@@ -414,20 +419,15 @@ def save_dataset(path, dataset: Dataset, meta: dict | None = None) -> None:
         ],
         "meta": meta or {},
     }
-    np.savez_compressed(
-        path,
-        header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        labels=dataset.labels,
-        dense=dataset.dense,
-        categorical=dataset.categorical,
-    )
+    arrays = {
+        "labels": dataset.labels, "dense": dataset.dense, "categorical": dataset.categorical,
+    }
+    save_npz(path, header, arrays)
 
 
 def load_dataset(path) -> tuple[Dataset, dict]:
-    with np.load(path) as z:
-        header = json.loads(z["header"].tobytes().decode())
-        schema = tuple(
-            FieldSchema(f["name"], f["kind"], f["vocab_size"]) for f in header["schema"]
-        )
-        ds = Dataset(schema, z["labels"].copy(), z["dense"].copy(), z["categorical"].copy())
-    return ds, header["meta"]
+    header, z = load_npz(path)
+    schema = tuple(
+        FieldSchema(f["name"], f["kind"], f["vocab_size"]) for f in header["schema"]
+    )
+    return Dataset(schema, z["labels"], z["dense"], z["categorical"]), header["meta"]

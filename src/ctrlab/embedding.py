@@ -9,7 +9,6 @@ the number of samples that selected it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,26 +127,3 @@ def column_norms(obj: EmbeddingTable | SparseGradient) -> list[np.ndarray]:
     if isinstance(obj, EmbeddingTable):
         return [np.linalg.norm(w, axis=1) for w in obj.weights]
     return [np.linalg.norm(g, axis=1) for g in obj.grads]
-
-
-def save_table(path, table: EmbeddingTable) -> None:
-    header = {
-        "fields": [{"name": f.name, "vocab_size": f.vocab_size} for f in table.fields],
-        "dim": table.dim,
-        "init_sigma": table.init_sigma,
-        "seed": table.seed,
-    }
-    arrays = {f"field_{j}": w for j, w in enumerate(table.weights)}
-    np.savez_compressed(
-        path, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays
-    )
-
-
-def load_table(path) -> EmbeddingTable:
-    with np.load(path) as z:
-        header = json.loads(z["header"].tobytes().decode())
-        fields = tuple(
-            FieldSchema(f["name"], CATEGORICAL, f["vocab_size"]) for f in header["fields"]
-        )
-        weights = [z[f"field_{j}"].copy() for j in range(len(fields))]
-    return EmbeddingTable(fields, header["dim"], weights, header["init_sigma"], header["seed"])

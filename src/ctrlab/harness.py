@@ -13,8 +13,9 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -40,55 +41,76 @@ from .optim import AdamConfig, AdamState, EmbedAdamState, WarmupSchedule
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _key(key: str, default):
+    """A config field and the key it is read from and written to."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     # data
-    source: str = "synthetic"          # "synthetic", a .npz container, or a Criteo TSV
-    n_samples: int = 200_000
-    n_dense: int = 2
-    n_categorical: int = 6
-    vocab_size: int = 10_000
-    zipf_exponent: float = 1.2
-    uniform_ids: bool = False
-    click_strength: float = 1.0
-    top_k: int = 0                     # 0 disables the top-k id collapse
-    split: float = 0.9
-    max_rows: int | None = None
+    # "synthetic", a .npz container, or a Criteo TSV
+    source: str = _key("data.source", "synthetic")
+    n_samples: int = _key("data.n_samples", 200_000)
+    n_dense: int = _key("data.n_dense", 2)
+    n_categorical: int = _key("data.n_categorical", 6)
+    vocab_size: int = _key("data.vocab_size", 10_000)
+    zipf_exponent: float = _key("data.zipf_exponent", 1.2)
+    uniform_ids: bool = _key("data.uniform_ids", False)
+    click_strength: float = _key("data.click_strength", 1.0)
+    top_k: int = _key("data.top_k", 0)                 # 0 disables the top-k id collapse
+    split: float = _key("data.split", 0.9)
+    max_rows: int | None = _key("data.max_rows", None)
     # model
-    model_kind: str = "deepfm"
-    hidden: tuple[int, ...] = (400, 400, 400)
-    cross_depth: int = 3
-    embed_dim: int = 10
-    init_sigma: float | None = None    # default: 1e-2 with cowclip, else 1e-4
+    model_kind: str = _key("model.kind", "deepfm")
+    hidden: tuple[int, ...] = _key("model.hidden", (400, 400, 400))
+    cross_depth: int = _key("model.cross_depth", 3)
+    embed_dim: int = _key("model.embed_dim", 10)
+    # None: 1e-2 with cowclip, else 1e-4
+    init_sigma: float | None = _key("model.init_sigma", None)
     # optimizer
-    opt_kind: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    lr_dense: float = 1e-4
-    lr_embed: float = 1e-4
-    l2: float = 1e-4
-    warmup_epochs: float = 1.0
-    dense_l2: bool = True
+    opt_kind: str = _key("opt.kind", "adam")
+    beta1: float = _key("opt.beta1", 0.9)
+    beta2: float = _key("opt.beta2", 0.999)
+    eps: float = _key("opt.eps", 1e-8)
+    lr_dense: float = _key("opt.lr_dense", 1e-4)
+    lr_embed: float = _key("opt.lr_embed", 1e-4)
+    l2: float = _key("opt.l2", 1e-4)
+    warmup_epochs: float = _key("opt.warmup_epochs", 1.0)
+    dense_l2: bool = _key("opt.dense_l2", True)
     # clipping
-    clip_variant: str = "none"
-    clip_value: float = 25.0
-    clip_r: float = 1.0
-    clip_zeta: float = 1e-4
+    clip_variant: str = _key("clip.variant", "none")
+    clip_value: float = _key("clip.value", 25.0)
+    clip_r: float = _key("clip.r", 1.0)
+    clip_zeta: float = _key("clip.zeta", 1e-4)
     # scaling
-    rule: str = "none"
-    base_batch: int = 1024
-    clip_mode: str = "sqrt"
+    rule: str = _key("scale.rule", "none")
+    base_batch: int = _key("scale.base_batch", 1024)
+    clip_mode: str = _key("scale.clip_mode", "sqrt")
     # training
-    batch_size: int = 1024
-    epochs: int = 10
+    batch_size: int = _key("train.batch_size", 1024)
+    epochs: int = _key("train.epochs", 10)
     # sweep
-    sweep_batch_sizes: tuple[int, ...] = ()
-    sweep_rules: tuple[str, ...] = ()
+    sweep_batch_sizes: tuple[int, ...] = _key("sweep.batch_sizes", ())
+    sweep_rules: tuple[str, ...] = _key("sweep.rules", ())
     # output
-    out_dir: str = "runs"
+    out_dir: str = _key("out.dir", "runs")
 
     def __post_init__(self):
+        """Reject a bad config here, before any data is built."""
+        for key, value, allowed in (
+            ("model.kind", self.model_kind, models.MODEL_KINDS),
+            ("opt.kind", self.opt_kind, optim.OPT_KINDS),
+            ("clip.variant", self.clip_variant, clip.VARIANTS),
+            ("scale.rule", self.rule, scaling.RULES),
+            ("scale.clip_mode", self.clip_mode, scaling.CLIP_MODES),
+        ):
+            if value not in allowed:
+                raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
+        if not 0.0 < self.split < 1.0:
+            raise ValueError("data.split must lie strictly between 0 and 1")
+        if self.base_batch < 1:
+            raise ValueError("scale.base_batch must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.epochs < 0:
@@ -100,79 +122,36 @@ class ExperimentConfig:
         return 1e-2 if self.clip_variant == "cowclip" else 1e-4
 
     def to_dict(self) -> dict:
+        """Config keys to values; tuples are written comma-separated."""
         d = {}
-        for key, (attr, kind) in _CONFIG_KEYS.items():
-            value = getattr(self, attr)
-            if kind in ("int_tuple", "str_tuple"):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
-            d[key] = value
+            d[f.metadata["key"]] = value
         return d
 
 
-_CONFIG_KEYS = {
-    "data.source": ("source", "str"),
-    "data.n_samples": ("n_samples", "int"),
-    "data.n_dense": ("n_dense", "int"),
-    "data.n_categorical": ("n_categorical", "int"),
-    "data.vocab_size": ("vocab_size", "int"),
-    "data.zipf_exponent": ("zipf_exponent", "float"),
-    "data.uniform_ids": ("uniform_ids", "bool"),
-    "data.click_strength": ("click_strength", "float"),
-    "data.top_k": ("top_k", "int"),
-    "data.split": ("split", "float"),
-    "data.max_rows": ("max_rows", "opt_int"),
-    "model.kind": ("model_kind", "str"),
-    "model.hidden": ("hidden", "int_tuple"),
-    "model.cross_depth": ("cross_depth", "int"),
-    "model.embed_dim": ("embed_dim", "int"),
-    "model.init_sigma": ("init_sigma", "opt_float"),
-    "opt.kind": ("opt_kind", "str"),
-    "opt.beta1": ("beta1", "float"),
-    "opt.beta2": ("beta2", "float"),
-    "opt.eps": ("eps", "float"),
-    "opt.lr_dense": ("lr_dense", "float"),
-    "opt.lr_embed": ("lr_embed", "float"),
-    "opt.l2": ("l2", "float"),
-    "opt.warmup_epochs": ("warmup_epochs", "float"),
-    "opt.dense_l2": ("dense_l2", "bool"),
-    "clip.variant": ("clip_variant", "str"),
-    "clip.value": ("clip_value", "float"),
-    "clip.r": ("clip_r", "float"),
-    "clip.zeta": ("clip_zeta", "float"),
-    "scale.rule": ("rule", "str"),
-    "scale.base_batch": ("base_batch", "int"),
-    "scale.clip_mode": ("clip_mode", "str"),
-    "train.batch_size": ("batch_size", "int"),
-    "train.epochs": ("epochs", "int"),
-    "sweep.batch_sizes": ("sweep_batch_sizes", "int_tuple"),
-    "sweep.rules": ("sweep_rules", "str_tuple"),
-    "out.dir": ("out_dir", "str"),
-}
+_FIELDS = {f.metadata["key"]: f.name for f in fields(ExperimentConfig)}
+_TYPES = get_type_hints(ExperimentConfig)
 
 
-def _coerce(kind: str, raw: str):
+def _coerce(hint, raw: str):
+    """Parse one config value by its field annotation: empty means None for
+    optional fields, and tuples are comma-separated."""
     raw = raw.strip()
-    if kind == "str":
-        return raw
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "bool":
+    args = get_args(hint)
+    if type(None) in args:
+        return None if raw == "" else _coerce(args[0], raw)
+    if get_origin(hint) is tuple:
+        return tuple(_coerce(args[0], v) for v in raw.split(",") if v.strip())
+    if hint is bool:
         if raw.lower() in ("true", "1", "yes", "on"):
             return True
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ValueError(f"bad boolean {raw!r}")
-    if kind == "opt_int":
-        return None if raw == "" else int(raw)
-    if kind == "opt_float":
-        return None if raw == "" else float(raw)
-    if kind == "int_tuple":
-        return tuple(int(v) for v in raw.split(",") if v.strip())
-    if kind == "str_tuple":
-        return tuple(v.strip() for v in raw.split(",") if v.strip())
-    raise AssertionError(kind)
+    return hint(raw)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -185,10 +164,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        attr, kind = _CONFIG_KEYS[key]
-        values[attr] = _coerce(kind, raw)
+        name = _FIELDS[key]
+        values[name] = _coerce(_TYPES[name], raw)
     return ExperimentConfig(**values)
 
 
@@ -299,15 +278,15 @@ def build_dataset(config: ExperimentConfig, seed: int) -> Dataset:
     return ds
 
 
-def _clip_config(config: ExperimentConfig) -> clip.ClipConfig:
+def _clip_config(config: ExperimentConfig, s: float) -> clip.ClipConfig:
+    """The run's clip settings; a constant threshold is scaled to batch factor s."""
     variant = config.clip_variant
-    return clip.ClipConfig(
-        variant=variant,
-        value=config.clip_value if variant in ("global", "fieldwise", "columnwise") else None,
-        r=config.clip_r if variant in ("adaptive_fieldwise", "cowclip") else None,
-        zeta=config.clip_zeta if variant in ("adaptive_fieldwise", "cowclip") else None,
-        batch_scale_mode=config.clip_mode,
-    )
+    if variant in clip.CONSTANT_VARIANTS:
+        value = scaling.clip_value_scale(config.clip_value, s, config.clip_mode)
+        return clip.ClipConfig(variant, value=value)
+    if variant in clip.ADAPTIVE_VARIANTS:
+        return clip.ClipConfig(variant, r=config.clip_r, zeta=config.clip_zeta)
+    return clip.ClipConfig(variant)
 
 
 def evaluate_model(
@@ -355,7 +334,7 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
         config.base_batch, config.lr_dense, config.lr_embed, config.l2
     )
     plan = scaling.scale(config.rule, base, s)
-    clip_cfg = _clip_config(config)
+    clip_cfg = _clip_config(config, s)
     adam_cfg = AdamConfig(config.beta1, config.beta2, config.eps)
 
     table_ss, params_ss = init_ss.spawn(2)
@@ -411,14 +390,12 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
         for batch in make_batches(train_ds, b, "shuffle_epoch", seed=epoch_seeds[epoch - 1]):
             global_step += 1
             probs, cache = model_forward(config.model_kind, params, table, batch)
-            loss, dgrads, sgrad = models.loss_and_backward(
-                probs, batch.labels, cache, l2=0.0, l2_scope="none"
-            )
+            loss, dgrads, sgrad = models.loss_and_backward(probs, batch.labels, cache)
             if not math.isfinite(loss):
                 record.diverged = True
                 break
             losses.append(loss)
-            sgrad = clip.apply_clip(clip_cfg, table, sgrad, s=plan.factor)
+            sgrad = clip.apply_clip(clip_cfg, table, sgrad)
             lr_d = warmup.lr(global_step)
             if config.opt_kind == "adam":
                 dense_state, dense = optim.adam_step(
@@ -428,13 +405,11 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
                     embed_state, table, sgrad, plan.eta_embed, l2=plan.l2,
                     dense_l2=config.dense_l2, cfg=adam_cfg,
                 )
-            elif config.opt_kind == "sgd":
+            else:
                 dense = optim.sgd_step(dense, dgrads, lr_d, l2=0.0)
                 table = optim.sgd_sparse_step(
                     table, sgrad, plan.eta_embed, l2=plan.l2, dense_l2=config.dense_l2
                 )
-            else:
-                raise ValueError(f"unknown optimizer kind {config.opt_kind!r}")
             params = params.replace_arrays(dense)
         train_loss = float(np.mean(losses)) if losses else float("nan")
         result = evaluate_model(config.model_kind, params, table, test_ds)
@@ -469,12 +444,9 @@ def sweep(
     """Train every (rule, batch size) pair on one shared dataset."""
     batch_sizes = batch_sizes or config.sweep_batch_sizes or (config.batch_size,)
     rules = rules or config.sweep_rules or (config.rule,)
+    cells = [replace(config, rule=rule, batch_size=b) for rule in rules for b in batch_sizes]
     dataset = build_dataset(config, seed)
-    records = []
-    for rule in rules:
-        for b in batch_sizes:
-            cfg = replace(config, rule=rule, batch_size=b)
-            records.append(train(cfg, seed, dataset=dataset))
+    records = [train(cfg, seed, dataset=dataset) for cfg in cells]
     return records, comparison_table(records)
 
 
@@ -612,9 +584,7 @@ def grad_check(model_kind: str, seed: int, n_trials: int = 10) -> GradCheckRepor
         if kink < 1e-6 or float(np.max(np.abs(cache.logit))) > 8.0:
             continue
         done += 1
-        _, dense_grads, sparse = models.loss_and_backward(
-            probs, batch.labels, cache, l2=0.0, l2_scope="none"
-        )
+        _, dense_grads, sparse = models.loss_and_backward(probs, batch.labels, cache)
         tensors = dict(params.named_arrays())
         for j, w in enumerate(table.weights):
             tensors[f"embed.{j}"] = w

@@ -14,13 +14,12 @@ batch; loss_and_backward normalizes by the batch size once at the end.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics
-from .data import Batch, CATEGORICAL, FieldSchema
+from .data import CATEGORICAL, Batch, FieldSchema, load_npz, save_npz
 from .embedding import (
     EmbeddingTable,
     LookupRecord,
@@ -206,14 +205,6 @@ def fm_pairwise_backward(v: np.ndarray, s: np.ndarray, dterm: np.ndarray) -> np.
     return dterm[:, None, None] * (s[:, None, :] - v)
 
 
-def fm_head(
-    bias: np.ndarray, weights: list[np.ndarray], ids: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Full factorization machine output: first-order term plus pairwise term."""
-    term, _ = fm_pairwise(v)
-    return lr_head(bias, weights, ids) + term
-
-
 def dcn_cross_layer(
     x0: np.ndarray, xl: np.ndarray, w: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -309,18 +300,12 @@ def loss_and_backward(
     probabilities: np.ndarray,
     labels: np.ndarray,
     cache: ForwardCache,
-    l2: float = 0.0,
-    l2_scope: str = "embeddings",
     eps_p: float = 1e-7,
 ) -> tuple[float, dict[str, np.ndarray], SparseGradient]:
     """Mean logloss plus gradients for every dense tensor and touched id vector.
 
-    The L2 term adds l2*w to in-scope gradients: "embeddings" covers the id
-    vectors present in the batch (absent ids are the optimizer's business),
-    "all" additionally decays every dense tensor, "none" disables it.
+    These are data gradients only: L2 is the optimizer's business.
     """
-    if l2_scope not in ("embeddings", "all", "none"):
-        raise ValueError(f"unknown l2_scope {l2_scope!r}")
     params, table, record = cache.params, cache.table, cache.record
     b = len(labels)
     y = np.asarray(labels, dtype=np.float64)
@@ -357,13 +342,6 @@ def loss_and_backward(
     for name in grads:
         grads[name] = grads[name] / b
     sparse = accumulate_gradients(record, d_embedded, b)
-
-    if l2 > 0.0 and l2_scope != "none":
-        for j in range(sparse.n_fields):
-            sparse.grads[j] += l2 * table.weights[j][sparse.ids[j]]
-        if l2_scope == "all":
-            for name, w in params.named_arrays():
-                grads[name] = grads[name] + l2 * w
     return loss, grads, sparse
 
 
@@ -384,23 +362,17 @@ def save_checkpoint(path, params: DenseParams, table: EmbeddingTable) -> None:
     }
     arrays = {f"dense:{name}": a for name, a in params.named_arrays()}
     arrays.update({f"table:{j}": w for j, w in enumerate(table.weights)})
-    np.savez_compressed(
-        path, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays
-    )
+    save_npz(path, header, arrays)
 
 
 def load_checkpoint(path) -> tuple[DenseParams, EmbeddingTable]:
-    with np.load(path) as z:
-        header = json.loads(z["header"].tobytes().decode())
-        dense = {name: z[f"dense:{name}"].copy() for name in header["dense_names"]}
-        t = header["table"]
-        fields = tuple(
-            FieldSchema(f["name"], CATEGORICAL, f["vocab_size"]) for f in t["fields"]
-        )
-        weights = [z[f"table:{j}"].copy() for j in range(len(fields))]
+    header, z = load_npz(path)
+    dense = {name: z[f"dense:{name}"] for name in header["dense_names"]}
+    t = header["table"]
+    fields = tuple(FieldSchema(f["name"], CATEGORICAL, f["vocab_size"]) for f in t["fields"])
+    weights = [z[f"table:{j}"] for j in range(len(fields))]
     table = EmbeddingTable(fields, t["dim"], weights, t["init_sigma"], t["seed"])
-    params = _params_from_named(header["kind"], dense)
-    return params, table
+    return _params_from_named(header["kind"], dense), table
 
 
 def _params_from_named(kind: str, arrays: dict[str, np.ndarray]) -> DenseParams:

@@ -14,6 +14,8 @@ import numpy as np
 
 from .embedding import EmbeddingTable, SparseGradient
 
+OPT_KINDS = ("adam", "sgd")
+
 
 @dataclass(frozen=True)
 class AdamConfig:
@@ -28,7 +30,6 @@ class WarmupSchedule:
 
     target_lr: float
     warmup_steps: int = 0
-    scope: str = "dense_only"
 
     def lr(self, step: int) -> float:
         if self.warmup_steps <= 0:
@@ -41,13 +42,12 @@ def sgd_step(
     grads: dict[str, np.ndarray],
     lr: float,
     l2: float = 0.0,
-    l2_keys: set[str] | None = None,
 ) -> dict[str, np.ndarray]:
-    """w <- w - lr*(g + l2*w); l2 applies to l2_keys (default: every tensor)."""
+    """w <- w - lr*(g + l2*w) for every tensor."""
     out = {}
     for name, w in params.items():
         g = grads[name]
-        if l2 and (l2_keys is None or name in l2_keys):
+        if l2:
             g = g + l2 * w
         out[name] = w - lr * g
     return out
@@ -75,7 +75,6 @@ def adam_step(
     lr: float,
     l2: float = 0.0,
     cfg: AdamConfig = AdamConfig(),
-    l2_keys: set[str] | None = None,
 ) -> tuple[AdamState, dict[str, np.ndarray]]:
     """Bias-corrected Adam on a dict of tensors."""
     t = state.t + 1
@@ -84,7 +83,7 @@ def adam_step(
     new_m, new_v, out = {}, {}, {}
     for name, w in params.items():
         g = grads[name]
-        if l2 and (l2_keys is None or name in l2_keys):
+        if l2:
             g = g + l2 * w
         m = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
         v = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g

@@ -28,6 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 RULES = ("none", "sqrt", "sqrt_star", "linear", "n2_lambda", "cowclip")
+# How a constant clip threshold tracks the batch factor s: times s or sqrt(s).
+CLIP_MODES = ("sqrt", "linear")
 
 
 @dataclass(frozen=True)
@@ -49,12 +51,9 @@ class ScalingPlan:
     eta_dense: float
     eta_embed: float
     l2: float
-    clip_value_factor: float = 1.0
 
 
-def scale(
-    rule: str, base: BaseHyperparams, s: float, clip_mode: str | None = None
-) -> ScalingPlan:
+def scale(rule: str, base: BaseHyperparams, s: float) -> ScalingPlan:
     """Apply one scaling rule for batch factor s (target batch / base batch)."""
     if s <= 0:
         raise ValueError("batch factor s must be > 0")
@@ -74,16 +73,11 @@ def scale(
         eta_d, eta_e, l2 = math.sqrt(s) * base.eta_dense, base.eta_embed, s * base.l2
     else:
         raise ValueError(f"unknown scaling rule {rule!r}")
-    clip_factor = 1.0
-    if clip_mode is not None:
-        clip_factor = clip_value_scale(1.0, s, clip_mode)
-    return ScalingPlan(rule, s, eta_d, eta_e, l2, clip_factor)
+    return ScalingPlan(rule, s, eta_d, eta_e, l2)
 
 
-def plan_for_batch(
-    rule: str, base: BaseHyperparams, target_batch: int, clip_mode: str | None = None
-) -> ScalingPlan:
-    return scale(rule, base, target_batch / base.base_batch, clip_mode)
+def plan_for_batch(rule: str, base: BaseHyperparams, target_batch: int) -> ScalingPlan:
+    return scale(rule, base, target_batch / base.base_batch)
 
 
 def rebase(plan: ScalingPlan, base: BaseHyperparams) -> BaseHyperparams:

@@ -14,10 +14,10 @@ from ctrlab.clip import (
     clip_fieldwise,
     clip_global,
     cowclip,
-    scale_clip_value,
 )
 from ctrlab.data import CATEGORICAL, FieldSchema
 from ctrlab.embedding import SparseGradient, init_table
+from ctrlab.scaling import clip_value_scale
 
 
 def _table(vocabs, dim=4, sigma=0.1, seed=0):
@@ -83,10 +83,8 @@ class TestCowClip:
         table.weights[0][1] = np.array([0.1, 0.0])
         g = np.array([[1.0, 0.0]])
         sparse = SparseGradient([np.array([1])], [g], [np.array([4])])
-        with_cnt = cowclip(table, sparse, r=1.0, zeta=1e-5, apply_occurrence_count=True)
-        without = cowclip(table, sparse, r=1.0, zeta=1e-5, apply_occurrence_count=False)
+        with_cnt = cowclip(table, sparse, r=1.0, zeta=1e-5)
         assert np.linalg.norm(with_cnt.grads[0][0]) == pytest.approx(0.4, rel=1e-12)
-        assert np.linalg.norm(without.grads[0][0]) == pytest.approx(0.1, rel=1e-12)
 
     def test_huge_r_and_zeta_is_identity(self):
         rng = np.random.default_rng(2)
@@ -178,10 +176,9 @@ class TestFieldwise:
         assert np.array_equal(out.grads[1], sparse.grads[1])
 
     def test_sqrt_batch_scaling(self):
-        assert scale_clip_value(1.0, 4.0, "sqrt") == 2.0
         sparse = SparseGradient([np.array([0])], [np.array([[10.0, 0.0]])],
                                 [np.array([1])])
-        out = clip_fieldwise(sparse, value=1.0, s=4.0, batch_scale_mode="sqrt")
+        out = clip_fieldwise(sparse, value=clip_value_scale(1.0, 4.0, "sqrt"))
         assert np.linalg.norm(out.grads[0]) == pytest.approx(2.0, rel=1e-12)
 
     def test_disjoint_merge_norm_grows_like_sqrt_s(self):
@@ -256,8 +253,8 @@ class TestConfigAndDispatch:
         table = _table([6, 5], seed=8)
         sparse = _sparse(rng, table, scale=3.0)
         cfg = ClipConfig(variant=variant, **kwargs)
-        once = apply_clip(cfg, table, sparse, s=2.0)
-        twice = apply_clip(cfg, table, once, s=2.0)
+        once = apply_clip(cfg, table, sparse)
+        twice = apply_clip(cfg, table, once)
         for j in range(2):
             assert np.allclose(twice.grads[j], once.grads[j], rtol=1e-12, atol=0)
 

@@ -10,9 +10,7 @@ from ctrlab.embedding import (
     accumulate_gradients,
     column_norms,
     init_table,
-    load_table,
     lookup_forward,
-    save_table,
 )
 
 
@@ -193,13 +191,3 @@ class TestDenseEquivalence:
             scattered[sparse.ids[j]] = sparse.grads[j]
             assert np.max(np.abs(scattered - dense_grad)) < 1e-12
 
-
-def test_serialization_roundtrip(tmp_path):
-    table = init_table(_fields(12, 7), dim=3, init_sigma=0.5, seed=42)
-    save_table(tmp_path / "t.npz", table)
-    loaded = load_table(tmp_path / "t.npz")
-    assert loaded.fields == table.fields
-    assert loaded.dim == table.dim
-    assert loaded.seed == 42
-    for a, b in zip(loaded.weights, table.weights):
-        assert np.array_equal(a, b)

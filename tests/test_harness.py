@@ -30,6 +30,10 @@ TINY = ExperimentConfig(
 )
 
 
+def _forbid_build(*args, **kwargs):  # pragma: no cover
+    raise AssertionError("a bad config must fail before the dataset is built")
+
+
 class TestConfig:
     def test_parse_and_roundtrip(self):
         text = """
@@ -57,6 +61,28 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             parse_config_text("data.bogus = 1")
+
+    @pytest.mark.parametrize("key,bad", [
+        ("model.kind", {"model_kind": "deepfmm"}),
+        ("opt.kind", {"opt_kind": "adamw"}),
+        ("opt.kind", {"opt_kind": "adamw", "epochs": 0}),
+        ("clip.variant", {"clip_variant": "cow"}),
+        ("scale.rule", {"rule": "cubic"}),
+        ("scale.clip_mode", {"clip_mode": "log"}),
+        ("data.split", {"split": 0.0}),
+        ("data.split", {"split": 1.0}),
+        ("data.split", {"split": 1.5}),
+        ("scale.base_batch", {"base_batch": 0}),
+    ])
+    def test_bad_config_fails_before_any_data(self, monkeypatch, key, bad):
+        monkeypatch.setattr(harness, "build_dataset", _forbid_build)
+        with pytest.raises(ValueError, match=key):
+            train(replace(TINY, **bad), seed=0)
+
+    def test_bad_sweep_rule_fails_before_any_data(self, monkeypatch):
+        monkeypatch.setattr(harness, "build_dataset", _forbid_build)
+        with pytest.raises(ValueError, match="scale.rule"):
+            sweep(TINY, rules=("none", "cubic"), seed=0)
 
     def test_init_sigma_follows_clip_variant(self):
         assert ExperimentConfig().resolved_init_sigma() == 1e-4

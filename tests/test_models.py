@@ -15,7 +15,6 @@ from ctrlab.models import (
     dcn_cross_layer_backward,
     dcnv2_cross_layer,
     dcnv2_cross_layer_backward,
-    fm_head,
     fm_pairwise,
     init_dense_params,
     loss_and_backward,
@@ -23,6 +22,7 @@ from ctrlab.models import (
     mlp_forward,
     model_forward,
 )
+from ctrlab.optim import sgd_sparse_step
 
 
 def _fields(*vocabs):
@@ -100,15 +100,6 @@ class TestFm:
                 for b in range(a + 1, 5)
             )
             assert abs(term[i] - loop) < 1e-12
-
-    def test_full_head_includes_first_order(self):
-        rng = np.random.default_rng(3)
-        w = [rng.normal(size=4), rng.normal(size=4)]
-        ids = rng.integers(0, 4, size=(6, 2))
-        v = rng.normal(size=(6, 2, 3))
-        out = fm_head(np.asarray(0.3), w, ids, v)
-        expected = lr_head(np.asarray(0.3), w, ids) + fm_pairwise(v)[0]
-        assert np.array_equal(out, expected)
 
 
 class TestCrossLayers:
@@ -226,24 +217,12 @@ class TestLoss:
         loss, _, _ = loss_and_backward(probs, batch.labels, cache)
         assert loss == pytest.approx(math.log(2.0), abs=1e-5)
 
-    def test_zero_l2_gives_pure_data_gradients(self):
-        rng = np.random.default_rng(3)
-        vocabs = [4, 4]
-        table = init_table(_fields(*vocabs), dim=2, init_sigma=0.5, seed=3)
-        params = init_dense_params("deepfm", vocabs, 2, 2, hidden=(5,), seed=3)
-        batch = _batch(rng, vocabs, 6)
-        probs, cache = model_forward("deepfm", params, table, batch)
-        _, g0, s0 = loss_and_backward(probs, batch.labels, cache, l2=0.0)
-        probs, cache = model_forward("deepfm", params, table, batch)
-        _, g1, s1 = loss_and_backward(probs, batch.labels, cache, l2=0.01,
-                                      l2_scope="embeddings")
-        for name in g0:
-            assert np.array_equal(g0[name], g1[name])  # dense grads out of scope
-        assert not np.array_equal(s0.grads[0], s1.grads[0])
-
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_total_gradient_with_l2_finite_difference(self, kind):
-        # objective = logloss + (l2/2)(all dense tensors + touched id vectors)
+        # The trainer's total gradient: data gradients from loss_and_backward,
+        # plus the L2 term that the lazy embedding step adds to touched id
+        # vectors, recovered from one SGD step with lr = 1.
+        # objective = logloss + (l2/2)(touched id vectors)
         rng = np.random.default_rng(11)
         vocabs = [4, 3]
         dim, n_dense, l2 = 2, 2, 0.05
@@ -255,21 +234,18 @@ class TestLoss:
 
         def objective():
             probs, _ = model_forward(kind, params, table, batch)
-            penalty = sum(float((a ** 2).sum()) for _, a in params.named_arrays())
-            penalty += sum(float((table.weights[j][touched[j]] ** 2).sum())
-                           for j in range(len(vocabs)))
+            penalty = sum(float((table.weights[j][touched[j]] ** 2).sum())
+                          for j in range(len(vocabs)))
             return logloss(probs, batch.labels) + 0.5 * l2 * penalty
 
         probs, cache = model_forward(kind, params, table, batch)
-        _, grads, sparse = loss_and_backward(probs, batch.labels, cache,
-                                             l2=l2, l2_scope="all")
+        _, grads, sparse = loss_and_backward(probs, batch.labels, cache)
+        stepped = sgd_sparse_step(table, sparse, lr=1.0, l2=l2, dense_l2=False)
         tensors = dict(params.named_arrays())
         analytic = dict(grads)
         for j in range(len(vocabs)):
             tensors[f"embed.{j}"] = table.weights[j]
-            g = np.zeros_like(table.weights[j])
-            g[sparse.ids[j]] = sparse.grads[j]
-            analytic[f"embed.{j}"] = g
+            analytic[f"embed.{j}"] = table.weights[j] - stepped.weights[j]
         for name, tensor in tensors.items():
             flat = tensor.reshape(-1)
             gflat = np.asarray(analytic[name]).reshape(-1)
@@ -302,10 +278,14 @@ def test_checkpoint_roundtrip(kind, tmp_path):
     params = init_dense_params(kind, vocabs, 3, 2, hidden=(7, 4), cross_depth=2, seed=13)
     save_checkpoint(tmp_path / "ckpt.npz", params, table)
     params2, table2 = load_checkpoint(tmp_path / "ckpt.npz")
+    with np.load(tmp_path / "ckpt.npz") as z:  # the array names are part of the file format
+        names = ["header", "table:0", "table:1"] + [f"dense:{n}" for n, _ in params.named_arrays()]
+        assert sorted(z.files) == sorted(names)
     assert params2.kind == kind
     for (na, a), (nb, b) in zip(params.named_arrays(), params2.named_arrays()):
         assert na == nb and np.array_equal(a, b)
     assert table2.fields == table.fields
+    assert (table2.dim, table2.init_sigma, table2.seed) == (3, 0.2, 13)
     for a, b in zip(table.weights, table2.weights):
         assert np.array_equal(a, b)
     # the restored pair computes identical probabilities
