@@ -69,6 +69,26 @@ def _scale_rows(grads: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return grads * scale[:, None]
 
 
+def _with_grads(sparse_grad: SparseGradient, grads: list[np.ndarray]) -> SparseGradient:
+    """A new SparseGradient sharing the input's ids and counts arrays.
+
+    Clipping only rescales gradients, and no step writes into ids or counts,
+    so sharing them is safe and saves a deep copy per step.
+    """
+    return SparseGradient(list(sparse_grad.ids), list(grads), list(sparse_grad.counts))
+
+
+def _clip_blocks(sparse_grad: SparseGradient, thresholds: list[float]) -> SparseGradient:
+    """Rescale each field's gradient block whose norm exceeds its threshold."""
+    grads = []
+    for g, threshold in zip(sparse_grad.grads, thresholds):
+        block_norm = float(np.linalg.norm(g))
+        if block_norm > threshold and block_norm > 0:
+            g = g * (threshold / block_norm)
+        grads.append(g)
+    return _with_grads(sparse_grad, grads)
+
+
 def cowclip(
     table: EmbeddingTable,
     sparse_grad: SparseGradient,
@@ -78,44 +98,38 @@ def cowclip(
     """Adaptive column-wise clipping: per-id threshold cnt * max(r*||w||, zeta)."""
     if r <= 0 or zeta <= 0:
         raise ValueError("r and zeta must be > 0")
-    out = sparse_grad.copy()
-    for j in range(out.n_fields):
-        ids = out.ids[j]
+    grads = list(sparse_grad.grads)
+    for j, ids in enumerate(sparse_grad.ids):
         if not len(ids):
             continue
         w_norms = np.linalg.norm(table.weights[j][ids], axis=1)
-        thresholds = out.counts[j] * np.maximum(r * w_norms, zeta)
-        out.grads[j] = _scale_rows(out.grads[j], thresholds)
-    return out
+        thresholds = sparse_grad.counts[j] * np.maximum(r * w_norms, zeta)
+        grads[j] = _scale_rows(grads[j], thresholds)
+    return _with_grads(sparse_grad, grads)
 
 
 def clip_global(sparse_grad: SparseGradient, value: float = DEFAULT_GLOBAL_CLIP) -> SparseGradient:
     """One threshold over the concatenated norm of every embedding gradient."""
     total = math.sqrt(sum(float((g ** 2).sum()) for g in sparse_grad.grads))
-    out = sparse_grad.copy()
+    grads = sparse_grad.grads
     if total > value and total > 0:
         factor = value / total
-        out.grads = [g * factor for g in out.grads]
-    return out
+        grads = [g * factor for g in grads]
+    return _with_grads(sparse_grad, grads)
 
 
 def clip_fieldwise(sparse_grad: SparseGradient, value: float) -> SparseGradient:
     """Constant threshold per field block."""
-    out = sparse_grad.copy()
-    for j in range(out.n_fields):
-        block_norm = float(np.linalg.norm(out.grads[j]))
-        if block_norm > value and block_norm > 0:
-            out.grads[j] = out.grads[j] * (value / block_norm)
-    return out
+    return _clip_blocks(sparse_grad, [value] * sparse_grad.n_fields)
 
 
 def clip_columnwise(sparse_grad: SparseGradient, value: float) -> SparseGradient:
     """Constant threshold per id vector: no counts, no weight-norm adaptivity."""
-    out = sparse_grad.copy()
-    for j in range(out.n_fields):
-        if len(out.ids[j]):
-            out.grads[j] = _scale_rows(out.grads[j], np.full(len(out.ids[j]), value))
-    return out
+    grads = [
+        _scale_rows(g, np.full(len(ids), value)) if len(ids) else g
+        for ids, g in zip(sparse_grad.ids, sparse_grad.grads)
+    ]
+    return _with_grads(sparse_grad, grads)
 
 
 def clip_adaptive_fieldwise(
@@ -127,13 +141,11 @@ def clip_adaptive_fieldwise(
     """Per-field threshold max(r*||field weight block||, zeta) on the grad block."""
     if r <= 0 or zeta <= 0:
         raise ValueError("r and zeta must be > 0")
-    out = sparse_grad.copy()
-    for j in range(out.n_fields):
-        threshold = max(r * float(np.linalg.norm(table.weights[j])), zeta)
-        block_norm = float(np.linalg.norm(out.grads[j]))
-        if block_norm > threshold and block_norm > 0:
-            out.grads[j] = out.grads[j] * (threshold / block_norm)
-    return out
+    thresholds = [
+        max(r * float(np.linalg.norm(table.weights[j])), zeta)
+        for j in range(sparse_grad.n_fields)
+    ]
+    return _clip_blocks(sparse_grad, thresholds)
 
 
 def apply_clip(

@@ -170,7 +170,11 @@ def batch_presence_probability(prob_in_sample: float, batch_size: int, mode: str
     if b < 1:
         raise ValueError("batch_size must be >= 1")
     if mode == "exact":
-        return 1.0 - (1.0 - p) ** b
+        if p == 1.0:
+            return 1.0
+        # 1 - (1-p)^b in log space: the direct form loses p's low bits when
+        # it rounds 1-p, and then exceeds b*p for tiny p.
+        return -math.expm1(b * math.log1p(-p))
     if mode == "approx":
         return min(1.0, b * p)
     raise ValueError(f"unknown mode {mode!r}")

@@ -54,13 +54,6 @@ class SparseGradient:
     def n_fields(self) -> int:
         return len(self.ids)
 
-    def copy(self) -> "SparseGradient":
-        return SparseGradient(
-            [i.copy() for i in self.ids],
-            [g.copy() for g in self.grads],
-            [c.copy() for c in self.counts],
-        )
-
 
 def init_table(
     fields: tuple[FieldSchema, ...] | Dataset,
@@ -111,11 +104,16 @@ def accumulate_gradients(
     d = record.dim
     if b != len(ids) or width != ids.shape[1] * d:
         raise ValueError("upstream gradient rows do not align with the lookup record")
+    cols = np.arange(d)
     out_ids, out_grads, out_counts = [], [], []
     for j in range(ids.shape[1]):
         uniq, inverse, counts = np.unique(ids[:, j], return_inverse=True, return_counts=True)
-        sums = np.zeros((len(uniq), d))
-        np.add.at(sums, inverse, upstream[:, j * d : (j + 1) * d])
+        # One bin per (unique id, column); bincount adds each bin's samples in
+        # row order starting from 0.0, exactly as np.add.at would.
+        bins = (inverse.reshape(-1, 1) * d + cols).ravel()
+        sums = np.bincount(
+            bins, weights=upstream[:, j * d : (j + 1) * d].ravel(), minlength=len(uniq) * d
+        ).reshape(len(uniq), d)
         out_ids.append(uniq)
         out_grads.append(sums / batch_size)
         out_counts.append(counts.astype(np.int64))

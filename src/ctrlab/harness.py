@@ -111,6 +111,16 @@ class ExperimentConfig:
             raise ValueError("data.split must lie strictly between 0 and 1")
         if self.base_batch < 1:
             raise ValueError("scale.base_batch must be positive")
+        if self.clip_variant in clip.CONSTANT_VARIANTS and not self.clip_value > 0:
+            raise ValueError(f"clip.value must be > 0 for {self.clip_variant} clipping")
+        if self.clip_variant in clip.ADAPTIVE_VARIANTS:
+            for key, value in (("clip.r", self.clip_r), ("clip.zeta", self.clip_zeta)):
+                if not value > 0:
+                    raise ValueError(f"{key} must be > 0 for {self.clip_variant} clipping")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"model.hidden widths must be >= 1, got {self.hidden}")
+        if self.embed_dim < 1:
+            raise ValueError("model.embed_dim must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.epochs < 0:
@@ -401,13 +411,13 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
                 dense_state, dense = optim.adam_step(
                     dense_state, dense, dgrads, lr_d, l2=0.0, cfg=adam_cfg
                 )
-                embed_state, table = optim.adam_sparse_step(
+                optim.adam_sparse_step(
                     embed_state, table, sgrad, plan.eta_embed, l2=plan.l2,
                     dense_l2=config.dense_l2, cfg=adam_cfg,
                 )
             else:
                 dense = optim.sgd_step(dense, dgrads, lr_d, l2=0.0)
-                table = optim.sgd_sparse_step(
+                optim.sgd_sparse_step(
                     table, sgrad, plan.eta_embed, l2=plan.l2, dense_l2=config.dense_l2
                 )
             params = params.replace_arrays(dense)

@@ -2,13 +2,16 @@
 
 L2 regularization enters through the gradient (g + l2*w), not as decoupled
 weight decay: the Adam moments must see the decay term for the loss-scaling
-equivalence below to hold.  All steps are pure: they return fresh arrays and
-never touch their inputs.
+equivalence below to hold.  The dense-parameter steps (sgd_step, adam_step)
+are pure: they return fresh arrays and never touch their inputs.  The
+embedding steps (sgd_sparse_step, adam_sparse_step) update the table and the
+EmbedAdamState in place and return None, so a step costs no copy of the
+table; in lazy mode it reads and writes only the touched rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,12 +97,22 @@ def adam_step(
 
 @dataclass
 class EmbedAdamState:
-    """Adam moments shaped like the table, with per-id step counts for lazy mode."""
+    """Adam moments shaped like the table, with per-id step counts for lazy mode.
+
+    scratch holds two work buffers per field for the dense-mode step; they
+    carry nothing from one step to the next and are not optimizer state.
+    """
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
     col_t: list[np.ndarray] | None = None
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        self.scratch = [(np.empty_like(m), np.empty_like(m)) for m in self.m]
 
     @classmethod
     def init(cls, table: EmbeddingTable) -> "EmbedAdamState":
@@ -119,50 +132,60 @@ def adam_sparse_step(
     l2: float = 0.0,
     dense_l2: bool = True,
     cfg: AdamConfig = AdamConfig(),
-) -> tuple[EmbedAdamState, EmbeddingTable]:
-    """Adam over an embedding table driven by a sparse gradient.
+) -> None:
+    """Adam over an embedding table driven by a sparse gradient, in place.
 
+    Updates table.weights and the state's moments and step counts.
     dense_l2 on: every id vector steps every time; absent ids see the pure
     decay gradient l2*w, so regularization keeps acting between occurrences.
-    dense_l2 off: absent ids and their moments stay untouched, and bias
-    correction runs on per-id step counts.
+    dense_l2 off: absent ids and their moments stay untouched, bias
+    correction runs on per-id step counts, and the cost is O(touched ids).
     """
-    new = EmbedAdamState(
-        [m.copy() for m in state.m],
-        [v.copy() for v in state.v],
-        state.t,
-        [c.copy() for c in state.col_t],
-    )
-    out = table.copy()
+    b1, b2 = cfg.beta1, cfg.beta2
+    state.t += 1
     if dense_l2:
-        new.t += 1
-        bc1 = 1.0 - cfg.beta1 ** new.t
-        bc2 = 1.0 - cfg.beta2 ** new.t
-        for j, w in enumerate(out.weights):
-            g = l2 * w if l2 else np.zeros_like(w)
+        bc1 = 1.0 - b1 ** state.t
+        bc2 = 1.0 - b2 ** state.t
+        for j, w in enumerate(table.weights):
+            g, tmp = state.scratch[j]
+            m, v = state.m[j], state.v[j]
+            if l2:
+                np.multiply(w, l2, out=g)
+            else:
+                g.fill(0.0)
             if j < sparse_grad.n_fields and len(sparse_grad.ids[j]):
                 g[sparse_grad.ids[j]] += sparse_grad.grads[j]
-            new.m[j] = cfg.beta1 * new.m[j] + (1.0 - cfg.beta1) * g
-            new.v[j] = cfg.beta2 * new.v[j] + (1.0 - cfg.beta2) * g * g
-            w -= lr * (new.m[j] / bc1) / (np.sqrt(new.v[j] / bc2) + cfg.eps)
-            new.col_t[j] += 1
+            # m <- b1*m + (1-b1)*g
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=tmp)
+            # v <- b2*v + ((1-b2)*g)*g
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=tmp)
+            tmp *= g
+            v += tmp
+            # w <- w - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+            np.divide(v, bc2, out=g)
+            np.sqrt(g, out=g)
+            g += cfg.eps
+            np.divide(m, bc1, out=tmp)
+            tmp *= lr
+            tmp /= g
+            w -= tmp
     else:
-        new.t += 1
         for j in range(sparse_grad.n_fields):
             ids = sparse_grad.ids[j]
             if not len(ids):
                 continue
-            w = out.weights[j]
+            w, m_j, v_j, t_j = table.weights[j], state.m[j], state.v[j], state.col_t[j]
             g = sparse_grad.grads[j] + (l2 * w[ids] if l2 else 0.0)
-            new.col_t[j][ids] += 1
-            tj = new.col_t[j][ids][:, None]
-            m = cfg.beta1 * new.m[j][ids] + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * new.v[j][ids] + (1.0 - cfg.beta2) * g * g
-            new.m[j][ids], new.v[j][ids] = m, v
-            mhat = m / (1.0 - cfg.beta1 ** tj)
-            vhat = v / (1.0 - cfg.beta2 ** tj)
+            t_j[ids] += 1
+            tj = t_j[ids][:, None]
+            m = b1 * m_j[ids] + (1.0 - b1) * g
+            v = b2 * v_j[ids] + (1.0 - b2) * g * g
+            m_j[ids], v_j[ids] = m, v
+            mhat = m / (1.0 - b1 ** tj)
+            vhat = v / (1.0 - b2 ** tj)
             w[ids] -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
-    return new, out
 
 
 def sgd_sparse_step(
@@ -171,21 +194,21 @@ def sgd_sparse_step(
     lr: float,
     l2: float = 0.0,
     dense_l2: bool = True,
-) -> EmbeddingTable:
-    """SGD counterpart of adam_sparse_step with the same dense_l2 semantics."""
-    out = table.copy()
-    for j, w in enumerate(out.weights):
+) -> None:
+    """SGD counterpart of adam_sparse_step with the same dense_l2 semantics,
+    updating table.weights in place."""
+    for j, w in enumerate(table.weights):
         touched = j < sparse_grad.n_fields and len(sparse_grad.ids[j])
         if dense_l2 and l2:
             decay = l2 * w  # decay gradient taken at the pre-step weights
             if touched:
                 w[sparse_grad.ids[j]] -= lr * sparse_grad.grads[j]
-            w -= lr * decay
+            decay *= lr
+            w -= decay
         elif touched:
             ids = sparse_grad.ids[j]
             g = sparse_grad.grads[j] + (l2 * w[ids] if l2 else 0.0)
             w[ids] -= lr * g
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,15 @@ class TestAdaptiveFieldwise:
         assert np.linalg.norm(out.grads[0]) == pytest.approx(1e-3, rel=1e-9)
 
 
+CLIPPING_CONFIGS = [
+    ("global", {"value": 1.0}),
+    ("fieldwise", {"value": 1.0}),
+    ("columnwise", {"value": 0.5}),
+    ("adaptive_fieldwise", {"r": 1.0, "zeta": 1e-4}),
+    ("cowclip", {"r": 1.0, "zeta": 1e-4}),
+]
+
+
 class TestConfigAndDispatch:
     def test_variant_field_validation(self):
         with pytest.raises(ValueError):
@@ -241,13 +250,7 @@ class TestConfigAndDispatch:
         sparse = _sparse(rng, table)
         assert apply_clip(ClipConfig(variant="none"), table, sparse) is sparse
 
-    @pytest.mark.parametrize("variant,kwargs", [
-        ("global", {"value": 1.0}),
-        ("fieldwise", {"value": 1.0}),
-        ("columnwise", {"value": 0.5}),
-        ("adaptive_fieldwise", {"r": 1.0, "zeta": 1e-4}),
-        ("cowclip", {"r": 1.0, "zeta": 1e-4}),
-    ])
+    @pytest.mark.parametrize("variant,kwargs", CLIPPING_CONFIGS)
     def test_idempotence_all_variants(self, variant, kwargs):
         rng = np.random.default_rng(8)
         table = _table([6, 5], seed=8)
@@ -267,3 +270,23 @@ class TestConfigAndDispatch:
         clip_global(sparse, 0.1)
         clip_columnwise(sparse, 0.1)
         assert np.array_equal(sparse.grads[0], before)
+
+    @pytest.mark.parametrize("variant,kwargs", CLIPPING_CONFIGS)
+    def test_apply_clip_shares_ids_and_leaves_input_alone(self, variant, kwargs):
+        rng = np.random.default_rng(10)
+        table = _table([6, 5, 4], seed=10)
+        sparse = _sparse(rng, table, scale=100.0)
+        sparse.ids[2], sparse.counts[2] = sparse.ids[2][:0], sparse.counts[2][:0]
+        sparse.grads[2] = sparse.grads[2][:0]
+        arrays = [list(sparse.ids), list(sparse.grads), list(sparse.counts)]
+        snapshot = [[a.copy() for a in group] for group in arrays]
+        out = apply_clip(ClipConfig(variant=variant, **kwargs), table, sparse)
+        assert out is not sparse
+        for group, now in zip(arrays, (sparse.ids, sparse.grads, sparse.counts)):
+            assert all(a is b for a, b in zip(group, now))
+        for group, saved in zip(arrays, snapshot):
+            assert all(np.array_equal(a, b) for a, b in zip(group, saved))
+        for j in range(3):
+            assert out.ids[j] is sparse.ids[j]
+            assert out.counts[j] is sparse.counts[j]
+        assert any(not np.array_equal(a, b) for a, b in zip(out.grads, sparse.grads))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrlab.data import CATEGORICAL, Batch, FieldSchema
 from ctrlab.embedding import (
@@ -127,6 +129,35 @@ class TestAccumulate:
             scattered = np.zeros((v, dim))
             scattered[sparse.ids[j]] = sparse.grads[j]
             assert np.max(np.abs(scattered - dense_grad)) < 1e-12
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        vocabs=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+        dim=st.integers(1, 5),
+        b=st.integers(1, 64),
+        seed=st.integers(0, 2**31),
+    )
+    def test_property_onehot_oracle_and_add_at(self, vocabs, dim, b, seed):
+        rng = np.random.default_rng(seed)
+        table = init_table(_fields(*vocabs), dim=dim, init_sigma=1.0, seed=0)
+        batch = _batch(rng, vocabs, b)
+        _, record = lookup_forward(table, batch)
+        upstream = rng.normal(size=(b, len(vocabs) * dim))
+        sparse = accumulate_gradients(record, upstream, b)
+        for j, v in enumerate(vocabs):
+            block = upstream[:, j * dim : (j + 1) * dim]
+            onehot = np.zeros((b, v))
+            onehot[np.arange(b), batch.categorical[:, j]] = 1.0
+            scattered = np.zeros((v, dim))
+            scattered[sparse.ids[j]] = sparse.grads[j]
+            assert np.max(np.abs(scattered - onehot.T @ block / b)) < 1e-12
+            # np.add.at folds the same rows in the same order from 0.0
+            uniq, inverse = np.unique(batch.categorical[:, j], return_inverse=True)
+            sums = np.zeros((len(uniq), dim))
+            np.add.at(sums, inverse, block)
+            assert np.array_equal(sparse.ids[j], uniq)
+            assert np.array_equal(sparse.grads[j], sums / b)
+            assert np.array_equal(sparse.counts[j], np.bincount(inverse))
 
     def test_linearity(self):
         rng = np.random.default_rng(6)

@@ -73,6 +73,16 @@ class TestConfig:
         ("data.split", {"split": 1.0}),
         ("data.split", {"split": 1.5}),
         ("scale.base_batch", {"base_batch": 0}),
+        ("clip.value", {"clip_variant": "global", "clip_value": 0.0}),
+        ("clip.value", {"clip_variant": "fieldwise", "clip_value": -1.0}),
+        ("clip.value", {"clip_variant": "columnwise", "clip_value": 0.0}),
+        ("clip.r", {"clip_variant": "cowclip", "clip_r": 0.0}),
+        ("clip.zeta", {"clip_variant": "cowclip", "clip_zeta": 0.0}),
+        ("clip.r", {"clip_variant": "adaptive_fieldwise", "clip_r": -1.0}),
+        ("clip.zeta", {"clip_variant": "adaptive_fieldwise", "clip_zeta": -1e-4}),
+        ("model.hidden", {"hidden": (0,)}),
+        ("model.hidden", {"hidden": (8, 0)}),
+        ("model.embed_dim", {"embed_dim": 0}),
     ])
     def test_bad_config_fails_before_any_data(self, monkeypatch, key, bad):
         monkeypatch.setattr(harness, "build_dataset", _forbid_build)

@@ -240,7 +240,8 @@ class TestLoss:
 
         probs, cache = model_forward(kind, params, table, batch)
         _, grads, sparse = loss_and_backward(probs, batch.labels, cache)
-        stepped = sgd_sparse_step(table, sparse, lr=1.0, l2=l2, dense_l2=False)
+        stepped = table.copy()
+        sgd_sparse_step(stepped, sparse, lr=1.0, l2=l2, dense_l2=False)
         tensors = dict(params.named_arrays())
         analytic = dict(grads)
         for j in range(len(vocabs)):

@@ -1,6 +1,7 @@
 """Optimizer steps against scalar references; loss-scaling equivalences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,17 +115,19 @@ class TestAdamSparse:
         state = EmbedAdamState.init(table)
         empty = SparseGradient([np.array([], dtype=np.int64)],
                                [np.zeros((0, 3))], [np.array([], dtype=np.int64)])
-        _, out = adam_sparse_step(state, table, empty, lr=0.1, l2=0.01, dense_l2=False)
-        assert np.array_equal(out.weights[0], table.weights[0])
+        before = table.weights[0].copy()
+        assert adam_sparse_step(state, table, empty, lr=0.1, l2=0.01, dense_l2=False) is None
+        assert np.array_equal(table.weights[0], before)
 
     def test_single_column_lazy_mode(self):
         table = _table_and_grad()
         state = EmbedAdamState.init(table)
         sparse = SparseGradient([np.array([2])], [np.ones((1, 3))], [np.array([1])])
-        new_state, out = adam_sparse_step(state, table, sparse, lr=0.1, dense_l2=False)
-        changed = np.any(out.weights[0] != table.weights[0], axis=1)
+        before = table.weights[0].copy()
+        adam_sparse_step(state, table, sparse, lr=0.1, dense_l2=False)
+        changed = np.any(table.weights[0] != before, axis=1)
         assert list(np.flatnonzero(changed)) == [2]
-        assert np.all(new_state.m[0][[0, 1, 3, 4, 5]] == 0.0)
+        assert np.all(state.m[0][[0, 1, 3, 4, 5]] == 0.0)
 
     def test_dense_l2_decays_every_column(self):
         # scalar Adam-on-pure-L2 oracle: with zero data gradients the update
@@ -135,8 +138,7 @@ class TestAdamSparse:
                                [np.zeros((0, 3))], [np.array([], dtype=np.int64)])
         norms = [column_norms(table)[0].copy()]
         for _ in range(5):
-            state, table = adam_sparse_step(state, table, empty, lr=1e-3,
-                                            l2=0.01, dense_l2=True)
+            adam_sparse_step(state, table, empty, lr=1e-3, l2=0.01, dense_l2=True)
             norms.append(column_norms(table)[0].copy())
         for before, after in zip(norms, norms[1:]):
             assert np.all(after < before)
@@ -148,8 +150,7 @@ class TestAdamSparse:
         grads = [0.4, -0.2, 0.1]
         for g in grads:
             sparse = SparseGradient([np.array([1])], [np.array([[g]])], [np.array([1])])
-            state, table = adam_sparse_step(state, table, sparse, lr=0.05,
-                                            l2=0.0, dense_l2=True)
+            adam_sparse_step(state, table, sparse, lr=0.05, l2=0.0, dense_l2=True)
         reference = scalar_adam(w0, grads, lr=0.05, l2=0.0)
         assert table.weights[0][1, 0] == pytest.approx(reference[-1], abs=1e-14)
 
@@ -159,18 +160,179 @@ class TestSgdSparse:
         table = _table_and_grad()
         empty = SparseGradient([np.array([], dtype=np.int64)],
                                [np.zeros((0, 3))], [np.array([], dtype=np.int64)])
-        out = sgd_sparse_step(table, empty, lr=0.1, l2=0.5, dense_l2=False)
-        assert np.array_equal(out.weights[0], table.weights[0])
+        before = table.weights[0].copy()
+        assert sgd_sparse_step(table, empty, lr=0.1, l2=0.5, dense_l2=False) is None
+        assert np.array_equal(table.weights[0], before)
 
     def test_dense_l2_matches_formula(self):
         table = _table_and_grad(vocab=3, dim=2, sigma=0.5, seed=5)
         sparse = SparseGradient([np.array([0])], [np.full((1, 2), 0.3)], [np.array([1])])
-        out = sgd_sparse_step(table, sparse, lr=0.1, l2=0.01, dense_l2=True)
-        w = table.weights[0]
+        w = table.weights[0].copy()
+        sgd_sparse_step(table, sparse, lr=0.1, l2=0.01, dense_l2=True)
         expected_touched = w[0] - 0.1 * (0.3 + 0.01 * w[0])
         expected_absent = w[1] - 0.1 * 0.01 * w[1]
-        assert np.allclose(out.weights[0][0], expected_touched, rtol=0, atol=1e-15)
-        assert np.allclose(out.weights[0][1], expected_absent, rtol=0, atol=1e-15)
+        assert np.allclose(table.weights[0][0], expected_touched, rtol=0, atol=1e-15)
+        assert np.allclose(table.weights[0][1], expected_absent, rtol=0, atol=1e-15)
+
+
+def reference_adam_sparse_step(state, table, sparse_grad, lr, l2=0.0, dense_l2=True,
+                               cfg=AdamConfig()):
+    """The copy-then-update sparse Adam step, kept as the bit-exact oracle for
+    the in-place one: returns a new state and table, inputs untouched."""
+    new = EmbedAdamState(
+        [m.copy() for m in state.m],
+        [v.copy() for v in state.v],
+        state.t,
+        [c.copy() for c in state.col_t],
+    )
+    out = table.copy()
+    new.t += 1
+    if dense_l2:
+        bc1 = 1.0 - cfg.beta1 ** new.t
+        bc2 = 1.0 - cfg.beta2 ** new.t
+        for j, w in enumerate(out.weights):
+            g = l2 * w if l2 else np.zeros_like(w)
+            if j < sparse_grad.n_fields and len(sparse_grad.ids[j]):
+                g[sparse_grad.ids[j]] += sparse_grad.grads[j]
+            new.m[j] = cfg.beta1 * new.m[j] + (1.0 - cfg.beta1) * g
+            new.v[j] = cfg.beta2 * new.v[j] + (1.0 - cfg.beta2) * g * g
+            w -= lr * (new.m[j] / bc1) / (np.sqrt(new.v[j] / bc2) + cfg.eps)
+    else:
+        for j in range(sparse_grad.n_fields):
+            ids = sparse_grad.ids[j]
+            if not len(ids):
+                continue
+            w = out.weights[j]
+            g = sparse_grad.grads[j] + (l2 * w[ids] if l2 else 0.0)
+            new.col_t[j][ids] += 1
+            tj = new.col_t[j][ids][:, None]
+            m = cfg.beta1 * new.m[j][ids] + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * new.v[j][ids] + (1.0 - cfg.beta2) * g * g
+            new.m[j][ids], new.v[j][ids] = m, v
+            mhat = m / (1.0 - cfg.beta1 ** tj)
+            vhat = v / (1.0 - cfg.beta2 ** tj)
+            w[ids] -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
+    return new, out
+
+
+def reference_sgd_sparse_step(table, sparse_grad, lr, l2=0.0, dense_l2=True):
+    """The copy-then-update sparse SGD step, the oracle for the in-place one."""
+    out = table.copy()
+    for j, w in enumerate(out.weights):
+        touched = j < sparse_grad.n_fields and len(sparse_grad.ids[j])
+        if dense_l2 and l2:
+            decay = l2 * w
+            if touched:
+                w[sparse_grad.ids[j]] -= lr * sparse_grad.grads[j]
+            w -= lr * decay
+        elif touched:
+            ids = sparse_grad.ids[j]
+            g = sparse_grad.grads[j] + (l2 * w[ids] if l2 else 0.0)
+            w[ids] -= lr * g
+    return out
+
+
+def _random_sparse_grad(rng, vocabs, dim, step):
+    """Each field touches a random id subset, sometimes none; every fifth step
+    the gradient covers only the leading fields of the table."""
+    n_fields = len(vocabs) - 1 if step % 5 == 4 else len(vocabs)
+    ids, grads, counts = [], [], []
+    for j in range(n_fields):
+        k = int(rng.integers(0, vocabs[j] + 1)) if rng.random() > 0.25 else 0
+        touched = np.sort(rng.choice(vocabs[j], size=k, replace=False)).astype(np.int64)
+        ids.append(touched)
+        grads.append(rng.normal(scale=10.0 ** rng.uniform(-4, 0), size=(k, dim)))
+        counts.append(rng.integers(1, 5, size=k).astype(np.int64))
+    return SparseGradient(ids, grads, counts)
+
+
+class TestInPlaceMatchesReference:
+    VOCABS = (7, 1, 12)
+    DIM = 3
+    STEPS = 25
+
+    def _table(self):
+        fields = tuple(FieldSchema(f"c{j}", CATEGORICAL, v) for j, v in enumerate(self.VOCABS))
+        return init_table(fields, self.DIM, init_sigma=0.1, seed=8)
+
+    @pytest.mark.parametrize("dense_l2", [True, False])
+    @pytest.mark.parametrize("l2", [0.0, 3e-3])
+    def test_adam_sparse_step_bit_exact(self, dense_l2, l2):
+        rng = np.random.default_rng(21)
+        table = self._table()
+        state = EmbedAdamState.init(table)
+        ref_table, ref_state = table.copy(), EmbedAdamState.init(table)
+        for step in range(self.STEPS):
+            sparse = _random_sparse_grad(rng, self.VOCABS, self.DIM, step)
+            lr = float(rng.uniform(1e-3, 5e-2))
+            ref_state, ref_table = reference_adam_sparse_step(
+                ref_state, ref_table, sparse, lr, l2=l2, dense_l2=dense_l2
+            )
+            assert adam_sparse_step(state, table, sparse, lr, l2, dense_l2=dense_l2) is None
+            assert state.t == ref_state.t == step + 1
+            for j in range(len(self.VOCABS)):
+                assert np.array_equal(table.weights[j], ref_table.weights[j])
+                assert np.array_equal(state.m[j], ref_state.m[j])
+                assert np.array_equal(state.v[j], ref_state.v[j])
+                if not dense_l2:
+                    assert np.array_equal(state.col_t[j], ref_state.col_t[j])
+
+    @pytest.mark.parametrize("dense_l2", [True, False])
+    @pytest.mark.parametrize("l2", [0.0, 3e-3])
+    def test_sgd_sparse_step_bit_exact(self, dense_l2, l2):
+        rng = np.random.default_rng(22)
+        table = self._table()
+        ref_table = table.copy()
+        for step in range(self.STEPS):
+            sparse = _random_sparse_grad(rng, self.VOCABS, self.DIM, step)
+            lr = float(rng.uniform(1e-3, 5e-2))
+            ref_table = reference_sgd_sparse_step(ref_table, sparse, lr, l2, dense_l2)
+            assert sgd_sparse_step(table, sparse, lr, l2, dense_l2=dense_l2) is None
+            for j in range(len(self.VOCABS)):
+                assert np.array_equal(table.weights[j], ref_table.weights[j])
+
+    def test_dense_mode_leaves_col_t_alone(self):
+        table = self._table()
+        state = EmbedAdamState.init(table)
+        sparse = _random_sparse_grad(np.random.default_rng(0), self.VOCABS, self.DIM, 0)
+        adam_sparse_step(state, table, sparse, 0.01, 1e-3, dense_l2=True)
+        assert all(not c.any() for c in state.col_t)
+
+
+def test_lazy_adam_step_is_o_touched():
+    # A 1M x 8 table: a step that copied or swept it would allocate 64 MB.
+    # k is what one field of a b=1024 batch touches at most.
+    vocab, dim, k = 1_000_000, 8, 1024
+    fields = (FieldSchema("c", CATEGORICAL, vocab),)
+    table = init_table(fields, dim, init_sigma=0.1, seed=1)
+    # np.zeros maps its pages lazily, so the untouched moments cost no memory.
+    state = EmbedAdamState(
+        [np.zeros((vocab, dim))], [np.zeros((vocab, dim))], 0, [np.zeros(vocab, dtype=np.int64)]
+    )
+    rng = np.random.default_rng(2)
+    ids = np.sort(rng.choice(vocab, size=k, replace=False)).astype(np.int64)
+    sparse = SparseGradient([ids], [rng.normal(size=(k, dim))], [np.ones(k, dtype=np.int64)])
+    before = table.weights[0].copy()
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        adam_sparse_step(state, table, sparse, 0.01, 1e-3, dense_l2=False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+    untouched = np.ones(vocab, dtype=bool)
+    untouched[ids] = False
+    changed = np.any(table.weights[0] != before, axis=1)
+    assert np.array_equal(np.flatnonzero(changed), ids)
+    assert np.array_equal(table.weights[0][untouched].view(np.int64),
+                          before[untouched].view(np.int64))
+    for moment in (state.m[0], state.v[0]):
+        assert not np.any(moment[untouched].view(np.int64))
+    assert np.array_equal(np.flatnonzero(state.col_t[0]), ids)
+    assert np.all(state.col_t[0][ids] == 1)
 
 
 class TestWarmup:
