@@ -32,7 +32,7 @@ ids = np.sort(rng.choice(vocab, size=touched, replace=False))
 ids[:4] = [0, 1, 2, 3]  # make sure mature ids are in the batch
 grads = rng.normal(size=(touched, dim)) * rng.lognormal(-1.0, 1.5, size=(touched, 1))
 counts = np.concatenate([rng.integers(20, 60, size=4), np.ones(touched - 4, dtype=int)])
-sparse = SparseGradient([ids], [grads], [counts])
+sparse = SparseGradient.from_fields([ids], [grads], [counts])
 
 variants = {
     "global(0.5)": clip_global(sparse, 0.5),

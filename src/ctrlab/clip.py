@@ -69,24 +69,26 @@ def _scale_rows(grads: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return grads * scale[:, None]
 
 
-def _with_grads(sparse_grad: SparseGradient, grads: list[np.ndarray]) -> SparseGradient:
-    """A new SparseGradient sharing the input's ids and counts arrays.
+def _with_grads(sparse_grad: SparseGradient, grad_block: np.ndarray) -> SparseGradient:
+    """A new SparseGradient sharing the input's id and count blocks.
 
     Clipping only rescales gradients, and no step writes into ids or counts,
     so sharing them is safe and saves a deep copy per step.
     """
-    return SparseGradient(list(sparse_grad.ids), list(grads), list(sparse_grad.counts))
+    return SparseGradient(
+        sparse_grad.id_block, grad_block, sparse_grad.count_block, sparse_grad.cuts
+    )
 
 
 def _clip_blocks(sparse_grad: SparseGradient, thresholds: list[float]) -> SparseGradient:
     """Rescale each field's gradient block whose norm exceeds its threshold."""
-    grads = []
-    for g, threshold in zip(sparse_grad.grads, thresholds):
+    factors = np.ones(sparse_grad.n_fields)
+    for j, (g, threshold) in enumerate(zip(sparse_grad.grads, thresholds)):
         block_norm = float(np.linalg.norm(g))
         if block_norm > threshold and block_norm > 0:
-            g = g * (threshold / block_norm)
-        grads.append(g)
-    return _with_grads(sparse_grad, grads)
+            factors[j] = threshold / block_norm
+    per_row = np.repeat(factors, np.diff(sparse_grad.cuts))
+    return _with_grads(sparse_grad, sparse_grad.grad_block * per_row[:, None])
 
 
 def cowclip(
@@ -98,23 +100,19 @@ def cowclip(
     """Adaptive column-wise clipping: per-id threshold cnt * max(r*||w||, zeta)."""
     if r <= 0 or zeta <= 0:
         raise ValueError("r and zeta must be > 0")
-    grads = list(sparse_grad.grads)
-    for j, ids in enumerate(sparse_grad.ids):
-        if not len(ids):
-            continue
-        w_norms = np.linalg.norm(table.weights[j][ids], axis=1)
-        thresholds = sparse_grad.counts[j] * np.maximum(r * w_norms, zeta)
-        grads[j] = _scale_rows(grads[j], thresholds)
-    return _with_grads(sparse_grad, grads)
+    w_norms = np.linalg.norm(np.take(table.block, sparse_grad.rows(table), axis=0), axis=1)
+    thresholds = sparse_grad.count_block * np.maximum(r * w_norms, zeta)
+    return _with_grads(sparse_grad, _scale_rows(sparse_grad.grad_block, thresholds))
 
 
 def clip_global(sparse_grad: SparseGradient, value: float = DEFAULT_GLOBAL_CLIP) -> SparseGradient:
     """One threshold over the concatenated norm of every embedding gradient."""
+    # Field by field: one sum over the whole block adds in another order,
+    # which would move the threshold's last bits.
     total = math.sqrt(sum(float((g ** 2).sum()) for g in sparse_grad.grads))
-    grads = sparse_grad.grads
+    grads = sparse_grad.grad_block
     if total > value and total > 0:
-        factor = value / total
-        grads = [g * factor for g in grads]
+        grads = grads * (value / total)
     return _with_grads(sparse_grad, grads)
 
 
@@ -125,11 +123,8 @@ def clip_fieldwise(sparse_grad: SparseGradient, value: float) -> SparseGradient:
 
 def clip_columnwise(sparse_grad: SparseGradient, value: float) -> SparseGradient:
     """Constant threshold per id vector: no counts, no weight-norm adaptivity."""
-    grads = [
-        _scale_rows(g, np.full(len(ids), value)) if len(ids) else g
-        for ids, g in zip(sparse_grad.ids, sparse_grad.grads)
-    ]
-    return _with_grads(sparse_grad, grads)
+    grads = sparse_grad.grad_block
+    return _with_grads(sparse_grad, _scale_rows(grads, np.full(len(grads), value)))
 
 
 def clip_adaptive_fieldwise(

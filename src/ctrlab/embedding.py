@@ -1,58 +1,131 @@
-"""Embedding tables with sparse per-id gradient accumulation.
+"""Embedding tables stored as one block, with sparse per-id gradient accumulation.
 
-Each categorical field owns a (vocab_size, dim) matrix whose row k is the
-learned vector for id k: the "column" of the classic one-hot-times-matrix
-view, and the unit that column-wise clipping operates on.  Gradients for a
-batch are sparse: only ids that occur in the batch carry entries, each with
-the number of samples that selected it.
+All categorical fields share one row-major (sum of vocab sizes, dim) float64
+block.  Field j owns rows offsets[j]:offsets[j+1], and row offsets[j] + k is
+the learned vector for id k of field j: the "column" of the classic
+one-hot-times-matrix view, and the unit that column-wise clipping operates
+on.  Lookup, accumulation, clipping and the optimizer steps work on these
+global rows, so each is one pass over all fields.
+
+Gradients for a batch are sparse: only ids that occur in the batch carry
+entries, each with the number of samples that selected it.  They too are
+one block, field after field in table order.
+
+The per-field arrays (EmbeddingTable.weights, SparseGradient.ids, .grads,
+.counts) are views of the blocks, handed out as tuples: writing into a view
+writes the block, and rebinding a field is an error rather than a silent
+desync.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .data import CATEGORICAL, Batch, Dataset, FieldSchema
 
 
-@dataclass
+def field_offsets(fields: tuple[FieldSchema, ...]) -> np.ndarray:
+    """(n_fields + 1,) first block row of each field, then the total row count."""
+    offsets = np.zeros(len(fields) + 1, dtype=np.int64)
+    np.cumsum([f.vocab_size for f in fields], out=offsets[1:])
+    offsets.flags.writeable = False
+    return offsets
+
+
+def split_rows(block: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-segment views of block: segment j is rows cuts[j]:cuts[j+1]."""
+    return tuple(block[a:b] for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     fields: tuple[FieldSchema, ...]
     dim: int
-    weights: list[np.ndarray]  # per field, (vocab_size, dim) float64
+    block: np.ndarray  # (sum of vocab sizes, dim) float64
     init_sigma: float
     seed: int
+    offsets: np.ndarray = field(init=False, repr=False)
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)  # per field, views
+
+    def __post_init__(self):
+        offsets = field_offsets(self.fields)
+        if self.block.shape != (offsets[-1], self.dim):
+            raise ValueError(
+                f"table block has shape {self.block.shape}, fields need ({offsets[-1]}, {self.dim})"
+            )
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "weights", split_rows(self.block, offsets))
 
     @property
     def n_fields(self) -> int:
         return len(self.fields)
 
     def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(
-            self.fields, self.dim, [w.copy() for w in self.weights], self.init_sigma, self.seed
-        )
+        return EmbeddingTable(self.fields, self.dim, self.block.copy(), self.init_sigma, self.seed)
 
 
 @dataclass
 class LookupRecord:
-    """Which (field, id) produced each row of an embedded batch."""
+    """Which (field, id) produced each row of an embedded batch, and its table row."""
 
-    ids: np.ndarray  # (b, n_fields) int64
+    ids: np.ndarray      # (b, n_fields) int64, field-local
+    rows: np.ndarray     # (b, n_fields) int64, ids + the table's field offsets
+    offsets: np.ndarray  # the table's field offsets
     dim: int
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SparseGradient:
-    """Per field: unique touched ids, their gradient vectors, and occurrence counts."""
+    """Unique touched ids, their gradient vectors and occurrence counts.
 
-    ids: list[np.ndarray]     # (k_j,) int64, strictly increasing
-    grads: list[np.ndarray]   # (k_j, dim) float64
-    counts: list[np.ndarray]  # (k_j,) int64, samples selecting the id
+    Field j owns entries cuts[j]:cuts[j+1] of every block; its ids are
+    field-local and strictly increasing.  ids, grads and counts give the same
+    entries per field.
+    """
+
+    id_block: np.ndarray     # (k,) int64
+    grad_block: np.ndarray   # (k, dim) float64
+    count_block: np.ndarray  # (k,) int64, samples selecting the id
+    cuts: np.ndarray         # (n_fields + 1,) int64
+
+    @classmethod
+    def from_fields(cls, ids, grads, counts) -> "SparseGradient":
+        """Build from per-field sequences of ids, (k_j, dim) grads and counts."""
+        cuts = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum([len(a) for a in ids], out=cuts[1:])
+        dim = np.shape(grads[0])[1] if len(grads) else 0
+        none = np.zeros(0, dtype=np.int64)
+        return cls(
+            np.concatenate([none, *ids]),
+            np.concatenate([np.zeros((0, dim)), *grads]),
+            np.concatenate([none, *counts]),
+            cuts,
+        )
 
     @property
     def n_fields(self) -> int:
-        return len(self.ids)
+        return len(self.cuts) - 1
+
+    @cached_property
+    def ids(self) -> tuple[np.ndarray, ...]:
+        return split_rows(self.id_block, self.cuts)
+
+    @cached_property
+    def grads(self) -> tuple[np.ndarray, ...]:
+        return split_rows(self.grad_block, self.cuts)
+
+    @cached_property
+    def counts(self) -> tuple[np.ndarray, ...]:
+        return split_rows(self.count_block, self.cuts)
+
+    def rows(self, table: EmbeddingTable) -> np.ndarray:
+        """The table's block rows of the touched ids."""
+        if self.n_fields > table.n_fields:
+            raise ValueError("sparse gradient has more fields than the table")
+        return self.id_block + np.repeat(table.offsets[: self.n_fields], np.diff(self.cuts))
 
 
 def init_table(
@@ -72,23 +145,28 @@ def init_table(
     if init_sigma <= 0:
         raise ValueError("init_sigma must be > 0")
     rng = np.random.default_rng(seed)
-    weights = [rng.normal(0.0, init_sigma, size=(f.vocab_size, dim)) for f in fields]
-    return EmbeddingTable(fields, dim, weights, init_sigma, seed)
+    table = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim)), init_sigma, seed)
+    # Field by field, so the draw never holds a second whole-table array.
+    for f, w in zip(fields, table.weights):
+        w[...] = rng.normal(0.0, init_sigma, size=(f.vocab_size, dim))
+    return table
 
 
 def lookup_forward(table: EmbeddingTable, batch: Batch) -> tuple[np.ndarray, LookupRecord]:
     """Embed a batch: output row i concatenates each field's vector for its id."""
     ids = batch.categorical
-    if ids.shape[1] != table.n_fields:
+    b, n_fields = ids.shape
+    if n_fields != table.n_fields:
         raise ValueError("batch field count does not match table")
-    parts = []
-    for j, w in enumerate(table.weights):
-        col = ids[:, j]
-        if len(col) and (col.min() < 0 or col.max() >= len(w)):
-            raise IndexError(f"id out of range for field {table.fields[j].name!r}")
-        parts.append(w[col])
-    embedded = np.concatenate(parts, axis=1) if parts else np.zeros((len(ids), 0))
-    return embedded, LookupRecord(ids, table.dim)
+    offsets = table.offsets
+    # Unchecked, an id of vocab_j would silently read field j+1's first row.
+    if b:
+        bad = (ids.min(axis=0) < 0) | (ids.max(axis=0) >= np.diff(offsets))
+        if bad.any():
+            raise IndexError(f"id out of range for field {table.fields[int(np.argmax(bad))].name!r}")
+    rows = ids + offsets[:-1]
+    embedded = np.take(table.block, rows.ravel(), axis=0).reshape(b, n_fields * table.dim)
+    return embedded, LookupRecord(ids, rows, offsets, table.dim)
 
 
 def accumulate_gradients(
@@ -100,24 +178,21 @@ def accumulate_gradients(
     field slices side by side.  Ids absent from the batch get no entry.
     """
     b, width = upstream.shape
-    ids = record.ids
+    rows = record.rows
     d = record.dim
-    if b != len(ids) or width != ids.shape[1] * d:
+    if b != len(rows) or width != rows.shape[1] * d:
         raise ValueError("upstream gradient rows do not align with the lookup record")
-    cols = np.arange(d)
-    out_ids, out_grads, out_counts = [], [], []
-    for j in range(ids.shape[1]):
-        uniq, inverse, counts = np.unique(ids[:, j], return_inverse=True, return_counts=True)
-        # One bin per (unique id, column); bincount adds each bin's samples in
-        # row order starting from 0.0, exactly as np.add.at would.
-        bins = (inverse.reshape(-1, 1) * d + cols).ravel()
-        sums = np.bincount(
-            bins, weights=upstream[:, j * d : (j + 1) * d].ravel(), minlength=len(uniq) * d
-        ).reshape(len(uniq), d)
-        out_ids.append(uniq)
-        out_grads.append(sums / batch_size)
-        out_counts.append(counts.astype(np.int64))
-    return SparseGradient(out_ids, out_grads, out_counts)
+    uniq, inverse, counts = np.unique(rows.ravel(), return_inverse=True, return_counts=True)
+    # One bin per (unique row, column).  A row belongs to one field, so
+    # bincount adds each bin's samples in row order starting from 0.0,
+    # exactly as np.add.at would.
+    bins = (inverse.reshape(-1, 1) * d + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=upstream.ravel(), minlength=len(uniq) * d)
+    cuts = np.searchsorted(uniq, record.offsets)
+    ids = uniq - np.repeat(record.offsets[:-1], np.diff(cuts))
+    return SparseGradient(
+        ids, sums.reshape(len(uniq), d) / batch_size, counts.astype(np.int64), cuts
+    )
 
 
 def column_norms(obj: EmbeddingTable | SparseGradient) -> list[np.ndarray]:

@@ -334,10 +334,19 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     _, init_ss, batch_ss = _seed_children(seed)
     if dataset is None:
         dataset = build_dataset(config, seed)
+    if dataset.n_samples == 0:
+        raise ValueError(f"data.source {config.source!r} yielded 0 rows")
     train_ds, test_ds = dataset.split(config.split)
     b = config.batch_size
     if b > train_ds.n_samples:
         raise ValueError("batch_size exceeds the training split")
+    n_pos = int(test_ds.labels.sum())
+    n_neg = test_ds.n_samples - n_pos
+    if not (n_pos and n_neg):
+        raise ValueError(
+            f"data.split={config.split} leaves a test split with {n_pos} positive and "
+            f"{n_neg} negative rows; AUC needs both classes"
+        )
 
     s = b / config.base_batch
     base = scaling.BaseHyperparams(

@@ -25,6 +25,7 @@ from .embedding import (
     LookupRecord,
     SparseGradient,
     accumulate_gradients,
+    field_offsets,
     lookup_forward,
 )
 
@@ -185,9 +186,8 @@ def lr_head_backward(
 ) -> dict[str, np.ndarray]:
     grads = {"lr.bias": np.asarray(dlogit.sum())}
     for j, w in enumerate(weights):
-        g = np.zeros_like(w)
-        np.add.at(g, ids[:, j], dlogit)
-        grads[f"lr.w{j}"] = g
+        # Each id's samples are added in row order from 0.0, as np.add.at would.
+        grads[f"lr.w{j}"] = np.bincount(ids[:, j], weights=dlogit, minlength=len(w))
     return grads
 
 
@@ -370,8 +370,14 @@ def load_checkpoint(path) -> tuple[DenseParams, EmbeddingTable]:
     dense = {name: z[f"dense:{name}"] for name in header["dense_names"]}
     t = header["table"]
     fields = tuple(FieldSchema(f["name"], CATEGORICAL, f["vocab_size"]) for f in t["fields"])
-    weights = [z[f"table:{j}"] for j in range(len(fields))]
-    table = EmbeddingTable(fields, t["dim"], weights, t["init_sigma"], t["seed"])
+    table = EmbeddingTable(
+        fields, t["dim"], np.empty((field_offsets(fields)[-1], t["dim"])), t["init_sigma"], t["seed"]
+    )
+    for j, w in enumerate(table.weights):
+        stored = z[f"table:{j}"]
+        if stored.shape != w.shape:
+            raise ValueError(f"checkpoint table:{j} has shape {stored.shape}, expected {w.shape}")
+        w[...] = stored
     return _params_from_named(header["kind"], dense), table
 
 

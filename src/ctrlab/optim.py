@@ -15,9 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbeddingTable, SparseGradient
+from .embedding import EmbeddingTable, SparseGradient, split_rows
 
 OPT_KINDS = ("adam", "sgd")
+
+# Entries per slice of the dense-mode Adam pass.  The pass streams five
+# arrays; slices of 2**15 entries (256 KB each) keep them in a core's L2,
+# where one pass over a whole 600k-entry block measured 17 % slower.
+DENSE_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -95,33 +100,52 @@ def adam_step(
     return AdamState(new_m, new_v, t), out
 
 
-@dataclass
-class EmbedAdamState:
-    """Adam moments shaped like the table, with per-id step counts for lazy mode.
+def _slice_rows(dim: int) -> int:
+    return max(1, DENSE_CHUNK // dim)
 
-    scratch holds two work buffers per field for the dense-mode step; they
-    carry nothing from one step to the next and are not optimizer state.
+
+@dataclass(eq=False)
+class EmbedAdamState:
+    """Adam moments shaped like the table's block, with per-row step counts for lazy mode.
+
+    m, v and col_t give the same per field, as views.  scratch holds two work
+    buffers for one DENSE_CHUNK slice of the dense-mode step; they carry
+    nothing from one step to the next and are not optimizer state.
     """
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m_block: np.ndarray      # (rows, dim)
+    v_block: np.ndarray      # (rows, dim)
+    col_t_block: np.ndarray  # (rows,) int64
+    offsets: np.ndarray      # the table's field offsets
     t: int = 0
-    col_t: list[np.ndarray] | None = None
-    scratch: list[tuple[np.ndarray, np.ndarray]] = field(
-        init=False, repr=False, compare=False
-    )
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.scratch = [(np.empty_like(m), np.empty_like(m)) for m in self.m]
+        rows, dim = self.m_block.shape
+        shape = (min(rows, _slice_rows(dim)), dim)
+        self.scratch = (np.empty(shape), np.empty(shape))
 
     @classmethod
     def init(cls, table: EmbeddingTable) -> "EmbedAdamState":
+        rows = len(table.block)
         return cls(
-            [np.zeros_like(w) for w in table.weights],
-            [np.zeros_like(w) for w in table.weights],
-            0,
-            [np.zeros(len(w), dtype=np.int64) for w in table.weights],
+            np.zeros_like(table.block),
+            np.zeros_like(table.block),
+            np.zeros(rows, dtype=np.int64),
+            table.offsets,
         )
+
+    @property
+    def m(self) -> tuple[np.ndarray, ...]:
+        return split_rows(self.m_block, self.offsets)
+
+    @property
+    def v(self) -> tuple[np.ndarray, ...]:
+        return split_rows(self.v_block, self.offsets)
+
+    @property
+    def col_t(self) -> tuple[np.ndarray, ...]:
+        return split_rows(self.col_t_block, self.offsets)
 
 
 def adam_sparse_step(
@@ -135,7 +159,8 @@ def adam_sparse_step(
 ) -> None:
     """Adam over an embedding table driven by a sparse gradient, in place.
 
-    Updates table.weights and the state's moments and step counts.
+    Updates table.block and the state's moments and step counts, all fields
+    in one pass.
     dense_l2 on: every id vector steps every time; absent ids see the pure
     decay gradient l2*w, so regularization keeps acting between occurrences.
     dense_l2 off: absent ids and their moments stay untouched, bias
@@ -143,18 +168,24 @@ def adam_sparse_step(
     """
     b1, b2 = cfg.beta1, cfg.beta2
     state.t += 1
+    w, rows = table.block, sparse_grad.rows(table)
     if dense_l2:
         bc1 = 1.0 - b1 ** state.t
         bc2 = 1.0 - b2 ** state.t
-        for j, w in enumerate(table.weights):
-            g, tmp = state.scratch[j]
-            m, v = state.m[j], state.v[j]
+        # One pass over the block, a slice of rows at a time; rows is sorted,
+        # so each slice's touched rows are one run of it.
+        step = _slice_rows(table.dim)
+        starts = np.arange(0, len(w), step)
+        runs = np.searchsorted(rows, np.append(starts, len(w)))
+        for a, lo, hi in zip(starts.tolist(), runs[:-1].tolist(), runs[1:].tolist()):
+            z = min(a + step, len(w))
+            g, tmp = state.scratch[0][: z - a], state.scratch[1][: z - a]
+            wc, m, v = w[a:z], state.m_block[a:z], state.v_block[a:z]
             if l2:
-                np.multiply(w, l2, out=g)
+                np.multiply(wc, l2, out=g)
             else:
                 g.fill(0.0)
-            if j < sparse_grad.n_fields and len(sparse_grad.ids[j]):
-                g[sparse_grad.ids[j]] += sparse_grad.grads[j]
+            g[rows[lo:hi] - a] += sparse_grad.grad_block[lo:hi]
             # m <- b1*m + (1-b1)*g
             m *= b1
             m += np.multiply(g, 1.0 - b1, out=tmp)
@@ -170,22 +201,38 @@ def adam_sparse_step(
             np.divide(m, bc1, out=tmp)
             tmp *= lr
             tmp /= g
-            w -= tmp
-    else:
-        for j in range(sparse_grad.n_fields):
-            ids = sparse_grad.ids[j]
-            if not len(ids):
-                continue
-            w, m_j, v_j, t_j = table.weights[j], state.m[j], state.v[j], state.col_t[j]
-            g = sparse_grad.grads[j] + (l2 * w[ids] if l2 else 0.0)
-            t_j[ids] += 1
-            tj = t_j[ids][:, None]
-            m = b1 * m_j[ids] + (1.0 - b1) * g
-            v = b2 * v_j[ids] + (1.0 - b2) * g * g
-            m_j[ids], v_j[ids] = m, v
-            mhat = m / (1.0 - b1 ** tj)
-            vhat = v / (1.0 - b2 ** tj)
-            w[ids] -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
+            wc -= tmp
+    elif len(rows):
+        # Each touched row is gathered and scattered once per array; the
+        # float operations and their order are those of the dense branch,
+        # with per-row step counts.
+        w_rows = np.take(w, rows, axis=0)
+        g = sparse_grad.grad_block
+        if l2:
+            g = np.multiply(w_rows, l2) + g
+        tj = state.col_t_block[rows] + 1
+        state.col_t_block[rows] = tj
+        tj = tj[:, None]
+        tmp = np.multiply(g, 1.0 - b1)
+        m = np.take(state.m_block, rows, axis=0)
+        m *= b1
+        m += tmp
+        state.m_block[rows] = m
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v = np.take(state.v_block, rows, axis=0)
+        v *= b2
+        v += tmp
+        state.v_block[rows] = v
+        # w <- w - (lr*(m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps), per row t
+        v /= 1.0 - b2 ** tj
+        np.sqrt(v, out=v)
+        v += cfg.eps
+        m /= 1.0 - b1 ** tj
+        m *= lr
+        m /= v
+        w_rows -= m
+        w[rows] = w_rows
 
 
 def sgd_sparse_step(
@@ -196,19 +243,16 @@ def sgd_sparse_step(
     dense_l2: bool = True,
 ) -> None:
     """SGD counterpart of adam_sparse_step with the same dense_l2 semantics,
-    updating table.weights in place."""
-    for j, w in enumerate(table.weights):
-        touched = j < sparse_grad.n_fields and len(sparse_grad.ids[j])
-        if dense_l2 and l2:
-            decay = l2 * w  # decay gradient taken at the pre-step weights
-            if touched:
-                w[sparse_grad.ids[j]] -= lr * sparse_grad.grads[j]
-            decay *= lr
-            w -= decay
-        elif touched:
-            ids = sparse_grad.ids[j]
-            g = sparse_grad.grads[j] + (l2 * w[ids] if l2 else 0.0)
-            w[ids] -= lr * g
+    updating table.block in place."""
+    w, rows = table.block, sparse_grad.rows(table)
+    if dense_l2 and l2:
+        decay = l2 * w  # decay gradient taken at the pre-step weights
+        w[rows] -= lr * sparse_grad.grad_block
+        decay *= lr
+        w -= decay
+    elif len(rows):
+        g = sparse_grad.grad_block + (l2 * w[rows] if l2 else 0.0)
+        w[rows] -= lr * g
 
 
 # ---------------------------------------------------------------------------

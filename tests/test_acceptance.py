@@ -67,10 +67,11 @@ def test_c03_cowclip_contract():
         n, dim = 2500, 10
         fields = (FieldSchema("c", CATEGORICAL, n),)
         table = init_table(fields, dim, init_sigma=1.0, seed=int(r * 1000))
-        table.weights[0] *= rng.lognormal(0.0, 2.0, size=(n, 1))  # wide norm range
+        w = table.weights[0]
+        w *= rng.lognormal(0.0, 2.0, size=(n, 1))  # wide norm range
         grads = rng.normal(size=(n, dim)) * rng.lognormal(0.0, 2.0, size=(n, 1))
         counts = rng.integers(1, 11, size=n)
-        sparse = SparseGradient([np.arange(n)], [grads], [counts])
+        sparse = SparseGradient.from_fields([np.arange(n)], [grads], [counts])
         out = cowclip(table, sparse, r=r, zeta=zeta)
         w_norms = np.linalg.norm(table.weights[0], axis=1)
         thresholds = counts * np.maximum(r * w_norms, zeta)

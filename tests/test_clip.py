@@ -32,7 +32,7 @@ def _sparse(rng, table, touched_per_field=3, scale=1.0):
         ids.append(np.sort(rng.choice(len(w), size=k, replace=False)))
         grads.append(rng.normal(scale=scale, size=(k, table.dim)))
         counts.append(rng.integers(1, 6, size=k))
-    return SparseGradient(ids, grads, counts)
+    return SparseGradient.from_fields(ids, grads, counts)
 
 
 class TestClipByThreshold:
@@ -59,7 +59,7 @@ class TestCowClip:
         table = _table([3], dim=2)
         table.weights[0][1] = np.array([0.1, 0.0])
         g = np.array([[0.6, 0.8]])  # norm 1
-        sparse = SparseGradient([np.array([1])], [g], [np.array([2])])
+        sparse = SparseGradient.from_fields([np.array([1])], [g], [np.array([2])])
         out = cowclip(table, sparse, r=1.0, zeta=1e-5)
         assert np.linalg.norm(out.grads[0][0]) == pytest.approx(0.2, rel=1e-12)
 
@@ -67,7 +67,7 @@ class TestCowClip:
         table = _table([3], dim=2)
         table.weights[0][0] = np.array([1e-7, 0.0])
         g = np.array([[1.0, 0.0]])
-        sparse = SparseGradient([np.array([0])], [g], [np.array([1])])
+        sparse = SparseGradient.from_fields([np.array([0])], [g], [np.array([1])])
         out = cowclip(table, sparse, r=1.0, zeta=1e-4)
         assert np.linalg.norm(out.grads[0][0]) == pytest.approx(1e-4, rel=1e-12)
 
@@ -82,7 +82,7 @@ class TestCowClip:
         table = _table([3], dim=2)
         table.weights[0][1] = np.array([0.1, 0.0])
         g = np.array([[1.0, 0.0]])
-        sparse = SparseGradient([np.array([1])], [g], [np.array([4])])
+        sparse = SparseGradient.from_fields([np.array([1])], [g], [np.array([4])])
         with_cnt = cowclip(table, sparse, r=1.0, zeta=1e-5)
         assert np.linalg.norm(with_cnt.grads[0][0]) == pytest.approx(0.4, rel=1e-12)
 
@@ -129,7 +129,7 @@ class TestCowClip:
         def norm_out(r, zeta, cnt, w_scale=1.0):
             t2 = _table([2], dim=2)
             t2.weights[0][0] = np.array([0.2 * w_scale, 0.0])
-            sparse = SparseGradient([np.array([0])], [g.copy()], [np.array([cnt])])
+            sparse = SparseGradient.from_fields([np.array([0])], [g.copy()], [np.array([cnt])])
             return np.linalg.norm(cowclip(t2, sparse, r=r, zeta=zeta).grads[0][0])
 
         base = norm_out(1.0, 1e-4, 1)
@@ -149,12 +149,12 @@ class TestGlobal:
 
     def test_double_norm_halves_entries(self):
         g = np.array([[3.0, 4.0]])  # norm 5
-        sparse = SparseGradient([np.array([0])], [g], [np.array([1])])
+        sparse = SparseGradient.from_fields([np.array([0])], [g], [np.array([1])])
         out = clip_global(sparse, value=2.5)
         assert np.allclose(out.grads[0], g / 2, rtol=0, atol=1e-15)
 
     def test_norm_concatenated_over_fields(self):
-        sparse = SparseGradient(
+        sparse = SparseGradient.from_fields(
             [np.array([0]), np.array([1])],
             [np.array([[3.0, 0.0]]), np.array([[0.0, 4.0]])],
             [np.array([1]), np.array([1])],
@@ -166,7 +166,7 @@ class TestGlobal:
 
 class TestFieldwise:
     def test_only_offending_field_rescaled(self):
-        sparse = SparseGradient(
+        sparse = SparseGradient.from_fields(
             [np.array([0]), np.array([0])],
             [np.array([[10.0, 0.0]]), np.array([[0.1, 0.0]])],
             [np.array([1]), np.array([1])],
@@ -176,7 +176,7 @@ class TestFieldwise:
         assert np.array_equal(out.grads[1], sparse.grads[1])
 
     def test_sqrt_batch_scaling(self):
-        sparse = SparseGradient([np.array([0])], [np.array([[10.0, 0.0]])],
+        sparse = SparseGradient.from_fields([np.array([0])], [np.array([[10.0, 0.0]])],
                                 [np.array([1])])
         out = clip_fieldwise(sparse, value=clip_value_scale(1.0, 4.0, "sqrt"))
         assert np.linalg.norm(out.grads[0]) == pytest.approx(2.0, rel=1e-12)
@@ -196,7 +196,7 @@ class TestFieldwise:
 class TestColumnwise:
     def test_cases(self):
         g = np.array([[0.0, 0.0], [3.0, 4.0], [0.1, 0.0]])
-        sparse = SparseGradient([np.array([0, 1, 2])], [g], [np.array([1, 1, 1])])
+        sparse = SparseGradient.from_fields([np.array([0, 1, 2])], [g], [np.array([1, 1, 1])])
         out = clip_columnwise(sparse, value=1.0)
         assert np.array_equal(out.grads[0][0], g[0])  # zero untouched
         assert np.linalg.norm(out.grads[0][1]) == pytest.approx(1.0, rel=1e-12)
@@ -206,19 +206,19 @@ class TestColumnwise:
 class TestAdaptiveFieldwise:
     def test_cases(self):
         table = _table([2], dim=2, sigma=1.0, seed=5)
-        table.weights[0] = np.array([[2.0, 0.0], [0.0, 0.0]])  # field block norm 2
-        sparse = SparseGradient([np.array([0])], [np.array([[1.0, 0.0]])],
+        table.weights[0][...] = [[2.0, 0.0], [0.0, 0.0]]  # field block norm 2
+        sparse = SparseGradient.from_fields([np.array([0])], [np.array([[1.0, 0.0]])],
                                 [np.array([1])])
         out = clip_adaptive_fieldwise(table, sparse, r=1.0, zeta=1e-5)
         assert np.array_equal(out.grads[0], sparse.grads[0])  # under threshold
-        sparse_big = SparseGradient([np.array([0])], [np.array([[3.0, 0.0]])],
+        sparse_big = SparseGradient.from_fields([np.array([0])], [np.array([[3.0, 0.0]])],
                                     [np.array([1])])
         out = clip_adaptive_fieldwise(table, sparse_big, r=1.0, zeta=1e-5)
         assert np.linalg.norm(out.grads[0]) == pytest.approx(2.0, rel=1e-12)
 
     def test_zeta_floor(self):
         table = _table([2], dim=2, sigma=1e-9, seed=6)
-        sparse = SparseGradient([np.array([0])], [np.array([[1.0, 0.0]])],
+        sparse = SparseGradient.from_fields([np.array([0])], [np.array([[1.0, 0.0]])],
                                 [np.array([1])])
         out = clip_adaptive_fieldwise(table, sparse, r=1.0, zeta=1e-3)
         assert np.linalg.norm(out.grads[0]) == pytest.approx(1e-3, rel=1e-9)
@@ -275,18 +275,86 @@ class TestConfigAndDispatch:
     def test_apply_clip_shares_ids_and_leaves_input_alone(self, variant, kwargs):
         rng = np.random.default_rng(10)
         table = _table([6, 5, 4], seed=10)
-        sparse = _sparse(rng, table, scale=100.0)
-        sparse.ids[2], sparse.counts[2] = sparse.ids[2][:0], sparse.counts[2][:0]
-        sparse.grads[2] = sparse.grads[2][:0]
-        arrays = [list(sparse.ids), list(sparse.grads), list(sparse.counts)]
-        snapshot = [[a.copy() for a in group] for group in arrays]
+        full = _sparse(rng, table, scale=100.0)
+        # the last field touches nothing
+        sparse = SparseGradient.from_fields(
+            *[group[:2] + (group[2][:0],) for group in (full.ids, full.grads, full.counts)]
+        )
+        blocks = (sparse.id_block, sparse.grad_block, sparse.count_block, sparse.cuts)
+        snapshot = [a.copy() for a in blocks]
         out = apply_clip(ClipConfig(variant=variant, **kwargs), table, sparse)
         assert out is not sparse
-        for group, now in zip(arrays, (sparse.ids, sparse.grads, sparse.counts)):
-            assert all(a is b for a, b in zip(group, now))
-        for group, saved in zip(arrays, snapshot):
-            assert all(np.array_equal(a, b) for a, b in zip(group, saved))
-        for j in range(3):
-            assert out.ids[j] is sparse.ids[j]
-            assert out.counts[j] is sparse.counts[j]
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, snapshot))
+        assert out.id_block is sparse.id_block
+        assert out.count_block is sparse.count_block
+        assert out.cuts is sparse.cuts
         assert any(not np.array_equal(a, b) for a, b in zip(out.grads, sparse.grads))
+
+
+def _clip_units(variant, cfg, table, sparse):
+    """(row indices into the grad block, threshold) for every unit the variant clips."""
+    cuts = sparse.cuts
+    fields = [np.arange(cuts[j], cuts[j + 1]) for j in range(sparse.n_fields)]
+    rows = [np.array([i]) for i in range(len(sparse.grad_block))]
+    if variant == "global":
+        return [(np.arange(len(sparse.grad_block)), cfg.value)]
+    if variant == "fieldwise":
+        return [(f, cfg.value) for f in fields]
+    if variant == "columnwise":
+        return [(i, cfg.value) for i in rows]
+    if variant == "adaptive_fieldwise":
+        return [(f, max(cfg.r * np.linalg.norm(table.weights[j]), cfg.zeta))
+                for j, f in enumerate(fields)]
+    w = table.block[sparse.rows(table)]
+    return [(i, sparse.count_block[i[0]] * max(cfg.r * np.linalg.norm(w[i[0]]), cfg.zeta))
+            for i in rows]
+
+
+class TestClipContractProperty:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        variant=st.sampled_from([v for v, _ in CLIPPING_CONFIGS]),
+        vocabs=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+        dropped=st.integers(0, 3),
+        dim=st.integers(1, 4),
+        value=st.floats(1e-3, 1e3),
+        r=st.floats(0.05, 20.0),
+        zeta=st.floats(1e-4, 1.0),
+        seed=st.integers(0, 2**31),
+    )
+    def test_every_unit_is_scaled_down_to_its_threshold(
+        self, variant, vocabs, dropped, dim, value, r, zeta, seed
+    ):
+        rng = np.random.default_rng(seed)
+        table = _table(vocabs, dim=dim, sigma=10.0 ** rng.uniform(-3, 1), seed=seed % 1000)
+        # the gradient may cover fewer fields than the table, and may skip fields
+        n_fields = max(1, len(vocabs) - dropped)
+        ids, grads, counts = [], [], []
+        for v in vocabs[:n_fields]:
+            k = int(rng.integers(0, v + 1))
+            ids.append(np.sort(rng.choice(v, size=k, replace=False)))
+            grads.append(rng.normal(size=(k, dim)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1)))
+            counts.append(rng.integers(1, 6, size=k))
+        sparse = SparseGradient.from_fields(ids, grads, counts)
+        snapshot = [a.copy() for a in (sparse.id_block, sparse.grad_block, sparse.count_block)]
+        if variant in ("global", "fieldwise", "columnwise"):
+            cfg = ClipConfig(variant, value=value)
+        else:
+            cfg = ClipConfig(variant, r=r, zeta=zeta)
+
+        out = apply_clip(cfg, table, sparse)
+
+        for a, b in zip((sparse.id_block, sparse.grad_block, sparse.count_block), snapshot):
+            assert np.array_equal(a, b)
+        assert np.array_equal(out.id_block, sparse.id_block)
+        assert np.array_equal(out.count_block, sparse.count_block)
+        for unit, threshold in _clip_units(variant, cfg, table, sparse):
+            g_in, g_out = sparse.grad_block[unit], out.grad_block[unit]
+            norm_in = np.linalg.norm(g_in)
+            if norm_in <= threshold:
+                assert np.array_equal(g_out, g_in)  # identity under the threshold
+                continue
+            c = np.linalg.norm(g_out) / norm_in
+            assert 0.0 < c <= 1.0
+            assert np.allclose(g_out, c * g_in, rtol=1e-12, atol=1e-12 * c * np.abs(g_in).max())
+            assert np.linalg.norm(g_out) <= threshold * (1 + 1e-12)

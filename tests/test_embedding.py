@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ctrlab.data import CATEGORICAL, Batch, FieldSchema
 from ctrlab.embedding import (
+    SparseGradient,
     accumulate_gradients,
     column_norms,
     init_table,
@@ -59,7 +60,8 @@ class TestInit:
 class TestLookup:
     def test_zero_table(self):
         table = init_table(_fields(5, 5), dim=3, init_sigma=1.0, seed=0)
-        table.weights = [np.zeros_like(w) for w in table.weights]
+        for w in table.weights:
+            w[...] = 0.0
         batch = _batch(np.random.default_rng(0), [5, 5], 4)
         embedded, _ = lookup_forward(table, batch)
         assert np.all(embedded == 0.0)
@@ -90,6 +92,62 @@ class TestLookup:
                       np.array([[4]], dtype=np.int64))
         with pytest.raises(IndexError):
             lookup_forward(table, batch)
+
+    @pytest.mark.parametrize("bad,field", [((3, 0, 0), "c0"), ((0, 5, 0), "c1"),
+                                           ((0, 0, -1), "c2"), ((0, -1, 2), "c1")])
+    def test_out_of_range_in_any_field_names_it(self, bad, field):
+        # In the shared block, id vocab_j of field j is a valid row of field
+        # j+1, so only the range check stands between it and a wrong vector.
+        table = init_table(_fields(3, 5, 2), dim=2, init_sigma=1.0, seed=0)
+        ids = np.array([[0, 0, 0], bad, [1, 1, 1]], dtype=np.int64)
+        batch = Batch(np.zeros(3, dtype=np.uint8), np.zeros((3, 0)), ids)
+        with pytest.raises(IndexError, match=repr(field)):
+            lookup_forward(table, batch)
+
+
+class TestBlockLayout:
+    def test_fields_are_views_of_one_block(self):
+        table = init_table(_fields(3, 5, 2), dim=4, init_sigma=1.0, seed=1)
+        assert table.block.shape == (10, 4)
+        assert list(table.offsets) == [0, 3, 8, 10]
+        for j, w in enumerate(table.weights):
+            assert np.shares_memory(w, table.block)
+            assert np.array_equal(w, table.block[table.offsets[j]:table.offsets[j + 1]])
+
+    def test_write_through_a_field_view_shows_in_lookup(self):
+        table = init_table(_fields(3, 5), dim=2, init_sigma=1.0, seed=2)
+        table.weights[1][4] = [7.0, -7.0]
+        batch = Batch(np.zeros(1, dtype=np.uint8), np.zeros((1, 0)),
+                      np.array([[2, 4]], dtype=np.int64))
+        embedded, _ = lookup_forward(table, batch)
+        assert np.array_equal(embedded[0], np.concatenate([table.weights[0][2], [7.0, -7.0]]))
+
+    def test_fields_cannot_be_rebound(self):
+        table = init_table(_fields(3, 5), dim=2, init_sigma=1.0, seed=3)
+        with pytest.raises(AttributeError):
+            table.weights = [np.zeros_like(w) for w in table.weights]
+        with pytest.raises(TypeError):
+            table.weights[0] = np.zeros((3, 2))
+        with pytest.raises(AttributeError):
+            table.block = np.zeros((8, 2))
+
+    def test_copy_is_independent(self):
+        table = init_table(_fields(3, 5), dim=2, init_sigma=1.0, seed=4)
+        twin = table.copy()
+        assert not np.shares_memory(twin.block, table.block)
+        assert np.array_equal(twin.block, table.block)
+        twin.weights[0][...] = 0.0
+        assert np.any(table.weights[0] != 0.0)
+        assert all(np.shares_memory(w, twin.block) for w in twin.weights)
+
+    def test_block_matches_per_field_draws(self):
+        # The block is filled field by field from one generator, so it holds
+        # the per-field draws that separate per-field arrays used to hold.
+        vocabs, dim, sigma = (6, 1, 9), 3, 0.5
+        table = init_table(_fields(*vocabs), dim=dim, init_sigma=sigma, seed=11)
+        rng = np.random.default_rng(11)
+        for v, w in zip(vocabs, table.weights):
+            assert np.array_equal(w, rng.normal(0.0, sigma, size=(v, dim)))
 
 
 class TestAccumulate:
@@ -172,6 +230,25 @@ class TestAccumulate:
         assert np.allclose(sum_of.grads[0], parts[0].grads[0] + parts[1].grads[0],
                            rtol=0, atol=1e-14)
 
+    def test_one_block_field_after_field(self):
+        rng = np.random.default_rng(12)
+        vocabs = [4, 1, 6]
+        table = init_table(_fields(*vocabs), dim=3, init_sigma=1.0, seed=12)
+        batch = _batch(rng, vocabs, 9)
+        _, record = lookup_forward(table, batch)
+        sparse = accumulate_gradients(record, rng.normal(size=(9, 9)), 9)
+        assert sparse.n_fields == 3
+        assert np.array_equal(sparse.rows(table), np.unique(record.rows))
+        for j, ids in enumerate(sparse.ids):
+            assert np.array_equal(ids, np.unique(batch.categorical[:, j]))
+            assert np.shares_memory(sparse.grads[j], sparse.grad_block)
+        rebuilt = SparseGradient.from_fields(sparse.ids, sparse.grads, sparse.counts)
+        for a, b in zip(
+            (rebuilt.id_block, rebuilt.grad_block, rebuilt.count_block, rebuilt.cuts),
+            (sparse.id_block, sparse.grad_block, sparse.count_block, sparse.cuts),
+        ):
+            assert np.array_equal(a, b)
+
     def test_misaligned_upstream_rejected(self):
         table = init_table(_fields(4), dim=2, init_sigma=1.0, seed=0)
         _, record = lookup_forward(table, _batch(np.random.default_rng(0), [4], 3))
@@ -182,7 +259,7 @@ class TestAccumulate:
 class TestColumnNorms:
     def test_zero_and_unit(self):
         table = init_table(_fields(3), dim=2, init_sigma=1.0, seed=0)
-        table.weights[0] = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 4.0]])
+        table.weights[0][...] = [[0.0, 0.0], [1.0, 0.0], [3.0, 4.0]]
         norms = column_norms(table)[0]
         assert norms[0] == 0.0
         assert norms[1] == 1.0

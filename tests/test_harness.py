@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from ctrlab import cli, harness
+from ctrlab.data import Dataset
 from ctrlab.harness import (
     ExperimentConfig,
     RunRecord,
@@ -32,6 +33,10 @@ TINY = ExperimentConfig(
 
 def _forbid_build(*args, **kwargs):  # pragma: no cover
     raise AssertionError("a bad config must fail before the dataset is built")
+
+
+def _forbid_init(*args, **kwargs):  # pragma: no cover
+    raise AssertionError("degenerate data must fail before the table is initialised")
 
 
 class TestConfig:
@@ -98,6 +103,26 @@ class TestConfig:
         assert ExperimentConfig().resolved_init_sigma() == 1e-4
         assert ExperimentConfig(clip_variant="cowclip").resolved_init_sigma() == 1e-2
         assert ExperimentConfig(init_sigma=0.5).resolved_init_sigma() == 0.5
+
+
+class TestDegenerateData:
+    def test_single_class_test_split_fails_before_init(self, monkeypatch):
+        ds = harness.build_dataset(TINY, 0)
+        n_train = int(ds.n_samples * TINY.split)
+        labels = ds.labels.copy()
+        labels[n_train:] = 1
+        one_class = Dataset(ds.schema, labels, ds.dense, ds.categorical)
+        monkeypatch.setattr(harness, "init_table", _forbid_init)
+        n_test = ds.n_samples - n_train
+        with pytest.raises(ValueError, match=f"data.split.*{n_test} positive and 0 negative"):
+            train(TINY, seed=0, dataset=one_class)
+
+    def test_empty_tsv_fails_before_init(self, monkeypatch, tmp_path):
+        path = tmp_path / "empty.tsv"
+        path.write_text("")
+        monkeypatch.setattr(harness, "init_table", _forbid_init)
+        with pytest.raises(ValueError, match="data.source .* yielded 0 rows"):
+            train(replace(TINY, source=str(path)), seed=0)
 
 
 class TestTrain:

@@ -19,6 +19,7 @@ from ctrlab.models import (
     init_dense_params,
     loss_and_backward,
     lr_head,
+    lr_head_backward,
     mlp_forward,
     model_forward,
 )
@@ -74,6 +75,20 @@ class TestLrHead:
         onehot = np.zeros((20, 6))
         onehot[np.arange(20), ids[:, 0]] = 1.0
         assert np.allclose(out, onehot @ w, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_backward_matches_add_at_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        vocabs = [1, 7, 300]  # the last one leaves most ids absent
+        weights = [np.zeros(v) for v in vocabs]
+        ids = np.stack([rng.integers(0, v, size=64) for v in vocabs], axis=1)
+        dlogit = rng.normal(scale=10.0 ** rng.uniform(-6, 2, size=64))
+        grads = lr_head_backward(weights, ids, dlogit)
+        for j, w in enumerate(weights):
+            expected = np.zeros_like(w)
+            np.add.at(expected, ids[:, j], dlogit)
+            assert grads[f"lr.w{j}"].shape == w.shape
+            assert np.array_equal(grads[f"lr.w{j}"], expected)
 
 
 class TestFm:
@@ -166,7 +181,8 @@ class TestModelForward:
     def test_all_zero_params_give_half(self, kind):
         vocabs = [4, 5]
         table = init_table(_fields(*vocabs), dim=3, init_sigma=1.0, seed=0)
-        table.weights = [np.zeros_like(w) for w in table.weights]
+        for w in table.weights:
+            w[...] = 0.0
         params = init_dense_params(kind, vocabs, 3, 2, hidden=(6,), cross_depth=2, seed=0)
         zeroed = {name: np.zeros_like(a) for name, a in params.named_arrays()}
         params = params.replace_arrays(zeroed)
@@ -294,3 +310,32 @@ def test_checkpoint_roundtrip(kind, tmp_path):
     p1, _ = model_forward(kind, params, table, batch)
     p2, _ = model_forward(kind, params2, table2, batch)
     assert np.array_equal(p1, p2)
+
+
+def test_checkpoint_table_format_is_per_field(tmp_path):
+    # A checkpoint stores each field as its own (vocab, dim) array "table:{j}",
+    # as it did before the table became one block: files written either way
+    # load to the same arrays.
+    from ctrlab.data import load_npz, save_npz
+    from ctrlab.models import load_checkpoint, save_checkpoint
+
+    vocabs = [5, 1, 8]
+    table = init_table(_fields(*vocabs), dim=3, init_sigma=0.2, seed=14)
+    params = init_dense_params("wd", vocabs, 3, 2, hidden=(4,), seed=14)
+    save_checkpoint(tmp_path / "block.npz", params, table)
+    header, arrays = load_npz(tmp_path / "block.npz")
+    for j, (v, w) in enumerate(zip(vocabs, table.weights)):
+        assert arrays[f"table:{j}"].shape == (v, 3)
+        assert np.array_equal(arrays[f"table:{j}"], w)
+
+    # the same file with every field a separate, freshly made array
+    separate = {name: np.array(a) for name, a in arrays.items()}
+    save_npz(tmp_path / "fields.npz", header, separate)
+    _, restored = load_checkpoint(tmp_path / "fields.npz")
+    assert np.array_equal(restored.block, table.block)
+    assert list(restored.offsets) == [0, 5, 6, 14]
+
+    separate["table:1"] = np.zeros((2, 3))
+    save_npz(tmp_path / "bad.npz", header, separate)
+    with pytest.raises(ValueError, match="table:1"):
+        load_checkpoint(tmp_path / "bad.npz")

@@ -2,10 +2,12 @@
 
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from ctrlab import optim
 from ctrlab.data import CATEGORICAL, FieldSchema
 from ctrlab.embedding import SparseGradient, column_norms, init_table
 from ctrlab.optim import (
@@ -113,7 +115,7 @@ class TestAdamSparse:
     def test_empty_grad_lazy_mode_is_identity(self):
         table = _table_and_grad()
         state = EmbedAdamState.init(table)
-        empty = SparseGradient([np.array([], dtype=np.int64)],
+        empty = SparseGradient.from_fields([np.array([], dtype=np.int64)],
                                [np.zeros((0, 3))], [np.array([], dtype=np.int64)])
         before = table.weights[0].copy()
         assert adam_sparse_step(state, table, empty, lr=0.1, l2=0.01, dense_l2=False) is None
@@ -122,7 +124,7 @@ class TestAdamSparse:
     def test_single_column_lazy_mode(self):
         table = _table_and_grad()
         state = EmbedAdamState.init(table)
-        sparse = SparseGradient([np.array([2])], [np.ones((1, 3))], [np.array([1])])
+        sparse = SparseGradient.from_fields([np.array([2])], [np.ones((1, 3))], [np.array([1])])
         before = table.weights[0].copy()
         adam_sparse_step(state, table, sparse, lr=0.1, dense_l2=False)
         changed = np.any(table.weights[0] != before, axis=1)
@@ -134,7 +136,7 @@ class TestAdamSparse:
         # direction is sign(w) scaled by ~lr, so norms shrink monotonically
         table = _table_and_grad(sigma=0.05, seed=3)
         state = EmbedAdamState.init(table)
-        empty = SparseGradient([np.array([], dtype=np.int64)],
+        empty = SparseGradient.from_fields([np.array([], dtype=np.int64)],
                                [np.zeros((0, 3))], [np.array([], dtype=np.int64)])
         norms = [column_norms(table)[0].copy()]
         for _ in range(5):
@@ -149,7 +151,7 @@ class TestAdamSparse:
         state = EmbedAdamState.init(table)
         grads = [0.4, -0.2, 0.1]
         for g in grads:
-            sparse = SparseGradient([np.array([1])], [np.array([[g]])], [np.array([1])])
+            sparse = SparseGradient.from_fields([np.array([1])], [np.array([[g]])], [np.array([1])])
             adam_sparse_step(state, table, sparse, lr=0.05, l2=0.0, dense_l2=True)
         reference = scalar_adam(w0, grads, lr=0.05, l2=0.0)
         assert table.weights[0][1, 0] == pytest.approx(reference[-1], abs=1e-14)
@@ -158,7 +160,7 @@ class TestAdamSparse:
 class TestSgdSparse:
     def test_lazy_identity_on_empty(self):
         table = _table_and_grad()
-        empty = SparseGradient([np.array([], dtype=np.int64)],
+        empty = SparseGradient.from_fields([np.array([], dtype=np.int64)],
                                [np.zeros((0, 3))], [np.array([], dtype=np.int64)])
         before = table.weights[0].copy()
         assert sgd_sparse_step(table, empty, lr=0.1, l2=0.5, dense_l2=False) is None
@@ -166,7 +168,7 @@ class TestSgdSparse:
 
     def test_dense_l2_matches_formula(self):
         table = _table_and_grad(vocab=3, dim=2, sigma=0.5, seed=5)
-        sparse = SparseGradient([np.array([0])], [np.full((1, 2), 0.3)], [np.array([1])])
+        sparse = SparseGradient.from_fields([np.array([0])], [np.full((1, 2), 0.3)], [np.array([1])])
         w = table.weights[0].copy()
         sgd_sparse_step(table, sparse, lr=0.1, l2=0.01, dense_l2=True)
         expected_touched = w[0] - 0.1 * (0.3 + 0.01 * w[0])
@@ -175,11 +177,21 @@ class TestSgdSparse:
         assert np.allclose(table.weights[0][1], expected_absent, rtol=0, atol=1e-15)
 
 
+@dataclass
+class ReferenceAdamState:
+    """The oracle's state: one array per field, which the oracle rebinds."""
+
+    m: list
+    v: list
+    t: int
+    col_t: list
+
+
 def reference_adam_sparse_step(state, table, sparse_grad, lr, l2=0.0, dense_l2=True,
                                cfg=AdamConfig()):
     """The copy-then-update sparse Adam step, kept as the bit-exact oracle for
     the in-place one: returns a new state and table, inputs untouched."""
-    new = EmbedAdamState(
+    new = ReferenceAdamState(
         [m.copy() for m in state.m],
         [v.copy() for v in state.v],
         state.t,
@@ -243,7 +255,7 @@ def _random_sparse_grad(rng, vocabs, dim, step):
         ids.append(touched)
         grads.append(rng.normal(scale=10.0 ** rng.uniform(-4, 0), size=(k, dim)))
         counts.append(rng.integers(1, 5, size=k).astype(np.int64))
-    return SparseGradient(ids, grads, counts)
+    return SparseGradient.from_fields(ids, grads, counts)
 
 
 class TestInPlaceMatchesReference:
@@ -291,6 +303,13 @@ class TestInPlaceMatchesReference:
             for j in range(len(self.VOCABS)):
                 assert np.array_equal(table.weights[j], ref_table.weights[j])
 
+    @pytest.mark.parametrize("l2", [0.0, 3e-3])
+    def test_adam_dense_pass_in_slices_bit_exact(self, l2, monkeypatch):
+        # A 7-entry slice steps the 20-row, dim-3 table two rows at a time,
+        # with slice edges inside and across fields.
+        monkeypatch.setattr(optim, "DENSE_CHUNK", 7)
+        self.test_adam_sparse_step_bit_exact(True, l2)
+
     def test_dense_mode_leaves_col_t_alone(self):
         table = self._table()
         state = EmbedAdamState.init(table)
@@ -305,13 +324,12 @@ def test_lazy_adam_step_is_o_touched():
     vocab, dim, k = 1_000_000, 8, 1024
     fields = (FieldSchema("c", CATEGORICAL, vocab),)
     table = init_table(fields, dim, init_sigma=0.1, seed=1)
-    # np.zeros maps its pages lazily, so the untouched moments cost no memory.
-    state = EmbedAdamState(
-        [np.zeros((vocab, dim))], [np.zeros((vocab, dim))], 0, [np.zeros(vocab, dtype=np.int64)]
-    )
+    # np.zeros and np.empty map their pages lazily, so the untouched moments
+    # and the dense-mode scratch cost no memory.
+    state = EmbedAdamState.init(table)
     rng = np.random.default_rng(2)
     ids = np.sort(rng.choice(vocab, size=k, replace=False)).astype(np.int64)
-    sparse = SparseGradient([ids], [rng.normal(size=(k, dim))], [np.ones(k, dtype=np.int64)])
+    sparse = SparseGradient.from_fields([ids], [rng.normal(size=(k, dim))], [np.ones(k, dtype=np.int64)])
     before = table.weights[0].copy()
 
     tracemalloc.start()
