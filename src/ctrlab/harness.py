@@ -417,19 +417,16 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
             sgrad = clip.apply_clip(clip_cfg, table, sgrad)
             lr_d = warmup.lr(global_step)
             if config.opt_kind == "adam":
-                dense_state, dense = optim.adam_step(
-                    dense_state, dense, dgrads, lr_d, l2=0.0, cfg=adam_cfg
-                )
+                optim.adam_step(dense_state, dense, dgrads, lr_d, cfg=adam_cfg)
                 optim.adam_sparse_step(
                     embed_state, table, sgrad, plan.eta_embed, l2=plan.l2,
                     dense_l2=config.dense_l2, cfg=adam_cfg,
                 )
             else:
-                dense = optim.sgd_step(dense, dgrads, lr_d, l2=0.0)
+                optim.sgd_step(dense, dgrads, lr_d)
                 optim.sgd_sparse_step(
                     table, sgrad, plan.eta_embed, l2=plan.l2, dense_l2=config.dense_l2
                 )
-            params = params.replace_arrays(dense)
         train_loss = float(np.mean(losses)) if losses else float("nan")
         result = evaluate_model(config.model_kind, params, table, test_ds)
         record.epochs.append(
@@ -439,7 +436,7 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
                 test_auc=result.auc,
                 test_logloss=result.logloss,
                 seconds=time.perf_counter() - t0,
-                steps=steps_per_epoch,
+                steps=len(losses),
             )
         )
         if record.diverged:

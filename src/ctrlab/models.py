@@ -68,25 +68,6 @@ class DenseParams:
             out.append(("cross.out", self.cross_out))
         return out
 
-    def replace_arrays(self, arrays: dict[str, np.ndarray]) -> "DenseParams":
-        def get(name, old):
-            return arrays.get(name, old)
-
-        return DenseParams(
-            kind=self.kind,
-            mlp=[
-                (get(f"mlp.{i}.W", w), get(f"mlp.{i}.b", b))
-                for i, (w, b) in enumerate(self.mlp)
-            ],
-            lr_bias=None if self.lr_bias is None else get("lr.bias", self.lr_bias),
-            lr_weights=[get(f"lr.w{j}", w) for j, w in enumerate(self.lr_weights)],
-            cross=[
-                (get(f"cross.{l}.w", w), get(f"cross.{l}.b", b))
-                for l, (w, b) in enumerate(self.cross)
-            ],
-            cross_out=None if self.cross_out is None else get("cross.out", self.cross_out),
-        )
-
 
 def init_dense_params(
     kind: str,

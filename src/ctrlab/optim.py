@@ -2,11 +2,13 @@
 
 L2 regularization enters through the gradient (g + l2*w), not as decoupled
 weight decay: the Adam moments must see the decay term for the loss-scaling
-equivalence below to hold.  The dense-parameter steps (sgd_step, adam_step)
-are pure: they return fresh arrays and never touch their inputs.  The
-embedding steps (sgd_sparse_step, adam_sparse_step) update the table and the
-EmbedAdamState in place and return None, so a step costs no copy of the
-table; in lazy mode it reads and writes only the touched rows.
+equivalence below to hold.  L2 reaches the embeddings only, through the
+embedding steps (sgd_sparse_step, adam_sparse_step).  Every step works in
+place and returns None: the dense steps (sgd_step, adam_step) update the
+dict's arrays and the AdamState, the embedding steps the table and the
+EmbedAdamState, so a step costs no copy of its parameters; in lazy mode an
+embedding step reads and writes only the touched rows.  Adam's arithmetic,
+for every step and for the loss-scaling probe, is one kernel, _adam_update.
 """
 
 from __future__ import annotations
@@ -49,16 +51,10 @@ def sgd_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     lr: float,
-    l2: float = 0.0,
-) -> dict[str, np.ndarray]:
-    """w <- w - lr*(g + l2*w) for every tensor."""
-    out = {}
+) -> None:
+    """w <- w - lr*g for every tensor, in place."""
     for name, w in params.items():
-        g = grads[name]
-        if l2:
-            g = g + l2 * w
-        out[name] = w - lr * g
-    return out
+        w -= lr * grads[name]
 
 
 @dataclass
@@ -76,28 +72,48 @@ class AdamState:
         )
 
 
+def _adam_update(w, m, v, g, lr, bc1, bc2, cfg: AdamConfig, tmp, den) -> None:
+    """One Adam update of w, m and v in place, from the gradient g.
+
+    bc1 and bc2 are the bias corrections 1 - beta^t: scalars, or (k, 1)
+    arrays of per-row values.  tmp and den are scratch shaped like w.  Only
+    w, m, v, tmp and den are written, never g; den may be g itself, which is
+    read for the last time before den is first written.  Every Adam step in
+    this module runs this operation order, which the golden fingerprints pin.
+    """
+    # m <- b1*m + (1-b1)*g
+    m *= cfg.beta1
+    m += np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+    # v <- b2*v + ((1-b2)*g)*g
+    v *= cfg.beta2
+    np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+    tmp *= g
+    v += tmp
+    # w <- w - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+    np.divide(v, bc2, out=den)
+    np.sqrt(den, out=den)
+    den += cfg.eps
+    np.divide(m, bc1, out=tmp)
+    tmp *= lr
+    tmp /= den
+    w -= tmp
+
+
 def adam_step(
     state: AdamState,
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     lr: float,
-    l2: float = 0.0,
     cfg: AdamConfig = AdamConfig(),
-) -> tuple[AdamState, dict[str, np.ndarray]]:
-    """Bias-corrected Adam on a dict of tensors."""
-    t = state.t + 1
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
-    new_m, new_v, out = {}, {}, {}
+) -> None:
+    """Bias-corrected Adam on a dict of tensors, in place: updates the
+    params' arrays and the state's m, v and t."""
+    state.t += 1
+    bc1 = 1.0 - cfg.beta1 ** state.t
+    bc2 = 1.0 - cfg.beta2 ** state.t
     for name, w in params.items():
-        g = grads[name]
-        if l2:
-            g = g + l2 * w
-        m = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
-        out[name] = w - lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-        new_m[name], new_v[name] = m, v
-    return AdamState(new_m, new_v, t), out
+        _adam_update(w, state.m[name], state.v[name], grads[name], lr, bc1, bc2, cfg,
+                     np.empty_like(w), np.empty_like(w))
 
 
 def _slice_rows(dim: int) -> int:
@@ -166,12 +182,11 @@ def adam_sparse_step(
     dense_l2 off: absent ids and their moments stay untouched, bias
     correction runs on per-id step counts, and the cost is O(touched ids).
     """
-    b1, b2 = cfg.beta1, cfg.beta2
     state.t += 1
     w, rows = table.block, sparse_grad.rows(table)
     if dense_l2:
-        bc1 = 1.0 - b1 ** state.t
-        bc2 = 1.0 - b2 ** state.t
+        bc1 = 1.0 - cfg.beta1 ** state.t
+        bc2 = 1.0 - cfg.beta2 ** state.t
         # One pass over the block, a slice of rows at a time; rows is sorted,
         # so each slice's touched rows are one run of it.
         step = _slice_rows(table.dim)
@@ -180,32 +195,16 @@ def adam_sparse_step(
         for a, lo, hi in zip(starts.tolist(), runs[:-1].tolist(), runs[1:].tolist()):
             z = min(a + step, len(w))
             g, tmp = state.scratch[0][: z - a], state.scratch[1][: z - a]
-            wc, m, v = w[a:z], state.m_block[a:z], state.v_block[a:z]
             if l2:
-                np.multiply(wc, l2, out=g)
+                np.multiply(w[a:z], l2, out=g)
             else:
                 g.fill(0.0)
             g[rows[lo:hi] - a] += sparse_grad.grad_block[lo:hi]
-            # m <- b1*m + (1-b1)*g
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, out=tmp)
-            # v <- b2*v + ((1-b2)*g)*g
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=tmp)
-            tmp *= g
-            v += tmp
-            # w <- w - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
-            np.divide(v, bc2, out=g)
-            np.sqrt(g, out=g)
-            g += cfg.eps
-            np.divide(m, bc1, out=tmp)
-            tmp *= lr
-            tmp /= g
-            wc -= tmp
+            _adam_update(w[a:z], state.m_block[a:z], state.v_block[a:z], g,
+                         lr, bc1, bc2, cfg, tmp, g)
     elif len(rows):
-        # Each touched row is gathered and scattered once per array; the
-        # float operations and their order are those of the dense branch,
-        # with per-row step counts.
+        # Each touched row is gathered and scattered once per array, and
+        # bias correction runs on the rows' own step counts.
         w_rows = np.take(w, rows, axis=0)
         g = sparse_grad.grad_block
         if l2:
@@ -213,25 +212,15 @@ def adam_sparse_step(
         tj = state.col_t_block[rows] + 1
         state.col_t_block[rows] = tj
         tj = tj[:, None]
-        tmp = np.multiply(g, 1.0 - b1)
         m = np.take(state.m_block, rows, axis=0)
-        m *= b1
-        m += tmp
-        state.m_block[rows] = m
-        np.multiply(g, 1.0 - b2, out=tmp)
-        tmp *= g
         v = np.take(state.v_block, rows, axis=0)
-        v *= b2
-        v += tmp
+        # g can take den's values only when it is this step's own array,
+        # not the caller's gradient block.
+        den = g if l2 else np.empty_like(m)
+        _adam_update(w_rows, m, v, g, lr, 1.0 - cfg.beta1 ** tj, 1.0 - cfg.beta2 ** tj,
+                     cfg, np.empty_like(m), den)
+        state.m_block[rows] = m
         state.v_block[rows] = v
-        # w <- w - (lr*(m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps), per row t
-        v /= 1.0 - b2 ** tj
-        np.sqrt(v, out=v)
-        v += cfg.eps
-        m /= 1.0 - b1 ** tj
-        m *= lr
-        m /= v
-        w_rows -= m
         w[rows] = w_rows
 
 
@@ -282,22 +271,15 @@ def verify_adam_scaling_equivalence(
     if c <= 0:
         raise ValueError("c must be > 0")
     d = _bounded_gradient_stream(steps, seed)
-    w_a = w_b = 1.0
-    m_a = v_a = m_b = v_b = 0.0
+    cfg = AdamConfig(beta1, beta2, eps)
+    # Runs A and B step side by side as the two entries of one array.
+    w, m, v, tmp, den = np.ones(2), np.zeros(2), np.zeros(2), np.empty(2), np.empty(2)
     worst = 0.0
     for t in range(1, steps + 1):
-        bc1 = 1.0 - beta1 ** t
-        bc2 = 1.0 - beta2 ** t
-        g_a = c * d[t - 1] + l2 * w_a
-        g_b = d[t - 1] + (l2 / c) * w_b
-        m_a = beta1 * m_a + (1 - beta1) * g_a
-        v_a = beta2 * v_a + (1 - beta2) * g_a * g_a
-        m_b = beta1 * m_b + (1 - beta1) * g_b
-        v_b = beta2 * v_b + (1 - beta2) * g_b * g_b
-        w_a -= lr * (m_a / bc1) / (np.sqrt(v_a / bc2) + eps)
-        w_b -= lr * (m_b / bc1) / (np.sqrt(v_b / bc2) + eps)
-        worst = max(worst, abs(w_a - w_b))
-    return worst
+        g = np.array([c * d[t - 1] + l2 * w[0], d[t - 1] + (l2 / c) * w[1]])
+        _adam_update(w, m, v, g, lr, 1.0 - beta1 ** t, 1.0 - beta2 ** t, cfg, tmp, den)
+        worst = max(worst, abs(w[0] - w[1]))
+    return float(worst)
 
 
 def verify_sgd_scaling_equivalence(

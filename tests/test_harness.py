@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from ctrlab import cli, harness
+from ctrlab import cli, harness, optim
 from ctrlab.data import Dataset
 from ctrlab.harness import (
     ExperimentConfig,
@@ -170,12 +170,17 @@ class TestTrain:
         assert record_fingerprint(base) == record_fingerprint(again)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_is_reported_not_raised(self):
+    def test_divergence_is_reported_not_raised(self, monkeypatch):
         # sky-high SGD learning rate blows the loss up to non-finite
         cfg = replace(TINY, opt_kind="sgd", lr_dense=1e9, lr_embed=1e9,
                       warmup_epochs=0.0, epochs=3)
+        applied = []
+        step = optim.sgd_step
+        monkeypatch.setattr(optim, "sgd_step", lambda *a: applied.append(1) or step(*a))
         rec = train(cfg, seed=0)
         assert rec.diverged
+        # The diverged epoch records the steps applied, not the epoch's length.
+        assert sum(e.steps for e in rec.epochs) == len(applied)
 
     def test_cowclip_run_trains(self):
         cfg = replace(TINY, rule="cowclip", clip_variant="cowclip",

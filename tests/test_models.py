@@ -184,8 +184,8 @@ class TestModelForward:
         for w in table.weights:
             w[...] = 0.0
         params = init_dense_params(kind, vocabs, 3, 2, hidden=(6,), cross_depth=2, seed=0)
-        zeroed = {name: np.zeros_like(a) for name, a in params.named_arrays()}
-        params = params.replace_arrays(zeroed)
+        for _, a in params.named_arrays():
+            a[...] = 0.0
         batch = _batch(np.random.default_rng(0), vocabs, 5)
         probs, _ = model_forward(kind, params, table, batch)
         assert np.all(probs == 0.5)
@@ -200,7 +200,8 @@ class TestModelForward:
         updates["lr.bias"] = np.asarray(0.4)
         updates["lr.w0"] = rng.normal(size=4)
         updates["lr.w1"] = rng.normal(size=5)
-        params = params.replace_arrays(updates)
+        for name, a in updates.items():
+            arrays[name][...] = a
         batch = _batch(rng, vocabs, 7)
         probs, _ = model_forward("wd", params, table, batch)
         expected = lr_head(np.asarray(0.4), [updates["lr.w0"], updates["lr.w1"]],

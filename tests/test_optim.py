@@ -24,15 +24,33 @@ from ctrlab.optim import (
 )
 
 
+def reference_sgd_step(params, grads, lr):
+    """The pure dense SGD step, kept as the bit-exact oracle for the in-place
+    one: returns new arrays, inputs untouched."""
+    return {name: w - lr * grads[name] for name, w in params.items()}
+
+
+def reference_adam_step(state, params, grads, lr, cfg=AdamConfig()):
+    """The pure dense Adam step, kept as the bit-exact oracle for the in-place
+    one: returns a new state and new arrays, inputs untouched."""
+    t = state.t + 1
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    new_m, new_v, out = {}, {}, {}
+    for name, w in params.items():
+        g = grads[name]
+        m = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
+        out[name] = w - lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        new_m[name], new_v[name] = m, v
+    return AdamState(new_m, new_v, t), out
+
+
 class TestSgd:
     def test_no_gradient_no_change(self):
         params = {"w": np.array([1.0, -2.0])}
-        out = sgd_step(params, {"w": np.zeros(2)}, lr=0.1, l2=0.0)
-        assert np.array_equal(out["w"], params["w"])
-
-    def test_pure_decay(self):
-        out = sgd_step({"w": np.array([1.0])}, {"w": np.zeros(1)}, lr=0.1, l2=0.1)
-        assert out["w"][0] == pytest.approx(0.99, abs=1e-15)
+        assert sgd_step(params, {"w": np.zeros(2)}, lr=0.1) is None
+        assert np.array_equal(params["w"], np.array([1.0, -2.0]))
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(0)
@@ -40,17 +58,17 @@ class TestSgd:
         params = {"w": np.array([w])}
         for _ in range(50):
             g = float(rng.normal())
-            params = sgd_step(params, {"w": np.array([g])}, lr=0.05, l2=0.01)
-            w = w - 0.05 * (g + 0.01 * w)
+            sgd_step(params, {"w": np.array([g])}, lr=0.05)
+            w = w - 0.05 * g
             assert abs(params["w"][0] - w) < 1e-15
 
-    def test_purity(self):
+    def test_leaves_grads_untouched(self):
         params = {"w": np.array([1.0])}
         grads = {"w": np.array([2.0])}
-        a = sgd_step(params, grads, lr=0.1)
-        b = sgd_step(params, grads, lr=0.1)
-        assert np.array_equal(a["w"], b["w"])
-        assert params["w"][0] == 1.0
+        sgd_step(params, grads, lr=0.1)
+        sgd_step(params, grads, lr=0.1)
+        assert params["w"][0] == pytest.approx(0.6, abs=1e-15)
+        assert grads["w"][0] == 2.0
 
 
 def scalar_adam(w, grads, lr, l2, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -74,35 +92,84 @@ class TestAdam:
             params = {"w": np.array([1.0])}
             state = AdamState.init(params)
             cfg = AdamConfig(eps=1e-15)
-            _, out = adam_step(state, params, {"w": np.array([g])}, lr=0.01, cfg=cfg)
-            assert out["w"][0] == pytest.approx(1.0 - 0.01 * math.copysign(1.0, g), abs=1e-9)
+            assert adam_step(state, params, {"w": np.array([g])}, lr=0.01, cfg=cfg) is None
+            assert params["w"][0] == pytest.approx(1.0 - 0.01 * math.copysign(1.0, g), abs=1e-9)
+            assert state.t == 1
 
     def test_zero_gradients_fix_params(self):
         params = {"w": np.array([0.5, -0.5])}
         state = AdamState.init(params)
         for _ in range(10):
-            state, params = adam_step(state, params, {"w": np.zeros(2)}, lr=0.1)
+            adam_step(state, params, {"w": np.zeros(2)}, lr=0.1)
         assert np.array_equal(params["w"], np.array([0.5, -0.5]))
+        assert state.t == 10
 
     def test_hundred_steps_match_scalar_reference(self):
         rng = np.random.default_rng(1)
         grads = rng.normal(size=100)
-        reference = scalar_adam(0.7, grads, lr=0.02, l2=0.003)
+        reference = scalar_adam(0.7, grads, lr=0.02, l2=0.0)
         params = {"w": np.array([0.7])}
         state = AdamState.init(params)
         for t, g in enumerate(grads):
-            state, params = adam_step(state, params, {"w": np.array([g])},
-                                      lr=0.02, l2=0.003)
+            adam_step(state, params, {"w": np.array([g])}, lr=0.02)
             assert abs(params["w"][0] - reference[t]) < 1e-12
 
-    def test_purity(self):
+    def test_leaves_grads_untouched(self):
         params = {"w": np.array([1.0])}
         state = AdamState.init(params)
         grads = {"w": np.array([0.5])}
-        s1, p1 = adam_step(state, params, grads, lr=0.1)
-        s2, p2 = adam_step(state, params, grads, lr=0.1)
-        assert np.array_equal(p1["w"], p2["w"])
-        assert state.t == 0 and params["w"][0] == 1.0
+        adam_step(state, params, grads, lr=0.1)
+        adam_step(state, params, grads, lr=0.1)
+        assert state.t == 2 and params["w"][0] < 1.0
+        assert grads["w"][0] == 0.5
+
+
+class TestDenseInPlaceMatchesReference:
+    # A 0-d tensor (the shape of lr.bias), a vector and a matrix.
+    SHAPES = {"bias": (), "vec": (5,), "mat": (4, 3)}
+    STEPS = 25
+
+    def _params(self, rng):
+        return {name: np.asarray(rng.normal(size=shape)) for name, shape in self.SHAPES.items()}
+
+    def _grads(self, rng):
+        return {name: np.asarray(rng.normal(scale=10.0 ** rng.uniform(-4, 0), size=shape))
+                for name, shape in self.SHAPES.items()}
+
+    def test_adam_step_bit_exact(self):
+        rng = np.random.default_rng(23)
+        params = self._params(rng)
+        state = AdamState.init(params)
+        ref_params = {k: w.copy() for k, w in params.items()}
+        ref_state = AdamState.init(ref_params)
+        for step in range(self.STEPS):
+            grads = self._grads(rng)
+            snapshot = {k: g.copy() for k, g in grads.items()}
+            lr = float(rng.uniform(1e-3, 5e-2))
+            ref_state, ref_params = reference_adam_step(ref_state, ref_params, grads, lr)
+            assert adam_step(state, params, grads, lr) is None
+            assert state.t == ref_state.t == step + 1
+            for name, shape in self.SHAPES.items():
+                assert params[name].shape == shape
+                assert np.array_equal(params[name], ref_params[name])
+                assert np.array_equal(state.m[name], ref_state.m[name])
+                assert np.array_equal(state.v[name], ref_state.v[name])
+                assert np.array_equal(grads[name], snapshot[name])
+
+    def test_sgd_step_bit_exact(self):
+        rng = np.random.default_rng(24)
+        params = self._params(rng)
+        ref_params = {k: w.copy() for k, w in params.items()}
+        for _ in range(self.STEPS):
+            grads = self._grads(rng)
+            snapshot = {k: g.copy() for k, g in grads.items()}
+            lr = float(rng.uniform(1e-3, 5e-2))
+            ref_params = reference_sgd_step(ref_params, grads, lr)
+            assert sgd_step(params, grads, lr) is None
+            for name, shape in self.SHAPES.items():
+                assert params[name].shape == shape
+                assert np.array_equal(params[name], ref_params[name])
+                assert np.array_equal(grads[name], snapshot[name])
 
 
 def _table_and_grad(vocab=6, dim=3, seed=0, sigma=0.01):
@@ -258,6 +325,16 @@ def _random_sparse_grad(rng, vocabs, dim, step):
     return SparseGradient.from_fields(ids, grads, counts)
 
 
+def _blocks(sparse):
+    return sparse.grad_block.copy(), sparse.id_block.copy(), sparse.count_block.copy()
+
+
+def _assert_blocks_unchanged(sparse, before):
+    # With l2=0 the lazy Adam step works on grad_block itself, not a copy.
+    for now, then in zip((sparse.grad_block, sparse.id_block, sparse.count_block), before):
+        assert np.array_equal(now, then)
+
+
 class TestInPlaceMatchesReference:
     VOCABS = (7, 1, 12)
     DIM = 3
@@ -280,7 +357,9 @@ class TestInPlaceMatchesReference:
             ref_state, ref_table = reference_adam_sparse_step(
                 ref_state, ref_table, sparse, lr, l2=l2, dense_l2=dense_l2
             )
+            before = _blocks(sparse)
             assert adam_sparse_step(state, table, sparse, lr, l2, dense_l2=dense_l2) is None
+            _assert_blocks_unchanged(sparse, before)
             assert state.t == ref_state.t == step + 1
             for j in range(len(self.VOCABS)):
                 assert np.array_equal(table.weights[j], ref_table.weights[j])
@@ -299,7 +378,9 @@ class TestInPlaceMatchesReference:
             sparse = _random_sparse_grad(rng, self.VOCABS, self.DIM, step)
             lr = float(rng.uniform(1e-3, 5e-2))
             ref_table = reference_sgd_sparse_step(ref_table, sparse, lr, l2, dense_l2)
+            before = _blocks(sparse)
             assert sgd_sparse_step(table, sparse, lr, l2, dense_l2=dense_l2) is None
+            _assert_blocks_unchanged(sparse, before)
             for j in range(len(self.VOCABS)):
                 assert np.array_equal(table.weights[j], ref_table.weights[j])
 
