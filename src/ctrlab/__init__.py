@@ -51,7 +51,7 @@ from .optim import (
     verify_adam_scaling_equivalence,
     verify_sgd_scaling_equivalence,
 )
-from .clip import ClipConfig, apply_clip, clip_by_threshold, cowclip
+from .clip import ClipConfig, apply_clip, cowclip
 from .scaling import (
     BaseHyperparams,
     ScalingPlan,

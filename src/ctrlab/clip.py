@@ -29,10 +29,6 @@ CONSTANT_VARIANTS = ("global", "fieldwise", "columnwise")
 ADAPTIVE_VARIANTS = ("adaptive_fieldwise", "cowclip")
 VARIANTS = ("none",) + CONSTANT_VARIANTS + ADAPTIVE_VARIANTS
 
-DEFAULT_GLOBAL_CLIP = 25.0
-DEFAULT_R = 1.0
-DEFAULT_ZETA = 1e-4
-
 
 @dataclass(frozen=True)
 class ClipConfig:
@@ -50,16 +46,6 @@ class ClipConfig:
         if self.variant in ADAPTIVE_VARIANTS:
             if self.r is None or self.r <= 0 or self.zeta is None or self.zeta <= 0:
                 raise ValueError(f"{self.variant} clipping needs r > 0 and zeta > 0")
-
-
-def clip_by_threshold(g: np.ndarray, threshold: float) -> np.ndarray:
-    """g -> min(1, threshold/||g||) * g, with the zero gradient left alone."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    norm = float(np.linalg.norm(g))
-    if norm <= threshold or norm == 0.0:
-        return g
-    return g * (threshold / norm)
 
 
 def _scale_rows(grads: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -92,10 +78,7 @@ def _clip_blocks(sparse_grad: SparseGradient, thresholds: list[float]) -> Sparse
 
 
 def cowclip(
-    table: EmbeddingTable,
-    sparse_grad: SparseGradient,
-    r: float = DEFAULT_R,
-    zeta: float = DEFAULT_ZETA,
+    table: EmbeddingTable, sparse_grad: SparseGradient, r: float, zeta: float
 ) -> SparseGradient:
     """Adaptive column-wise clipping: per-id threshold cnt * max(r*||w||, zeta)."""
     if r <= 0 or zeta <= 0:
@@ -105,7 +88,7 @@ def cowclip(
     return _with_grads(sparse_grad, _scale_rows(sparse_grad.grad_block, thresholds))
 
 
-def clip_global(sparse_grad: SparseGradient, value: float = DEFAULT_GLOBAL_CLIP) -> SparseGradient:
+def clip_global(sparse_grad: SparseGradient, value: float) -> SparseGradient:
     """One threshold over the concatenated norm of every embedding gradient."""
     # Field by field: one sum over the whole block adds in another order,
     # which would move the threshold's last bits.
@@ -128,10 +111,7 @@ def clip_columnwise(sparse_grad: SparseGradient, value: float) -> SparseGradient
 
 
 def clip_adaptive_fieldwise(
-    table: EmbeddingTable,
-    sparse_grad: SparseGradient,
-    r: float = DEFAULT_R,
-    zeta: float = DEFAULT_ZETA,
+    table: EmbeddingTable, sparse_grad: SparseGradient, r: float, zeta: float
 ) -> SparseGradient:
     """Per-field threshold max(r*||field weight block||, zeta) on the grad block."""
     if r <= 0 or zeta <= 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -251,22 +251,15 @@ def make_batches(
 # Criteo-format ingestion
 # ---------------------------------------------------------------------------
 
-def default_dense_transform(v: float) -> float:
-    """ln(1 + max(v, 0)); conventional compression for count-like dense fields."""
-    return math.log1p(max(v, 0.0))
-
-
-def load_criteo_tsv(
-    path,
-    max_rows: int | None = None,
-    dense_transform: Callable[[float], float] = default_dense_transform,
-) -> Dataset:
+def load_criteo_tsv(path, max_rows: int | None = None) -> Dataset:
     """Parse the 40-column tab-separated ad-click format.
 
     Columns: label, 13 integer-or-empty dense fields, 26 categorical tokens
-    (empty token allowed and treated as a regular id).  Empty dense values map
-    to 0 before the transform.  Token indices are assigned in first-seen order
-    per field, so the id labeling is deterministic for a fixed file.
+    (empty token allowed and treated as a regular id).  A dense value v
+    becomes ln(1 + max(v, 0)), the conventional compression for count-like
+    fields; an empty one counts as 0.  Token indices are assigned in
+    first-seen order per field, so the id labeling is deterministic for a
+    fixed file.
     """
     labels: list[int] = []
     dense_rows: list[list[float]] = []
@@ -288,7 +281,7 @@ def load_criteo_tsv(
                     value = 0.0 if raw == "" else float(raw)
                 except ValueError:
                     raise CriteoParseError(row_number, f"bad dense value {raw!r}") from None
-                drow.append(dense_transform(value))
+                drow.append(math.log1p(max(value, 0.0)))
             dense_rows.append(drow)
             crow = []
             for j, token in enumerate(cols[1 + N_CRITEO_DENSE :]):

@@ -248,6 +248,10 @@ def sgd_sparse_step(
 # Loss-scaling equivalence probes
 # ---------------------------------------------------------------------------
 
+# The probes' learning rate; both equivalences hold at any lr.
+_PROBE_LR = 1e-3
+
+
 def _bounded_gradient_stream(steps: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.uniform(0.5, 1.5, size=steps) * rng.choice([-1.0, 1.0], size=steps)
@@ -258,10 +262,7 @@ def verify_adam_scaling_equivalence(
     l2: float = 1e-4,
     steps: int = 200,
     seed: int = 0,
-    lr: float = 1e-3,
     eps: float = 1e-12,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
 ) -> float:
     """Max |w_A - w_B| between (gradients*c, weight l2) and (gradients, l2/c).
 
@@ -271,13 +272,13 @@ def verify_adam_scaling_equivalence(
     if c <= 0:
         raise ValueError("c must be > 0")
     d = _bounded_gradient_stream(steps, seed)
-    cfg = AdamConfig(beta1, beta2, eps)
+    cfg = AdamConfig(eps=eps)
     # Runs A and B step side by side as the two entries of one array.
     w, m, v, tmp, den = np.ones(2), np.zeros(2), np.zeros(2), np.empty(2), np.empty(2)
     worst = 0.0
     for t in range(1, steps + 1):
         g = np.array([c * d[t - 1] + l2 * w[0], d[t - 1] + (l2 / c) * w[1]])
-        _adam_update(w, m, v, g, lr, 1.0 - beta1 ** t, 1.0 - beta2 ** t, cfg, tmp, den)
+        _adam_update(w, m, v, g, _PROBE_LR, 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t, cfg, tmp, den)
         worst = max(worst, abs(w[0] - w[1]))
     return float(worst)
 
@@ -287,7 +288,6 @@ def verify_sgd_scaling_equivalence(
     l2: float = 1e-4,
     steps: int = 200,
     seed: int = 0,
-    lr: float = 1e-3,
 ) -> float:
     """Max |w_A - w_B| between (gradients*c, lr, l2) and (gradients, c*lr, l2/c)."""
     if c <= 0:
@@ -296,7 +296,7 @@ def verify_sgd_scaling_equivalence(
     w_a = w_b = 1.0
     worst = 0.0
     for t in range(steps):
-        w_a -= lr * (c * d[t] + l2 * w_a)
-        w_b -= (c * lr) * (d[t] + (l2 / c) * w_b)
+        w_a -= _PROBE_LR * (c * d[t] + l2 * w_a)
+        w_b -= (c * _PROBE_LR) * (d[t] + (l2 / c) * w_b)
         worst = max(worst, abs(w_a - w_b))
     return worst

@@ -23,7 +23,7 @@ rule and are carried verbatim rather than computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,16 +78,6 @@ def scale(rule: str, base: BaseHyperparams, s: float) -> ScalingPlan:
 
 def plan_for_batch(rule: str, base: BaseHyperparams, target_batch: int) -> ScalingPlan:
     return scale(rule, base, target_batch / base.base_batch)
-
-
-def rebase(plan: ScalingPlan, base: BaseHyperparams) -> BaseHyperparams:
-    """Treat a plan's output as the base of a further sweep (for composition)."""
-    return replace(
-        base,
-        eta_dense=plan.eta_dense,
-        eta_embed=plan.eta_embed,
-        l2=plan.l2,
-    )
 
 
 def clip_value_scale(base_clip: float, s: float, mode: str) -> float:
@@ -180,22 +170,6 @@ class QuadraticProblem:
         return -rng.normal(size=(self.n_data, self.dim))
 
 
-@dataclass(frozen=True)
-class LogisticProblem:
-    """Per-sample logistic losses with planted labels; gradients at w = 0."""
-
-    dim: int = 5
-    n_data: int = 512
-    seed: int = 0
-
-    def sample_gradients(self) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        x = rng.normal(size=(self.n_data, self.dim))
-        w_true = rng.normal(size=self.dim)
-        y = (rng.random(self.n_data) < 1.0 / (1.0 + np.exp(-x @ w_true))).astype(float)
-        return (0.5 - y)[:, None] * x  # sigmoid(0) = 0.5
-
-
 def estimate_update_covariance(
     problem, b: int, eta: float, n_trials: int, seed: int
 ) -> np.ndarray:
@@ -233,13 +207,12 @@ def expected_update_frequency_check(
     n_trials: int,
     seed: int,
     eta_big: float | None = None,
-    grad_scale: float = 1.0,
 ) -> FrequencyCheckResult:
     """Expected embedding update: one batch of s*b samples vs s batches of b.
 
-    The surrogate updates by eta*grad_scale whenever the id appears in the
-    batch: the adaptive-optimizer regime where the update magnitude per
-    occurrence does not shrink with the batch average.  With eta_big == eta
+    The surrogate updates by eta whenever the id appears in the batch: the
+    adaptive-optimizer regime where the update magnitude per occurrence
+    does not shrink with the batch average.  With eta_big == eta
     the two sides agree for rare ids (presence grows linearly with batch
     size); with eta_big == s*eta the big-batch side overshoots by about s.
     """
@@ -251,7 +224,7 @@ def expected_update_frequency_check(
         eta_big = eta
     rng = np.random.default_rng(seed)
     present_big = rng.binomial(s * b, p, size=n_trials) > 0
-    big_mean = float(np.mean(eta_big * grad_scale * present_big))
+    big_mean = float(np.mean(eta_big * present_big))
     present_small = rng.binomial(b, p, size=(n_trials, s)) > 0
-    small_mean = float(np.mean(eta * grad_scale * present_small.sum(axis=1)))
+    small_mean = float(np.mean(eta * present_small.sum(axis=1)))
     return FrequencyCheckResult(big_mean, small_mean)

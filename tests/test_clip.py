@@ -9,7 +9,6 @@ from ctrlab.clip import (
     ClipConfig,
     apply_clip,
     clip_adaptive_fieldwise,
-    clip_by_threshold,
     clip_columnwise,
     clip_fieldwise,
     clip_global,
@@ -33,24 +32,6 @@ def _sparse(rng, table, touched_per_field=3, scale=1.0):
         grads.append(rng.normal(scale=scale, size=(k, table.dim)))
         counts.append(rng.integers(1, 6, size=k))
     return SparseGradient.from_fields(ids, grads, counts)
-
-
-class TestClipByThreshold:
-    def test_zero_gradient_untouched(self):
-        g = np.zeros(4)
-        assert np.array_equal(clip_by_threshold(g, 0.5), g)
-        assert np.array_equal(clip_by_threshold(g, 0.0), g)
-
-    def test_under_threshold_unchanged(self):
-        g = np.array([0.3, 0.4])  # norm 0.5
-        assert clip_by_threshold(g, 1.0) is g
-
-    def test_over_threshold_rescaled(self):
-        g = np.array([0.6, 0.8])  # norm 1
-        out = clip_by_threshold(g, 0.2)
-        assert np.linalg.norm(out) == pytest.approx(0.2, rel=1e-12)
-        cos = out @ g / (np.linalg.norm(out) * np.linalg.norm(g))
-        assert cos == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCowClip:

@@ -15,7 +15,6 @@ from ctrlab.harness import (
     emit_report,
     parse_config_text,
     record_fingerprint,
-    records_from_json,
     records_to_csv,
     records_to_json,
     sweep,
@@ -88,11 +87,28 @@ class TestConfig:
         ("model.hidden", {"hidden": (0,)}),
         ("model.hidden", {"hidden": (8, 0)}),
         ("model.embed_dim", {"embed_dim": 0}),
+        ("opt.lr_dense", {"lr_dense": 0.0}),
+        ("opt.lr_embed", {"lr_embed": -1.0}),
+        ("opt.l2", {"l2": 0.0}),
+        ("data.n_samples", {"n_samples": 0}),
+        ("data.vocab_size", {"vocab_size": 0}),
+        ("data.zipf_exponent", {"zipf_exponent": 0.0}),
+        ("opt.beta1", {"beta1": 1.0}),
+        ("opt.beta2", {"beta2": 1.0}),
+        ("opt.eps", {"eps": 0.0}),
+        ("train.batch_size", {"batch_size": 0}),
+        ("train.epochs", {"epochs": -1}),
     ])
     def test_bad_config_fails_before_any_data(self, monkeypatch, key, bad):
         monkeypatch.setattr(harness, "build_dataset", _forbid_build)
         with pytest.raises(ValueError, match=key):
             train(replace(TINY, **bad), seed=0)
+
+    def test_checks_follow_the_keys_in_use(self):
+        # Each of these keys is unused by the rest of its config.
+        ExperimentConfig(source="data.npz", n_samples=0, vocab_size=0)
+        ExperimentConfig(uniform_ids=True, zipf_exponent=0.0)
+        ExperimentConfig(opt_kind="sgd", beta1=1.0, beta2=1.0, eps=0.0)
 
     def test_bad_sweep_rule_fails_before_any_data(self, monkeypatch):
         monkeypatch.setattr(harness, "build_dataset", _forbid_build)
@@ -228,8 +244,7 @@ class TestReports:
 
     def test_json_roundtrip_identical(self):
         records = self._records()
-        restored = records_from_json(records_to_json(records))
-        assert [r.to_dict() for r in restored] == [r.to_dict() for r in records]
+        assert json.loads(records_to_json(records)) == [r.to_dict() for r in records]
 
     def test_emit_report_files(self, tmp_path):
         records = self._records()
@@ -334,6 +349,12 @@ class TestCli:
 
     def test_verify_unknown_suite_fails(self):
         assert cli.main(["verify", "nonsense"]) == 1
+
+    def test_verify_failing_check_exits_one(self, monkeypatch, capsys):
+        failed = harness.CheckResult("presence-prob", False, "forced failure")
+        monkeypatch.setitem(harness._VERIFY_SUITES, "presence-prob", lambda seed: failed)
+        assert cli.main(["verify", "presence-prob"]) == 1
+        assert capsys.readouterr().out.startswith("FAIL presence-prob")
 
     def test_analyze_freq(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

@@ -459,15 +459,6 @@ class TestScalingEquivalence:
         assert verify_adam_scaling_equivalence(1.0, seed=0) == 0.0
         assert verify_sgd_scaling_equivalence(1.0, seed=0) == 0.0
 
-    @pytest.mark.parametrize("c", [2.0, 10.0, 100.0])
-    def test_adam_divergence_under_tolerance(self, c):
-        assert verify_adam_scaling_equivalence(c, l2=1e-4, steps=200, seed=1,
-                                               eps=1e-12) < 1e-6
-
-    @pytest.mark.parametrize("c", [2.0, 10.0, 100.0])
-    def test_sgd_counterpart_exact(self, c):
-        assert verify_sgd_scaling_equivalence(c, l2=1e-4, steps=200, seed=1) <= 1e-15
-
     def test_adam_scale_invariance_without_l2(self):
         # gradient stream scaled by c with l2=0 leaves the trajectory alone
         for c in (3.0, 50.0):
