@@ -2,7 +2,7 @@
 
 The pieces: datasets with controlled id-frequency skew (data), embedding
 tables with sparse gradients (embedding), four manually-differentiated CTR
-models (models), SGD/Adam with warmup (optim), five gradient-clipping
+models (models), Adam with warmup (optim), five gradient-clipping
 variants including adaptive column-wise clipping (clip), batch-size
 hyperparameter scaling rules (scaling), AUC/logloss (metrics), and an
 experiment runner (harness, cli).
@@ -47,7 +47,6 @@ from .optim import (
     WarmupSchedule,
     adam_sparse_step,
     adam_step,
-    sgd_step,
     verify_adam_scaling_equivalence,
     verify_sgd_scaling_equivalence,
 )

@@ -96,8 +96,7 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args)
     records, table = harness.sweep(config, seed=args.seed)
     out = Path(config.out_dir)
-    for fmt in ("csv", "json", "text-table"):
-        harness.emit_report(records, fmt, out)
+    harness.write_reports(records, out)
     print(table)
     print(f"reports in {out}/")
     return 2 if any(r.diverged for r in records) else 0

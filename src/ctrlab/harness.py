@@ -13,7 +13,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -70,7 +70,6 @@ class ExperimentConfig:
     # None: 1e-2 with cowclip, else 1e-4
     init_sigma: float | None = _key("model.init_sigma", None)
     # optimizer
-    opt_kind: str = _key("opt.kind", "adam")
     beta1: float = _key("opt.beta1", 0.9)
     beta2: float = _key("opt.beta2", 0.999)
     eps: float = _key("opt.eps", 1e-8)
@@ -101,7 +100,6 @@ class ExperimentConfig:
         """Reject a bad config here, before any data is built."""
         for key, value, allowed in (
             ("model.kind", self.model_kind, models.MODEL_KINDS),
-            ("opt.kind", self.opt_kind, optim.OPT_KINDS),
             ("clip.variant", self.clip_variant, clip.VARIANTS),
             ("scale.rule", self.rule, scaling.RULES),
             ("scale.clip_mode", self.clip_mode, scaling.CLIP_MODES),
@@ -122,23 +120,28 @@ class ExperimentConfig:
             raise ValueError(f"model.hidden widths must be >= 1, got {self.hidden}")
         if self.embed_dim < 1:
             raise ValueError("model.embed_dim must be >= 1")
+        for key, value in (("data.top_k", self.top_k), ("model.cross_depth", self.cross_depth),
+                           ("opt.warmup_epochs", self.warmup_epochs)):
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
         if self.source == "synthetic":
-            for key, value in (("data.n_samples", self.n_samples),
-                               ("data.vocab_size", self.vocab_size)):
-                if value < 1:
-                    raise ValueError(f"{key} must be >= 1 for synthetic data, got {value}")
+            for key, value, low in (("data.n_samples", self.n_samples, 1),
+                                    ("data.vocab_size", self.vocab_size, 1),
+                                    ("data.n_dense", self.n_dense, 0),
+                                    ("data.n_categorical", self.n_categorical, 0)):
+                if value < low:
+                    raise ValueError(f"{key} must be >= {low} for synthetic data, got {value}")
             if not self.uniform_ids and not self.zipf_exponent > 0:
                 raise ValueError("data.zipf_exponent must be > 0 unless data.uniform_ids is set")
         for key, value in (("opt.lr_dense", self.lr_dense), ("opt.lr_embed", self.lr_embed),
                            ("opt.l2", self.l2)):
             if not value > 0:
                 raise ValueError(f"{key} must be > 0, got {value}")
-        if self.opt_kind == "adam":
-            for key, value in (("opt.beta1", self.beta1), ("opt.beta2", self.beta2)):
-                if not 0.0 <= value < 1.0:
-                    raise ValueError(f"{key} must lie in [0, 1) for adam, got {value}")
-            if not self.eps > 0:
-                raise ValueError(f"opt.eps must be > 0 for adam, got {self.eps}")
+        for key, value in (("opt.beta1", self.beta1), ("opt.beta2", self.beta2)):
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{key} must lie in [0, 1), got {value}")
+        if not self.eps > 0:
+            raise ValueError(f"opt.eps must be > 0, got {self.eps}")
         if self.batch_size < 1:
             raise ValueError("train.batch_size must be >= 1")
         if self.epochs < 0:
@@ -195,7 +198,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key not in _FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         name = _FIELDS[key]
-        values[name] = _coerce(_TYPES[name], raw)
+        try:
+            values[name] = _coerce(_TYPES[name], raw)
+        except ValueError as err:
+            raise ValueError(f"config line {lineno}: {key}: {err}") from None
     return ExperimentConfig(**values)
 
 
@@ -239,18 +245,7 @@ class RunRecord:
         return self.epochs[-1].test_logloss if self.epochs else self.initial_logloss
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "model_kind": self.model_kind,
-            "rule": self.rule,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "initial_auc": self.initial_auc,
-            "initial_logloss": self.initial_logloss,
-            "epochs": [vars(e) for e in self.epochs],
-            "diverged": self.diverged,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def record_fingerprint(record: RunRecord) -> dict:
@@ -342,7 +337,9 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     train_ds, test_ds = dataset.split(config.split)
     b = config.batch_size
     if b > train_ds.n_samples:
-        raise ValueError("batch_size exceeds the training split")
+        raise ValueError(
+            f"train.batch_size={b} exceeds the training split's {train_ds.n_samples} rows"
+        )
     n_pos = int(test_ds.labels.sum())
     n_neg = test_ds.n_samples - n_pos
     if not (n_pos and n_neg):
@@ -419,17 +416,11 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
             losses.append(loss)
             sgrad = clip.apply_clip(clip_cfg, table, sgrad)
             lr_d = warmup.lr(global_step)
-            if config.opt_kind == "adam":
-                optim.adam_step(dense_state, dense, dgrads, lr_d, cfg=adam_cfg)
-                optim.adam_sparse_step(
-                    embed_state, table, sgrad, plan.eta_embed, l2=plan.l2,
-                    dense_l2=config.dense_l2, cfg=adam_cfg,
-                )
-            else:
-                optim.sgd_step(dense, dgrads, lr_d)
-                optim.sgd_sparse_step(
-                    table, sgrad, plan.eta_embed, l2=plan.l2, dense_l2=config.dense_l2
-                )
+            optim.adam_step(dense_state, dense, dgrads, lr_d, cfg=adam_cfg)
+            optim.adam_sparse_step(
+                embed_state, table, sgrad, plan.eta_embed, l2=plan.l2,
+                dense_l2=config.dense_l2, cfg=adam_cfg,
+            )
         train_loss = float(np.mean(losses)) if losses else float("nan")
         result = evaluate_model(config.model_kind, params, table, test_ds)
         record.epochs.append(
@@ -518,21 +509,13 @@ def records_to_json(records: list[RunRecord]) -> str:
     return json.dumps([r.to_dict() for r in records], indent=2)
 
 
-def emit_report(records: list[RunRecord], fmt: str, out_dir) -> Path:
+def write_reports(records: list[RunRecord], out_dir) -> None:
+    """Write runs.csv, runs.json and runs.txt (the comparison table) into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        path = out / "runs.csv"
-        path.write_text(records_to_csv(records))
-    elif fmt == "json":
-        path = out / "runs.json"
-        path.write_text(records_to_json(records))
-    elif fmt == "text-table":
-        path = out / "runs.txt"
-        path.write_text(comparison_table(records) + "\n")
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    return path
+    (out / "runs.csv").write_text(records_to_csv(records))
+    (out / "runs.json").write_text(records_to_json(records))
+    (out / "runs.txt").write_text(comparison_table(records) + "\n")
 
 
 # ---------------------------------------------------------------------------

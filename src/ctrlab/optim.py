@@ -1,14 +1,15 @@
-"""SGD and Adam steps with in-gradient L2, plus loss-scale equivalence probes.
+"""Adam steps with in-gradient L2, plus loss-scale equivalence probes.
 
-L2 regularization enters through the gradient (g + l2*w), not as decoupled
-weight decay: the Adam moments must see the decay term for the loss-scaling
-equivalence below to hold.  L2 reaches the embeddings only, through the
-embedding steps (sgd_sparse_step, adam_sparse_step).  Every step works in
-place and returns None: the dense steps (sgd_step, adam_step) update the
-dict's arrays and the AdamState, the embedding steps the table and the
-EmbedAdamState, so a step costs no copy of its parameters; in lazy mode an
-embedding step reads and writes only the touched rows.  Adam's arithmetic,
-for every step and for the loss-scaling probe, is one kernel, _adam_update.
+Adam is the trainer's only optimizer.  L2 regularization enters through the
+gradient (g + l2*w), not as decoupled weight decay: the Adam moments must
+see the decay term for the loss-scaling equivalence below to hold.  L2
+reaches the embeddings only, through adam_sparse_step.  Both steps work in
+place and return None: adam_step updates the dict's arrays and the
+AdamState, adam_sparse_step the table and the EmbedAdamState, so a step
+costs no copy of its parameters; in lazy mode the embedding step reads and
+writes only the touched rows.  Adam's arithmetic, for both steps and for
+the loss-scaling probe, is one kernel, _adam_update.  The SGD probe checks
+the same derivation for plain SGD with its own arithmetic.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import EmbeddingTable, SparseGradient, split_rows
-
-OPT_KINDS = ("adam", "sgd")
 
 # Entries per slice of the dense-mode Adam pass.  The pass streams five
 # arrays; slices of 2**15 entries (256 KB each) keep them in a core's L2,
@@ -45,16 +44,6 @@ class WarmupSchedule:
         if self.warmup_steps <= 0:
             return self.target_lr
         return self.target_lr * min(1.0, step / self.warmup_steps)
-
-
-def sgd_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    lr: float,
-) -> None:
-    """w <- w - lr*g for every tensor, in place."""
-    for name, w in params.items():
-        w -= lr * grads[name]
 
 
 @dataclass
@@ -222,26 +211,6 @@ def adam_sparse_step(
         state.m_block[rows] = m
         state.v_block[rows] = v
         w[rows] = w_rows
-
-
-def sgd_sparse_step(
-    table: EmbeddingTable,
-    sparse_grad: SparseGradient,
-    lr: float,
-    l2: float = 0.0,
-    dense_l2: bool = True,
-) -> None:
-    """SGD counterpart of adam_sparse_step with the same dense_l2 semantics,
-    updating table.block in place."""
-    w, rows = table.block, sparse_grad.rows(table)
-    if dense_l2 and l2:
-        decay = l2 * w  # decay gradient taken at the pre-step weights
-        w[rows] -= lr * sparse_grad.grad_block
-        decay *= lr
-        w -= decay
-    elif len(rows):
-        g = sparse_grad.grad_block + (l2 * w[rows] if l2 else 0.0)
-        w[rows] -= lr * g
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Each config is a tiny training (well under a second) that takes one path
 through the trainer: the model head, the clip variant with its batch-scaled
-threshold, the scaling rule, and the optimizer mode.  The hash covers every
-number of the run record except wall-clock time, and the config itself.
+threshold, the scaling rule, and the embedding step's mode (dense L2 or
+lazy).  The hash covers every number of the run record except wall-clock
+time, and the config itself.
 The hashes were recorded with numpy 2.4 on OpenBLAS; a BLAS that sums in a
 different order may differ in the last bits.
 """
@@ -28,32 +29,27 @@ GOLDEN = {
     "deepfm-cowclip-dense-l2": (
         replace(TINY, model_kind="deepfm", rule="cowclip", clip_variant="cowclip",
                 batch_size=128, dense_l2=True),
-        "b63ad83746c250a48e0fdff9b2972e1fb16445d21e7f57e7e4e48685ba612d48",
+        "68b6fd75bd028cd6c22d1f656efc8aea8864ca2514ffab890c42aafcae776db1",
     ),
     "wd-cowclip-lazy": (
         replace(TINY, model_kind="wd", rule="cowclip", clip_variant="cowclip",
                 batch_size=128, dense_l2=False),
-        "02da7ce20762ed73f581b4dd22b78b1469723c8e84576cbd1b4d80ee84cfdc68",
+        "6370e5752a17e8496d8e36cfba51bc8f1fd8722b3d883e51350c3c2ad9024605",
     ),
     "dcn-fieldwise-s4-sqrt": (
         replace(TINY, model_kind="dcn", clip_variant="fieldwise", clip_value=3e-3,
                 clip_mode="sqrt", **S4),
-        "63636bed940dcb241009d6dbd43b6dfe0e7ce038b82191998ee162fe3b0e5002",
+        "33eec04bb20982fde3dc8e43285a44a969aeacd4525e76290643b58b4281730a",
     ),
     "dcnv2-global-s4-linear": (
         replace(TINY, model_kind="dcnv2", clip_variant="global", clip_value=3e-3,
                 clip_mode="linear", **S4),
-        "2e1b40e214dad925a83f148b9644b4987aaf2a2bc4df375858441335ae5a1f57",
+        "cbdf751c4d7513bf61bd94a1735588dce47d1dae167c30bb1d0ab41599a633f7",
     ),
     "dcnv2-columnwise-s4-linear": (
         replace(TINY, model_kind="dcnv2", clip_variant="columnwise", clip_value=3e-3,
                 clip_mode="linear", **S4),
-        "d87746d8fa3df27311f1587b45b1861a35f343825a560e67cd98fba1d867655d",
-    ),
-    "deepfm-sgd": (
-        replace(TINY, model_kind="deepfm", opt_kind="sgd", lr_dense=0.05, lr_embed=0.05,
-                rule="sqrt", batch_size=128),
-        "1e5a1746e5c50f7d0fe01215217f6206f5dff7d19dfb7048ef969626163a8c81",
+        "8d64c3993160ffc2599927d5408e225aafa1a064e9e9faa6eced3cc385e9f54b",
     ),
 }
 

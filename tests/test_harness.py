@@ -12,7 +12,6 @@ from ctrlab.harness import (
     ExperimentConfig,
     RunRecord,
     comparison_table,
-    emit_report,
     parse_config_text,
     record_fingerprint,
     records_to_csv,
@@ -20,6 +19,7 @@ from ctrlab.harness import (
     sweep,
     train,
     verify,
+    write_reports,
 )
 
 TINY = ExperimentConfig(
@@ -65,11 +65,24 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             parse_config_text("data.bogus = 1")
+        # A config file that still selects an optimizer is rejected, not ignored.
+        with pytest.raises(ValueError, match="^config line 1: unknown key 'opt.kind'$"):
+            parse_config_text("opt.kind=adam")
+
+    @pytest.mark.parametrize("text,message", [
+        ("data.top_k=abc", "config line 1: data.top_k: invalid literal for int"),
+        ("# header\nopt.dense_l2=maybe", "config line 2: opt.dense_l2: bad boolean 'maybe'"),
+        ("data.top_k=0  # c", "config line 1: data.top_k: .*'0  # c'"),
+        ("opt.l2=1e-4\n\nmodel.hidden=8,x", "config line 3: model.hidden: .*'x'"),
+    ], ids=["int", "bool", "trailing-comment", "tuple"])
+    def test_bad_value_names_line_and_key(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            parse_config_text(text)
 
     @pytest.mark.parametrize("key,bad", [
         ("model.kind", {"model_kind": "deepfmm"}),
-        ("opt.kind", {"opt_kind": "adamw"}),
-        ("opt.kind", {"opt_kind": "adamw", "epochs": 0}),
+        ("model.cross_depth", {"model_kind": "dcn", "cross_depth": -1}),
+        ("data.top_k", {"top_k": -2}),
         ("clip.variant", {"clip_variant": "cow"}),
         ("scale.rule", {"rule": "cubic"}),
         ("scale.clip_mode", {"clip_mode": "log"}),
@@ -98,6 +111,9 @@ class TestConfig:
         ("opt.eps", {"eps": 0.0}),
         ("train.batch_size", {"batch_size": 0}),
         ("train.epochs", {"epochs": -1}),
+        ("data.n_dense", {"n_dense": -1}),
+        ("data.n_categorical", {"n_categorical": -1}),
+        ("opt.warmup_epochs", {"warmup_epochs": -1.0}),
     ])
     def test_bad_config_fails_before_any_data(self, monkeypatch, key, bad):
         monkeypatch.setattr(harness, "build_dataset", _forbid_build)
@@ -108,7 +124,7 @@ class TestConfig:
         # Each of these keys is unused by the rest of its config.
         ExperimentConfig(source="data.npz", n_samples=0, vocab_size=0)
         ExperimentConfig(uniform_ids=True, zipf_exponent=0.0)
-        ExperimentConfig(opt_kind="sgd", beta1=1.0, beta2=1.0, eps=0.0)
+        ExperimentConfig(source="data.npz", n_dense=-1, n_categorical=-1)
 
     def test_bad_sweep_rule_fails_before_any_data(self, monkeypatch):
         monkeypatch.setattr(harness, "build_dataset", _forbid_build)
@@ -185,18 +201,34 @@ class TestTrain:
         again = train(TINY, seed=5)
         assert record_fingerprint(base) == record_fingerprint(again)
 
+    def test_batch_larger_than_training_split(self, monkeypatch):
+        monkeypatch.setattr(harness, "init_table", _forbid_init)
+        with pytest.raises(ValueError, match="train.batch_size=4096 .* 1800 rows"):
+            train(replace(TINY, batch_size=4096), seed=0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_reported_not_raised(self, monkeypatch):
-        # sky-high SGD learning rate blows the loss up to non-finite
-        cfg = replace(TINY, opt_kind="sgd", lr_dense=1e9, lr_embed=1e9,
-                      warmup_epochs=0.0, epochs=3)
+        # A sky-high Adam learning rate makes the second step's loss non-finite.
+        cfg = replace(TINY, lr_dense=1e300, lr_embed=1e300, warmup_epochs=0.0, epochs=3)
         applied = []
-        step = optim.sgd_step
-        monkeypatch.setattr(optim, "sgd_step", lambda *a: applied.append(1) or step(*a))
+        step = optim.adam_step
+        monkeypatch.setattr(optim, "adam_step",
+                            lambda *a, **k: applied.append(1) or step(*a, **k))
         rec = train(cfg, seed=0)
         assert rec.diverged
+        assert len(applied) == 1
         # The diverged epoch records the steps applied, not the epoch's length.
         assert sum(e.steps for e in rec.epochs) == len(applied)
+
+    @pytest.mark.parametrize("epochs,diverged", [(2, False), (3, True), (4, True)])
+    def test_three_epochs_far_above_initial_loss_diverge(self, epochs, diverged):
+        # At lr 1e9 the losses stay finite (about 8.2, 8.8, 8.8) but far above
+        # the initial ~ln 2; the third such epoch in a row stops the run.
+        cfg = replace(TINY, lr_dense=1e9, lr_embed=1e9, warmup_epochs=0.0, epochs=epochs)
+        rec = train(cfg, seed=0)
+        assert rec.diverged is diverged
+        assert len(rec.epochs) == min(epochs, 3)
+        assert all(10 * math.log(2.0) < e.train_loss < math.inf for e in rec.epochs)
 
     def test_cowclip_run_trains(self):
         cfg = replace(TINY, rule="cowclip", clip_variant="cowclip",
@@ -204,11 +236,6 @@ class TestTrain:
         rec = train(cfg, seed=2)
         assert not rec.diverged
         assert rec.epochs[-1].train_loss < math.log(2.0)
-
-    def test_sgd_optimizer_runs(self):
-        cfg = replace(TINY, opt_kind="sgd", lr_dense=0.05, lr_embed=0.05)
-        rec = train(cfg, seed=2)
-        assert not rec.diverged
 
 
 class TestSweep:
@@ -246,15 +273,13 @@ class TestReports:
         records = self._records()
         assert json.loads(records_to_json(records)) == [r.to_dict() for r in records]
 
-    def test_emit_report_files(self, tmp_path):
+    def test_write_reports_files(self, tmp_path):
         records = self._records()
-        for fmt, name in (("csv", "runs.csv"), ("json", "runs.json"),
-                          ("text-table", "runs.txt")):
-            path = emit_report(records, fmt, tmp_path)
-            assert path.name == name
-            assert path.read_text()
-        with pytest.raises(ValueError):
-            emit_report(records, "xml", tmp_path)
+        write_reports(records, tmp_path / "out")
+        for name, text in (("runs.csv", records_to_csv(records)),
+                           ("runs.json", records_to_json(records)),
+                           ("runs.txt", comparison_table(records) + "\n")):
+            assert (tmp_path / "out" / name).read_bytes() == text.encode()
 
     def test_diverged_runs_become_table_entries(self):
         rec = RunRecord("x", "deepfm", "linear", 4096, 0, 0.5, 0.7, [], True, {})
@@ -308,6 +333,17 @@ class TestCli:
         assert len(written) == 1
         record = json.loads(written[0].read_text())
         assert record["seed"] == 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_divergence_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg = replace(TINY, lr_dense=1e300, lr_embed=1e300, warmup_epochs=0.0,
+                      out_dir=str(tmp_path / "runs"))
+        cfg_path.write_text(
+            "\n".join(f"{k}={v}" for k, v in cfg.to_dict().items() if v is not None)
+        )
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().out.startswith("[DIVERGED] ")
 
     def test_scale_command_prints_machine_readable(self, capsys):
         assert cli.main(["scale", "--rule", "cowclip", "--base-batch", "1024",

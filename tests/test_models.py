@@ -23,7 +23,7 @@ from ctrlab.models import (
     mlp_forward,
     model_forward,
 )
-from ctrlab.optim import sgd_sparse_step
+from ctrlab.optim import AdamConfig, EmbedAdamState, adam_sparse_step
 
 
 def _fields(*vocabs):
@@ -238,7 +238,9 @@ class TestLoss:
     def test_total_gradient_with_l2_finite_difference(self, kind):
         # The trainer's total gradient: data gradients from loss_and_backward,
         # plus the L2 term that the lazy embedding step adds to touched id
-        # vectors, recovered from one SGD step with lr = 1.
+        # vectors, recovered from one lazy Adam step on fresh moments: m
+        # starts at zero, so after one step m = (1 - beta1) * (g + l2 * w) and
+        # untouched rows keep m = 0.
         # objective = logloss + (l2/2)(touched id vectors)
         rng = np.random.default_rng(11)
         vocabs = [4, 3]
@@ -257,13 +259,13 @@ class TestLoss:
 
         probs, cache = model_forward(kind, params, table, batch)
         _, grads, sparse = loss_and_backward(probs, batch.labels, cache)
-        stepped = table.copy()
-        sgd_sparse_step(stepped, sparse, lr=1.0, l2=l2, dense_l2=False)
+        state = EmbedAdamState.init(table)
+        adam_sparse_step(state, table.copy(), sparse, lr=1e-3, l2=l2, dense_l2=False)
         tensors = dict(params.named_arrays())
         analytic = dict(grads)
         for j in range(len(vocabs)):
             tensors[f"embed.{j}"] = table.weights[j]
-            analytic[f"embed.{j}"] = table.weights[j] - stepped.weights[j]
+            analytic[f"embed.{j}"] = state.m[j] / (1.0 - AdamConfig().beta1)
         for name, tensor in tensors.items():
             flat = tensor.reshape(-1)
             gflat = np.asarray(analytic[name]).reshape(-1)

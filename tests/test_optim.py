@@ -17,17 +17,9 @@ from ctrlab.optim import (
     WarmupSchedule,
     adam_sparse_step,
     adam_step,
-    sgd_sparse_step,
-    sgd_step,
     verify_adam_scaling_equivalence,
     verify_sgd_scaling_equivalence,
 )
-
-
-def reference_sgd_step(params, grads, lr):
-    """The pure dense SGD step, kept as the bit-exact oracle for the in-place
-    one: returns new arrays, inputs untouched."""
-    return {name: w - lr * grads[name] for name, w in params.items()}
 
 
 def reference_adam_step(state, params, grads, lr, cfg=AdamConfig()):
@@ -44,31 +36,6 @@ def reference_adam_step(state, params, grads, lr, cfg=AdamConfig()):
         out[name] = w - lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
         new_m[name], new_v[name] = m, v
     return AdamState(new_m, new_v, t), out
-
-
-class TestSgd:
-    def test_no_gradient_no_change(self):
-        params = {"w": np.array([1.0, -2.0])}
-        assert sgd_step(params, {"w": np.zeros(2)}, lr=0.1) is None
-        assert np.array_equal(params["w"], np.array([1.0, -2.0]))
-
-    def test_matches_scalar_reference(self):
-        rng = np.random.default_rng(0)
-        w = 0.3
-        params = {"w": np.array([w])}
-        for _ in range(50):
-            g = float(rng.normal())
-            sgd_step(params, {"w": np.array([g])}, lr=0.05)
-            w = w - 0.05 * g
-            assert abs(params["w"][0] - w) < 1e-15
-
-    def test_leaves_grads_untouched(self):
-        params = {"w": np.array([1.0])}
-        grads = {"w": np.array([2.0])}
-        sgd_step(params, grads, lr=0.1)
-        sgd_step(params, grads, lr=0.1)
-        assert params["w"][0] == pytest.approx(0.6, abs=1e-15)
-        assert grads["w"][0] == 2.0
 
 
 def scalar_adam(w, grads, lr, l2, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -156,21 +123,6 @@ class TestDenseInPlaceMatchesReference:
                 assert np.array_equal(state.v[name], ref_state.v[name])
                 assert np.array_equal(grads[name], snapshot[name])
 
-    def test_sgd_step_bit_exact(self):
-        rng = np.random.default_rng(24)
-        params = self._params(rng)
-        ref_params = {k: w.copy() for k, w in params.items()}
-        for _ in range(self.STEPS):
-            grads = self._grads(rng)
-            snapshot = {k: g.copy() for k, g in grads.items()}
-            lr = float(rng.uniform(1e-3, 5e-2))
-            ref_params = reference_sgd_step(ref_params, grads, lr)
-            assert sgd_step(params, grads, lr) is None
-            for name, shape in self.SHAPES.items():
-                assert params[name].shape == shape
-                assert np.array_equal(params[name], ref_params[name])
-                assert np.array_equal(grads[name], snapshot[name])
-
 
 def _table_and_grad(vocab=6, dim=3, seed=0, sigma=0.01):
     fields = (FieldSchema("c", CATEGORICAL, vocab),)
@@ -224,26 +176,6 @@ class TestAdamSparse:
         assert table.weights[0][1, 0] == pytest.approx(reference[-1], abs=1e-14)
 
 
-class TestSgdSparse:
-    def test_lazy_identity_on_empty(self):
-        table = _table_and_grad()
-        empty = SparseGradient.from_fields([np.array([], dtype=np.int64)],
-                               [np.zeros((0, 3))], [np.array([], dtype=np.int64)])
-        before = table.weights[0].copy()
-        assert sgd_sparse_step(table, empty, lr=0.1, l2=0.5, dense_l2=False) is None
-        assert np.array_equal(table.weights[0], before)
-
-    def test_dense_l2_matches_formula(self):
-        table = _table_and_grad(vocab=3, dim=2, sigma=0.5, seed=5)
-        sparse = SparseGradient.from_fields([np.array([0])], [np.full((1, 2), 0.3)], [np.array([1])])
-        w = table.weights[0].copy()
-        sgd_sparse_step(table, sparse, lr=0.1, l2=0.01, dense_l2=True)
-        expected_touched = w[0] - 0.1 * (0.3 + 0.01 * w[0])
-        expected_absent = w[1] - 0.1 * 0.01 * w[1]
-        assert np.allclose(table.weights[0][0], expected_touched, rtol=0, atol=1e-15)
-        assert np.allclose(table.weights[0][1], expected_absent, rtol=0, atol=1e-15)
-
-
 @dataclass
 class ReferenceAdamState:
     """The oracle's state: one array per field, which the oracle rebinds."""
@@ -292,23 +224,6 @@ def reference_adam_sparse_step(state, table, sparse_grad, lr, l2=0.0, dense_l2=T
             vhat = v / (1.0 - cfg.beta2 ** tj)
             w[ids] -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
     return new, out
-
-
-def reference_sgd_sparse_step(table, sparse_grad, lr, l2=0.0, dense_l2=True):
-    """The copy-then-update sparse SGD step, the oracle for the in-place one."""
-    out = table.copy()
-    for j, w in enumerate(out.weights):
-        touched = j < sparse_grad.n_fields and len(sparse_grad.ids[j])
-        if dense_l2 and l2:
-            decay = l2 * w
-            if touched:
-                w[sparse_grad.ids[j]] -= lr * sparse_grad.grads[j]
-            w -= lr * decay
-        elif touched:
-            ids = sparse_grad.ids[j]
-            g = sparse_grad.grads[j] + (l2 * w[ids] if l2 else 0.0)
-            w[ids] -= lr * g
-    return out
 
 
 def _random_sparse_grad(rng, vocabs, dim, step):
@@ -367,22 +282,6 @@ class TestInPlaceMatchesReference:
                 assert np.array_equal(state.v[j], ref_state.v[j])
                 if not dense_l2:
                     assert np.array_equal(state.col_t[j], ref_state.col_t[j])
-
-    @pytest.mark.parametrize("dense_l2", [True, False])
-    @pytest.mark.parametrize("l2", [0.0, 3e-3])
-    def test_sgd_sparse_step_bit_exact(self, dense_l2, l2):
-        rng = np.random.default_rng(22)
-        table = self._table()
-        ref_table = table.copy()
-        for step in range(self.STEPS):
-            sparse = _random_sparse_grad(rng, self.VOCABS, self.DIM, step)
-            lr = float(rng.uniform(1e-3, 5e-2))
-            ref_table = reference_sgd_sparse_step(ref_table, sparse, lr, l2, dense_l2)
-            before = _blocks(sparse)
-            assert sgd_sparse_step(table, sparse, lr, l2, dense_l2=dense_l2) is None
-            _assert_blocks_unchanged(sparse, before)
-            for j in range(len(self.VOCABS)):
-                assert np.array_equal(table.weights[j], ref_table.weights[j])
 
     @pytest.mark.parametrize("l2", [0.0, 3e-3])
     def test_adam_dense_pass_in_slices_bit_exact(self, l2, monkeypatch):
