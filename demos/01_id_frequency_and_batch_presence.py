@@ -15,7 +15,6 @@ from ctrlab import (
     batch_presence_probability,
     count_frequencies,
     generate_synthetic,
-    make_batches,
 )
 
 spec = SyntheticSpec(n_dense=2, n_categorical=3, vocab_sizes=5000, zipf_exponent=1.2)
@@ -47,8 +46,10 @@ p_head = freq.probabilities(0).max()
 head_id = int(np.argmax(freq.counts[0]))
 hits = 0
 n_batches = 2000
-for batch in make_batches(dataset, 64, "with_replacement", seed=1, n_batches=n_batches):
-    hits += int(np.any(batch.categorical[:, 0] == head_id))
+rng = np.random.default_rng(1)
+for _ in range(n_batches):
+    idx = rng.integers(0, dataset.n_samples, size=64)  # 64 samples drawn with replacement
+    hits += int(np.any(dataset.categorical[idx, 0] == head_id))
 exact = batch_presence_probability(p_head, 64, "exact")
 print(f"\nMonte Carlo check, head id (p={p_head:.4f}, b=64): "
       f"empirical {hits / n_batches:.4f} vs closed form {exact:.4f}")

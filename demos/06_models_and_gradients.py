@@ -25,7 +25,7 @@ batch = Batch(
 
 print("click probabilities for one batch, per model:")
 for kind in ("wd", "deepfm", "dcn", "dcnv2"):
-    params = init_dense_params(kind, vocabs, 4, 2, hidden=(16, 8),
+    params = init_dense_params(kind, fields, 4, 2, hidden=(16, 8),
                                cross_depth=2, seed=1)
     probs, cache = model_forward(kind, params, table, batch)
     print(f"  {kind:>6}: probs {np.round(probs, 3)}  logit range "

@@ -210,41 +210,20 @@ def top_k_collapse(dataset: Dataset, k: int) -> Dataset:
     return Dataset(schema, dataset.labels.copy(), dataset.dense.copy(), categorical)
 
 
-def make_batches(
-    dataset: Dataset,
-    batch_size: int,
-    mode: str = "shuffle_epoch",
-    seed: int = 0,
-    n_batches: int | None = None,
-) -> Iterator[Batch]:
-    """Seeded batch iterator.
+def make_batches(dataset: Dataset, batch_size: int, seed: int = 0) -> Iterator[Batch]:
+    """Seeded epoch: floor(N/b) disjoint batches from one permutation.
 
-    shuffle_epoch yields floor(N/b) disjoint batches from one permutation; the
-    trailing remainder is dropped so every step sees exactly b samples.
-    with_replacement draws i.i.d. uniform samples and needs n_batches.
+    The trailing remainder is dropped so every step sees exactly b samples.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    rng = np.random.default_rng(seed)
     n = dataset.n_samples
-    if mode == "shuffle_epoch":
-        if batch_size > n:
-            raise ValueError("batch_size exceeds dataset size")
-        perm = rng.permutation(n)
-        count = n // batch_size
-        if n_batches is not None:
-            count = min(count, n_batches)
-        for i in range(count):
-            idx = perm[i * batch_size : (i + 1) * batch_size]
-            yield Batch(dataset.labels[idx], dataset.dense[idx], dataset.categorical[idx])
-    elif mode == "with_replacement":
-        if n_batches is None:
-            raise ValueError("with_replacement mode needs n_batches")
-        for _ in range(n_batches):
-            idx = rng.integers(0, n, size=batch_size)
-            yield Batch(dataset.labels[idx], dataset.dense[idx], dataset.categorical[idx])
-    else:
-        raise ValueError(f"unknown batching mode {mode!r}")
+    if batch_size > n:
+        raise ValueError("batch_size exceeds dataset size")
+    perm = np.random.default_rng(seed).permutation(n)
+    for i in range(n // batch_size):
+        idx = perm[i * batch_size : (i + 1) * batch_size]
+        yield Batch(dataset.labels[idx], dataset.dense[idx], dataset.categorical[idx])
 
 
 # ---------------------------------------------------------------------------

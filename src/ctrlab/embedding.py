@@ -45,8 +45,6 @@ class EmbeddingTable:
     fields: tuple[FieldSchema, ...]
     dim: int
     block: np.ndarray  # (sum of vocab sizes, dim) float64
-    init_sigma: float
-    seed: int
     offsets: np.ndarray = field(init=False, repr=False)
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False)  # per field, views
 
@@ -64,17 +62,21 @@ class EmbeddingTable:
         return len(self.fields)
 
     def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.fields, self.dim, self.block.copy(), self.init_sigma, self.seed)
+        return EmbeddingTable(self.fields, self.dim, self.block.copy())
 
 
 @dataclass
 class LookupRecord:
-    """Which (field, id) produced each row of an embedded batch, and its table row."""
+    """The table row that produced each field slice of an embedded batch."""
 
-    ids: np.ndarray      # (b, n_fields) int64, field-local
-    rows: np.ndarray     # (b, n_fields) int64, ids + the table's field offsets
+    rows: np.ndarray     # (b, n_fields) int64, field-local ids + the table's field offsets
     offsets: np.ndarray  # the table's field offsets
     dim: int
+
+    @cached_property
+    def unique_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """np.unique of the rows, once per batch for every table they index."""
+        return np.unique(self.rows.ravel(), return_inverse=True, return_counts=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +147,7 @@ def init_table(
     if init_sigma <= 0:
         raise ValueError("init_sigma must be > 0")
     rng = np.random.default_rng(seed)
-    table = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim)), init_sigma, seed)
+    table = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim)))
     # Field by field, so the draw never holds a second whole-table array.
     for f, w in zip(fields, table.weights):
         w[...] = rng.normal(0.0, init_sigma, size=(f.vocab_size, dim))
@@ -166,23 +168,24 @@ def lookup_forward(table: EmbeddingTable, batch: Batch) -> tuple[np.ndarray, Loo
             raise IndexError(f"id out of range for field {table.fields[int(np.argmax(bad))].name!r}")
     rows = ids + offsets[:-1]
     embedded = np.take(table.block, rows.ravel(), axis=0).reshape(b, n_fields * table.dim)
-    return embedded, LookupRecord(ids, rows, offsets, table.dim)
+    return embedded, LookupRecord(rows, offsets, table.dim)
 
 
 def accumulate_gradients(
-    record: LookupRecord, upstream: np.ndarray, batch_size: int
+    record: LookupRecord, upstream: np.ndarray, batch_size: int, dim: int | None = None
 ) -> SparseGradient:
     """Fold per-sample upstream gradients into per-id sums scaled by 1/b.
 
     upstream holds d(per-sample loss)/d(embedded row): one row per sample,
-    field slices side by side.  Ids absent from the batch get no entry.
+    field slices of dim (default: the looked-up table's) entries side by
+    side.  Ids absent from the batch get no entry.
     """
     b, width = upstream.shape
     rows = record.rows
-    d = record.dim
+    d = record.dim if dim is None else dim
     if b != len(rows) or width != rows.shape[1] * d:
         raise ValueError("upstream gradient rows do not align with the lookup record")
-    uniq, inverse, counts = np.unique(rows.ravel(), return_inverse=True, return_counts=True)
+    uniq, inverse, counts = record.unique_rows
     # One bin per (unique row, column).  A row belongs to one field, so
     # bincount adds each bin's samples in row order starting from 0.0,
     # exactly as np.add.at would.

@@ -106,6 +106,8 @@ class ExperimentConfig:
         ):
             if value not in allowed:
                 raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
+        if self.max_rows is not None and self.max_rows < 1:
+            raise ValueError(f"data.max_rows must be >= 1, got {self.max_rows}")
         if not 0.0 < self.split < 1.0:
             raise ValueError("data.split must lie strictly between 0 and 1")
         if self.base_batch < 1:
@@ -324,10 +326,10 @@ def _batch_at(dataset: Dataset, idx: np.ndarray) -> Batch:
 def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -> RunRecord:
     """One full training run; deterministic given (config, seed).
 
-    Per step: batch -> embedding lookup -> forward -> loss/backward -> clip ->
-    dense optimizer step (warmup learning rate) -> sparse embedding step.  The
-    L2 term is applied inside the embedding optimizer, after clipping, so the
-    clip operates on the data gradient alone.
+    Per step: batch -> embedding lookup -> forward -> loss/backward -> dense
+    step (warmup lr) -> per id-indexed table (embeddings, first-order): clip
+    -> sparse step.  The L2 term is applied inside the sparse step, after
+    clipping, so the clip operates on the data gradient alone.
     """
     _, init_ss, batch_ss = _seed_children(seed)
     if dataset is None:
@@ -359,13 +361,12 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     table_ss, params_ss = init_ss.spawn(2)
     table_seed = int(table_ss.generate_state(1)[0])
     params_seed = int(params_ss.generate_state(1)[0])
-    vocabs = [f.vocab_size for f in train_ds.categorical_fields]
     table = init_table(
         train_ds.categorical_fields, config.embed_dim, config.resolved_init_sigma(), table_seed
     )
     params = init_dense_params(
         config.model_kind,
-        vocabs,
+        table.fields,
         config.embed_dim,
         train_ds.n_dense,
         hidden=config.hidden,
@@ -374,7 +375,8 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     )
     dense = dict(params.named_arrays())
     dense_state = AdamState.init(dense)
-    embed_state = EmbedAdamState.init(table)
+    tables = models.model_tables(params, table)
+    table_states = [EmbedAdamState.init(t) for t in tables]
 
     steps_per_epoch = train_ds.n_samples // b
     warmup = WarmupSchedule(
@@ -406,21 +408,21 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         losses = []
-        for batch in make_batches(train_ds, b, "shuffle_epoch", seed=epoch_seeds[epoch - 1]):
+        for batch in make_batches(train_ds, b, seed=epoch_seeds[epoch - 1]):
             global_step += 1
             probs, cache = model_forward(config.model_kind, params, table, batch)
-            loss, dgrads, sgrad = models.loss_and_backward(probs, batch.labels, cache)
+            loss, dgrads, sgrads = models.loss_and_backward(probs, batch.labels, cache)
             if not math.isfinite(loss):
                 record.diverged = True
                 break
             losses.append(loss)
-            sgrad = clip.apply_clip(clip_cfg, table, sgrad)
-            lr_d = warmup.lr(global_step)
-            optim.adam_step(dense_state, dense, dgrads, lr_d, cfg=adam_cfg)
-            optim.adam_sparse_step(
-                embed_state, table, sgrad, plan.eta_embed, l2=plan.l2,
-                dense_l2=config.dense_l2, cfg=adam_cfg,
-            )
+            optim.adam_step(dense_state, dense, dgrads, warmup.lr(global_step), cfg=adam_cfg)
+            for t, state, sgrad in zip(tables, table_states, sgrads):
+                sgrad = clip.apply_clip(clip_cfg, t, sgrad)
+                optim.adam_sparse_step(
+                    state, t, sgrad, plan.eta_embed, l2=plan.l2,
+                    dense_l2=config.dense_l2, cfg=adam_cfg,
+                )
         train_loss = float(np.mean(losses)) if losses else float("nan")
         result = evaluate_model(config.model_kind, params, table, test_ds)
         record.epochs.append(
@@ -542,11 +544,11 @@ def _tiny_setup(kind: str, rng: np.random.Generator):
     fields = tuple(FieldSchema(f"c{j}", CATEGORICAL, vocab) for j in range(n_fields))
     table = init_table(fields, dim, init_sigma=0.4, seed=rng.integers(2**32))
     params = init_dense_params(
-        kind, [vocab] * n_fields, dim, n_dense,
-        hidden=(8, 6), cross_depth=2, seed=rng.integers(2**32),
+        kind, fields, dim, n_dense, hidden=(8, 6), cross_depth=2, seed=rng.integers(2**32),
     )
-    # LR weights start at zero; randomize them so their gradients get exercised
-    params.lr_weights = [rng.normal(0, 0.3, size=vocab) for _ in range(len(params.lr_weights))]
+    # First-order weights start at zero; randomize them so their gradients get exercised
+    if params.first_order is not None:
+        params.first_order.block[...] = rng.normal(0, 0.3, size=(n_fields * vocab, 1))
     if params.lr_bias is not None:
         params.lr_bias = np.asarray(rng.normal(0, 0.3))
     batch = Batch(
@@ -586,13 +588,12 @@ def grad_check(model_kind: str, seed: int, n_trials: int = 10) -> GradCheckRepor
         done += 1
         _, dense_grads, sparse = models.loss_and_backward(probs, batch.labels, cache)
         tensors = dict(params.named_arrays())
-        for j, w in enumerate(table.weights):
-            tensors[f"embed.{j}"] = w
         analytic = dict(dense_grads)
-        for j, w in enumerate(table.weights):
-            g = np.zeros_like(w)
-            g[sparse.ids[j]] = sparse.grads[j]
-            analytic[f"embed.{j}"] = g
+        for prefix, t, sg in zip(("embed", "lr"), models.model_tables(params, table), sparse):
+            for j, w in enumerate(t.weights):
+                tensors[f"{prefix}.{j}"] = w
+                analytic[f"{prefix}.{j}"] = g = np.zeros_like(w)
+                g[sg.ids[j]] = sg.grads[j]
         for name, tensor in tensors.items():
             an = analytic[name]
             flat = tensor.reshape(-1)

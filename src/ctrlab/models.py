@@ -10,6 +10,10 @@ Four heads share one MLP trunk:
 Dense (continuous) features feed the deep stream only; the wide/cross streams
 see the categorical embeddings.  Backward passes return gradient sums over the
 batch; loss_and_backward normalizes by the batch size once at the end.
+
+The logistic regression's per-id weights are a dim-1 embedding table over the
+embedding table's fields, so they share its rows, its sparse gradients and
+its optimizer; only the scalar bias is a dense parameter.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .embedding import (
 )
 
 MODEL_KINDS = ("wd", "deepfm", "dcn", "dcnv2")
+FIRST_ORDER_KINDS = ("wd", "deepfm")  # heads with a logistic-regression term
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -43,12 +48,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DenseParams:
-    """Every non-embedding weight of one model, keyed for the optimizer."""
+    """A model's weights besides its embedding table; named_arrays() keys the dense ones."""
 
     kind: str
     mlp: list[tuple[np.ndarray, np.ndarray]]            # hidden layers then output unit
     lr_bias: np.ndarray | None = None                   # shape (), wd/deepfm
-    lr_weights: list[np.ndarray] = field(default_factory=list)  # per field (vocab,)
+    first_order: EmbeddingTable | None = None           # dim 1, wd/deepfm
     cross: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     cross_out: np.ndarray | None = None                 # (D,)
 
@@ -59,8 +64,6 @@ class DenseParams:
             out.append((f"mlp.{i}.b", b))
         if self.lr_bias is not None:
             out.append(("lr.bias", self.lr_bias))
-        for j, w in enumerate(self.lr_weights):
-            out.append((f"lr.w{j}", w))
         for l, (w, b) in enumerate(self.cross):
             out.append((f"cross.{l}.w", w))
             out.append((f"cross.{l}.b", b))
@@ -69,20 +72,25 @@ class DenseParams:
         return out
 
 
+def model_tables(params: DenseParams, table: EmbeddingTable) -> tuple[EmbeddingTable, ...]:
+    """A model's id-indexed tables, in the order of loss_and_backward's sparse gradients."""
+    return (table,) if params.first_order is None else (table, params.first_order)
+
+
 def init_dense_params(
     kind: str,
-    vocab_sizes: list[int],
+    fields: tuple[FieldSchema, ...],
     embed_dim: int,
     n_dense: int,
     hidden: tuple[int, ...] = (400, 400, 400),
     cross_depth: int = 3,
     seed: int = 0,
 ) -> DenseParams:
-    """Kaiming (fan-in) normal for all weight matrices, zero biases and LR weights."""
+    """Kaiming (fan-in) normal weight matrices; zero biases and first-order table."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     rng = np.random.default_rng(seed)
-    n_fields = len(vocab_sizes)
+    n_fields = len(fields)
     d_cross = n_fields * embed_dim
     width = d_cross + n_dense
 
@@ -97,9 +105,9 @@ def init_dense_params(
     mlp.append((kaiming((prev, 1), prev), np.zeros(1)))
 
     params = DenseParams(kind=kind, mlp=mlp)
-    if kind in ("wd", "deepfm"):
+    if kind in FIRST_ORDER_KINDS:
         params.lr_bias = np.zeros(())
-        params.lr_weights = [np.zeros(v) for v in vocab_sizes]
+        params.first_order = EmbeddingTable(fields, 1, np.zeros((field_offsets(fields)[-1], 1)))
     if kind in ("dcn", "dcnv2"):
         for _ in range(cross_depth):
             if kind == "dcn":
@@ -152,24 +160,15 @@ def mlp_backward(
     return grads, dh
 
 
-def lr_head(
-    bias: np.ndarray, weights: list[np.ndarray], ids: np.ndarray
-) -> np.ndarray:
-    """First-order term: bias plus the selected id weight of every field."""
-    logits = np.full(len(ids), float(bias))
-    for j, w in enumerate(weights):
-        logits += w[ids[:, j]]
-    return logits
+def lr_head(bias: np.ndarray, first_order: EmbeddingTable, rows: np.ndarray) -> np.ndarray:
+    """First-order term: bias plus every field's selected weight, at the lookup's rows."""
+    return float(bias) + np.take(first_order.block[:, 0], rows).sum(axis=1)
 
 
-def lr_head_backward(
-    weights: list[np.ndarray], ids: np.ndarray, dlogit: np.ndarray
-) -> dict[str, np.ndarray]:
-    grads = {"lr.bias": np.asarray(dlogit.sum())}
-    for j, w in enumerate(weights):
-        # Each id's samples are added in row order from 0.0, as np.add.at would.
-        grads[f"lr.w{j}"] = np.bincount(ids[:, j], weights=dlogit, minlength=len(w))
-    return grads
+def lr_head_backward(record: LookupRecord, dlogit: np.ndarray) -> SparseGradient:
+    """First-order sparse gradient: each sample's dlogit, summed per selected id, over b."""
+    upstream = np.repeat(dlogit[:, None], record.rows.shape[1], axis=1)
+    return accumulate_gradients(record, upstream, len(dlogit), dim=1)
 
 
 def fm_pairwise(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,8 +253,10 @@ def model_forward(
     logit, mlp_cache = mlp_forward(params.mlp, x_mlp)
     cache = ForwardCache(kind, params, table, record, embedded, x_mlp, mlp_cache, logit)
 
-    if kind in ("wd", "deepfm"):
-        logit = logit + lr_head(params.lr_bias, params.lr_weights, batch.categorical)
+    if kind in FIRST_ORDER_KINDS:
+        if not np.array_equal(params.first_order.offsets, table.offsets):
+            raise ValueError("first-order table's field offsets differ from the embedding table's")
+        logit = logit + lr_head(params.lr_bias, params.first_order, record.rows)
     if kind == "deepfm":
         v = embedded.reshape(len(embedded), table.n_fields, table.dim)
         term, s = fm_pairwise(v)
@@ -282,8 +283,9 @@ def loss_and_backward(
     labels: np.ndarray,
     cache: ForwardCache,
     eps_p: float = 1e-7,
-) -> tuple[float, dict[str, np.ndarray], SparseGradient]:
-    """Mean logloss plus gradients for every dense tensor and touched id vector.
+) -> tuple[float, dict[str, np.ndarray], tuple[SparseGradient, ...]]:
+    """Mean logloss, the gradient of every dense tensor, and one sparse
+    gradient per table of model_tables, in that order.
 
     These are data gradients only: L2 is the optimizer's business.
     """
@@ -297,8 +299,8 @@ def loss_and_backward(
     width = table.n_fields * table.dim
     d_embedded = dmlp_in[:, :width].copy()
 
-    if cache.kind in ("wd", "deepfm"):
-        grads.update(lr_head_backward(params.lr_weights, record.ids, dlogit))
+    if cache.kind in FIRST_ORDER_KINDS:
+        grads["lr.bias"] = np.asarray(dlogit.sum())
     if cache.kind == "deepfm":
         v = cache.embedded.reshape(b, table.n_fields, table.dim)
         d_embedded += fm_pairwise_backward(v, cache.fm_sum, dlogit).reshape(b, width)
@@ -322,27 +324,29 @@ def loss_and_backward(
 
     for name in grads:
         grads[name] = grads[name] / b
-    sparse = accumulate_gradients(record, d_embedded, b)
+    sparse = (accumulate_gradients(record, d_embedded, b),)
+    if cache.kind in FIRST_ORDER_KINDS:
+        sparse += (lr_head_backward(record, dlogit),)
     return loss, grads, sparse
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: dense parameters bundled with the embedding table
+# Checkpoints: dense parameters bundled with the id-indexed tables
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, params: DenseParams, table: EmbeddingTable) -> None:
+    """Arrays dense:{name}, then table:{j} and (wd/deepfm) lr:{j}, one per field."""
     header = {
         "kind": params.kind,
         "dense_names": [name for name, _ in params.named_arrays()],
         "table": {
             "fields": [{"name": f.name, "vocab_size": f.vocab_size} for f in table.fields],
             "dim": table.dim,
-            "init_sigma": table.init_sigma,
-            "seed": table.seed,
         },
     }
     arrays = {f"dense:{name}": a for name, a in params.named_arrays()}
-    arrays.update({f"table:{j}": w for j, w in enumerate(table.weights)})
+    for prefix, t in zip(("table", "lr"), model_tables(params, table)):
+        arrays.update({f"{prefix}:{j}": w for j, w in enumerate(t.weights)})
     save_npz(path, header, arrays)
 
 
@@ -351,20 +355,25 @@ def load_checkpoint(path) -> tuple[DenseParams, EmbeddingTable]:
     dense = {name: z[f"dense:{name}"] for name in header["dense_names"]}
     t = header["table"]
     fields = tuple(FieldSchema(f["name"], CATEGORICAL, f["vocab_size"]) for f in t["fields"])
-    table = EmbeddingTable(
-        fields, t["dim"], np.empty((field_offsets(fields)[-1], t["dim"])), t["init_sigma"], t["seed"]
-    )
+    table = _load_table(z, "table", fields, t["dim"])
+    params = _params_from_named(header["kind"], dense)
+    if params.kind in FIRST_ORDER_KINDS:
+        params.first_order = _load_table(z, "lr", fields, 1)
+    return params, table
+
+
+def _load_table(z, prefix: str, fields: tuple[FieldSchema, ...], dim: int) -> EmbeddingTable:
+    table = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim)))
     for j, w in enumerate(table.weights):
-        stored = z[f"table:{j}"]
+        stored = z[f"{prefix}:{j}"]
         if stored.shape != w.shape:
-            raise ValueError(f"checkpoint table:{j} has shape {stored.shape}, expected {w.shape}")
+            raise ValueError(f"checkpoint {prefix}:{j} has shape {stored.shape}, expected {w.shape}")
         w[...] = stored
-    return _params_from_named(header["kind"], dense), table
+    return table
 
 
 def _params_from_named(kind: str, arrays: dict[str, np.ndarray]) -> DenseParams:
     mlp_idx = sorted({int(n.split(".")[1]) for n in arrays if n.startswith("mlp.")})
-    lr_idx = sorted(int(n[4:]) for n in arrays if n.startswith("lr.w"))
     cross_idx = sorted(
         {int(n.split(".")[1]) for n in arrays if n.startswith("cross.") and n != "cross.out"}
     )
@@ -372,7 +381,6 @@ def _params_from_named(kind: str, arrays: dict[str, np.ndarray]) -> DenseParams:
         kind=kind,
         mlp=[(arrays[f"mlp.{i}.W"], arrays[f"mlp.{i}.b"]) for i in mlp_idx],
         lr_bias=arrays.get("lr.bias"),
-        lr_weights=[arrays[f"lr.w{j}"] for j in lr_idx],
         cross=[(arrays[f"cross.{l}.w"], arrays[f"cross.{l}.b"]) for l in cross_idx],
         cross_out=arrays.get("cross.out"),
     )

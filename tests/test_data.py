@@ -271,15 +271,15 @@ class TestTopKCollapse:
 class TestMakeBatches:
     def test_disjoint_epoch(self):
         ds = _tiny_dataset(np.random.default_rng(0), 10, [4])
-        batches = list(make_batches(ds, 3, "shuffle_epoch", seed=0))
+        batches = list(make_batches(ds, 3, seed=0))
         assert len(batches) == 3
         seen = np.concatenate([b.categorical[:, 0] for b in batches])
         assert len(seen) == 9
 
     def test_seeded_determinism(self):
         ds = _tiny_dataset(np.random.default_rng(0), 50, [9])
-        a = list(make_batches(ds, 8, "shuffle_epoch", seed=4))
-        b = list(make_batches(ds, 8, "shuffle_epoch", seed=4))
+        a = list(make_batches(ds, 8, seed=4))
+        b = list(make_batches(ds, 8, seed=4))
         for x, y in zip(a, b):
             assert np.array_equal(x.categorical, y.categorical)
             assert np.array_equal(x.labels, y.labels)
@@ -289,25 +289,7 @@ class TestMakeBatches:
         with pytest.raises(ValueError):
             list(make_batches(ds, 0))
         with pytest.raises(ValueError):
-            list(make_batches(ds, 11, "shuffle_epoch"))
-        with pytest.raises(ValueError):
-            list(make_batches(ds, 2, "with_replacement"))  # needs n_batches
-
-    def test_with_replacement_presence_matches_closed_form(self):
-        # Monte Carlo vs 1-(1-p)^b: id 0 of field 0 occurs in exactly 1% of
-        # samples; presence over 10k batches must sit within 3 standard errors.
-        n, b, n_batches = 10_000, 512, 10_000
-        cat = np.ones((n, 1), dtype=np.int64)
-        cat[:100, 0] = 0
-        schema = (FieldSchema("c", CATEGORICAL, 2),)
-        ds = Dataset(schema, np.zeros(n, dtype=np.uint8), np.zeros((n, 0)), cat)
-        hits = sum(
-            np.any(batch.categorical[:, 0] == 0)
-            for batch in make_batches(ds, b, "with_replacement", seed=5, n_batches=n_batches)
-        )
-        exact = batch_presence_probability(0.01, b, "exact")
-        se = math.sqrt(exact * (1 - exact) / n_batches)
-        assert abs(hits / n_batches - exact) <= 3 * se
+            list(make_batches(ds, 11))
 
 
 class TestInvariants:

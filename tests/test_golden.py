@@ -29,12 +29,12 @@ GOLDEN = {
     "deepfm-cowclip-dense-l2": (
         replace(TINY, model_kind="deepfm", rule="cowclip", clip_variant="cowclip",
                 batch_size=128, dense_l2=True),
-        "68b6fd75bd028cd6c22d1f656efc8aea8864ca2514ffab890c42aafcae776db1",
+        "ea7ce7019ec79a3e8ceca4d4ecbbc92d6ea9f2c48877a0b288d7b6b42e6815ec",
     ),
     "wd-cowclip-lazy": (
         replace(TINY, model_kind="wd", rule="cowclip", clip_variant="cowclip",
                 batch_size=128, dense_l2=False),
-        "6370e5752a17e8496d8e36cfba51bc8f1fd8722b3d883e51350c3c2ad9024605",
+        "aad3e502223fc9d10371b5403169288d8ba4273a5eae366ae7f1ad67f7747689",
     ),
     "dcn-fieldwise-s4-sqrt": (
         replace(TINY, model_kind="dcn", clip_variant="fieldwise", clip_value=3e-3,

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from ctrlab import cli, harness, optim
+from ctrlab import cli, harness, optim, scaling
 from ctrlab.data import Dataset
 from ctrlab.harness import (
     ExperimentConfig,
@@ -114,6 +114,8 @@ class TestConfig:
         ("data.n_dense", {"n_dense": -1}),
         ("data.n_categorical", {"n_categorical": -1}),
         ("opt.warmup_epochs", {"warmup_epochs": -1.0}),
+        ("data.max_rows", {"max_rows": 0}),
+        ("data.max_rows", {"max_rows": -3}),
     ])
     def test_bad_config_fails_before_any_data(self, monkeypatch, key, bad):
         monkeypatch.setattr(harness, "build_dataset", _forbid_build)
@@ -229,6 +231,37 @@ class TestTrain:
         assert rec.diverged is diverged
         assert len(rec.epochs) == min(epochs, 3)
         assert all(10 * math.log(2.0) < e.train_loss < math.inf for e in rec.epochs)
+
+    @pytest.mark.parametrize("kind", ["wd", "deepfm"])
+    def test_first_order_weights_take_the_sparse_path(self, monkeypatch, kind):
+        # Under cowclip at s=16 the dense lr grows by 4; the per-id
+        # first-order weights must instead get the embeddings' fixed lr and
+        # scaled L2, one sparse step per table per training step.
+        cfg = replace(TINY, model_kind=kind, rule="cowclip", clip_variant="cowclip",
+                      base_batch=16, batch_size=256, epochs=1)
+        plan = scaling.scale("cowclip", scaling.BaseHyperparams(16, cfg.lr_dense,
+                                                                cfg.lr_embed, cfg.l2), 16)
+        dense_names, sparse_calls = [], []
+        dense_step, sparse_step = optim.adam_step, optim.adam_sparse_step
+
+        def spy_dense(state, params, grads, lr, **kw):
+            dense_names.append(sorted(params))
+            dense_step(state, params, grads, lr, **kw)
+
+        def spy_sparse(state, table, grad, lr, l2, **kw):
+            sparse_calls.append((table.dim, lr, l2))
+            sparse_step(state, table, grad, lr, l2, **kw)
+
+        monkeypatch.setattr(optim, "adam_step", spy_dense)
+        monkeypatch.setattr(optim, "adam_sparse_step", spy_sparse)
+        rec = train(cfg, seed=0)
+        steps = rec.epochs[0].steps
+        assert steps == 1800 // 256 and len(dense_names) == steps
+        layers = [f"mlp.{i}.{p}" for i in range(2) for p in "Wb"]
+        assert all(names == sorted(layers + ["lr.bias"]) for names in dense_names)
+        assert plan.eta_embed == cfg.lr_embed and plan.l2 == 16 * cfg.l2
+        per_step = [(cfg.embed_dim, plan.eta_embed, plan.l2), (1, plan.eta_embed, plan.l2)]
+        assert sparse_calls == per_step * steps
 
     def test_cowclip_run_trains(self):
         cfg = replace(TINY, rule="cowclip", clip_variant="cowclip",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctrlab.data import CATEGORICAL, Batch, FieldSchema
-from ctrlab.embedding import init_table
+from ctrlab.embedding import EmbeddingTable, init_table, lookup_forward
 from ctrlab.harness import grad_check
 from ctrlab.metrics import logloss
 from ctrlab.models import (
@@ -22,12 +22,18 @@ from ctrlab.models import (
     lr_head_backward,
     mlp_forward,
     model_forward,
+    model_tables,
 )
 from ctrlab.optim import AdamConfig, EmbedAdamState, adam_sparse_step
 
 
 def _fields(*vocabs):
     return tuple(FieldSchema(f"c{j}", CATEGORICAL, v) for j, v in enumerate(vocabs))
+
+
+def _first_order(weights):
+    """A dim-1 table whose field j holds the vector weights[j]."""
+    return EmbeddingTable(_fields(*map(len, weights)), 1, np.concatenate(weights)[:, None])
 
 
 def _batch(rng, vocabs, b, n_dense=2):
@@ -58,20 +64,20 @@ class TestMlp:
 
 class TestLrHead:
     def test_zero_weights_gives_bias(self):
-        ids = np.array([[0], [1]], dtype=np.int64)
-        out = lr_head(np.asarray(0.7), [np.zeros(3)], ids)
+        rows = np.array([[0], [1]], dtype=np.int64)
+        out = lr_head(np.asarray(0.7), _first_order([np.zeros(3)]), rows)
         assert np.all(out == 0.7)
 
     def test_selected_id(self):
         w = np.array([0.0, 0.0, 0.0, 1.5])
-        out = lr_head(np.asarray(0.2), [w], np.array([[3]], dtype=np.int64))
+        out = lr_head(np.asarray(0.2), _first_order([w]), np.array([[3]], dtype=np.int64))
         assert out[0] == pytest.approx(1.7)
 
     def test_matches_dense_dot_product(self):
         rng = np.random.default_rng(1)
         w = rng.normal(size=6)
         ids = rng.integers(0, 6, size=(20, 1))
-        out = lr_head(np.asarray(0.0), [w], ids)
+        out = lr_head(np.asarray(0.0), _first_order([w]), ids)
         onehot = np.zeros((20, 6))
         onehot[np.arange(20), ids[:, 0]] = 1.0
         assert np.allclose(out, onehot @ w, rtol=0, atol=1e-15)
@@ -80,15 +86,19 @@ class TestLrHead:
     def test_backward_matches_add_at_bit_for_bit(self, seed):
         rng = np.random.default_rng(seed)
         vocabs = [1, 7, 300]  # the last one leaves most ids absent
-        weights = [np.zeros(v) for v in vocabs]
-        ids = np.stack([rng.integers(0, v, size=64) for v in vocabs], axis=1)
-        dlogit = rng.normal(scale=10.0 ** rng.uniform(-6, 2, size=64))
-        grads = lr_head_backward(weights, ids, dlogit)
-        for j, w in enumerate(weights):
-            expected = np.zeros_like(w)
-            np.add.at(expected, ids[:, j], dlogit)
-            assert grads[f"lr.w{j}"].shape == w.shape
-            assert np.array_equal(grads[f"lr.w{j}"], expected)
+        b = 64
+        table = init_table(_fields(*vocabs), dim=2, init_sigma=1.0, seed=seed)
+        _, record = lookup_forward(table, _batch(rng, vocabs, b))
+        dlogit = rng.normal(scale=10.0 ** rng.uniform(-6, 2, size=b))
+        sparse = lr_head_backward(record, dlogit)
+        expected = np.zeros(sum(vocabs))
+        for j in range(len(vocabs)):
+            np.add.at(expected, record.rows[:, j], dlogit)
+        expected /= b
+        rows = sparse.rows(table)
+        assert np.array_equal(rows, np.unique(record.rows))
+        assert sparse.grad_block.shape == (len(rows), 1)
+        assert np.array_equal(sparse.grad_block[:, 0], expected[rows])
 
 
 class TestFm:
@@ -183,7 +193,7 @@ class TestModelForward:
         table = init_table(_fields(*vocabs), dim=3, init_sigma=1.0, seed=0)
         for w in table.weights:
             w[...] = 0.0
-        params = init_dense_params(kind, vocabs, 3, 2, hidden=(6,), cross_depth=2, seed=0)
+        params = init_dense_params(kind, table.fields, 3, 2, hidden=(6,), cross_depth=2, seed=0)
         for _, a in params.named_arrays():
             a[...] = 0.0
         batch = _batch(np.random.default_rng(0), vocabs, 5)
@@ -194,25 +204,23 @@ class TestModelForward:
         vocabs = [4, 5]
         rng = np.random.default_rng(1)
         table = init_table(_fields(*vocabs), dim=3, init_sigma=0.5, seed=1)
-        params = init_dense_params("wd", vocabs, 3, 2, hidden=(6,), seed=1)
-        arrays = dict(params.named_arrays())
-        updates = {n: np.zeros_like(a) for n, a in arrays.items() if n.startswith("mlp.")}
-        updates["lr.bias"] = np.asarray(0.4)
-        updates["lr.w0"] = rng.normal(size=4)
-        updates["lr.w1"] = rng.normal(size=5)
-        for name, a in updates.items():
-            arrays[name][...] = a
+        params = init_dense_params("wd", table.fields, 3, 2, hidden=(6,), seed=1)
+        for name, a in params.named_arrays():
+            a[...] = 0.4 if name == "lr.bias" else 0.0
+        w0, w1 = params.first_order.weights
+        w0[:, 0] = rng.normal(size=4)
+        w1[:, 0] = rng.normal(size=5)
         batch = _batch(rng, vocabs, 7)
         probs, _ = model_forward("wd", params, table, batch)
-        expected = lr_head(np.asarray(0.4), [updates["lr.w0"], updates["lr.w1"]],
-                           batch.categorical)
+        ids = batch.categorical
+        expected = 0.4 + w0[ids[:, 0], 0] + w1[ids[:, 1], 0]
         assert np.allclose(probs, 1 / (1 + np.exp(-expected)), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_deterministic(self, kind):
         vocabs = [6, 3]
         table = init_table(_fields(*vocabs), dim=2, init_sigma=0.3, seed=2)
-        params = init_dense_params(kind, vocabs, 2, 1, hidden=(5,), cross_depth=2, seed=2)
+        params = init_dense_params(kind, table.fields, 2, 1, hidden=(5,), cross_depth=2, seed=2)
         batch = _batch(np.random.default_rng(2), vocabs, 9, n_dense=1)
         a, _ = model_forward(kind, params, table, batch)
         b, _ = model_forward(kind, params, table, batch)
@@ -220,14 +228,24 @@ class TestModelForward:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            init_dense_params("mystery", [3], 2, 1)
+            init_dense_params("mystery", _fields(3), 2, 1)
+
+    @pytest.mark.parametrize("kind", ["wd", "deepfm"])
+    def test_first_order_offsets_must_match_the_table(self, kind):
+        # Same fields, same total rows, but field 0 ends at another row: the
+        # lookup's rows would read the wrong first-order weights.
+        table = init_table(_fields(4, 5), dim=2, init_sigma=0.3, seed=3)
+        params = init_dense_params(kind, _fields(5, 4), 2, 1, hidden=(5,), seed=3)
+        batch = _batch(np.random.default_rng(3), [4, 5], 4, n_dense=1)
+        with pytest.raises(ValueError, match="offsets"):
+            model_forward(kind, params, table, batch)
 
 
 class TestLoss:
     def test_half_prob_is_ln2(self):
         vocabs = [3]
         table = init_table(_fields(*vocabs), dim=2, init_sigma=1e-6, seed=0)
-        params = init_dense_params("wd", vocabs, 2, 0, hidden=(4,), seed=0)
+        params = init_dense_params("wd", table.fields, 2, 0, hidden=(4,), seed=0)
         batch = Batch(np.array([1], dtype=np.uint8), np.zeros((1, 0)),
                       np.array([[0]], dtype=np.int64))
         probs, cache = model_forward("wd", params, table, batch)
@@ -237,35 +255,39 @@ class TestLoss:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_total_gradient_with_l2_finite_difference(self, kind):
         # The trainer's total gradient: data gradients from loss_and_backward,
-        # plus the L2 term that the lazy embedding step adds to touched id
-        # vectors, recovered from one lazy Adam step on fresh moments: m
-        # starts at zero, so after one step m = (1 - beta1) * (g + l2 * w) and
-        # untouched rows keep m = 0.
-        # objective = logloss + (l2/2)(touched id vectors)
+        # plus the L2 term that the lazy sparse step adds to the touched rows
+        # of every id-indexed table, recovered from one lazy Adam step on
+        # fresh moments: m starts at zero, so after one step
+        # m = (1 - beta1) * (g + l2 * w) and untouched rows keep m = 0.
+        # objective = logloss + (l2/2)(touched rows of every table)
         rng = np.random.default_rng(11)
         vocabs = [4, 3]
         dim, n_dense, l2 = 2, 2, 0.05
         table = init_table(_fields(*vocabs), dim=dim, init_sigma=0.5, seed=4)
-        params = init_dense_params(kind, vocabs, dim, n_dense, hidden=(5,),
+        params = init_dense_params(kind, table.fields, dim, n_dense, hidden=(5,),
                                    cross_depth=2, seed=4)
         batch = _batch(rng, vocabs, 6)
-        touched = [np.unique(batch.categorical[:, j]) for j in range(len(vocabs))]
+        tables = model_tables(params, table)
+        if kind in ("wd", "deepfm"):  # off zero, so that the L2 term shows
+            tables[1].block[...] = rng.normal(0.0, 0.5, size=tables[1].block.shape)
+        touched = np.unique(batch.categorical + table.offsets[:-1])
 
         def objective():
             probs, _ = model_forward(kind, params, table, batch)
-            penalty = sum(float((table.weights[j][touched[j]] ** 2).sum())
-                          for j in range(len(vocabs)))
+            penalty = sum(float((t.block[touched] ** 2).sum()) for t in tables)
             return logloss(probs, batch.labels) + 0.5 * l2 * penalty
 
         probs, cache = model_forward(kind, params, table, batch)
         _, grads, sparse = loss_and_backward(probs, batch.labels, cache)
-        state = EmbedAdamState.init(table)
-        adam_sparse_step(state, table.copy(), sparse, lr=1e-3, l2=l2, dense_l2=False)
+        assert len(sparse) == len(tables)
         tensors = dict(params.named_arrays())
         analytic = dict(grads)
-        for j in range(len(vocabs)):
-            tensors[f"embed.{j}"] = table.weights[j]
-            analytic[f"embed.{j}"] = state.m[j] / (1.0 - AdamConfig().beta1)
+        for prefix, t, sg in zip(("embed", "lr"), tables, sparse):
+            state = EmbedAdamState.init(t)
+            adam_sparse_step(state, t.copy(), sg, lr=1e-3, l2=l2, dense_l2=False)
+            for j in range(len(vocabs)):
+                tensors[f"{prefix}.{j}"] = t.weights[j]
+                analytic[f"{prefix}.{j}"] = state.m[j] / (1.0 - AdamConfig().beta1)
         for name, tensor in tensors.items():
             flat = tensor.reshape(-1)
             gflat = np.asarray(analytic[name]).reshape(-1)
@@ -282,6 +304,37 @@ class TestLoss:
                 assert err < 1e-5, f"{name}[{i}]: fd {fd} vs analytic {gflat[i]}"
 
 
+@pytest.mark.parametrize("kind", ["wd", "deepfm"])
+def test_lazy_step_leaves_absent_first_order_rows_alone(kind):
+    # The first-order weights take the embeddings' sparse path: in lazy mode
+    # a row absent from the batch keeps its weight, moments and step count.
+    rng = np.random.default_rng(21)
+    vocabs = [30, 40]
+    table = init_table(_fields(*vocabs), dim=2, init_sigma=0.3, seed=21)
+    params = init_dense_params(kind, table.fields, 2, 2, hidden=(5,), seed=21)
+    first_order = params.first_order
+    first_order.block[...] = rng.normal(size=first_order.block.shape)
+    state = EmbedAdamState.init(first_order)
+    state.m_block[...] = rng.normal(size=state.m_block.shape)
+    state.v_block[...] = rng.uniform(0.1, 1.0, size=state.v_block.shape)
+    state.col_t_block[...] = rng.integers(1, 50, size=len(state.col_t_block))
+    before = [a.copy() for a in (first_order.block, state.m_block, state.v_block,
+                                 state.col_t_block)]
+    batch = _batch(rng, vocabs, 8)
+    probs, cache = model_forward(kind, params, table, batch)
+    _, _, (_, sparse) = loss_and_backward(probs, batch.labels, cache)
+    adam_sparse_step(state, first_order, sparse, lr=1e-2, l2=1e-3, dense_l2=False)
+
+    touched = np.unique(batch.categorical + table.offsets[:-1])
+    assert np.array_equal(sparse.rows(first_order), touched)
+    absent = np.setdiff1d(np.arange(sum(vocabs)), touched)
+    after = (first_order.block, state.m_block, state.v_block, state.col_t_block)
+    for old, new in zip(before, after):
+        assert np.array_equal(new[absent], old[absent])
+    assert np.array_equal(state.col_t_block[touched], before[3][touched] + 1)
+    assert np.all(first_order.block[touched] != before[0][touched])
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_grad_check_short(kind):
     report = grad_check(kind, seed=99, n_trials=5)
@@ -290,24 +343,35 @@ def test_grad_check_short(kind):
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_checkpoint_roundtrip(kind, tmp_path):
+    from ctrlab.data import load_npz
     from ctrlab.models import load_checkpoint, save_checkpoint
 
     rng = np.random.default_rng(13)
     vocabs = [5, 8]
     table = init_table(_fields(*vocabs), dim=3, init_sigma=0.2, seed=13)
-    params = init_dense_params(kind, vocabs, 3, 2, hidden=(7, 4), cross_depth=2, seed=13)
+    params = init_dense_params(kind, table.fields, 3, 2, hidden=(7, 4), cross_depth=2, seed=13)
+    tables = model_tables(params, table)
+    if kind in ("wd", "deepfm"):
+        tables[1].block[...] = rng.normal(size=tables[1].block.shape)
     save_checkpoint(tmp_path / "ckpt.npz", params, table)
     params2, table2 = load_checkpoint(tmp_path / "ckpt.npz")
-    with np.load(tmp_path / "ckpt.npz") as z:  # the array names are part of the file format
-        names = ["header", "table:0", "table:1"] + [f"dense:{n}" for n, _ in params.named_arrays()]
-        assert sorted(z.files) == sorted(names)
+    header, arrays = load_npz(tmp_path / "ckpt.npz")
+    # the array names and shapes are part of the file format
+    shapes = {f"dense:{n}": a.shape for n, a in params.named_arrays()}
+    shapes.update({"table:0": (5, 3), "table:1": (8, 3)})
+    if kind in ("wd", "deepfm"):
+        shapes.update({"lr:0": (5, 1), "lr:1": (8, 1)})
+    assert {name: a.shape for name, a in arrays.items()} == shapes
+    assert header["table"] == {"fields": [{"name": "c0", "vocab_size": 5},
+                                          {"name": "c1", "vocab_size": 8}], "dim": 3}
     assert params2.kind == kind
     for (na, a), (nb, b) in zip(params.named_arrays(), params2.named_arrays()):
         assert na == nb and np.array_equal(a, b)
-    assert table2.fields == table.fields
-    assert (table2.dim, table2.init_sigma, table2.seed) == (3, 0.2, 13)
-    for a, b in zip(table.weights, table2.weights):
-        assert np.array_equal(a, b)
+    assert table2.fields == table.fields and table2.dim == 3
+    tables2 = model_tables(params2, table2)
+    assert len(tables2) == len(tables)
+    for a, b in zip(tables, tables2):
+        assert b.fields == a.fields and np.array_equal(a.block, b.block)
     # the restored pair computes identical probabilities
     batch = _batch(rng, vocabs, 6)
     p1, _ = model_forward(kind, params, table, batch)
@@ -316,29 +380,34 @@ def test_checkpoint_roundtrip(kind, tmp_path):
 
 
 def test_checkpoint_table_format_is_per_field(tmp_path):
-    # A checkpoint stores each field as its own (vocab, dim) array "table:{j}",
-    # as it did before the table became one block: files written either way
-    # load to the same arrays.
+    # A checkpoint stores each field of the embedding table as its own
+    # (vocab, dim) array "table:{j}", and of the first-order table as
+    # "lr:{j}" of shape (vocab, 1): files written from blocks or from
+    # separate arrays load to the same tables, and a wrong shape is named.
     from ctrlab.data import load_npz, save_npz
     from ctrlab.models import load_checkpoint, save_checkpoint
 
     vocabs = [5, 1, 8]
     table = init_table(_fields(*vocabs), dim=3, init_sigma=0.2, seed=14)
-    params = init_dense_params("wd", vocabs, 3, 2, hidden=(4,), seed=14)
+    params = init_dense_params("wd", table.fields, 3, 2, hidden=(4,), seed=14)
+    params.first_order.block[...] = np.arange(14.0)[:, None]
     save_checkpoint(tmp_path / "block.npz", params, table)
     header, arrays = load_npz(tmp_path / "block.npz")
-    for j, (v, w) in enumerate(zip(vocabs, table.weights)):
-        assert arrays[f"table:{j}"].shape == (v, 3)
-        assert np.array_equal(arrays[f"table:{j}"], w)
+    assert "init_sigma" not in header["table"] and "seed" not in header["table"]
 
     # the same file with every field a separate, freshly made array
     separate = {name: np.array(a) for name, a in arrays.items()}
     save_npz(tmp_path / "fields.npz", header, separate)
-    _, restored = load_checkpoint(tmp_path / "fields.npz")
-    assert np.array_equal(restored.block, table.block)
-    assert list(restored.offsets) == [0, 5, 6, 14]
+    params2, table2 = load_checkpoint(tmp_path / "fields.npz")
+    for prefix, stored, restored in (("table", table, table2),
+                                     ("lr", params.first_order, params2.first_order)):
+        for j, (v, w) in enumerate(zip(vocabs, stored.weights)):
+            assert arrays[f"{prefix}:{j}"].shape == (v, stored.dim)
+            assert np.array_equal(arrays[f"{prefix}:{j}"], w)
+        assert np.array_equal(restored.block, stored.block)
+        assert list(restored.offsets) == [0, 5, 6, 14]
 
-    separate["table:1"] = np.zeros((2, 3))
-    save_npz(tmp_path / "bad.npz", header, separate)
-    with pytest.raises(ValueError, match="table:1"):
-        load_checkpoint(tmp_path / "bad.npz")
+        bad = dict(separate, **{f"{prefix}:1": np.zeros((2, stored.dim))})
+        save_npz(tmp_path / "bad.npz", header, bad)
+        with pytest.raises(ValueError, match=f"{prefix}:1 has shape"):
+            load_checkpoint(tmp_path / "bad.npz")
