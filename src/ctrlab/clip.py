@@ -52,7 +52,8 @@ def _scale_rows(grads: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(grads, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     scale = np.minimum(1.0, thresholds / safe)
-    return grads * scale[:, None]
+    # Thresholds built from int64 counts are float64; the gradient keeps its dtype.
+    return grads * scale.astype(grads.dtype, copy=False)[:, None]
 
 
 def _with_grads(sparse_grad: SparseGradient, grad_block: np.ndarray) -> SparseGradient:
@@ -68,7 +69,7 @@ def _with_grads(sparse_grad: SparseGradient, grad_block: np.ndarray) -> SparseGr
 
 def _clip_blocks(sparse_grad: SparseGradient, thresholds: list[float]) -> SparseGradient:
     """Rescale each field's gradient block whose norm exceeds its threshold."""
-    factors = np.ones(sparse_grad.n_fields)
+    factors = np.ones(sparse_grad.n_fields, sparse_grad.grad_block.dtype)
     for j, (g, threshold) in enumerate(zip(sparse_grad.grads, thresholds)):
         block_norm = float(np.linalg.norm(g))
         if block_norm > threshold and block_norm > 0:

@@ -1,8 +1,8 @@
 """Embedding tables stored as one block, with sparse per-id gradient accumulation.
 
-All categorical fields share one row-major (sum of vocab sizes, dim) float64
-block.  Field j owns rows offsets[j]:offsets[j+1], and row offsets[j] + k is
-the learned vector for id k of field j: the "column" of the classic
+All categorical fields share one row-major (sum of vocab sizes, dim) block.
+Field j owns rows offsets[j]:offsets[j+1], and row offsets[j] + k is the
+learned vector for id k of field j: the "column" of the classic
 one-hot-times-matrix view, and the unit that column-wise clipping operates
 on.  Lookup, accumulation, clipping and the optimizer steps work on these
 global rows, so each is one pass over all fields.
@@ -15,6 +15,14 @@ The per-field arrays (EmbeddingTable.weights, SparseGradient.ids, .grads,
 .counts) are views of the blocks, handed out as tuples: writing into a view
 writes the block, and rebinding a field is an error rather than a silent
 desync.
+
+Training runs in float32 (TRAIN_DTYPE), as the paper does on its GPU: the
+dense-mode optimizer pass over every table entry is bound by memory traffic
+and the MLP by matrix products, and float32 halves the bytes of the one and
+doubles the BLAS rate of the other.  init_table, models.init_dense_params
+and models.load_checkpoint are the only places that pick a dtype; every
+other step keeps its inputs' dtype, so the finite-difference checks, which
+build float64 tensors, run the same code in float64.
 """
 
 from __future__ import annotations
@@ -25,6 +33,10 @@ from functools import cached_property
 import numpy as np
 
 from .data import CATEGORICAL, Batch, Dataset, FieldSchema
+
+# The dtype of every trained array: tables, dense weights, optimizer moments
+# and activations.
+TRAIN_DTYPE = np.float32
 
 
 def field_offsets(fields: tuple[FieldSchema, ...]) -> np.ndarray:
@@ -44,7 +56,7 @@ def split_rows(block: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, ...]:
 class EmbeddingTable:
     fields: tuple[FieldSchema, ...]
     dim: int
-    block: np.ndarray  # (sum of vocab sizes, dim) float64
+    block: np.ndarray  # (sum of vocab sizes, dim), TRAIN_DTYPE in training
     offsets: np.ndarray = field(init=False, repr=False)
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False)  # per field, views
 
@@ -89,7 +101,7 @@ class SparseGradient:
     """
 
     id_block: np.ndarray     # (k,) int64
-    grad_block: np.ndarray   # (k, dim) float64
+    grad_block: np.ndarray   # (k, dim), the dtype of the upstream gradient
     count_block: np.ndarray  # (k,) int64, samples selecting the id
     cuts: np.ndarray         # (n_fields + 1,) int64
 
@@ -98,11 +110,10 @@ class SparseGradient:
         """Build from per-field sequences of ids, (k_j, dim) grads and counts."""
         cuts = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum([len(a) for a in ids], out=cuts[1:])
-        dim = np.shape(grads[0])[1] if len(grads) else 0
         none = np.zeros(0, dtype=np.int64)
         return cls(
             np.concatenate([none, *ids]),
-            np.concatenate([np.zeros((0, dim)), *grads]),
+            np.concatenate(grads) if len(grads) else np.zeros((0, 0), TRAIN_DTYPE),
             np.concatenate([none, *counts]),
             cuts,
         )
@@ -135,8 +146,12 @@ def init_table(
     dim: int,
     init_sigma: float = 1e-4,
     seed: int = 0,
+    dtype=TRAIN_DTYPE,
 ) -> EmbeddingTable:
-    """Entries i.i.d. Normal(0, init_sigma); expected id-vector norm ~ sqrt(dim)*sigma."""
+    """Entries i.i.d. Normal(0, init_sigma); expected id-vector norm ~ sqrt(dim)*sigma.
+
+    The draws are float64 and are rounded to dtype as they are stored.
+    """
     if isinstance(fields, Dataset):
         fields = fields.categorical_fields
     fields = tuple(fields)
@@ -147,7 +162,7 @@ def init_table(
     if init_sigma <= 0:
         raise ValueError("init_sigma must be > 0")
     rng = np.random.default_rng(seed)
-    table = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim)))
+    table = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim), dtype))
     # Field by field, so the draw never holds a second whole-table array.
     for f, w in zip(fields, table.weights):
         w[...] = rng.normal(0.0, init_sigma, size=(f.vocab_size, dim))
@@ -188,14 +203,14 @@ def accumulate_gradients(
     uniq, inverse, counts = record.unique_rows
     # One bin per (unique row, column).  A row belongs to one field, so
     # bincount adds each bin's samples in row order starting from 0.0,
-    # exactly as np.add.at would.
+    # exactly as np.add.at would on float64.
     bins = (inverse.reshape(-1, 1) * d + np.arange(d)).ravel()
     sums = np.bincount(bins, weights=upstream.ravel(), minlength=len(uniq) * d)
     cuts = np.searchsorted(uniq, record.offsets)
     ids = uniq - np.repeat(record.offsets[:-1], np.diff(cuts))
-    return SparseGradient(
-        ids, sums.reshape(len(uniq), d) / batch_size, counts.astype(np.int64), cuts
-    )
+    # bincount sums in float64; the gradient takes the upstream's dtype.
+    grads = (sums.reshape(len(uniq), d) / batch_size).astype(upstream.dtype, copy=False)
+    return SparseGradient(ids, grads, counts.astype(np.int64), cuts)
 
 
 def column_norms(obj: EmbeddingTable | SparseGradient) -> list[np.ndarray]:

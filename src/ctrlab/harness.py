@@ -542,9 +542,10 @@ class GradCheckReport:
 def _tiny_setup(kind: str, rng: np.random.Generator):
     n_fields, vocab, dim, n_dense, b = 3, 5, 3, 2, 6
     fields = tuple(FieldSchema(f"c{j}", CATEGORICAL, vocab) for j in range(n_fields))
-    table = init_table(fields, dim, init_sigma=0.4, seed=rng.integers(2**32))
+    table = init_table(fields, dim, init_sigma=0.4, seed=rng.integers(2**32), dtype=np.float64)
     params = init_dense_params(
         kind, fields, dim, n_dense, hidden=(8, 6), cross_depth=2, seed=rng.integers(2**32),
+        dtype=np.float64,
     )
     # First-order weights start at zero; randomize them so their gradients get exercised
     if params.first_order is not None:
@@ -573,6 +574,12 @@ def grad_check(model_kind: str, seed: int, n_trials: int = 10) -> GradCheckRepor
     ill-conditioned: a pre-activation within 1e-6 of a ReLU kink, and a
     saturated output probability (|logit| > 8, where the cancellation inside
     log(1-p) drowns the difference quotient).
+
+    The check builds float64 tensors although training runs in float32: at
+    h = 1e-6, float32's rounding of a loss near 1 (about 6e-8) alone would
+    put an error near 0.03 into the difference quotient, far above the 1e-5
+    tolerance.  Every layer keeps its inputs' dtype, so this runs the
+    trainer's code in float64.
     """
     if model_kind not in models.MODEL_KINDS:
         raise ValueError(f"unknown model kind {model_kind!r}")

@@ -11,6 +11,11 @@ Dense (continuous) features feed the deep stream only; the wide/cross streams
 see the categorical embeddings.  Backward passes return gradient sums over the
 batch; loss_and_backward normalizes by the batch size once at the end.
 
+Weights, activations and gradients are float32 in training
+(embedding.TRAIN_DTYPE), set by init_dense_params and init_table; every
+layer keeps its inputs' dtype.  The output probability, the loss and the
+metrics are float64: they cost b entries, and log(1 - p) needs the digits.
+
 The logistic regression's per-id weights are a dim-1 embedding table over the
 embedding table's fields, so they share its rows, its sparse gradients and
 its optimizer; only the scalar bias is a dense parameter.
@@ -25,6 +30,7 @@ import numpy as np
 from . import metrics
 from .data import CATEGORICAL, Batch, FieldSchema, load_npz, save_npz
 from .embedding import (
+    TRAIN_DTYPE,
     EmbeddingTable,
     LookupRecord,
     SparseGradient,
@@ -38,7 +44,9 @@ FIRST_ORDER_KINDS = ("wd", "deepfm")  # heads with a logistic-regression term
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
+    """Elementwise logistic function, in float64 whatever x's dtype."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -85,8 +93,12 @@ def init_dense_params(
     hidden: tuple[int, ...] = (400, 400, 400),
     cross_depth: int = 3,
     seed: int = 0,
+    dtype=TRAIN_DTYPE,
 ) -> DenseParams:
-    """Kaiming (fan-in) normal weight matrices; zero biases and first-order table."""
+    """Kaiming (fan-in) normal weight matrices; zero biases and first-order table.
+
+    The draws are float64 and are rounded to dtype.
+    """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     rng = np.random.default_rng(seed)
@@ -95,25 +107,28 @@ def init_dense_params(
     width = d_cross + n_dense
 
     def kaiming(shape, fan_in):
-        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
+
+    def zeros(shape):
+        return np.zeros(shape, dtype)
 
     mlp = []
     prev = width
     for h in hidden:
-        mlp.append((kaiming((prev, h), prev), np.zeros(h)))
+        mlp.append((kaiming((prev, h), prev), zeros(h)))
         prev = h
-    mlp.append((kaiming((prev, 1), prev), np.zeros(1)))
+    mlp.append((kaiming((prev, 1), prev), zeros(1)))
 
     params = DenseParams(kind=kind, mlp=mlp)
     if kind in FIRST_ORDER_KINDS:
-        params.lr_bias = np.zeros(())
-        params.first_order = EmbeddingTable(fields, 1, np.zeros((field_offsets(fields)[-1], 1)))
+        params.lr_bias = zeros(())
+        params.first_order = EmbeddingTable(fields, 1, zeros((field_offsets(fields)[-1], 1)))
     if kind in ("dcn", "dcnv2"):
         for _ in range(cross_depth):
             if kind == "dcn":
-                params.cross.append((kaiming((d_cross,), d_cross), np.zeros(d_cross)))
+                params.cross.append((kaiming((d_cross,), d_cross), zeros(d_cross)))
             else:
-                params.cross.append((kaiming((d_cross, d_cross), d_cross), np.zeros(d_cross)))
+                params.cross.append((kaiming((d_cross, d_cross), d_cross), zeros(d_cross)))
         params.cross_out = kaiming((d_cross,), d_cross)
     return params
 
@@ -249,7 +264,8 @@ def model_forward(
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     embedded, record = lookup_forward(table, batch)
-    x_mlp = np.concatenate([embedded, batch.dense], axis=1)
+    # The dataset's dense features are float64; the model runs in the table's dtype.
+    x_mlp = np.concatenate([embedded, batch.dense], axis=1, dtype=embedded.dtype)
     logit, mlp_cache = mlp_forward(params.mlp, x_mlp)
     cache = ForwardCache(kind, params, table, record, embedded, x_mlp, mlp_cache, logit)
 
@@ -293,7 +309,8 @@ def loss_and_backward(
     b = len(labels)
     y = np.asarray(labels, dtype=np.float64)
     loss = metrics.logloss(probabilities, y, eps_p)
-    dlogit = probabilities - y  # d(per-sample loss)/d(logit)
+    # d(per-sample loss)/d(logit), back in the model's dtype
+    dlogit = (probabilities - y).astype(cache.logit.dtype, copy=False)
 
     grads, dmlp_in = mlp_backward(params.mlp, cache.mlp_cache, dlogit)
     width = table.n_fields * table.dim
@@ -351,8 +368,9 @@ def save_checkpoint(path, params: DenseParams, table: EmbeddingTable) -> None:
 
 
 def load_checkpoint(path) -> tuple[DenseParams, EmbeddingTable]:
+    """The saved model, in the training dtype whatever dtype the file holds."""
     header, z = load_npz(path)
-    dense = {name: z[f"dense:{name}"] for name in header["dense_names"]}
+    dense = {name: z[f"dense:{name}"].astype(TRAIN_DTYPE) for name in header["dense_names"]}
     t = header["table"]
     fields = tuple(FieldSchema(f["name"], CATEGORICAL, f["vocab_size"]) for f in t["fields"])
     table = _load_table(z, "table", fields, t["dim"])
@@ -363,7 +381,7 @@ def load_checkpoint(path) -> tuple[DenseParams, EmbeddingTable]:
 
 
 def _load_table(z, prefix: str, fields: tuple[FieldSchema, ...], dim: int) -> EmbeddingTable:
-    table = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim)))
+    table = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim), TRAIN_DTYPE))
     for j, w in enumerate(table.weights):
         stored = z[f"{prefix}:{j}"]
         if stored.shape != w.shape:

@@ -10,6 +10,11 @@ costs no copy of its parameters; in lazy mode the embedding step reads and
 writes only the touched rows.  Adam's arithmetic, for both steps and for
 the loss-scaling probe, is one kernel, _adam_update.  The SGD probe checks
 the same derivation for plain SGD with its own arithmetic.
+
+The moments and work buffers take their parameters' dtype, float32 in
+training (embedding.TRAIN_DTYPE): the dense-mode embedding pass streams
+every table entry each step, so its cost follows the bytes per entry.  The
+probes run their own float64 arrays through the same kernel.
 """
 
 from __future__ import annotations
@@ -20,10 +25,22 @@ import numpy as np
 
 from .embedding import EmbeddingTable, SparseGradient, split_rows
 
-# Entries per slice of the dense-mode Adam pass.  The pass streams five
-# arrays; slices of 2**15 entries (256 KB each) keep them in a core's L2,
-# where one pass over a whole 600k-entry block measured 17 % slower.
-DENSE_CHUNK = 1 << 15
+# Bytes per array in one slice of the dense-mode Adam pass.  The pass streams
+# five arrays; 256 KiB slices keep them in a core's L2, where one pass over a
+# whole 600k-entry block measured 17 % slower.  In bytes, because the best
+# slice measured 2**15 entries in float64 and 2**16 in float32.
+DENSE_CHUNK_BYTES = 256 * 1024
+
+# Every FLUSH_EVERY steps the dense-mode pass sets to 0 each entry whose
+# weight fell below sqrt(tiny) of its dtype (1e-19 in float32), and its m.
+# An id long absent decays under L2 towards 0 without reaching it; once its
+# entries turn subnormal, each op on them runs about 20 times slower
+# (measured on a Xeon), which made the third float32 epoch of a DESK run
+# 2.4 times as long as the first.  From sqrt(tiny) an entry took at least
+# 467 steps to turn subnormal (lr 1e-4 to 0.1, l2 1e-6 to 1), so a flush
+# every 16 steps catches it; a flush every step cost a fifth of the pass.
+# The flushed weights are far below any that matters.
+FLUSH_EVERY = 16
 
 
 @dataclass(frozen=True)
@@ -105,8 +122,8 @@ def adam_step(
                      np.empty_like(w), np.empty_like(w))
 
 
-def _slice_rows(dim: int) -> int:
-    return max(1, DENSE_CHUNK // dim)
+def _slice_rows(dim: int, itemsize: int) -> int:
+    return max(1, DENSE_CHUNK_BYTES // (dim * itemsize))
 
 
 @dataclass(eq=False)
@@ -114,7 +131,7 @@ class EmbedAdamState:
     """Adam moments shaped like the table's block, with per-row step counts for lazy mode.
 
     m, v and col_t give the same per field, as views.  scratch holds two work
-    buffers for one DENSE_CHUNK slice of the dense-mode step; they carry
+    buffers and a mask for one slice of the dense-mode step; they carry
     nothing from one step to the next and are not optimizer state.
     """
 
@@ -123,12 +140,13 @@ class EmbedAdamState:
     col_t_block: np.ndarray  # (rows,) int64
     offsets: np.ndarray      # the table's field offsets
     t: int = 0
-    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         rows, dim = self.m_block.shape
-        shape = (min(rows, _slice_rows(dim)), dim)
-        self.scratch = (np.empty(shape), np.empty(shape))
+        dtype = self.m_block.dtype
+        shape = (min(rows, _slice_rows(dim, dtype.itemsize)), dim)
+        self.scratch = (np.empty(shape, dtype), np.empty(shape, dtype), np.empty(shape, bool))
 
     @classmethod
     def init(cls, table: EmbeddingTable) -> "EmbedAdamState":
@@ -168,6 +186,8 @@ def adam_sparse_step(
     in one pass.
     dense_l2 on: every id vector steps every time; absent ids see the pure
     decay gradient l2*w, so regularization keeps acting between occurrences.
+    Every FLUSH_EVERY steps, an entry whose weight fell below sqrt(tiny) of
+    its dtype is set to 0 together with its m.
     dense_l2 off: absent ids and their moments stay untouched, bias
     correction runs on per-id step counts, and the cost is O(touched ids).
     """
@@ -176,14 +196,16 @@ def adam_sparse_step(
     if dense_l2:
         bc1 = 1.0 - cfg.beta1 ** state.t
         bc2 = 1.0 - cfg.beta2 ** state.t
+        flush = state.t % FLUSH_EVERY == 0
+        flush_below = np.sqrt(np.finfo(w.dtype).tiny)
         # One pass over the block, a slice of rows at a time; rows is sorted,
         # so each slice's touched rows are one run of it.
-        step = _slice_rows(table.dim)
+        step = _slice_rows(table.dim, w.itemsize)
         starts = np.arange(0, len(w), step)
         runs = np.searchsorted(rows, np.append(starts, len(w)))
         for a, lo, hi in zip(starts.tolist(), runs[:-1].tolist(), runs[1:].tolist()):
             z = min(a + step, len(w))
-            g, tmp = state.scratch[0][: z - a], state.scratch[1][: z - a]
+            g, tmp, low = (buf[: z - a] for buf in state.scratch)
             if l2:
                 np.multiply(w[a:z], l2, out=g)
             else:
@@ -191,6 +213,10 @@ def adam_sparse_step(
             g[rows[lo:hi] - a] += sparse_grad.grad_block[lo:hi]
             _adam_update(w[a:z], state.m_block[a:z], state.v_block[a:z], g,
                          lr, bc1, bc2, cfg, tmp, g)
+            if flush:
+                np.less(np.abs(w[a:z], out=tmp), flush_below, out=low)
+                np.copyto(w[a:z], 0.0, where=low)
+                np.copyto(state.m_block[a:z], 0.0, where=low)
     elif len(rows):
         # Each touched row is gathered and scattered once per array, and
         # bias correction runs on the rows' own step counts.
@@ -206,8 +232,10 @@ def adam_sparse_step(
         # g can take den's values only when it is this step's own array,
         # not the caller's gradient block.
         den = g if l2 else np.empty_like(m)
-        _adam_update(w_rows, m, v, g, lr, 1.0 - cfg.beta1 ** tj, 1.0 - cfg.beta2 ** tj,
-                     cfg, np.empty_like(m), den)
+        # The per-row bias corrections come out float64; they take w's dtype.
+        bc1 = (1.0 - cfg.beta1 ** tj).astype(w.dtype)
+        bc2 = (1.0 - cfg.beta2 ** tj).astype(w.dtype)
+        _adam_update(w_rows, m, v, g, lr, bc1, bc2, cfg, np.empty_like(m), den)
         state.m_block[rows] = m
         state.v_block[rows] = v
         w[rows] = w_rows

@@ -20,8 +20,9 @@ from ctrlab.scaling import clip_value_scale
 
 
 def _table(vocabs, dim=4, sigma=0.1, seed=0):
+    # float64, since the tests hold the clip to float64 hand values and bounds
     fields = tuple(FieldSchema(f"c{j}", CATEGORICAL, v) for j, v in enumerate(vocabs))
-    return init_table(fields, dim, init_sigma=sigma, seed=seed)
+    return init_table(fields, dim, init_sigma=sigma, seed=seed, dtype=np.float64)
 
 
 def _sparse(rng, table, touched_per_field=3, scale=1.0):

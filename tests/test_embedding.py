@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ctrlab.data import CATEGORICAL, Batch, FieldSchema
 from ctrlab.embedding import (
+    TRAIN_DTYPE,
     SparseGradient,
     accumulate_gradients,
     column_norms,
@@ -142,12 +143,14 @@ class TestBlockLayout:
 
     def test_block_matches_per_field_draws(self):
         # The block is filled field by field from one generator, so it holds
-        # the per-field draws that separate per-field arrays used to hold.
+        # the per-field draws that separate per-field arrays used to hold,
+        # rounded to the training dtype.
         vocabs, dim, sigma = (6, 1, 9), 3, 0.5
         table = init_table(_fields(*vocabs), dim=dim, init_sigma=sigma, seed=11)
+        assert table.block.dtype == TRAIN_DTYPE
         rng = np.random.default_rng(11)
         for v, w in zip(vocabs, table.weights):
-            assert np.array_equal(w, rng.normal(0.0, sigma, size=(v, dim)))
+            assert np.array_equal(w, rng.normal(0.0, sigma, size=(v, dim)).astype(TRAIN_DTYPE))
 
 
 class TestAccumulate:

@@ -5,16 +5,19 @@ through the trainer: the model head, the clip variant with its batch-scaled
 threshold, the scaling rule, and the embedding step's mode (dense L2 or
 lazy).  The hash covers every number of the run record except wall-clock
 time, and the config itself.
-The hashes were recorded with numpy 2.4 on OpenBLAS; a BLAS that sums in a
-different order may differ in the last bits.
+The hashes were recorded training in float32 with numpy 2.4 on OpenBLAS; a
+BLAS that sums in a different order may differ in the last bits.
 """
 
 import hashlib
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from ctrlab import models, optim
+from ctrlab.embedding import TRAIN_DTYPE
 from ctrlab.harness import ExperimentConfig, record_fingerprint, train
 
 TINY = ExperimentConfig(
@@ -29,27 +32,27 @@ GOLDEN = {
     "deepfm-cowclip-dense-l2": (
         replace(TINY, model_kind="deepfm", rule="cowclip", clip_variant="cowclip",
                 batch_size=128, dense_l2=True),
-        "ea7ce7019ec79a3e8ceca4d4ecbbc92d6ea9f2c48877a0b288d7b6b42e6815ec",
+        "3059bcfe83d602ecc32e1026b7df3123896d16b9d5943ccfa420a630c45a54e6",
     ),
     "wd-cowclip-lazy": (
         replace(TINY, model_kind="wd", rule="cowclip", clip_variant="cowclip",
                 batch_size=128, dense_l2=False),
-        "aad3e502223fc9d10371b5403169288d8ba4273a5eae366ae7f1ad67f7747689",
+        "c63efef0536d59203f1220ee6863eee415b01859fcaa240be5a6c28b727c5ccb",
     ),
     "dcn-fieldwise-s4-sqrt": (
         replace(TINY, model_kind="dcn", clip_variant="fieldwise", clip_value=3e-3,
                 clip_mode="sqrt", **S4),
-        "33eec04bb20982fde3dc8e43285a44a969aeacd4525e76290643b58b4281730a",
+        "537166e1e6130bab0591dfe02687afa016b4cdb5fb24268c489db12aae2be494",
     ),
     "dcnv2-global-s4-linear": (
         replace(TINY, model_kind="dcnv2", clip_variant="global", clip_value=3e-3,
                 clip_mode="linear", **S4),
-        "cbdf751c4d7513bf61bd94a1735588dce47d1dae167c30bb1d0ab41599a633f7",
+        "7c33ca3fab6e331174067e5e6fa795ac2bad537e81b1195884829a40b33db268",
     ),
     "dcnv2-columnwise-s4-linear": (
         replace(TINY, model_kind="dcnv2", clip_variant="columnwise", clip_value=3e-3,
                 clip_mode="linear", **S4),
-        "8d64c3993160ffc2599927d5408e225aafa1a064e9e9faa6eced3cc385e9f54b",
+        "28268bc64658c96f685b4237caf7ca3d40445d4d7cdebeb0392cdf09e98ce2f3",
     ),
 }
 
@@ -64,3 +67,40 @@ def _hash(config: ExperimentConfig) -> str:
 def test_golden_fingerprint(name):
     config, expected = GOLDEN[name]
     assert _hash(config) == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_training_stays_in_the_training_dtype(name, monkeypatch):
+    # numpy silently upcasts to float64 where an op mixes in a float64 array;
+    # every Adam operand (per-row bias corrections included), every dense
+    # gradient and every sparse gradient, before and after clipping, must
+    # stay in the training dtype.
+    config = GOLDEN[name][0]
+    dtypes = {"adam": set(), "dense grads": set(), "sparse grads": set()}
+    row_corrections = []
+    adam_update, loss_and_backward = optim._adam_update, models.loss_and_backward
+    sparse_step = optim.adam_sparse_step
+
+    def adam_spy(*args):
+        dtypes["adam"].update(a.dtype for a in args if isinstance(a, np.ndarray))
+        row_corrections.append(isinstance(args[5], np.ndarray))
+        adam_update(*args)
+
+    def loss_spy(*args, **kwargs):
+        out = loss_and_backward(*args, **kwargs)
+        dtypes["dense grads"].update(g.dtype for g in out[1].values())
+        dtypes["sparse grads"].update(s.grad_block.dtype for s in out[2])
+        return out
+
+    def sparse_step_spy(state, table, sparse_grad, *args, **kwargs):
+        dtypes["sparse grads"].add(sparse_grad.grad_block.dtype)  # clipped
+        sparse_step(state, table, sparse_grad, *args, **kwargs)
+
+    monkeypatch.setattr(optim, "_adam_update", adam_spy)
+    monkeypatch.setattr(models, "loss_and_backward", loss_spy)
+    monkeypatch.setattr(optim, "adam_sparse_step", sparse_step_spy)
+    train(config, seed=1)
+    for kind, seen in dtypes.items():
+        assert seen == {np.dtype(TRAIN_DTYPE)}, kind
+    # lazy mode corrects each row by its own step count, as an array
+    assert any(row_corrections) == (not config.dense_l2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctrlab.data import CATEGORICAL, Batch, FieldSchema
-from ctrlab.embedding import EmbeddingTable, init_table, lookup_forward
+from ctrlab.embedding import TRAIN_DTYPE, EmbeddingTable, init_table, lookup_forward
 from ctrlab.harness import grad_check
 from ctrlab.metrics import logloss
 from ctrlab.models import (
@@ -213,8 +213,10 @@ class TestModelForward:
         batch = _batch(rng, vocabs, 7)
         probs, _ = model_forward("wd", params, table, batch)
         ids = batch.categorical
-        expected = 0.4 + w0[ids[:, 0], 0] + w1[ids[:, 1], 0]
-        assert np.allclose(probs, 1 / (1 + np.exp(-expected)), rtol=0, atol=1e-15)
+        # the logit in the weights' dtype, added in the model's order
+        logit = params.lr_bias + (w0[ids[:, 0], 0] + w1[ids[:, 1], 0])
+        expected = 1 / (1 + np.exp(-logit.astype(np.float64)))
+        assert np.allclose(probs, expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_deterministic(self, kind):
@@ -263,9 +265,10 @@ class TestLoss:
         rng = np.random.default_rng(11)
         vocabs = [4, 3]
         dim, n_dense, l2 = 2, 2, 0.05
-        table = init_table(_fields(*vocabs), dim=dim, init_sigma=0.5, seed=4)
+        # float64: central differences at h = 1e-6 need more than float32's digits
+        table = init_table(_fields(*vocabs), dim=dim, init_sigma=0.5, seed=4, dtype=np.float64)
         params = init_dense_params(kind, table.fields, dim, n_dense, hidden=(5,),
-                                   cross_depth=2, seed=4)
+                                   cross_depth=2, seed=4, dtype=np.float64)
         batch = _batch(rng, vocabs, 6)
         tables = model_tables(params, table)
         if kind in ("wd", "deepfm"):  # off zero, so that the L2 term shows
@@ -365,14 +368,16 @@ def test_checkpoint_roundtrip(kind, tmp_path):
     assert header["table"] == {"fields": [{"name": "c0", "vocab_size": 5},
                                           {"name": "c1", "vocab_size": 8}], "dim": 3}
     assert params2.kind == kind
+    # the restored model keeps the training dtype, so it trains and predicts as before
     for (na, a), (nb, b) in zip(params.named_arrays(), params2.named_arrays()):
-        assert na == nb and np.array_equal(a, b)
+        assert na == nb and np.array_equal(a, b) and b.dtype == TRAIN_DTYPE
     assert table2.fields == table.fields and table2.dim == 3
     tables2 = model_tables(params2, table2)
     assert len(tables2) == len(tables)
     for a, b in zip(tables, tables2):
         assert b.fields == a.fields and np.array_equal(a.block, b.block)
-    # the restored pair computes identical probabilities
+        assert b.block.dtype == TRAIN_DTYPE
+    # the restored pair computes bit-identical probabilities
     batch = _batch(rng, vocabs, 6)
     p1, _ = model_forward(kind, params, table, batch)
     p2, _ = model_forward(kind, params2, table2, batch)
@@ -395,16 +400,18 @@ def test_checkpoint_table_format_is_per_field(tmp_path):
     header, arrays = load_npz(tmp_path / "block.npz")
     assert "init_sigma" not in header["table"] and "seed" not in header["table"]
 
-    # the same file with every field a separate, freshly made array
-    separate = {name: np.array(a) for name, a in arrays.items()}
+    # the same file with every field a separate, freshly made float64 array
+    # loads to the same tables, in the training dtype
+    separate = {name: np.array(a, dtype=np.float64) for name, a in arrays.items()}
     save_npz(tmp_path / "fields.npz", header, separate)
     params2, table2 = load_checkpoint(tmp_path / "fields.npz")
+    assert all(a.dtype == TRAIN_DTYPE for _, a in params2.named_arrays())
     for prefix, stored, restored in (("table", table, table2),
                                      ("lr", params.first_order, params2.first_order)):
         for j, (v, w) in enumerate(zip(vocabs, stored.weights)):
             assert arrays[f"{prefix}:{j}"].shape == (v, stored.dim)
             assert np.array_equal(arrays[f"{prefix}:{j}"], w)
-        assert np.array_equal(restored.block, stored.block)
+        assert np.array_equal(restored.block, stored.block) and restored.block.dtype == TRAIN_DTYPE
         assert list(restored.offsets) == [0, 5, 6, 14]
 
         bad = dict(separate, **{f"{prefix}:1": np.zeros((2, stored.dim))})

@@ -9,7 +9,7 @@ import pytest
 
 from ctrlab import optim
 from ctrlab.data import CATEGORICAL, FieldSchema
-from ctrlab.embedding import SparseGradient, column_norms, init_table
+from ctrlab.embedding import TRAIN_DTYPE, SparseGradient, column_norms, init_table
 from ctrlab.optim import (
     AdamConfig,
     AdamState,
@@ -124,9 +124,9 @@ class TestDenseInPlaceMatchesReference:
                 assert np.array_equal(grads[name], snapshot[name])
 
 
-def _table_and_grad(vocab=6, dim=3, seed=0, sigma=0.01):
+def _table_and_grad(vocab=6, dim=3, seed=0, sigma=0.01, dtype=TRAIN_DTYPE):
     fields = (FieldSchema("c", CATEGORICAL, vocab),)
-    table = init_table(fields, dim, init_sigma=sigma, seed=seed)
+    table = init_table(fields, dim, init_sigma=sigma, seed=seed, dtype=dtype)
     return table
 
 
@@ -164,8 +164,24 @@ class TestAdamSparse:
         for before, after in zip(norms, norms[1:]):
             assert np.all(after < before)
 
+    def test_dense_l2_flushes_decayed_entries_to_zero(self):
+        # Under pure L2 an absent id's entries shrink towards 0 without
+        # reaching it; the periodic flush sets them to 0 before any turns
+        # subnormal, where each op on it runs many times slower.
+        table = _table_and_grad(vocab=4, dim=2, sigma=1e-2, seed=5)
+        state = EmbedAdamState.init(table)
+        empty = SparseGradient.from_fields([np.array([], dtype=np.int64)],
+                               [np.zeros((0, 2))], [np.array([], dtype=np.int64)])
+        tiny = np.finfo(TRAIN_DTYPE).tiny
+        for _ in range(800):
+            adam_sparse_step(state, table, empty, lr=1e-3, l2=1e-4, dense_l2=True)
+            for a in (table.block, state.m_block, state.v_block):
+                assert not np.any((a != 0) & (np.abs(a) < tiny))
+        assert not table.block.any() and not state.m_block.any()
+
     def test_dense_mode_matches_scalar_adam_per_entry(self):
-        table = _table_and_grad(vocab=2, dim=1, sigma=0.5, seed=4)
+        # float64, to meet the float64 scalar oracle at 1e-14
+        table = _table_and_grad(vocab=2, dim=1, sigma=0.5, seed=4, dtype=np.float64)
         w0 = float(table.weights[0][1, 0])
         state = EmbedAdamState.init(table)
         grads = [0.4, -0.2, 0.1]
@@ -208,6 +224,10 @@ def reference_adam_sparse_step(state, table, sparse_grad, lr, l2=0.0, dense_l2=T
             new.m[j] = cfg.beta1 * new.m[j] + (1.0 - cfg.beta1) * g
             new.v[j] = cfg.beta2 * new.v[j] + (1.0 - cfg.beta2) * g * g
             w -= lr * (new.m[j] / bc1) / (np.sqrt(new.v[j] / bc2) + cfg.eps)
+            if new.t % optim.FLUSH_EVERY == 0:
+                flushed = np.abs(w) < np.sqrt(np.finfo(w.dtype).tiny)
+                w[flushed] = 0.0
+                new.m[j][flushed] = 0.0
     else:
         for j in range(sparse_grad.n_fields):
             ids = sparse_grad.ids[j]
@@ -220,22 +240,24 @@ def reference_adam_sparse_step(state, table, sparse_grad, lr, l2=0.0, dense_l2=T
             m = cfg.beta1 * new.m[j][ids] + (1.0 - cfg.beta1) * g
             v = cfg.beta2 * new.v[j][ids] + (1.0 - cfg.beta2) * g * g
             new.m[j][ids], new.v[j][ids] = m, v
-            mhat = m / (1.0 - cfg.beta1 ** tj)
-            vhat = v / (1.0 - cfg.beta2 ** tj)
+            # the per-row bias corrections in the table's dtype
+            mhat = m / (1.0 - cfg.beta1 ** tj).astype(w.dtype)
+            vhat = v / (1.0 - cfg.beta2 ** tj).astype(w.dtype)
             w[ids] -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
     return new, out
 
 
 def _random_sparse_grad(rng, vocabs, dim, step):
     """Each field touches a random id subset, sometimes none; every fifth step
-    the gradient covers only the leading fields of the table."""
+    the gradient covers only the leading fields of the table.  The gradient
+    is in the training dtype, as accumulate_gradients makes it."""
     n_fields = len(vocabs) - 1 if step % 5 == 4 else len(vocabs)
     ids, grads, counts = [], [], []
     for j in range(n_fields):
         k = int(rng.integers(0, vocabs[j] + 1)) if rng.random() > 0.25 else 0
         touched = np.sort(rng.choice(vocabs[j], size=k, replace=False)).astype(np.int64)
         ids.append(touched)
-        grads.append(rng.normal(scale=10.0 ** rng.uniform(-4, 0), size=(k, dim)))
+        grads.append(rng.normal(scale=10.0 ** rng.uniform(-4, 0), size=(k, dim)).astype(TRAIN_DTYPE))
         counts.append(rng.integers(1, 5, size=k).astype(np.int64))
     return SparseGradient.from_fields(ids, grads, counts)
 
@@ -287,7 +309,7 @@ class TestInPlaceMatchesReference:
     def test_adam_dense_pass_in_slices_bit_exact(self, l2, monkeypatch):
         # A 7-entry slice steps the 20-row, dim-3 table two rows at a time,
         # with slice edges inside and across fields.
-        monkeypatch.setattr(optim, "DENSE_CHUNK", 7)
+        monkeypatch.setattr(optim, "DENSE_CHUNK_BYTES", 7 * np.dtype(TRAIN_DTYPE).itemsize)
         self.test_adam_sparse_step_bit_exact(True, l2)
 
     def test_dense_mode_leaves_col_t_alone(self):
