@@ -3,20 +3,15 @@
 
 Builds an embedding table with a wide spread of id-vector norms, a sparse
 gradient with a matching spread, and shows how much of the gradient each
-variant keeps, per column.
+variant keeps, per column.  Every variant runs through the one clip kernel,
+clip.apply_clip: a variant is only a choice of unit and threshold.
 
 Usage: python demos/02_clipping_variants.py
 """
 
 import numpy as np
 
-from ctrlab.clip import (
-    clip_adaptive_fieldwise,
-    clip_columnwise,
-    clip_fieldwise,
-    clip_global,
-    cowclip,
-)
+from ctrlab.clip import ClipConfig, apply_clip, cowclip
 from ctrlab.data import CATEGORICAL, FieldSchema
 from ctrlab.embedding import SparseGradient, column_norms, init_table
 
@@ -35,10 +30,12 @@ counts = np.concatenate([rng.integers(20, 60, size=4), np.ones(touched - 4, dtyp
 sparse = SparseGradient.from_fields([ids], [grads], [counts])
 
 variants = {
-    "global(0.5)": clip_global(sparse, 0.5),
-    "fieldwise(0.5)": clip_fieldwise(sparse, 0.5),
-    "columnwise(0.05)": clip_columnwise(sparse, 0.05),
-    "adaptive field (r=1)": clip_adaptive_fieldwise(table, sparse, r=1.0, zeta=1e-4),
+    "global(0.5)": apply_clip(ClipConfig("global", value=0.5), table, sparse),
+    "fieldwise(0.5)": apply_clip(ClipConfig("fieldwise", value=0.5), table, sparse),
+    "columnwise(0.05)": apply_clip(ClipConfig("columnwise", value=0.05), table, sparse),
+    "adaptive field (r=1)": apply_clip(
+        ClipConfig("adaptive_fieldwise", r=1.0, zeta=1e-4), table, sparse
+    ),
     "cowclip (r=1, zeta=1e-4)": cowclip(table, sparse, r=1.0, zeta=1e-4),
 }
 

@@ -27,7 +27,7 @@ print("click probabilities for one batch, per model:")
 for kind in ("wd", "deepfm", "dcn", "dcnv2"):
     params = init_dense_params(kind, fields, 4, 2, hidden=(16, 8),
                                cross_depth=2, seed=1)
-    probs, cache = model_forward(kind, params, table, batch)
+    probs, cache = model_forward(params, table, batch)
     print(f"  {kind:>6}: probs {np.round(probs, 3)}  logit range "
           f"[{cache.logit.min():+.3f}, {cache.logit.max():+.3f}]")
 

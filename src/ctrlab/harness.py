@@ -100,7 +100,6 @@ class ExperimentConfig:
         """Reject a bad config here, before any data is built."""
         for key, value, allowed in (
             ("model.kind", self.model_kind, models.MODEL_KINDS),
-            ("clip.variant", self.clip_variant, clip.VARIANTS),
             ("scale.rule", self.rule, scaling.RULES),
             ("scale.clip_mode", self.clip_mode, scaling.CLIP_MODES),
         ):
@@ -112,20 +111,17 @@ class ExperimentConfig:
             raise ValueError("data.split must lie strictly between 0 and 1")
         if self.base_batch < 1:
             raise ValueError("scale.base_batch must be positive")
-        if self.clip_variant in clip.CONSTANT_VARIANTS and not self.clip_value > 0:
-            raise ValueError(f"clip.value must be > 0 for {self.clip_variant} clipping")
-        if self.clip_variant in clip.ADAPTIVE_VARIANTS:
-            for key, value in (("clip.r", self.clip_r), ("clip.zeta", self.clip_zeta)):
-                if not value > 0:
-                    raise ValueError(f"{key} must be > 0 for {self.clip_variant} clipping")
+        _clip_config(self)  # ClipConfig owns the clip.* rules
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"model.hidden widths must be >= 1, got {self.hidden}")
         if self.embed_dim < 1:
             raise ValueError("model.embed_dim must be >= 1")
         for key, value in (("data.top_k", self.top_k), ("model.cross_depth", self.cross_depth),
                            ("opt.warmup_epochs", self.warmup_epochs)):
-            if value < 0:
-                raise ValueError(f"{key} must be >= 0, got {value}")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{key} must be finite and >= 0, got {value}")
+        if self.init_sigma is not None and not self.init_sigma > 0:
+            raise ValueError(f"model.init_sigma must be > 0, got {self.init_sigma}")
         if self.source == "synthetic":
             for key, value, low in (("data.n_samples", self.n_samples, 1),
                                     ("data.vocab_size", self.vocab_size, 1),
@@ -135,6 +131,8 @@ class ExperimentConfig:
                     raise ValueError(f"{key} must be >= {low} for synthetic data, got {value}")
             if not self.uniform_ids and not self.zipf_exponent > 0:
                 raise ValueError("data.zipf_exponent must be > 0 unless data.uniform_ids is set")
+            if not math.isfinite(self.click_strength):
+                raise ValueError(f"data.click_strength must be finite, got {self.click_strength}")
         for key, value in (("opt.lr_dense", self.lr_dense), ("opt.lr_embed", self.lr_embed),
                            ("opt.l2", self.l2)):
             if not value > 0:
@@ -288,35 +286,38 @@ def build_dataset(config: ExperimentConfig, seed: int) -> Dataset:
     return ds
 
 
-def _clip_config(config: ExperimentConfig, s: float) -> clip.ClipConfig:
-    """The run's clip settings; a constant threshold is scaled to batch factor s."""
+def _clip_config(config: ExperimentConfig, s: float | None = None) -> clip.ClipConfig:
+    """The run's clip settings; a constant threshold is scaled to batch factor s,
+    or left unscaled without one."""
     variant = config.clip_variant
     if variant in clip.CONSTANT_VARIANTS:
-        value = scaling.clip_value_scale(config.clip_value, s, config.clip_mode)
+        value = config.clip_value
+        if s is not None:
+            value = scaling.clip_value_scale(value, s, config.clip_mode)
         return clip.ClipConfig(variant, value=value)
     if variant in clip.ADAPTIVE_VARIANTS:
         return clip.ClipConfig(variant, r=config.clip_r, zeta=config.clip_zeta)
     return clip.ClipConfig(variant)
 
 
+def _predict(params: DenseParams, table: EmbeddingTable, dataset: Dataset, n_rows: int):
+    """Click probabilities of the dataset's first n_rows rows, forwarded in
+    chunks of 8192 rows; only one chunk's forward cache is alive at a time."""
+    chunk = 8192
+    probs = np.empty(n_rows)
+    for start in range(0, n_rows, chunk):
+        rows = slice(start, min(start + chunk, n_rows))
+        batch = Batch(dataset.labels[rows], dataset.dense[rows], dataset.categorical[rows])
+        probs[rows] = model_forward(params, table, batch)[0]
+    return probs
+
+
 def evaluate_model(
-    kind: str,
     params: DenseParams,
     table: EmbeddingTable,
     dataset: Dataset,
 ) -> metrics.EvalResult:
-    chunk = 8192
-    probs = np.empty(dataset.n_samples)
-    for start in range(0, dataset.n_samples, chunk):
-        stop = min(start + chunk, dataset.n_samples)
-        idx = np.arange(start, stop)
-        batch = _batch_at(dataset, idx)
-        probs[start:stop], _ = model_forward(kind, params, table, batch)
-    return metrics.evaluate(probs, dataset.labels)
-
-
-def _batch_at(dataset: Dataset, idx: np.ndarray) -> Batch:
-    return Batch(dataset.labels[idx], dataset.dense[idx], dataset.categorical[idx])
+    return metrics.evaluate(_predict(params, table, dataset, dataset.n_samples), dataset.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +384,11 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
         plan.eta_dense, int(round(config.warmup_epochs * steps_per_epoch))
     )
 
-    initial_eval = evaluate_model(config.model_kind, params, table, test_ds)
-    head = _batch_at(train_ds, np.arange(min(train_ds.n_samples, 16384)))
-    head_probs, _ = model_forward(config.model_kind, params, table, head)
-    initial_train_loss = metrics.logloss(head_probs, head.labels)
+    initial_eval = evaluate_model(params, table, test_ds)
+    n_head = min(train_ds.n_samples, 16384)
+    initial_train_loss = metrics.logloss(
+        _predict(params, table, train_ds, n_head), train_ds.labels[:n_head]
+    )
 
     run_id = f"{config.model_kind}-{config.rule}-b{b}-seed{seed}"
     record = RunRecord(
@@ -410,7 +412,7 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
         losses = []
         for batch in make_batches(train_ds, b, seed=epoch_seeds[epoch - 1]):
             global_step += 1
-            probs, cache = model_forward(config.model_kind, params, table, batch)
+            probs, cache = model_forward(params, table, batch)
             loss, dgrads, sgrads = models.loss_and_backward(probs, batch.labels, cache)
             if not math.isfinite(loss):
                 record.diverged = True
@@ -424,7 +426,7 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
                     dense_l2=config.dense_l2, cfg=adam_cfg,
                 )
         train_loss = float(np.mean(losses)) if losses else float("nan")
-        result = evaluate_model(config.model_kind, params, table, test_ds)
+        result = evaluate_model(params, table, test_ds)
         record.epochs.append(
             EpochRecord(
                 epoch=epoch,
@@ -560,8 +562,8 @@ def _tiny_setup(kind: str, rng: np.random.Generator):
     return table, params, batch
 
 
-def _total_loss(kind, params, table, batch) -> float:
-    probs, _ = model_forward(kind, params, table, batch)
+def _total_loss(params, table, batch) -> float:
+    probs, _ = model_forward(params, table, batch)
     return metrics.logloss(probs, batch.labels)
 
 
@@ -588,7 +590,7 @@ def grad_check(model_kind: str, seed: int, n_trials: int = 10) -> GradCheckRepor
     done = 0
     while done < n_trials:
         table, params, batch = _tiny_setup(model_kind, rng)
-        probs, cache = model_forward(model_kind, params, table, batch)
+        probs, cache = model_forward(params, table, batch)
         kink = min((float(np.abs(z).min()) for z in cache.mlp_cache["zs"]), default=1.0)
         if kink < 1e-6 or float(np.max(np.abs(cache.logit))) > 8.0:
             continue
@@ -610,9 +612,9 @@ def grad_check(model_kind: str, seed: int, n_trials: int = 10) -> GradCheckRepor
                 h = 1e-6 * max(1.0, abs(flat[i]))
                 orig = flat[i]
                 flat[i] = orig + h
-                up = _total_loss(model_kind, params, table, batch)
+                up = _total_loss(params, table, batch)
                 flat[i] = orig - h
-                down = _total_loss(model_kind, params, table, batch)
+                down = _total_loss(params, table, batch)
                 flat[i] = orig
                 fd = (up - down) / (2 * h)
                 err = abs(fd - an_flat[i]) / max(abs(fd), abs(an_flat[i]), 1e-3)

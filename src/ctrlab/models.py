@@ -244,12 +244,10 @@ def dcnv2_cross_layer_backward(
 
 @dataclass
 class ForwardCache:
-    kind: str
     params: DenseParams
     table: EmbeddingTable
     record: LookupRecord
     embedded: np.ndarray          # (b, fields*dim)
-    x_mlp: np.ndarray             # (b, fields*dim + n_dense)
     mlp_cache: dict
     logit: np.ndarray
     fm_sum: np.ndarray | None = None
@@ -258,16 +256,16 @@ class ForwardCache:
 
 
 def model_forward(
-    kind: str, params: DenseParams, table: EmbeddingTable, batch: Batch
+    params: DenseParams, table: EmbeddingTable, batch: Batch
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Click probability per sample: sigmoid(deep stream + wide/cross stream)."""
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
+    """Click probability per sample: sigmoid(deep stream + wide/cross stream),
+    for the head params.kind names."""
+    kind = params.kind
     embedded, record = lookup_forward(table, batch)
     # The dataset's dense features are float64; the model runs in the table's dtype.
     x_mlp = np.concatenate([embedded, batch.dense], axis=1, dtype=embedded.dtype)
     logit, mlp_cache = mlp_forward(params.mlp, x_mlp)
-    cache = ForwardCache(kind, params, table, record, embedded, x_mlp, mlp_cache, logit)
+    cache = ForwardCache(params, table, record, embedded, mlp_cache, logit)
 
     if kind in FIRST_ORDER_KINDS:
         if not np.array_equal(params.first_order.offsets, table.offsets):
@@ -306,6 +304,7 @@ def loss_and_backward(
     These are data gradients only: L2 is the optimizer's business.
     """
     params, table, record = cache.params, cache.table, cache.record
+    kind = params.kind
     b = len(labels)
     y = np.asarray(labels, dtype=np.float64)
     loss = metrics.logloss(probabilities, y, eps_p)
@@ -316,12 +315,12 @@ def loss_and_backward(
     width = table.n_fields * table.dim
     d_embedded = dmlp_in[:, :width].copy()
 
-    if cache.kind in FIRST_ORDER_KINDS:
+    if kind in FIRST_ORDER_KINDS:
         grads["lr.bias"] = np.asarray(dlogit.sum())
-    if cache.kind == "deepfm":
+    if kind == "deepfm":
         v = cache.embedded.reshape(b, table.n_fields, table.dim)
         d_embedded += fm_pairwise_backward(v, cache.fm_sum, dlogit).reshape(b, width)
-    if cache.kind in ("dcn", "dcnv2"):
+    if kind in ("dcn", "dcnv2"):
         x_last = cache.cross_xs[-1]
         grads["cross.out"] = x_last.T @ dlogit
         dx = dlogit[:, None] * params.cross_out[None, :]
@@ -330,7 +329,7 @@ def loss_and_backward(
             w, _ = params.cross[l]
             xl = cache.cross_xs[l]
             aux = cache.cross_aux[l]
-            if cache.kind == "dcn":
+            if kind == "dcn":
                 dx0, dx, dw, db = dcn_cross_layer_backward(cache.embedded, xl, w, aux, dx)
             else:
                 dx0, dx, dw, db = dcnv2_cross_layer_backward(cache.embedded, xl, w, aux, dx)
@@ -342,7 +341,7 @@ def loss_and_backward(
     for name in grads:
         grads[name] = grads[name] / b
     sparse = (accumulate_gradients(record, d_embedded, b),)
-    if cache.kind in FIRST_ORDER_KINDS:
+    if kind in FIRST_ORDER_KINDS:
         sparse += (lr_head_backward(record, dlogit),)
     return loss, grads, sparse
 
@@ -370,6 +369,8 @@ def save_checkpoint(path, params: DenseParams, table: EmbeddingTable) -> None:
 def load_checkpoint(path) -> tuple[DenseParams, EmbeddingTable]:
     """The saved model, in the training dtype whatever dtype the file holds."""
     header, z = load_npz(path)
+    if header["kind"] not in MODEL_KINDS:
+        raise ValueError(f"checkpoint has unknown model kind {header['kind']!r}")
     dense = {name: z[f"dense:{name}"].astype(TRAIN_DTYPE) for name in header["dense_names"]}
     t = header["table"]
     fields = tuple(FieldSchema(f["name"], CATEGORICAL, f["vocab_size"]) for f in t["fields"])

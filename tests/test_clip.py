@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrlab.clip import (
-    ClipConfig,
-    apply_clip,
-    clip_adaptive_fieldwise,
-    clip_columnwise,
-    clip_fieldwise,
-    clip_global,
-    cowclip,
-)
+from ctrlab.clip import ClipConfig, apply_clip, cowclip
 from ctrlab.data import CATEGORICAL, FieldSchema
 from ctrlab.embedding import SparseGradient, init_table
 from ctrlab.scaling import clip_value_scale
@@ -23,6 +15,11 @@ def _table(vocabs, dim=4, sigma=0.1, seed=0):
     # float64, since the tests hold the clip to float64 hand values and bounds
     fields = tuple(FieldSchema(f"c{j}", CATEGORICAL, v) for j, v in enumerate(vocabs))
     return init_table(fields, dim, init_sigma=sigma, seed=seed, dtype=np.float64)
+
+
+def _clip(variant, sparse, table=None, **params):
+    """One variant through the clip kernel; the constant variants read no table."""
+    return apply_clip(ClipConfig(variant, **params), table, sparse)
 
 
 def _sparse(rng, table, touched_per_field=3, scale=1.0):
@@ -126,13 +123,13 @@ class TestGlobal:
         rng = np.random.default_rng(3)
         table = _table([5], seed=3)
         sparse = _sparse(rng, table, scale=0.1)
-        out = clip_global(sparse, value=25.0)  # the conventional default bound
+        out = _clip("global", sparse, value=25.0)  # the conventional default bound
         assert np.array_equal(out.grads[0], sparse.grads[0])
 
     def test_double_norm_halves_entries(self):
         g = np.array([[3.0, 4.0]])  # norm 5
         sparse = SparseGradient.from_fields([np.array([0])], [g], [np.array([1])])
-        out = clip_global(sparse, value=2.5)
+        out = _clip("global", sparse, value=2.5)
         assert np.allclose(out.grads[0], g / 2, rtol=0, atol=1e-15)
 
     def test_norm_concatenated_over_fields(self):
@@ -141,7 +138,7 @@ class TestGlobal:
             [np.array([[3.0, 0.0]]), np.array([[0.0, 4.0]])],
             [np.array([1]), np.array([1])],
         )
-        out = clip_global(sparse, value=1.0)  # total norm 5 -> scale 1/5
+        out = _clip("global", sparse, value=1.0)  # total norm 5 -> scale 1/5
         assert np.allclose(out.grads[0], [[0.6, 0.0]], rtol=0, atol=1e-15)
         assert np.allclose(out.grads[1], [[0.0, 0.8]], rtol=0, atol=1e-15)
 
@@ -153,14 +150,14 @@ class TestFieldwise:
             [np.array([[10.0, 0.0]]), np.array([[0.1, 0.0]])],
             [np.array([1]), np.array([1])],
         )
-        out = clip_fieldwise(sparse, value=1.0)
+        out = _clip("fieldwise", sparse, value=1.0)
         assert np.linalg.norm(out.grads[0]) == pytest.approx(1.0, rel=1e-12)
         assert np.array_equal(out.grads[1], sparse.grads[1])
 
     def test_sqrt_batch_scaling(self):
         sparse = SparseGradient.from_fields([np.array([0])], [np.array([[10.0, 0.0]])],
                                 [np.array([1])])
-        out = clip_fieldwise(sparse, value=clip_value_scale(1.0, 4.0, "sqrt"))
+        out = _clip("fieldwise", sparse, value=clip_value_scale(1.0, 4.0, "sqrt"))
         assert np.linalg.norm(out.grads[0]) == pytest.approx(2.0, rel=1e-12)
 
     def test_disjoint_merge_norm_grows_like_sqrt_s(self):
@@ -179,7 +176,7 @@ class TestColumnwise:
     def test_cases(self):
         g = np.array([[0.0, 0.0], [3.0, 4.0], [0.1, 0.0]])
         sparse = SparseGradient.from_fields([np.array([0, 1, 2])], [g], [np.array([1, 1, 1])])
-        out = clip_columnwise(sparse, value=1.0)
+        out = _clip("columnwise", sparse, value=1.0)
         assert np.array_equal(out.grads[0][0], g[0])  # zero untouched
         assert np.linalg.norm(out.grads[0][1]) == pytest.approx(1.0, rel=1e-12)
         assert np.array_equal(out.grads[0][2], g[2])  # under threshold
@@ -191,18 +188,18 @@ class TestAdaptiveFieldwise:
         table.weights[0][...] = [[2.0, 0.0], [0.0, 0.0]]  # field block norm 2
         sparse = SparseGradient.from_fields([np.array([0])], [np.array([[1.0, 0.0]])],
                                 [np.array([1])])
-        out = clip_adaptive_fieldwise(table, sparse, r=1.0, zeta=1e-5)
+        out = _clip("adaptive_fieldwise", sparse, table, r=1.0, zeta=1e-5)
         assert np.array_equal(out.grads[0], sparse.grads[0])  # under threshold
         sparse_big = SparseGradient.from_fields([np.array([0])], [np.array([[3.0, 0.0]])],
                                     [np.array([1])])
-        out = clip_adaptive_fieldwise(table, sparse_big, r=1.0, zeta=1e-5)
+        out = _clip("adaptive_fieldwise", sparse_big, table, r=1.0, zeta=1e-5)
         assert np.linalg.norm(out.grads[0]) == pytest.approx(2.0, rel=1e-12)
 
     def test_zeta_floor(self):
         table = _table([2], dim=2, sigma=1e-9, seed=6)
         sparse = SparseGradient.from_fields([np.array([0])], [np.array([[1.0, 0.0]])],
                                 [np.array([1])])
-        out = clip_adaptive_fieldwise(table, sparse, r=1.0, zeta=1e-3)
+        out = _clip("adaptive_fieldwise", sparse, table, r=1.0, zeta=1e-3)
         assert np.linalg.norm(out.grads[0]) == pytest.approx(1e-3, rel=1e-9)
 
 
@@ -217,12 +214,14 @@ CLIPPING_CONFIGS = [
 
 class TestConfigAndDispatch:
     def test_variant_field_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^clip.value must be > 0"):
             ClipConfig(variant="global")  # needs value
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^clip.zeta must be > 0"):
             ClipConfig(variant="cowclip", r=1.0)  # needs zeta
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^clip.variant must be one of"):
             ClipConfig(variant="whatever")
+        with pytest.raises(ValueError, match="^clip.r must be > 0"):
+            cowclip(_table([3]), _sparse(np.random.default_rng(0), _table([3])), r=0.0, zeta=1e-4)
         ClipConfig(variant="none")
         ClipConfig(variant="cowclip", r=1.0, zeta=1e-4)
 
@@ -249,8 +248,8 @@ class TestConfigAndDispatch:
         sparse = _sparse(rng, table, scale=100.0)
         before = sparse.grads[0].copy()
         cowclip(table, sparse, r=1.0, zeta=1e-4)
-        clip_global(sparse, 0.1)
-        clip_columnwise(sparse, 0.1)
+        _clip("global", sparse, value=0.1)
+        _clip("columnwise", sparse, value=0.1)
         assert np.array_equal(sparse.grads[0], before)
 
     @pytest.mark.parametrize("variant,kwargs", CLIPPING_CONFIGS)

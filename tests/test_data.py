@@ -310,3 +310,12 @@ class TestInvariants:
         ds = generate_synthetic(SyntheticSpec(n_categorical=1, vocab_sizes=5), 10, seed=0)
         with pytest.raises(ValueError):
             ds.labels[0] = 1
+
+    def test_split_halves_are_read_only_views(self):
+        ds = generate_synthetic(SyntheticSpec(n_dense=2, n_categorical=2, vocab_sizes=5), 10, seed=0)
+        head, tail = ds.split(0.7)
+        for half, rows in ((head, slice(0, 7)), (tail, slice(7, 10))):
+            for name in ("labels", "dense", "categorical"):
+                part, whole = getattr(half, name), getattr(ds, name)
+                assert np.array_equal(part, whole[rows])
+                assert np.shares_memory(part, whole) and not part.flags.writeable

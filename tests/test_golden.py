@@ -7,6 +7,11 @@ lazy).  The hash covers every number of the run record except wall-clock
 time, and the config itself.
 The hashes were recorded training in float32 with numpy 2.4 on OpenBLAS; a
 BLAS that sums in a different order may differ in the last bits.
+
+    PYTHONPATH=src python tests/test_golden.py
+
+prints each config's name, hash, final AUC and final logloss: the values to
+re-pin a config with, and to compare a moved one by.
 """
 
 import hashlib
@@ -18,7 +23,7 @@ import pytest
 
 from ctrlab import models, optim
 from ctrlab.embedding import TRAIN_DTYPE
-from ctrlab.harness import ExperimentConfig, record_fingerprint, train
+from ctrlab.harness import ExperimentConfig, RunRecord, record_fingerprint, train
 
 TINY = ExperimentConfig(
     n_samples=2000, n_categorical=3, n_dense=2, vocab_size=50,
@@ -42,23 +47,27 @@ GOLDEN = {
     "dcn-fieldwise-s4-sqrt": (
         replace(TINY, model_kind="dcn", clip_variant="fieldwise", clip_value=3e-3,
                 clip_mode="sqrt", **S4),
-        "537166e1e6130bab0591dfe02687afa016b4cdb5fb24268c489db12aae2be494",
+        "f9d2a3cedf6dec67419e7afdbc2c71c7cd071fac9e51cff1bf64495d86a176ea",
     ),
     "dcnv2-global-s4-linear": (
         replace(TINY, model_kind="dcnv2", clip_variant="global", clip_value=3e-3,
                 clip_mode="linear", **S4),
-        "7c33ca3fab6e331174067e5e6fa795ac2bad537e81b1195884829a40b33db268",
+        "c7eb92d2f659655cee7633725cc3f918dfddb57b9fffcaa3e0404107286c65f9",
     ),
     "dcnv2-columnwise-s4-linear": (
         replace(TINY, model_kind="dcnv2", clip_variant="columnwise", clip_value=3e-3,
                 clip_mode="linear", **S4),
         "28268bc64658c96f685b4237caf7ca3d40445d4d7cdebeb0392cdf09e98ce2f3",
     ),
+    "dcn-adaptive_fieldwise-s4-sqrt": (
+        replace(TINY, model_kind="dcn", rule="sqrt", clip_variant="adaptive_fieldwise",
+                clip_r=0.1, **S4),
+        "59d0db5424ffbdc2f15b287ef2d3ef9c4e347af4cdd7c70a98850d13900cdffe",
+    ),
 }
 
 
-def _hash(config: ExperimentConfig) -> str:
-    record = train(config, seed=1)
+def _hash(record: RunRecord) -> str:
     text = json.dumps(record_fingerprint(record), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -66,7 +75,7 @@ def _hash(config: ExperimentConfig) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_fingerprint(name):
     config, expected = GOLDEN[name]
-    assert _hash(config) == expected
+    assert _hash(train(config, seed=1)) == expected
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -104,3 +113,10 @@ def test_training_stays_in_the_training_dtype(name, monkeypatch):
         assert seen == {np.dtype(TRAIN_DTYPE)}, kind
     # lazy mode corrects each row by its own step count, as an array
     assert any(row_corrections) == (not config.dense_l2)
+
+
+if __name__ == "__main__":
+    for name, (config, _) in GOLDEN.items():
+        record = train(config, seed=1)
+        print(name, _hash(record), f"auc={record.final_auc!r}",
+              f"logloss={record.final_logloss!r}")

@@ -116,6 +116,12 @@ class TestConfig:
         ("opt.warmup_epochs", {"warmup_epochs": -1.0}),
         ("data.max_rows", {"max_rows": 0}),
         ("data.max_rows", {"max_rows": -3}),
+        ("model.init_sigma", {"init_sigma": 0.0}),
+        ("model.init_sigma", {"init_sigma": -1.0}),
+        ("model.init_sigma", {"init_sigma": math.nan}),
+        ("opt.warmup_epochs", {"warmup_epochs": math.nan}),
+        ("data.click_strength", {"click_strength": math.nan}),
+        ("data.click_strength", {"click_strength": math.inf}),
     ])
     def test_bad_config_fails_before_any_data(self, monkeypatch, key, bad):
         monkeypatch.setattr(harness, "build_dataset", _forbid_build)
@@ -191,17 +197,19 @@ class TestTrain:
 
     def test_clip_none_is_plain_baseline(self, monkeypatch):
         base = train(TINY, seed=5)
+        apply_clip, calls = harness.clip.apply_clip, []
 
-        def forbid(*args, **kwargs):  # pragma: no cover
-            raise AssertionError("clipping must not run with variant none")
+        def passthrough_only(cfg, table, sparse_grad):
+            out = apply_clip(cfg, table, sparse_grad)
+            if out is not sparse_grad:  # pragma: no cover
+                raise AssertionError("clipping must not run with variant none")
+            calls.append(cfg.variant)
+            return out
 
-        monkeypatch.setattr(harness.clip, "cowclip", forbid)
-        monkeypatch.setattr(harness.clip, "clip_global", forbid)
-        monkeypatch.setattr(harness.clip, "clip_fieldwise", forbid)
-        monkeypatch.setattr(harness.clip, "clip_columnwise", forbid)
-        monkeypatch.setattr(harness.clip, "clip_adaptive_fieldwise", forbid)
+        monkeypatch.setattr(harness.clip, "apply_clip", passthrough_only)
         again = train(TINY, seed=5)
         assert record_fingerprint(base) == record_fingerprint(again)
+        assert calls and set(calls) == {"none"}
 
     def test_batch_larger_than_training_split(self, monkeypatch):
         monkeypatch.setattr(harness, "init_table", _forbid_init)

@@ -197,7 +197,7 @@ class TestModelForward:
         for _, a in params.named_arrays():
             a[...] = 0.0
         batch = _batch(np.random.default_rng(0), vocabs, 5)
-        probs, _ = model_forward(kind, params, table, batch)
+        probs, _ = model_forward(params, table, batch)
         assert np.all(probs == 0.5)
 
     def test_wd_with_zero_deep_reduces_to_lr(self):
@@ -211,7 +211,7 @@ class TestModelForward:
         w0[:, 0] = rng.normal(size=4)
         w1[:, 0] = rng.normal(size=5)
         batch = _batch(rng, vocabs, 7)
-        probs, _ = model_forward("wd", params, table, batch)
+        probs, _ = model_forward(params, table, batch)
         ids = batch.categorical
         # the logit in the weights' dtype, added in the model's order
         logit = params.lr_bias + (w0[ids[:, 0], 0] + w1[ids[:, 1], 0])
@@ -224,8 +224,8 @@ class TestModelForward:
         table = init_table(_fields(*vocabs), dim=2, init_sigma=0.3, seed=2)
         params = init_dense_params(kind, table.fields, 2, 1, hidden=(5,), cross_depth=2, seed=2)
         batch = _batch(np.random.default_rng(2), vocabs, 9, n_dense=1)
-        a, _ = model_forward(kind, params, table, batch)
-        b, _ = model_forward(kind, params, table, batch)
+        a, _ = model_forward(params, table, batch)
+        b, _ = model_forward(params, table, batch)
         assert np.array_equal(a, b)
 
     def test_unknown_kind(self):
@@ -240,7 +240,7 @@ class TestModelForward:
         params = init_dense_params(kind, _fields(5, 4), 2, 1, hidden=(5,), seed=3)
         batch = _batch(np.random.default_rng(3), [4, 5], 4, n_dense=1)
         with pytest.raises(ValueError, match="offsets"):
-            model_forward(kind, params, table, batch)
+            model_forward(params, table, batch)
 
 
 class TestLoss:
@@ -250,7 +250,7 @@ class TestLoss:
         params = init_dense_params("wd", table.fields, 2, 0, hidden=(4,), seed=0)
         batch = Batch(np.array([1], dtype=np.uint8), np.zeros((1, 0)),
                       np.array([[0]], dtype=np.int64))
-        probs, cache = model_forward("wd", params, table, batch)
+        probs, cache = model_forward(params, table, batch)
         loss, _, _ = loss_and_backward(probs, batch.labels, cache)
         assert loss == pytest.approx(math.log(2.0), abs=1e-5)
 
@@ -276,11 +276,11 @@ class TestLoss:
         touched = np.unique(batch.categorical + table.offsets[:-1])
 
         def objective():
-            probs, _ = model_forward(kind, params, table, batch)
+            probs, _ = model_forward(params, table, batch)
             penalty = sum(float((t.block[touched] ** 2).sum()) for t in tables)
             return logloss(probs, batch.labels) + 0.5 * l2 * penalty
 
-        probs, cache = model_forward(kind, params, table, batch)
+        probs, cache = model_forward(params, table, batch)
         _, grads, sparse = loss_and_backward(probs, batch.labels, cache)
         assert len(sparse) == len(tables)
         tensors = dict(params.named_arrays())
@@ -324,7 +324,7 @@ def test_lazy_step_leaves_absent_first_order_rows_alone(kind):
     before = [a.copy() for a in (first_order.block, state.m_block, state.v_block,
                                  state.col_t_block)]
     batch = _batch(rng, vocabs, 8)
-    probs, cache = model_forward(kind, params, table, batch)
+    probs, cache = model_forward(params, table, batch)
     _, _, (_, sparse) = loss_and_backward(probs, batch.labels, cache)
     adam_sparse_step(state, first_order, sparse, lr=1e-2, l2=1e-3, dense_l2=False)
 
@@ -379,8 +379,8 @@ def test_checkpoint_roundtrip(kind, tmp_path):
         assert b.block.dtype == TRAIN_DTYPE
     # the restored pair computes bit-identical probabilities
     batch = _batch(rng, vocabs, 6)
-    p1, _ = model_forward(kind, params, table, batch)
-    p2, _ = model_forward(kind, params2, table2, batch)
+    p1, _ = model_forward(params, table, batch)
+    p2, _ = model_forward(params2, table2, batch)
     assert np.array_equal(p1, p2)
 
 
@@ -418,3 +418,18 @@ def test_checkpoint_table_format_is_per_field(tmp_path):
         save_npz(tmp_path / "bad.npz", header, bad)
         with pytest.raises(ValueError, match=f"{prefix}:1 has shape"):
             load_checkpoint(tmp_path / "bad.npz")
+
+
+def test_checkpoint_with_unknown_kind_is_rejected(tmp_path):
+    # The model kind has one source, DenseParams.kind, which load_checkpoint
+    # takes from the file header; model_forward trusts it.
+    from ctrlab.data import load_npz, save_npz
+    from ctrlab.models import load_checkpoint, save_checkpoint
+
+    table = init_table(_fields(3, 4), dim=2, init_sigma=0.2, seed=15)
+    params = init_dense_params("dcn", table.fields, 2, 1, hidden=(4,), cross_depth=1, seed=15)
+    save_checkpoint(tmp_path / "ok.npz", params, table)
+    header, arrays = load_npz(tmp_path / "ok.npz")
+    save_npz(tmp_path / "bad.npz", dict(header, kind="dcnv3"), arrays)
+    with pytest.raises(ValueError, match="unknown model kind 'dcnv3'"):
+        load_checkpoint(tmp_path / "bad.npz")
