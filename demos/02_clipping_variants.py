@@ -13,7 +13,7 @@ import numpy as np
 
 from ctrlab.clip import ClipConfig, apply_clip, cowclip
 from ctrlab.data import CATEGORICAL, FieldSchema
-from ctrlab.embedding import SparseGradient, column_norms, init_table
+from ctrlab.embedding import SparseGradient, init_table
 
 rng = np.random.default_rng(0)
 vocab, dim, touched = 1000, 10, 64
@@ -21,13 +21,14 @@ vocab, dim, touched = 1000, 10, 64
 table = init_table((FieldSchema("items", CATEGORICAL, vocab),), dim,
                    init_sigma=1e-2, seed=0)
 # let some ids "mature": large weights for a handful of frequent ids
-table.weights[0][:8] *= 40.0
+table.block[:8] *= 40.0
 
 ids = np.sort(rng.choice(vocab, size=touched, replace=False))
 ids[:4] = [0, 1, 2, 3]  # make sure mature ids are in the batch
 grads = rng.normal(size=(touched, dim)) * rng.lognormal(-1.0, 1.5, size=(touched, 1))
 counts = np.concatenate([rng.integers(20, 60, size=4), np.ones(touched - 4, dtype=int)])
-sparse = SparseGradient.from_fields([ids], [grads], [counts])
+# One field, so an id's table row is the id itself.
+sparse = SparseGradient(ids, grads, counts, table.offsets)
 
 variants = {
     "global(0.5)": apply_clip(ClipConfig("global", value=0.5), table, sparse),
@@ -39,11 +40,11 @@ variants = {
     "cowclip (r=1, zeta=1e-4)": cowclip(table, sparse, r=1.0, zeta=1e-4),
 }
 
-in_norms = column_norms(sparse)[0]
+in_norms = np.linalg.norm(sparse.grad_block, axis=1)
 print(f"{'variant':>26} | kept gradient mass | columns touched by clipping")
 for name, clipped in variants.items():
-    out_norms = column_norms(clipped)[0]
-    kept = float(np.linalg.norm(clipped.grads[0]) / np.linalg.norm(sparse.grads[0]))
+    out_norms = np.linalg.norm(clipped.grad_block, axis=1)
+    kept = float(np.linalg.norm(clipped.grad_block) / np.linalg.norm(sparse.grad_block))
     n_clipped = int(np.sum(out_norms < in_norms * (1 - 1e-12)))
     print(f"{name:>26} | {kept:>18.3f} | {n_clipped}/{touched}")
 

@@ -27,7 +27,6 @@ from .embedding import (
     EmbeddingTable,
     SparseGradient,
     accumulate_gradients,
-    column_norms,
     init_table,
     lookup_forward,
 )

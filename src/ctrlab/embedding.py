@@ -8,13 +8,17 @@ on.  Lookup, accumulation, clipping and the optimizer steps work on these
 global rows, so each is one pass over all fields.
 
 Gradients for a batch are sparse: only ids that occur in the batch carry
-entries, each with the number of samples that selected it.  They too are
-one block, field after field in table order.
+entries, each with the number of samples that selected it.  A touched id is
+named by its table row, so lookup, accumulation, clipping and the optimizer
+steps all index the block with the gradient's sorted rows and never convert
+between rows and field-local ids.  A gradient keeps the field offsets of the
+table it was built for; clipping and the optimizer refuse a table with other
+offsets, which would step the wrong rows.
 
-The per-field arrays (EmbeddingTable.weights, SparseGradient.ids, .grads,
-.counts) are views of the blocks, handed out as tuples: writing into a view
-writes the block, and rebinding a field is an error rather than a silent
-desync.
+Three per-field views remain: EmbeddingTable.weights and SparseGradient.ids
+and .grads, tuples of one array per field (ids field-local).  They are read
+only by the benchmark's tracer, perfbench/spans.py, and go once it reads the
+blocks; nothing else in ctrlab reads them.
 
 Training runs in float32 (TRAIN_DTYPE), as the paper does on its GPU: the
 dense-mode optimizer pass over every table entry is bound by memory traffic
@@ -58,7 +62,6 @@ class EmbeddingTable:
     dim: int
     block: np.ndarray  # (sum of vocab sizes, dim), TRAIN_DTYPE in training
     offsets: np.ndarray = field(init=False, repr=False)
-    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)  # per field, views
 
     def __post_init__(self):
         offsets = field_offsets(self.fields)
@@ -67,11 +70,15 @@ class EmbeddingTable:
                 f"table block has shape {self.block.shape}, fields need ({offsets[-1]}, {self.dim})"
             )
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "weights", split_rows(self.block, offsets))
 
     @property
     def n_fields(self) -> int:
         return len(self.fields)
+
+    @cached_property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        """Per-field views of the block, for perfbench/spans.py only."""
+        return split_rows(self.block, self.offsets)
 
     def copy(self) -> "EmbeddingTable":
         return EmbeddingTable(self.fields, self.dim, self.block.copy())
@@ -93,52 +100,38 @@ class LookupRecord:
 
 @dataclass(frozen=True, eq=False)
 class SparseGradient:
-    """Unique touched ids, their gradient vectors and occurrence counts.
+    """Touched table rows, their gradient vectors and occurrence counts.
 
-    Field j owns entries cuts[j]:cuts[j+1] of every block; its ids are
-    field-local and strictly increasing.  ids, grads and counts give the same
-    entries per field.
+    row_block is sorted, so field j owns entries cuts[j]:cuts[j+1] of every
+    block.  offsets are the field offsets of the table the gradient was
+    built for.
     """
 
-    id_block: np.ndarray     # (k,) int64
+    row_block: np.ndarray    # (k,) int64, strictly increasing
     grad_block: np.ndarray   # (k, dim), the dtype of the upstream gradient
-    count_block: np.ndarray  # (k,) int64, samples selecting the id
-    cuts: np.ndarray         # (n_fields + 1,) int64
+    count_block: np.ndarray  # (k,) int64, samples selecting the row
+    offsets: np.ndarray      # (n_fields + 1,) int64
 
-    @classmethod
-    def from_fields(cls, ids, grads, counts) -> "SparseGradient":
-        """Build from per-field sequences of ids, (k_j, dim) grads and counts."""
-        cuts = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum([len(a) for a in ids], out=cuts[1:])
-        none = np.zeros(0, dtype=np.int64)
-        return cls(
-            np.concatenate([none, *ids]),
-            np.concatenate(grads) if len(grads) else np.zeros((0, 0), TRAIN_DTYPE),
-            np.concatenate([none, *counts]),
-            cuts,
-        )
+    @cached_property
+    def cuts(self) -> np.ndarray:
+        """Field boundaries in the blocks, for the field-unit clips and the views."""
+        return np.searchsorted(self.row_block, self.offsets)
 
-    @property
-    def n_fields(self) -> int:
-        return len(self.cuts) - 1
+    def check_table(self, table: EmbeddingTable) -> None:
+        """Raise unless table has the field offsets the gradient was built for."""
+        if self.offsets is not table.offsets and not np.array_equal(self.offsets, table.offsets):
+            raise ValueError("sparse gradient was built for a table with other field offsets")
 
     @cached_property
     def ids(self) -> tuple[np.ndarray, ...]:
-        return split_rows(self.id_block, self.cuts)
+        """Field-local ids per field, for perfbench/spans.py only."""
+        rows = split_rows(self.row_block, self.cuts)
+        return tuple(r - o for r, o in zip(rows, self.offsets[:-1].tolist()))
 
     @cached_property
     def grads(self) -> tuple[np.ndarray, ...]:
+        """Per-field views of grad_block, for perfbench/spans.py only."""
         return split_rows(self.grad_block, self.cuts)
-
-    @cached_property
-    def counts(self) -> tuple[np.ndarray, ...]:
-        return split_rows(self.count_block, self.cuts)
-
-    def rows(self, table: EmbeddingTable) -> np.ndarray:
-        """The table's block rows of the touched ids."""
-        if self.n_fields > table.n_fields:
-            raise ValueError("sparse gradient has more fields than the table")
-        return self.id_block + np.repeat(table.offsets[: self.n_fields], np.diff(self.cuts))
 
 
 def init_table(
@@ -159,12 +152,12 @@ def init_table(
         raise ValueError("embedding tables are built over categorical fields only")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if init_sigma <= 0:
+    if not init_sigma > 0:
         raise ValueError("init_sigma must be > 0")
     rng = np.random.default_rng(seed)
     table = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim), dtype))
     # Field by field, so the draw never holds a second whole-table array.
-    for f, w in zip(fields, table.weights):
+    for f, w in zip(fields, split_rows(table.block, table.offsets)):
         w[...] = rng.normal(0.0, init_sigma, size=(f.vocab_size, dim))
     return table
 
@@ -206,15 +199,7 @@ def accumulate_gradients(
     # exactly as np.add.at would on float64.
     bins = (inverse.reshape(-1, 1) * d + np.arange(d)).ravel()
     sums = np.bincount(bins, weights=upstream.ravel(), minlength=len(uniq) * d)
-    cuts = np.searchsorted(uniq, record.offsets)
-    ids = uniq - np.repeat(record.offsets[:-1], np.diff(cuts))
     # bincount sums in float64; the gradient takes the upstream's dtype.
     grads = (sums.reshape(len(uniq), d) / batch_size).astype(upstream.dtype, copy=False)
-    return SparseGradient(ids, grads, counts.astype(np.int64), cuts)
+    return SparseGradient(uniq, grads, counts.astype(np.int64), record.offsets)
 
-
-def column_norms(obj: EmbeddingTable | SparseGradient) -> list[np.ndarray]:
-    """Euclidean norm of every id vector (tables) or touched gradient (sparse)."""
-    if isinstance(obj, EmbeddingTable):
-        return [np.linalg.norm(w, axis=1) for w in obj.weights]
-    return [np.linalg.norm(g, axis=1) for g in obj.grads]

@@ -598,11 +598,10 @@ def grad_check(model_kind: str, seed: int, n_trials: int = 10) -> GradCheckRepor
         _, dense_grads, sparse = models.loss_and_backward(probs, batch.labels, cache)
         tensors = dict(params.named_arrays())
         analytic = dict(dense_grads)
-        for prefix, t, sg in zip(("embed", "lr"), models.model_tables(params, table), sparse):
-            for j, w in enumerate(t.weights):
-                tensors[f"{prefix}.{j}"] = w
-                analytic[f"{prefix}.{j}"] = g = np.zeros_like(w)
-                g[sg.ids[j]] = sg.grads[j]
+        for name, t, sg in zip(("embed", "lr"), models.model_tables(params, table), sparse):
+            tensors[name] = t.block
+            analytic[name] = g = np.zeros_like(t.block)
+            g[sg.row_block] = sg.grad_block
         for name, tensor in tensors.items():
             an = analytic[name]
             flat = tensor.reshape(-1)

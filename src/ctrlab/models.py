@@ -37,6 +37,7 @@ from .embedding import (
     accumulate_gradients,
     field_offsets,
     lookup_forward,
+    split_rows,
 )
 
 MODEL_KINDS = ("wd", "deepfm", "dcn", "dcnv2")
@@ -362,7 +363,7 @@ def save_checkpoint(path, params: DenseParams, table: EmbeddingTable) -> None:
     }
     arrays = {f"dense:{name}": a for name, a in params.named_arrays()}
     for prefix, t in zip(("table", "lr"), model_tables(params, table)):
-        arrays.update({f"{prefix}:{j}": w for j, w in enumerate(t.weights)})
+        arrays.update({f"{prefix}:{j}": w for j, w in enumerate(split_rows(t.block, t.offsets))})
     save_npz(path, header, arrays)
 
 
@@ -383,7 +384,7 @@ def load_checkpoint(path) -> tuple[DenseParams, EmbeddingTable]:
 
 def _load_table(z, prefix: str, fields: tuple[FieldSchema, ...], dim: int) -> EmbeddingTable:
     table = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim), TRAIN_DTYPE))
-    for j, w in enumerate(table.weights):
+    for j, w in enumerate(split_rows(table.block, table.offsets)):
         stored = z[f"{prefix}:{j}"]
         if stored.shape != w.shape:
             raise ValueError(f"checkpoint {prefix}:{j} has shape {stored.shape}, expected {w.shape}")

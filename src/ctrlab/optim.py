@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbeddingTable, SparseGradient, split_rows
+from .embedding import EmbeddingTable, SparseGradient
 
 # Bytes per array in one slice of the dense-mode Adam pass.  The pass streams
 # five arrays; 256 KiB slices keep them in a core's L2, where one pass over a
@@ -130,15 +130,16 @@ def _slice_rows(dim: int, itemsize: int) -> int:
 class EmbedAdamState:
     """Adam moments shaped like the table's block, with per-row step counts for lazy mode.
 
-    m, v and col_t give the same per field, as views.  scratch holds two work
-    buffers and a mask for one slice of the dense-mode step; they carry
-    nothing from one step to the next and are not optimizer state.
+    Row i of each block belongs to the table's row i, so a step indexes them
+    with the gradient's rows, as it does the table; there are no per-field
+    views.  scratch holds two work buffers and a mask for one slice of the
+    dense-mode step; they carry nothing from one step to the next and are
+    not optimizer state.
     """
 
     m_block: np.ndarray      # (rows, dim)
     v_block: np.ndarray      # (rows, dim)
     col_t_block: np.ndarray  # (rows,) int64
-    offsets: np.ndarray      # the table's field offsets
     t: int = 0
     scratch: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
@@ -155,20 +156,7 @@ class EmbedAdamState:
             np.zeros_like(table.block),
             np.zeros_like(table.block),
             np.zeros(rows, dtype=np.int64),
-            table.offsets,
         )
-
-    @property
-    def m(self) -> tuple[np.ndarray, ...]:
-        return split_rows(self.m_block, self.offsets)
-
-    @property
-    def v(self) -> tuple[np.ndarray, ...]:
-        return split_rows(self.v_block, self.offsets)
-
-    @property
-    def col_t(self) -> tuple[np.ndarray, ...]:
-        return split_rows(self.col_t_block, self.offsets)
 
 
 def adam_sparse_step(
@@ -183,7 +171,8 @@ def adam_sparse_step(
     """Adam over an embedding table driven by a sparse gradient, in place.
 
     Updates table.block and the state's moments and step counts, all fields
-    in one pass.
+    in one pass.  The gradient must have been built for a table with
+    table's field offsets.
     dense_l2 on: every id vector steps every time; absent ids see the pure
     decay gradient l2*w, so regularization keeps acting between occurrences.
     Every FLUSH_EVERY steps, an entry whose weight fell below sqrt(tiny) of
@@ -191,8 +180,9 @@ def adam_sparse_step(
     dense_l2 off: absent ids and their moments stay untouched, bias
     correction runs on per-id step counts, and the cost is O(touched ids).
     """
+    sparse_grad.check_table(table)
     state.t += 1
-    w, rows = table.block, sparse_grad.rows(table)
+    w, rows = table.block, sparse_grad.row_block
     if dense_l2:
         bc1 = 1.0 - cfg.beta1 ** state.t
         bc2 = 1.0 - cfg.beta2 ** state.t

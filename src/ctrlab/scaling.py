@@ -40,7 +40,8 @@ class BaseHyperparams:
     l2: float = 1e-4
 
     def __post_init__(self):
-        if self.base_batch < 1 or min(self.eta_dense, self.eta_embed, self.l2) <= 0:
+        # `not x > 0` also rejects NaN, for which every comparison is false.
+        if self.base_batch < 1 or not all(x > 0 for x in (self.eta_dense, self.eta_embed, self.l2)):
             raise ValueError("base hyperparameters must be positive")
 
 
@@ -55,7 +56,7 @@ class ScalingPlan:
 
 def scale(rule: str, base: BaseHyperparams, s: float) -> ScalingPlan:
     """Apply one scaling rule for batch factor s (target batch / base batch)."""
-    if s <= 0:
+    if not s > 0:
         raise ValueError("batch factor s must be > 0")
     if rule == "none":
         eta_d, eta_e, l2 = base.eta_dense, base.eta_embed, base.l2
@@ -83,9 +84,9 @@ def plan_for_batch(rule: str, base: BaseHyperparams, target_batch: int) -> Scali
 def clip_value_scale(base_clip: float, s: float, mode: str) -> float:
     """Constant clip thresholds track the batch: linear (frequent-id regime)
     or sqrt (disjoint-occurrence regime, the better default)."""
-    if base_clip <= 0:
+    if not base_clip > 0:
         raise ValueError("base_clip must be > 0")
-    if s <= 0:
+    if not s > 0:
         raise ValueError("batch factor must be > 0")
     if mode == "linear":
         return base_clip * s

@@ -62,26 +62,26 @@ def test_c03_cowclip_contract():
         n, dim = 2500, 10
         fields = (FieldSchema("c", CATEGORICAL, n),)
         table = init_table(fields, dim, init_sigma=1.0, seed=int(r * 1000))
-        w = table.weights[0]
-        w *= rng.lognormal(0.0, 2.0, size=(n, 1))  # wide norm range
+        table.block[...] *= rng.lognormal(0.0, 2.0, size=(n, 1))  # wide norm range
         grads = rng.normal(size=(n, dim)) * rng.lognormal(0.0, 2.0, size=(n, 1))
         counts = rng.integers(1, 11, size=n)
-        sparse = SparseGradient.from_fields([np.arange(n)], [grads], [counts])
+        # One field, so id k is table row k.
+        sparse = SparseGradient(np.arange(n), grads, counts, table.offsets)
         out = cowclip(table, sparse, r=r, zeta=zeta)
-        w_norms = np.linalg.norm(table.weights[0], axis=1)
+        w_norms = np.linalg.norm(table.block, axis=1)
         thresholds = counts * np.maximum(r * w_norms, zeta)
-        out_norms = np.linalg.norm(out.grads[0], axis=1)
+        out_norms = np.linalg.norm(out.grad_block, axis=1)
         in_norms = np.linalg.norm(grads, axis=1)
         ok &= bool(np.all(out_norms <= thresholds + 1e-12))
         nonzero = in_norms > 0
-        cos = np.einsum("ij,ij->i", out.grads[0][nonzero], grads[nonzero]) / (
+        cos = np.einsum("ij,ij->i", out.grad_block[nonzero], grads[nonzero]) / (
             out_norms[nonzero] * in_norms[nonzero]
         )
         ok &= bool(np.all(cos > 1 - 1e-12))
         under = in_norms <= thresholds
-        ok &= bool(np.array_equal(out.grads[0][under], grads[under]))  # bit-identical
+        ok &= bool(np.array_equal(out.grad_block[under], grads[under]))  # bit-identical
         again = cowclip(table, out, r=r, zeta=zeta)
-        ok &= bool(np.allclose(again.grads[0], out.grads[0], rtol=1e-12, atol=0))
+        ok &= bool(np.allclose(again.grad_block, out.grad_block, rtol=1e-12, atol=0))
         n_total += n
     elapsed = time.time() - t0
     ok = ok and elapsed < 5

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from ctrlab.clip import ClipConfig, apply_clip, cowclip
 from ctrlab.data import CATEGORICAL, FieldSchema
-from ctrlab.embedding import SparseGradient, init_table
+from ctrlab.embedding import init_table
 from ctrlab.scaling import clip_value_scale
+
+from conftest import sparse_gradient
 
 
 def _table(vocabs, dim=4, sigma=0.1, seed=0):
@@ -17,61 +19,70 @@ def _table(vocabs, dim=4, sigma=0.1, seed=0):
     return init_table(fields, dim, init_sigma=sigma, seed=seed, dtype=np.float64)
 
 
-def _clip(variant, sparse, table=None, **params):
-    """One variant through the clip kernel; the constant variants read no table."""
+def _clip(variant, sparse, table, **params):
+    """One variant through the clip kernel."""
     return apply_clip(ClipConfig(variant, **params), table, sparse)
 
 
-def _sparse(rng, table, touched_per_field=3, scale=1.0):
+def _fields(rng, table, touched_per_field=3, scale=1.0):
+    """Per-field ids, grads and counts touching a few ids of every field."""
     ids, grads, counts = [], [], []
-    for w in table.weights:
-        k = min(touched_per_field, len(w))
-        ids.append(np.sort(rng.choice(len(w), size=k, replace=False)))
+    for f in table.fields:
+        k = min(touched_per_field, f.vocab_size)
+        ids.append(np.sort(rng.choice(f.vocab_size, size=k, replace=False)))
         grads.append(rng.normal(scale=scale, size=(k, table.dim)))
         counts.append(rng.integers(1, 6, size=k))
-    return SparseGradient.from_fields(ids, grads, counts)
+    return ids, grads, counts
+
+
+def _sparse(rng, table, touched_per_field=3, scale=1.0):
+    return sparse_gradient(table, *_fields(rng, table, touched_per_field, scale))
+
+
+def _field(sparse, j):
+    """Field j's rows of the gradient block."""
+    return sparse.grad_block[sparse.cuts[j]:sparse.cuts[j + 1]]
 
 
 class TestCowClip:
     def test_hand_case_weight_dominates(self):
         # threshold = cnt * max(r*||w||, zeta) = 2 * max(0.1, 1e-5) = 0.2
         table = _table([3], dim=2)
-        table.weights[0][1] = np.array([0.1, 0.0])
+        table.block[1] = np.array([0.1, 0.0])
         g = np.array([[0.6, 0.8]])  # norm 1
-        sparse = SparseGradient.from_fields([np.array([1])], [g], [np.array([2])])
+        sparse = sparse_gradient(table, [np.array([1])], [g], [np.array([2])])
         out = cowclip(table, sparse, r=1.0, zeta=1e-5)
-        assert np.linalg.norm(out.grads[0][0]) == pytest.approx(0.2, rel=1e-12)
+        assert np.linalg.norm(out.grad_block[0]) == pytest.approx(0.2, rel=1e-12)
 
     def test_hand_case_zeta_dominates(self):
         table = _table([3], dim=2)
-        table.weights[0][0] = np.array([1e-7, 0.0])
+        table.block[0] = np.array([1e-7, 0.0])
         g = np.array([[1.0, 0.0]])
-        sparse = SparseGradient.from_fields([np.array([0])], [g], [np.array([1])])
+        sparse = sparse_gradient(table, [np.array([0])], [g], [np.array([1])])
         out = cowclip(table, sparse, r=1.0, zeta=1e-4)
-        assert np.linalg.norm(out.grads[0][0]) == pytest.approx(1e-4, rel=1e-12)
+        assert np.linalg.norm(out.grad_block[0]) == pytest.approx(1e-4, rel=1e-12)
 
     def test_under_threshold_bit_identical(self):
         rng = np.random.default_rng(1)
         table = _table([8], sigma=10.0, seed=1)  # huge weights -> huge thresholds
         sparse = _sparse(rng, table, scale=0.01)
         out = cowclip(table, sparse, r=1.0, zeta=1e-5)
-        assert np.array_equal(out.grads[0], sparse.grads[0])
+        assert np.array_equal(out.grad_block, sparse.grad_block)
 
     def test_occurrence_count_flag(self):
         table = _table([3], dim=2)
-        table.weights[0][1] = np.array([0.1, 0.0])
+        table.block[1] = np.array([0.1, 0.0])
         g = np.array([[1.0, 0.0]])
-        sparse = SparseGradient.from_fields([np.array([1])], [g], [np.array([4])])
+        sparse = sparse_gradient(table, [np.array([1])], [g], [np.array([4])])
         with_cnt = cowclip(table, sparse, r=1.0, zeta=1e-5)
-        assert np.linalg.norm(with_cnt.grads[0][0]) == pytest.approx(0.4, rel=1e-12)
+        assert np.linalg.norm(with_cnt.grad_block[0]) == pytest.approx(0.4, rel=1e-12)
 
     def test_huge_r_and_zeta_is_identity(self):
         rng = np.random.default_rng(2)
         table = _table([5, 7], seed=2)
         sparse = _sparse(rng, table, scale=5.0)
         out = cowclip(table, sparse, r=1e12, zeta=1e12)
-        for j in range(2):
-            assert np.array_equal(out.grads[j], sparse.grads[j])
+        assert np.array_equal(out.grad_block, sparse.grad_block)
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(0, 2**31))
@@ -84,32 +95,29 @@ class TestCowClip:
         zeta = float(rng.uniform(1e-6, 1e-2))
         out = cowclip(table, sparse, r=r, zeta=zeta)
         again = cowclip(table, out, r=r, zeta=zeta)
-        for j in range(2):
-            w_norms = np.linalg.norm(table.weights[j][sparse.ids[j]], axis=1)
-            thresholds = sparse.counts[j] * np.maximum(r * w_norms, zeta)
-            norms = np.linalg.norm(out.grads[j], axis=1)
-            assert np.all(norms <= thresholds + 1e-12)
-            for i in range(len(norms)):
-                g_in = sparse.grads[j][i]
-                if np.linalg.norm(g_in) > 0:
-                    cos = (out.grads[j][i] @ g_in) / (
-                        np.linalg.norm(out.grads[j][i]) * np.linalg.norm(g_in) + 1e-300
-                    )
-                    assert cos > 1 - 1e-12 or np.linalg.norm(out.grads[j][i]) == 0
-            # idempotent up to one ulp: a re-clip of an at-threshold column can
-            # rescale by 1 - O(1e-16) when the recomputed norm rounds upward
-            assert np.allclose(again.grads[j], out.grads[j], rtol=1e-12, atol=0)
+        w_norms = np.linalg.norm(table.block[sparse.row_block], axis=1)
+        thresholds = sparse.count_block * np.maximum(r * w_norms, zeta)
+        norms = np.linalg.norm(out.grad_block, axis=1)
+        assert np.all(norms <= thresholds + 1e-12)
+        for i in range(len(norms)):
+            g_in, g_out = sparse.grad_block[i], out.grad_block[i]
+            if np.linalg.norm(g_in) > 0:
+                cos = (g_out @ g_in) / (np.linalg.norm(g_out) * np.linalg.norm(g_in) + 1e-300)
+                assert cos > 1 - 1e-12 or np.linalg.norm(g_out) == 0
+        # idempotent up to one ulp: a re-clip of an at-threshold column can
+        # rescale by 1 - O(1e-16) when the recomputed norm rounds upward
+        assert np.allclose(again.grad_block, out.grad_block, rtol=1e-12, atol=0)
 
     def test_threshold_monotonicity(self):
         table = _table([2], dim=2)
-        table.weights[0][0] = np.array([0.2, 0.0])
+        table.block[0] = np.array([0.2, 0.0])
         g = np.array([[10.0, 0.0]])
 
         def norm_out(r, zeta, cnt, w_scale=1.0):
             t2 = _table([2], dim=2)
-            t2.weights[0][0] = np.array([0.2 * w_scale, 0.0])
-            sparse = SparseGradient.from_fields([np.array([0])], [g.copy()], [np.array([cnt])])
-            return np.linalg.norm(cowclip(t2, sparse, r=r, zeta=zeta).grads[0][0])
+            t2.block[0] = np.array([0.2 * w_scale, 0.0])
+            sparse = sparse_gradient(t2, [np.array([0])], [g.copy()], [np.array([cnt])])
+            return np.linalg.norm(cowclip(t2, sparse, r=r, zeta=zeta).grad_block[0])
 
         base = norm_out(1.0, 1e-4, 1)
         assert norm_out(2.0, 1e-4, 1) >= base      # r
@@ -123,42 +131,48 @@ class TestGlobal:
         rng = np.random.default_rng(3)
         table = _table([5], seed=3)
         sparse = _sparse(rng, table, scale=0.1)
-        out = _clip("global", sparse, value=25.0)  # the conventional default bound
-        assert np.array_equal(out.grads[0], sparse.grads[0])
+        out = _clip("global", sparse, table, value=25.0)  # the conventional default bound
+        assert np.array_equal(out.grad_block, sparse.grad_block)
 
     def test_double_norm_halves_entries(self):
+        table = _table([1], dim=2)
         g = np.array([[3.0, 4.0]])  # norm 5
-        sparse = SparseGradient.from_fields([np.array([0])], [g], [np.array([1])])
-        out = _clip("global", sparse, value=2.5)
-        assert np.allclose(out.grads[0], g / 2, rtol=0, atol=1e-15)
+        sparse = sparse_gradient(table, [np.array([0])], [g], [np.array([1])])
+        out = _clip("global", sparse, table, value=2.5)
+        assert np.allclose(out.grad_block, g / 2, rtol=0, atol=1e-15)
 
     def test_norm_concatenated_over_fields(self):
-        sparse = SparseGradient.from_fields(
+        table = _table([1, 2], dim=2)
+        sparse = sparse_gradient(
+            table,
             [np.array([0]), np.array([1])],
             [np.array([[3.0, 0.0]]), np.array([[0.0, 4.0]])],
             [np.array([1]), np.array([1])],
         )
-        out = _clip("global", sparse, value=1.0)  # total norm 5 -> scale 1/5
-        assert np.allclose(out.grads[0], [[0.6, 0.0]], rtol=0, atol=1e-15)
-        assert np.allclose(out.grads[1], [[0.0, 0.8]], rtol=0, atol=1e-15)
+        out = _clip("global", sparse, table, value=1.0)  # total norm 5 -> scale 1/5
+        assert np.allclose(_field(out, 0), [[0.6, 0.0]], rtol=0, atol=1e-15)
+        assert np.allclose(_field(out, 1), [[0.0, 0.8]], rtol=0, atol=1e-15)
 
 
 class TestFieldwise:
     def test_only_offending_field_rescaled(self):
-        sparse = SparseGradient.from_fields(
+        table = _table([1, 1], dim=2)
+        sparse = sparse_gradient(
+            table,
             [np.array([0]), np.array([0])],
             [np.array([[10.0, 0.0]]), np.array([[0.1, 0.0]])],
             [np.array([1]), np.array([1])],
         )
-        out = _clip("fieldwise", sparse, value=1.0)
-        assert np.linalg.norm(out.grads[0]) == pytest.approx(1.0, rel=1e-12)
-        assert np.array_equal(out.grads[1], sparse.grads[1])
+        out = _clip("fieldwise", sparse, table, value=1.0)
+        assert np.linalg.norm(_field(out, 0)) == pytest.approx(1.0, rel=1e-12)
+        assert np.array_equal(_field(out, 1), _field(sparse, 1))
 
     def test_sqrt_batch_scaling(self):
-        sparse = SparseGradient.from_fields([np.array([0])], [np.array([[10.0, 0.0]])],
-                                [np.array([1])])
-        out = _clip("fieldwise", sparse, value=clip_value_scale(1.0, 4.0, "sqrt"))
-        assert np.linalg.norm(out.grads[0]) == pytest.approx(2.0, rel=1e-12)
+        table = _table([1], dim=2)
+        sparse = sparse_gradient(table, [np.array([0])], [np.array([[10.0, 0.0]])],
+                                 [np.array([1])])
+        out = _clip("fieldwise", sparse, table, value=clip_value_scale(1.0, 4.0, "sqrt"))
+        assert np.linalg.norm(out.grad_block) == pytest.approx(2.0, rel=1e-12)
 
     def test_disjoint_merge_norm_grows_like_sqrt_s(self):
         # merging s small-batch gradient blocks with no shared ids: the summed
@@ -174,33 +188,34 @@ class TestFieldwise:
 
 class TestColumnwise:
     def test_cases(self):
+        table = _table([3], dim=2)
         g = np.array([[0.0, 0.0], [3.0, 4.0], [0.1, 0.0]])
-        sparse = SparseGradient.from_fields([np.array([0, 1, 2])], [g], [np.array([1, 1, 1])])
-        out = _clip("columnwise", sparse, value=1.0)
-        assert np.array_equal(out.grads[0][0], g[0])  # zero untouched
-        assert np.linalg.norm(out.grads[0][1]) == pytest.approx(1.0, rel=1e-12)
-        assert np.array_equal(out.grads[0][2], g[2])  # under threshold
+        sparse = sparse_gradient(table, [np.array([0, 1, 2])], [g], [np.array([1, 1, 1])])
+        out = _clip("columnwise", sparse, table, value=1.0)
+        assert np.array_equal(out.grad_block[0], g[0])  # zero untouched
+        assert np.linalg.norm(out.grad_block[1]) == pytest.approx(1.0, rel=1e-12)
+        assert np.array_equal(out.grad_block[2], g[2])  # under threshold
 
 
 class TestAdaptiveFieldwise:
     def test_cases(self):
         table = _table([2], dim=2, sigma=1.0, seed=5)
-        table.weights[0][...] = [[2.0, 0.0], [0.0, 0.0]]  # field block norm 2
-        sparse = SparseGradient.from_fields([np.array([0])], [np.array([[1.0, 0.0]])],
-                                [np.array([1])])
+        table.block[...] = [[2.0, 0.0], [0.0, 0.0]]  # field block norm 2
+        sparse = sparse_gradient(table, [np.array([0])], [np.array([[1.0, 0.0]])],
+                                 [np.array([1])])
         out = _clip("adaptive_fieldwise", sparse, table, r=1.0, zeta=1e-5)
-        assert np.array_equal(out.grads[0], sparse.grads[0])  # under threshold
-        sparse_big = SparseGradient.from_fields([np.array([0])], [np.array([[3.0, 0.0]])],
-                                    [np.array([1])])
+        assert np.array_equal(out.grad_block, sparse.grad_block)  # under threshold
+        sparse_big = sparse_gradient(table, [np.array([0])], [np.array([[3.0, 0.0]])],
+                                     [np.array([1])])
         out = _clip("adaptive_fieldwise", sparse_big, table, r=1.0, zeta=1e-5)
-        assert np.linalg.norm(out.grads[0]) == pytest.approx(2.0, rel=1e-12)
+        assert np.linalg.norm(out.grad_block) == pytest.approx(2.0, rel=1e-12)
 
     def test_zeta_floor(self):
         table = _table([2], dim=2, sigma=1e-9, seed=6)
-        sparse = SparseGradient.from_fields([np.array([0])], [np.array([[1.0, 0.0]])],
-                                [np.array([1])])
+        sparse = sparse_gradient(table, [np.array([0])], [np.array([[1.0, 0.0]])],
+                                 [np.array([1])])
         out = _clip("adaptive_fieldwise", sparse, table, r=1.0, zeta=1e-3)
-        assert np.linalg.norm(out.grads[0]) == pytest.approx(1e-3, rel=1e-9)
+        assert np.linalg.norm(out.grad_block) == pytest.approx(1e-3, rel=1e-9)
 
 
 CLIPPING_CONFIGS = [
@@ -239,43 +254,47 @@ class TestConfigAndDispatch:
         cfg = ClipConfig(variant=variant, **kwargs)
         once = apply_clip(cfg, table, sparse)
         twice = apply_clip(cfg, table, once)
-        for j in range(2):
-            assert np.allclose(twice.grads[j], once.grads[j], rtol=1e-12, atol=0)
+        assert np.allclose(twice.grad_block, once.grad_block, rtol=1e-12, atol=0)
 
     def test_inputs_never_mutated(self):
         rng = np.random.default_rng(9)
         table = _table([6], seed=9)
         sparse = _sparse(rng, table, scale=100.0)
-        before = sparse.grads[0].copy()
+        before = sparse.grad_block.copy()
         cowclip(table, sparse, r=1.0, zeta=1e-4)
-        _clip("global", sparse, value=0.1)
-        _clip("columnwise", sparse, value=0.1)
-        assert np.array_equal(sparse.grads[0], before)
+        _clip("global", sparse, table, value=0.1)
+        _clip("columnwise", sparse, table, value=0.1)
+        assert np.array_equal(sparse.grad_block, before)
+
+    @pytest.mark.parametrize("variant,kwargs", [CLIPPING_CONFIGS[1], CLIPPING_CONFIGS[4]])
+    def test_gradient_for_other_vocab_sizes_is_rejected(self, variant, kwargs):
+        # the same field count, so only the offsets tell the tables apart
+        table, other = _table([4, 6], seed=11), _table([6, 4], seed=11)
+        sparse = _sparse(np.random.default_rng(11), other)
+        with pytest.raises(ValueError, match="built for a table with other field offsets"):
+            apply_clip(ClipConfig(variant=variant, **kwargs), table, sparse)
 
     @pytest.mark.parametrize("variant,kwargs", CLIPPING_CONFIGS)
     def test_apply_clip_shares_ids_and_leaves_input_alone(self, variant, kwargs):
         rng = np.random.default_rng(10)
         table = _table([6, 5, 4], seed=10)
-        full = _sparse(rng, table, scale=100.0)
         # the last field touches nothing
-        sparse = SparseGradient.from_fields(
-            *[group[:2] + (group[2][:0],) for group in (full.ids, full.grads, full.counts)]
-        )
-        blocks = (sparse.id_block, sparse.grad_block, sparse.count_block, sparse.cuts)
+        sparse = sparse_gradient(table, *(group[:2] for group in _fields(rng, table, scale=100.0)))
+        blocks = (sparse.row_block, sparse.grad_block, sparse.count_block, sparse.offsets)
         snapshot = [a.copy() for a in blocks]
         out = apply_clip(ClipConfig(variant=variant, **kwargs), table, sparse)
         assert out is not sparse
         assert all(np.array_equal(a, b) for a, b in zip(blocks, snapshot))
-        assert out.id_block is sparse.id_block
+        assert out.row_block is sparse.row_block
         assert out.count_block is sparse.count_block
-        assert out.cuts is sparse.cuts
-        assert any(not np.array_equal(a, b) for a, b in zip(out.grads, sparse.grads))
+        assert out.offsets is sparse.offsets
+        assert not np.array_equal(out.grad_block, sparse.grad_block)
 
 
 def _clip_units(variant, cfg, table, sparse):
     """(row indices into the grad block, threshold) for every unit the variant clips."""
-    cuts = sparse.cuts
-    fields = [np.arange(cuts[j], cuts[j + 1]) for j in range(sparse.n_fields)]
+    cuts, offsets = sparse.cuts, table.offsets
+    fields = [np.arange(cuts[j], cuts[j + 1]) for j in range(len(cuts) - 1)]
     rows = [np.array([i]) for i in range(len(sparse.grad_block))]
     if variant == "global":
         return [(np.arange(len(sparse.grad_block)), cfg.value)]
@@ -284,9 +303,9 @@ def _clip_units(variant, cfg, table, sparse):
     if variant == "columnwise":
         return [(i, cfg.value) for i in rows]
     if variant == "adaptive_fieldwise":
-        return [(f, max(cfg.r * np.linalg.norm(table.weights[j]), cfg.zeta))
+        return [(f, max(cfg.r * np.linalg.norm(table.block[offsets[j]:offsets[j + 1]]), cfg.zeta))
                 for j, f in enumerate(fields)]
-    w = table.block[sparse.rows(table)]
+    w = table.block[sparse.row_block]
     return [(i, sparse.count_block[i[0]] * max(cfg.r * np.linalg.norm(w[i[0]]), cfg.zeta))
             for i in rows]
 
@@ -308,7 +327,7 @@ class TestClipContractProperty:
     ):
         rng = np.random.default_rng(seed)
         table = _table(vocabs, dim=dim, sigma=10.0 ** rng.uniform(-3, 1), seed=seed % 1000)
-        # the gradient may cover fewer fields than the table, and may skip fields
+        # the gradient may leave the table's last fields empty, and may skip fields
         n_fields = max(1, len(vocabs) - dropped)
         ids, grads, counts = [], [], []
         for v in vocabs[:n_fields]:
@@ -316,8 +335,8 @@ class TestClipContractProperty:
             ids.append(np.sort(rng.choice(v, size=k, replace=False)))
             grads.append(rng.normal(size=(k, dim)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1)))
             counts.append(rng.integers(1, 6, size=k))
-        sparse = SparseGradient.from_fields(ids, grads, counts)
-        snapshot = [a.copy() for a in (sparse.id_block, sparse.grad_block, sparse.count_block)]
+        sparse = sparse_gradient(table, ids, grads, counts)
+        snapshot = [a.copy() for a in (sparse.row_block, sparse.grad_block, sparse.count_block)]
         if variant in ("global", "fieldwise", "columnwise"):
             cfg = ClipConfig(variant, value=value)
         else:
@@ -325,9 +344,9 @@ class TestClipContractProperty:
 
         out = apply_clip(cfg, table, sparse)
 
-        for a, b in zip((sparse.id_block, sparse.grad_block, sparse.count_block), snapshot):
+        for a, b in zip((sparse.row_block, sparse.grad_block, sparse.count_block), snapshot):
             assert np.array_equal(a, b)
-        assert np.array_equal(out.id_block, sparse.id_block)
+        assert np.array_equal(out.row_block, sparse.row_block)
         assert np.array_equal(out.count_block, sparse.count_block)
         for unit, threshold in _clip_units(variant, cfg, table, sparse):
             g_in, g_out = sparse.grad_block[unit], out.grad_block[unit]

@@ -1,6 +1,8 @@
 """Embedding tables, sparse gradient accumulation, and the dense-oracle checks."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,16 +12,33 @@ from hypothesis import strategies as st
 from ctrlab.data import CATEGORICAL, Batch, FieldSchema
 from ctrlab.embedding import (
     TRAIN_DTYPE,
-    SparseGradient,
     accumulate_gradients,
-    column_norms,
     init_table,
     lookup_forward,
 )
 
+from conftest import sparse_gradient
+
 
 def _fields(*vocabs):
     return tuple(FieldSchema(f"c{j}", CATEGORICAL, v) for j, v in enumerate(vocabs))
+
+
+def _field_rows(table, j, block=None):
+    """Field j's rows of the table block, or of an array shaped like it."""
+    return (table.block if block is None else block)[table.offsets[j]:table.offsets[j + 1]]
+
+
+def _field_entries(sparse, block, j):
+    """Field j's entries of one of the gradient's blocks."""
+    return block[sparse.cuts[j]:sparse.cuts[j + 1]]
+
+
+def _scattered(table, sparse):
+    """The gradient as a dense array shaped like the table block."""
+    dense = np.zeros(table.block.shape)
+    dense[sparse.row_block] = sparse.grad_block
+    return dense
 
 
 def _batch(rng, vocabs, b):
@@ -35,21 +54,20 @@ def chi_mean(dim: int) -> float:
 class TestInit:
     def test_column_norm_small_sigma(self):
         table = init_table(_fields(20_000), dim=10, init_sigma=1e-4, seed=0)
-        norms = column_norms(table)[0]
+        norms = np.linalg.norm(table.block, axis=1)
         # chi-distribution oracle: E||col|| = sigma * chi_mean(10) = 3.0843e-4
         assert norms.mean() == pytest.approx(1e-4 * chi_mean(10), rel=0.01)
         assert norms.mean() == pytest.approx(math.sqrt(10) * 1e-4, rel=0.05)
 
     def test_column_norm_large_sigma(self):
         table = init_table(_fields(20_000), dim=10, init_sigma=1e-2, seed=1)
-        norms = column_norms(table)[0]
+        norms = np.linalg.norm(table.block, axis=1)
         assert norms.mean() == pytest.approx(math.sqrt(10) * 1e-2, rel=0.05)
 
     def test_determinism(self):
         a = init_table(_fields(50, 30), dim=4, init_sigma=0.1, seed=9)
         b = init_table(_fields(50, 30), dim=4, init_sigma=0.1, seed=9)
-        for wa, wb in zip(a.weights, b.weights):
-            assert np.array_equal(wa, wb)
+        assert np.array_equal(a.block, b.block)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -57,12 +75,15 @@ class TestInit:
         with pytest.raises(ValueError):
             init_table(_fields(5), dim=2, init_sigma=0.0)
 
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ValueError, match="init_sigma"):
+            init_table(_fields(5), dim=2, init_sigma=float("nan"))
+
 
 class TestLookup:
     def test_zero_table(self):
         table = init_table(_fields(5, 5), dim=3, init_sigma=1.0, seed=0)
-        for w in table.weights:
-            w[...] = 0.0
+        table.block[...] = 0.0
         batch = _batch(np.random.default_rng(0), [5, 5], 4)
         embedded, _ = lookup_forward(table, batch)
         assert np.all(embedded == 0.0)
@@ -72,7 +93,7 @@ class TestLookup:
         batch = Batch(np.array([0], dtype=np.uint8), np.zeros((1, 0)),
                       np.array([[3, 5]], dtype=np.int64))
         embedded, _ = lookup_forward(table, batch)
-        expected = np.concatenate([table.weights[0][3], table.weights[1][5]])
+        expected = np.concatenate([_field_rows(table, 0)[3], _field_rows(table, 1)[5]])
         assert np.array_equal(embedded[0], expected)
 
     def test_matches_naive_gather(self):
@@ -83,7 +104,7 @@ class TestLookup:
         embedded, _ = lookup_forward(table, batch)
         for i in range(16):
             row = np.concatenate(
-                [table.weights[j][batch.categorical[i, j]] for j in range(3)]
+                [_field_rows(table, j)[batch.categorical[i, j]] for j in range(3)]
             )
             assert np.array_equal(embedded[i], row)
 
@@ -149,8 +170,9 @@ class TestBlockLayout:
         table = init_table(_fields(*vocabs), dim=dim, init_sigma=sigma, seed=11)
         assert table.block.dtype == TRAIN_DTYPE
         rng = np.random.default_rng(11)
-        for v, w in zip(vocabs, table.weights):
-            assert np.array_equal(w, rng.normal(0.0, sigma, size=(v, dim)).astype(TRAIN_DTYPE))
+        for j, v in enumerate(vocabs):
+            expected = rng.normal(0.0, sigma, size=(v, dim)).astype(TRAIN_DTYPE)
+            assert np.array_equal(_field_rows(table, j), expected)
 
 
 class TestAccumulate:
@@ -160,9 +182,9 @@ class TestAccumulate:
         batch = Batch(np.zeros(6, dtype=np.uint8), np.zeros((6, 0)), ids)
         _, record = lookup_forward(table, batch)
         sparse = accumulate_gradients(record, np.ones((6, 2)), 6)
-        assert list(sparse.ids[0]) == [1, 2, 4]
-        assert list(sparse.counts[0]) == [3, 2, 1]
-        assert sparse.counts[0].sum() == 6  # one id per field per sample
+        assert list(sparse.row_block) == [1, 2, 4]
+        assert list(sparse.count_block) == [3, 2, 1]
+        assert sparse.count_block.sum() == 6  # one id per field per sample
 
     def test_absent_id_has_no_entry(self):
         table = init_table(_fields(10), dim=2, init_sigma=1.0, seed=0)
@@ -170,8 +192,8 @@ class TestAccumulate:
         _, record = lookup_forward(table, Batch(np.zeros(1, dtype=np.uint8),
                                                 np.zeros((1, 0)), ids))
         sparse = accumulate_gradients(record, np.ones((1, 2)), 1)
-        assert 7 not in sparse.ids[0]
-        assert len(sparse.ids[0]) == 1
+        assert 7 not in sparse.row_block
+        assert len(sparse.row_block) == 1
 
     def test_matches_dense_onehot_oracle(self):
         # d(loss)/dW for the one-hot matrix product X @ W is X^T @ upstream / b
@@ -183,13 +205,12 @@ class TestAccumulate:
         _, record = lookup_forward(table, batch)
         upstream = rng.normal(size=(b, len(vocabs) * dim))
         sparse = accumulate_gradients(record, upstream, b)
+        scattered = _scattered(table, sparse)
         for j, v in enumerate(vocabs):
             onehot = np.zeros((b, v))
             onehot[np.arange(b), batch.categorical[:, j]] = 1.0
             dense_grad = onehot.T @ upstream[:, j * dim : (j + 1) * dim] / b
-            scattered = np.zeros((v, dim))
-            scattered[sparse.ids[j]] = sparse.grads[j]
-            assert np.max(np.abs(scattered - dense_grad)) < 1e-12
+            assert np.max(np.abs(_field_rows(table, j, scattered) - dense_grad)) < 1e-12
 
     @settings(deadline=None, max_examples=80)
     @given(
@@ -205,20 +226,23 @@ class TestAccumulate:
         _, record = lookup_forward(table, batch)
         upstream = rng.normal(size=(b, len(vocabs) * dim))
         sparse = accumulate_gradients(record, upstream, b)
+        scattered = _scattered(table, sparse)
         for j, v in enumerate(vocabs):
             block = upstream[:, j * dim : (j + 1) * dim]
             onehot = np.zeros((b, v))
             onehot[np.arange(b), batch.categorical[:, j]] = 1.0
-            scattered = np.zeros((v, dim))
-            scattered[sparse.ids[j]] = sparse.grads[j]
-            assert np.max(np.abs(scattered - onehot.T @ block / b)) < 1e-12
+            assert np.max(np.abs(_field_rows(table, j, scattered) - onehot.T @ block / b)) < 1e-12
             # np.add.at folds the same rows in the same order from 0.0
             uniq, inverse = np.unique(batch.categorical[:, j], return_inverse=True)
             sums = np.zeros((len(uniq), dim))
             np.add.at(sums, inverse, block)
-            assert np.array_equal(sparse.ids[j], uniq)
-            assert np.array_equal(sparse.grads[j], sums / b)
-            assert np.array_equal(sparse.counts[j], np.bincount(inverse))
+            rows, grads, counts = (
+                _field_entries(sparse, a, j)
+                for a in (sparse.row_block, sparse.grad_block, sparse.count_block)
+            )
+            assert np.array_equal(rows, uniq + table.offsets[j])
+            assert np.array_equal(grads, sums / b)
+            assert np.array_equal(counts, np.bincount(inverse))
 
     def test_linearity(self):
         rng = np.random.default_rng(6)
@@ -230,7 +254,7 @@ class TestAccumulate:
         u2 = rng.normal(size=(10, 2))
         sum_of = accumulate_gradients(record, u1 + u2, 10)
         parts = [accumulate_gradients(record, u, 10) for u in (u1, u2)]
-        assert np.allclose(sum_of.grads[0], parts[0].grads[0] + parts[1].grads[0],
+        assert np.allclose(sum_of.grad_block, parts[0].grad_block + parts[1].grad_block,
                            rtol=0, atol=1e-14)
 
     def test_one_block_field_after_field(self):
@@ -240,15 +264,20 @@ class TestAccumulate:
         batch = _batch(rng, vocabs, 9)
         _, record = lookup_forward(table, batch)
         sparse = accumulate_gradients(record, rng.normal(size=(9, 9)), 9)
-        assert sparse.n_fields == 3
-        assert np.array_equal(sparse.rows(table), np.unique(record.rows))
+        assert sparse.offsets is table.offsets
+        assert np.array_equal(sparse.row_block, np.unique(record.rows))
+        assert len(sparse.cuts) == 4 and sparse.cuts[-1] == len(sparse.row_block)
+        # The views perfbench's tracer reads: field-local ids, and grads that
+        # are views of the block.
+        assert len(sparse.ids) == len(sparse.grads) == 3
         for j, ids in enumerate(sparse.ids):
             assert np.array_equal(ids, np.unique(batch.categorical[:, j]))
             assert np.shares_memory(sparse.grads[j], sparse.grad_block)
-        rebuilt = SparseGradient.from_fields(sparse.ids, sparse.grads, sparse.counts)
+        counts = [_field_entries(sparse, sparse.count_block, j) for j in range(3)]
+        rebuilt = sparse_gradient(table, sparse.ids, sparse.grads, counts)
         for a, b in zip(
-            (rebuilt.id_block, rebuilt.grad_block, rebuilt.count_block, rebuilt.cuts),
-            (sparse.id_block, sparse.grad_block, sparse.count_block, sparse.cuts),
+            (rebuilt.row_block, rebuilt.grad_block, rebuilt.count_block, rebuilt.offsets),
+            (sparse.row_block, sparse.grad_block, sparse.count_block, sparse.offsets),
         ):
             assert np.array_equal(a, b)
 
@@ -257,23 +286,6 @@ class TestAccumulate:
         _, record = lookup_forward(table, _batch(np.random.default_rng(0), [4], 3))
         with pytest.raises(ValueError):
             accumulate_gradients(record, np.zeros((3, 5)), 3)
-
-
-class TestColumnNorms:
-    def test_zero_and_unit(self):
-        table = init_table(_fields(3), dim=2, init_sigma=1.0, seed=0)
-        table.weights[0][...] = [[0.0, 0.0], [1.0, 0.0], [3.0, 4.0]]
-        norms = column_norms(table)[0]
-        assert norms[0] == 0.0
-        assert norms[1] == 1.0
-        assert norms[2] == 5.0
-
-    def test_matches_elementwise_oracle(self):
-        table = init_table(_fields(40), dim=7, init_sigma=1.0, seed=8)
-        norms = column_norms(table)[0]
-        for k in range(40):
-            oracle = math.sqrt(sum(x * x for x in table.weights[0][k]))
-            assert abs(norms[k] - oracle) <= 1e-15 * oracle
 
 
 class TestDenseEquivalence:
@@ -291,14 +303,28 @@ class TestDenseEquivalence:
             x[np.arange(b), batch.categorical[:, j]] = 1.0
             onehots.append(x)
         dense_forward = np.concatenate(
-            [x @ w for x, w in zip(onehots, table.weights)], axis=1
+            [x @ _field_rows(table, j) for j, x in enumerate(onehots)], axis=1
         )
         assert np.max(np.abs(embedded - dense_forward)) < 1e-12
         upstream = rng.normal(size=(b, len(vocabs) * dim))
         sparse = accumulate_gradients(record, upstream, b)
-        for j, v in enumerate(vocabs):
+        scattered = _scattered(table, sparse)
+        for j in range(len(vocabs)):
             dense_grad = onehots[j].T @ upstream[:, j * dim : (j + 1) * dim] / b
-            scattered = np.zeros((v, dim))
-            scattered[sparse.ids[j]] = sparse.grads[j]
-            assert np.max(np.abs(scattered - dense_grad)) < 1e-12
+            assert np.max(np.abs(_field_rows(table, j, scattered) - dense_grad)) < 1e-12
 
+
+
+def test_views_are_read_only_in_embedding():
+    # EmbeddingTable.weights and SparseGradient.ids/.grads exist for the
+    # benchmark's tracer alone; once it reads the blocks they can be deleted
+    # without touching any other module.
+    src = Path(__file__).resolve().parent.parent / "src" / "ctrlab"
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "embedding.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("weights", "ids", "grads"):
+                readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not readers, readers

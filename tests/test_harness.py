@@ -352,7 +352,7 @@ class TestGradCheckHarness:
     def test_reports_per_tensor(self):
         report = harness.grad_check("dcn", seed=5, n_trials=2)
         assert any(name.startswith("cross.") for name in report.per_tensor)
-        assert any(name.startswith("embed.") for name in report.per_tensor)
+        assert "embed" in report.per_tensor
         assert report.passed
 
 

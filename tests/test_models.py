@@ -95,7 +95,7 @@ class TestLrHead:
         for j in range(len(vocabs)):
             np.add.at(expected, record.rows[:, j], dlogit)
         expected /= b
-        rows = sparse.rows(table)
+        rows = sparse.row_block
         assert np.array_equal(rows, np.unique(record.rows))
         assert sparse.grad_block.shape == (len(rows), 1)
         assert np.array_equal(sparse.grad_block[:, 0], expected[rows])
@@ -191,8 +191,7 @@ class TestModelForward:
     def test_all_zero_params_give_half(self, kind):
         vocabs = [4, 5]
         table = init_table(_fields(*vocabs), dim=3, init_sigma=1.0, seed=0)
-        for w in table.weights:
-            w[...] = 0.0
+        table.block[...] = 0.0
         params = init_dense_params(kind, table.fields, 3, 2, hidden=(6,), cross_depth=2, seed=0)
         for _, a in params.named_arrays():
             a[...] = 0.0
@@ -207,7 +206,7 @@ class TestModelForward:
         params = init_dense_params("wd", table.fields, 3, 2, hidden=(6,), seed=1)
         for name, a in params.named_arrays():
             a[...] = 0.4 if name == "lr.bias" else 0.0
-        w0, w1 = params.first_order.weights
+        w0, w1 = params.first_order.block[:4], params.first_order.block[4:]
         w0[:, 0] = rng.normal(size=4)
         w1[:, 0] = rng.normal(size=5)
         batch = _batch(rng, vocabs, 7)
@@ -285,12 +284,11 @@ class TestLoss:
         assert len(sparse) == len(tables)
         tensors = dict(params.named_arrays())
         analytic = dict(grads)
-        for prefix, t, sg in zip(("embed", "lr"), tables, sparse):
+        for name, t, sg in zip(("embed", "lr"), tables, sparse):
             state = EmbedAdamState.init(t)
             adam_sparse_step(state, t.copy(), sg, lr=1e-3, l2=l2, dense_l2=False)
-            for j in range(len(vocabs)):
-                tensors[f"{prefix}.{j}"] = t.weights[j]
-                analytic[f"{prefix}.{j}"] = state.m[j] / (1.0 - AdamConfig().beta1)
+            tensors[name] = t.block
+            analytic[name] = state.m_block / (1.0 - AdamConfig().beta1)
         for name, tensor in tensors.items():
             flat = tensor.reshape(-1)
             gflat = np.asarray(analytic[name]).reshape(-1)
@@ -329,7 +327,7 @@ def test_lazy_step_leaves_absent_first_order_rows_alone(kind):
     adam_sparse_step(state, first_order, sparse, lr=1e-2, l2=1e-3, dense_l2=False)
 
     touched = np.unique(batch.categorical + table.offsets[:-1])
-    assert np.array_equal(sparse.rows(first_order), touched)
+    assert np.array_equal(sparse.row_block, touched)
     absent = np.setdiff1d(np.arange(sum(vocabs)), touched)
     after = (first_order.block, state.m_block, state.v_block, state.col_t_block)
     for old, new in zip(before, after):
@@ -408,9 +406,10 @@ def test_checkpoint_table_format_is_per_field(tmp_path):
     assert all(a.dtype == TRAIN_DTYPE for _, a in params2.named_arrays())
     for prefix, stored, restored in (("table", table, table2),
                                      ("lr", params.first_order, params2.first_order)):
-        for j, (v, w) in enumerate(zip(vocabs, stored.weights)):
+        for j, v in enumerate(vocabs):
             assert arrays[f"{prefix}:{j}"].shape == (v, stored.dim)
-            assert np.array_equal(arrays[f"{prefix}:{j}"], w)
+            assert np.array_equal(arrays[f"{prefix}:{j}"],
+                                  stored.block[stored.offsets[j]:stored.offsets[j + 1]])
         assert np.array_equal(restored.block, stored.block) and restored.block.dtype == TRAIN_DTYPE
         assert list(restored.offsets) == [0, 5, 6, 14]
 

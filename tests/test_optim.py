@@ -9,7 +9,7 @@ import pytest
 
 from ctrlab import optim
 from ctrlab.data import CATEGORICAL, FieldSchema
-from ctrlab.embedding import TRAIN_DTYPE, SparseGradient, column_norms, init_table
+from ctrlab.embedding import TRAIN_DTYPE, init_table
 from ctrlab.optim import (
     AdamConfig,
     AdamState,
@@ -20,6 +20,8 @@ from ctrlab.optim import (
     verify_adam_scaling_equivalence,
     verify_sgd_scaling_equivalence,
 )
+
+from conftest import sparse_gradient
 
 
 def reference_adam_step(state, params, grads, lr, cfg=AdamConfig()):
@@ -134,33 +136,33 @@ class TestAdamSparse:
     def test_empty_grad_lazy_mode_is_identity(self):
         table = _table_and_grad()
         state = EmbedAdamState.init(table)
-        empty = SparseGradient.from_fields([np.array([], dtype=np.int64)],
-                               [np.zeros((0, 3))], [np.array([], dtype=np.int64)])
-        before = table.weights[0].copy()
+        empty = sparse_gradient(table, [np.array([], dtype=np.int64)],
+                                [np.zeros((0, 3))], [np.array([], dtype=np.int64)])
+        before = table.block.copy()
         assert adam_sparse_step(state, table, empty, lr=0.1, l2=0.01, dense_l2=False) is None
-        assert np.array_equal(table.weights[0], before)
+        assert np.array_equal(table.block, before)
 
     def test_single_column_lazy_mode(self):
         table = _table_and_grad()
         state = EmbedAdamState.init(table)
-        sparse = SparseGradient.from_fields([np.array([2])], [np.ones((1, 3))], [np.array([1])])
-        before = table.weights[0].copy()
+        sparse = sparse_gradient(table, [np.array([2])], [np.ones((1, 3))], [np.array([1])])
+        before = table.block.copy()
         adam_sparse_step(state, table, sparse, lr=0.1, dense_l2=False)
-        changed = np.any(table.weights[0] != before, axis=1)
+        changed = np.any(table.block != before, axis=1)
         assert list(np.flatnonzero(changed)) == [2]
-        assert np.all(state.m[0][[0, 1, 3, 4, 5]] == 0.0)
+        assert np.all(state.m_block[[0, 1, 3, 4, 5]] == 0.0)
 
     def test_dense_l2_decays_every_column(self):
         # scalar Adam-on-pure-L2 oracle: with zero data gradients the update
         # direction is sign(w) scaled by ~lr, so norms shrink monotonically
         table = _table_and_grad(sigma=0.05, seed=3)
         state = EmbedAdamState.init(table)
-        empty = SparseGradient.from_fields([np.array([], dtype=np.int64)],
-                               [np.zeros((0, 3))], [np.array([], dtype=np.int64)])
-        norms = [column_norms(table)[0].copy()]
+        empty = sparse_gradient(table, [np.array([], dtype=np.int64)],
+                                [np.zeros((0, 3))], [np.array([], dtype=np.int64)])
+        norms = [np.linalg.norm(table.block, axis=1)]
         for _ in range(5):
             adam_sparse_step(state, table, empty, lr=1e-3, l2=0.01, dense_l2=True)
-            norms.append(column_norms(table)[0].copy())
+            norms.append(np.linalg.norm(table.block, axis=1))
         for before, after in zip(norms, norms[1:]):
             assert np.all(after < before)
 
@@ -170,8 +172,8 @@ class TestAdamSparse:
         # subnormal, where each op on it runs many times slower.
         table = _table_and_grad(vocab=4, dim=2, sigma=1e-2, seed=5)
         state = EmbedAdamState.init(table)
-        empty = SparseGradient.from_fields([np.array([], dtype=np.int64)],
-                               [np.zeros((0, 2))], [np.array([], dtype=np.int64)])
+        empty = sparse_gradient(table, [np.array([], dtype=np.int64)],
+                                [np.zeros((0, 2))], [np.array([], dtype=np.int64)])
         tiny = np.finfo(TRAIN_DTYPE).tiny
         for _ in range(800):
             adam_sparse_step(state, table, empty, lr=1e-3, l2=1e-4, dense_l2=True)
@@ -182,24 +184,37 @@ class TestAdamSparse:
     def test_dense_mode_matches_scalar_adam_per_entry(self):
         # float64, to meet the float64 scalar oracle at 1e-14
         table = _table_and_grad(vocab=2, dim=1, sigma=0.5, seed=4, dtype=np.float64)
-        w0 = float(table.weights[0][1, 0])
+        w0 = float(table.block[1, 0])
         state = EmbedAdamState.init(table)
         grads = [0.4, -0.2, 0.1]
         for g in grads:
-            sparse = SparseGradient.from_fields([np.array([1])], [np.array([[g]])], [np.array([1])])
+            sparse = sparse_gradient(table, [np.array([1])], [np.array([[g]])], [np.array([1])])
             adam_sparse_step(state, table, sparse, lr=0.05, l2=0.0, dense_l2=True)
         reference = scalar_adam(w0, grads, lr=0.05, l2=0.0)
-        assert table.weights[0][1, 0] == pytest.approx(reference[-1], abs=1e-14)
+        assert table.block[1, 0] == pytest.approx(reference[-1], abs=1e-14)
+
+    @pytest.mark.parametrize("dense_l2", [True, False])
+    def test_gradient_for_other_vocab_sizes_is_rejected(self, dense_l2):
+        # the same field count, so only the offsets tell the tables apart
+        fields = [FieldSchema(f"c{j}", CATEGORICAL, v) for j, v in enumerate((4, 6))]
+        table = init_table(tuple(fields), 2, seed=1)
+        other = init_table(tuple(fields[::-1]), 2, seed=1)
+        sparse = sparse_gradient(other, [np.array([5]), np.array([0])],
+                                 [np.ones((1, 2)), np.ones((1, 2))], [[1], [1]])
+        state, before = EmbedAdamState.init(table), table.block.copy()
+        with pytest.raises(ValueError, match="built for a table with other field offsets"):
+            adam_sparse_step(state, table, sparse, 0.01, 1e-3, dense_l2=dense_l2)
+        assert np.array_equal(table.block, before) and state.t == 0
 
 
 @dataclass
 class ReferenceAdamState:
-    """The oracle's state: one array per field, which the oracle rebinds."""
+    """The oracle's state: arrays shaped like EmbedAdamState's, which the oracle rebinds."""
 
-    m: list
-    v: list
+    m_block: np.ndarray
+    v_block: np.ndarray
     t: int
-    col_t: list
+    col_t_block: np.ndarray
 
 
 def reference_adam_sparse_step(state, table, sparse_grad, lr, l2=0.0, dense_l2=True,
@@ -207,68 +222,61 @@ def reference_adam_sparse_step(state, table, sparse_grad, lr, l2=0.0, dense_l2=T
     """The copy-then-update sparse Adam step, kept as the bit-exact oracle for
     the in-place one: returns a new state and table, inputs untouched."""
     new = ReferenceAdamState(
-        [m.copy() for m in state.m],
-        [v.copy() for v in state.v],
-        state.t,
-        [c.copy() for c in state.col_t],
+        state.m_block.copy(), state.v_block.copy(), state.t, state.col_t_block.copy()
     )
     out = table.copy()
     new.t += 1
+    w, rows = out.block, sparse_grad.row_block
     if dense_l2:
         bc1 = 1.0 - cfg.beta1 ** new.t
         bc2 = 1.0 - cfg.beta2 ** new.t
-        for j, w in enumerate(out.weights):
-            g = l2 * w if l2 else np.zeros_like(w)
-            if j < sparse_grad.n_fields and len(sparse_grad.ids[j]):
-                g[sparse_grad.ids[j]] += sparse_grad.grads[j]
-            new.m[j] = cfg.beta1 * new.m[j] + (1.0 - cfg.beta1) * g
-            new.v[j] = cfg.beta2 * new.v[j] + (1.0 - cfg.beta2) * g * g
-            w -= lr * (new.m[j] / bc1) / (np.sqrt(new.v[j] / bc2) + cfg.eps)
-            if new.t % optim.FLUSH_EVERY == 0:
-                flushed = np.abs(w) < np.sqrt(np.finfo(w.dtype).tiny)
-                w[flushed] = 0.0
-                new.m[j][flushed] = 0.0
-    else:
-        for j in range(sparse_grad.n_fields):
-            ids = sparse_grad.ids[j]
-            if not len(ids):
-                continue
-            w = out.weights[j]
-            g = sparse_grad.grads[j] + (l2 * w[ids] if l2 else 0.0)
-            new.col_t[j][ids] += 1
-            tj = new.col_t[j][ids][:, None]
-            m = cfg.beta1 * new.m[j][ids] + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * new.v[j][ids] + (1.0 - cfg.beta2) * g * g
-            new.m[j][ids], new.v[j][ids] = m, v
-            # the per-row bias corrections in the table's dtype
-            mhat = m / (1.0 - cfg.beta1 ** tj).astype(w.dtype)
-            vhat = v / (1.0 - cfg.beta2 ** tj).astype(w.dtype)
-            w[ids] -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
+        g = l2 * w if l2 else np.zeros_like(w)
+        g[rows] += sparse_grad.grad_block
+        new.m_block = cfg.beta1 * new.m_block + (1.0 - cfg.beta1) * g
+        new.v_block = cfg.beta2 * new.v_block + (1.0 - cfg.beta2) * g * g
+        w -= lr * (new.m_block / bc1) / (np.sqrt(new.v_block / bc2) + cfg.eps)
+        if new.t % optim.FLUSH_EVERY == 0:
+            flushed = np.abs(w) < np.sqrt(np.finfo(w.dtype).tiny)
+            w[flushed] = 0.0
+            new.m_block[flushed] = 0.0
+    elif len(rows):
+        g = sparse_grad.grad_block + (l2 * w[rows] if l2 else 0.0)
+        new.col_t_block[rows] += 1
+        tj = new.col_t_block[rows][:, None]
+        m = cfg.beta1 * new.m_block[rows] + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * new.v_block[rows] + (1.0 - cfg.beta2) * g * g
+        new.m_block[rows], new.v_block[rows] = m, v
+        # the per-row bias corrections in the table's dtype
+        mhat = m / (1.0 - cfg.beta1 ** tj).astype(w.dtype)
+        vhat = v / (1.0 - cfg.beta2 ** tj).astype(w.dtype)
+        w[rows] -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
     return new, out
 
 
-def _random_sparse_grad(rng, vocabs, dim, step):
+def _random_sparse_grad(rng, table, step):
     """Each field touches a random id subset, sometimes none; every fifth step
-    the gradient covers only the leading fields of the table.  The gradient
-    is in the training dtype, as accumulate_gradients makes it."""
+    the gradient leaves the table's last field empty.  The gradient is in the
+    training dtype, as accumulate_gradients makes it."""
+    vocabs = [f.vocab_size for f in table.fields]
     n_fields = len(vocabs) - 1 if step % 5 == 4 else len(vocabs)
     ids, grads, counts = [], [], []
     for j in range(n_fields):
         k = int(rng.integers(0, vocabs[j] + 1)) if rng.random() > 0.25 else 0
         touched = np.sort(rng.choice(vocabs[j], size=k, replace=False)).astype(np.int64)
         ids.append(touched)
-        grads.append(rng.normal(scale=10.0 ** rng.uniform(-4, 0), size=(k, dim)).astype(TRAIN_DTYPE))
+        grads.append(rng.normal(scale=10.0 ** rng.uniform(-4, 0), size=(k, table.dim))
+                     .astype(TRAIN_DTYPE))
         counts.append(rng.integers(1, 5, size=k).astype(np.int64))
-    return SparseGradient.from_fields(ids, grads, counts)
+    return sparse_gradient(table, ids, grads, counts)
 
 
 def _blocks(sparse):
-    return sparse.grad_block.copy(), sparse.id_block.copy(), sparse.count_block.copy()
+    return sparse.grad_block.copy(), sparse.row_block.copy(), sparse.count_block.copy()
 
 
 def _assert_blocks_unchanged(sparse, before):
     # With l2=0 the lazy Adam step works on grad_block itself, not a copy.
-    for now, then in zip((sparse.grad_block, sparse.id_block, sparse.count_block), before):
+    for now, then in zip((sparse.grad_block, sparse.row_block, sparse.count_block), before):
         assert np.array_equal(now, then)
 
 
@@ -289,7 +297,7 @@ class TestInPlaceMatchesReference:
         state = EmbedAdamState.init(table)
         ref_table, ref_state = table.copy(), EmbedAdamState.init(table)
         for step in range(self.STEPS):
-            sparse = _random_sparse_grad(rng, self.VOCABS, self.DIM, step)
+            sparse = _random_sparse_grad(rng, table, step)
             lr = float(rng.uniform(1e-3, 5e-2))
             ref_state, ref_table = reference_adam_sparse_step(
                 ref_state, ref_table, sparse, lr, l2=l2, dense_l2=dense_l2
@@ -298,12 +306,11 @@ class TestInPlaceMatchesReference:
             assert adam_sparse_step(state, table, sparse, lr, l2, dense_l2=dense_l2) is None
             _assert_blocks_unchanged(sparse, before)
             assert state.t == ref_state.t == step + 1
-            for j in range(len(self.VOCABS)):
-                assert np.array_equal(table.weights[j], ref_table.weights[j])
-                assert np.array_equal(state.m[j], ref_state.m[j])
-                assert np.array_equal(state.v[j], ref_state.v[j])
-                if not dense_l2:
-                    assert np.array_equal(state.col_t[j], ref_state.col_t[j])
+            assert np.array_equal(table.block, ref_table.block)
+            assert np.array_equal(state.m_block, ref_state.m_block)
+            assert np.array_equal(state.v_block, ref_state.v_block)
+            if not dense_l2:
+                assert np.array_equal(state.col_t_block, ref_state.col_t_block)
 
     @pytest.mark.parametrize("l2", [0.0, 3e-3])
     def test_adam_dense_pass_in_slices_bit_exact(self, l2, monkeypatch):
@@ -315,9 +322,9 @@ class TestInPlaceMatchesReference:
     def test_dense_mode_leaves_col_t_alone(self):
         table = self._table()
         state = EmbedAdamState.init(table)
-        sparse = _random_sparse_grad(np.random.default_rng(0), self.VOCABS, self.DIM, 0)
+        sparse = _random_sparse_grad(np.random.default_rng(0), table, 0)
         adam_sparse_step(state, table, sparse, 0.01, 1e-3, dense_l2=True)
-        assert all(not c.any() for c in state.col_t)
+        assert not state.col_t_block.any()
 
 
 def test_lazy_adam_step_is_o_touched():
@@ -331,8 +338,8 @@ def test_lazy_adam_step_is_o_touched():
     state = EmbedAdamState.init(table)
     rng = np.random.default_rng(2)
     ids = np.sort(rng.choice(vocab, size=k, replace=False)).astype(np.int64)
-    sparse = SparseGradient.from_fields([ids], [rng.normal(size=(k, dim))], [np.ones(k, dtype=np.int64)])
-    before = table.weights[0].copy()
+    sparse = sparse_gradient(table, [ids], [rng.normal(size=(k, dim))], [np.ones(k, dtype=np.int64)])
+    before = table.block.copy()
 
     tracemalloc.start()
     try:
@@ -345,14 +352,14 @@ def test_lazy_adam_step_is_o_touched():
 
     untouched = np.ones(vocab, dtype=bool)
     untouched[ids] = False
-    changed = np.any(table.weights[0] != before, axis=1)
+    changed = np.any(table.block != before, axis=1)
     assert np.array_equal(np.flatnonzero(changed), ids)
-    assert np.array_equal(table.weights[0][untouched].view(np.int64),
+    assert np.array_equal(table.block[untouched].view(np.int64),
                           before[untouched].view(np.int64))
-    for moment in (state.m[0], state.v[0]):
+    for moment in (state.m_block, state.v_block):
         assert not np.any(moment[untouched].view(np.int64))
-    assert np.array_equal(np.flatnonzero(state.col_t[0]), ids)
-    assert np.all(state.col_t[0][ids] == 1)
+    assert np.array_equal(np.flatnonzero(state.col_t_block), ids)
+    assert np.all(state.col_t_block[ids] == 1)
 
 
 class TestWarmup:

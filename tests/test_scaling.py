@@ -63,6 +63,16 @@ class TestRuleExactness:
         with pytest.raises(ValueError):
             scale("sqrt", BASE, 0.0)
 
+    def test_nan_batch_factor_rejected(self):
+        with pytest.raises(ValueError, match="batch factor"):
+            scale("sqrt", BASE, float("nan"))
+
+    @pytest.mark.parametrize("name", ["eta_dense", "eta_embed", "l2"])
+    def test_nan_base_hyperparameter_rejected(self, name):
+        values = {"eta_dense": 1e-4, "eta_embed": 1e-4, "l2": 1e-4, name: float("nan")}
+        with pytest.raises(ValueError, match="must be positive"):
+            BaseHyperparams(1024, **values)
+
 
 class TestSchedules:
     def test_sqrt_schedule_cells(self):
@@ -148,6 +158,12 @@ class TestClipValueScale:
             clip_value_scale(5.0, 2.0, "log")
         with pytest.raises(ValueError):
             clip_value_scale(0.0, 2.0, "sqrt")
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="base_clip"):
+            clip_value_scale(float("nan"), 2.0, "sqrt")
+        with pytest.raises(ValueError, match="batch factor"):
+            clip_value_scale(5.0, float("nan"), "sqrt")
 
 
 class TestUpdateCovariance:
