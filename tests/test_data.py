@@ -1,14 +1,21 @@
 """Dataset construction, ingestion, frequency statistics, and batching."""
 
 import math
+import tracemalloc
+from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrlab import data as data_module
 from ctrlab.data import (
     CATEGORICAL,
+    DENSE,
+    N_CRITEO_CATEGORICAL,
+    N_CRITEO_DENSE,
     CriteoParseError,
     Dataset,
     FieldSchema,
@@ -39,6 +46,111 @@ def _random_criteo_rows(n, seed):
         cats = [f"tok{rng.integers(0, 7)}" if rng.random() > 0.1 else "" for _ in range(26)]
         rows.append([label] + dense + cats)
     return rows
+
+
+def reference_load_criteo_tsv(path, max_rows=None) -> Dataset:
+    """Row-at-a-time oracle for load_criteo_tsv: the loader's earlier
+    implementation, plus its rejection of non-finite dense values.
+
+    Text mode with newline="" also ends a line at a lone "\\r", where
+    load_criteo_tsv keeps it as a token byte; the files compared carry none.
+    """
+    labels, dense, categorical = array("B"), array("d"), array("q")
+    vocab: list[dict[str, int]] = [dict() for _ in range(N_CRITEO_CATEGORICAL)]
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for row_number, line in enumerate(fh, start=1):
+            if max_rows is not None and len(labels) >= max_rows:
+                break
+            cols = line.rstrip("\n").split("\t")
+            if len(cols) != 1 + N_CRITEO_DENSE + N_CRITEO_CATEGORICAL:
+                raise CriteoParseError(row_number, f"expected 40 columns, got {len(cols)}")
+            if cols[0] not in ("0", "1"):
+                raise CriteoParseError(row_number, f"label must be 0 or 1, got {cols[0]!r}")
+            labels.append(int(cols[0]))
+            for raw in cols[1 : 1 + N_CRITEO_DENSE]:
+                try:
+                    value = 0.0 if raw == "" else float(raw)
+                except ValueError:
+                    raise CriteoParseError(row_number, f"bad dense value {raw!r}") from None
+                if not math.isfinite(value):
+                    raise CriteoParseError(row_number, f"bad dense value {raw!r}")
+                dense.append(math.log1p(max(value, 0.0)))
+            for j, token in enumerate(cols[1 + N_CRITEO_DENSE :]):
+                categorical.append(vocab[j].setdefault(token, len(vocab[j])))
+    schema = tuple(
+        FieldSchema(f"I{i + 1}", DENSE) for i in range(N_CRITEO_DENSE)
+    ) + tuple(
+        FieldSchema(f"C{j + 1}", CATEGORICAL, len(vocab[j]))
+        for j in range(N_CRITEO_CATEGORICAL)
+    )
+    n = len(labels)
+    return Dataset(
+        schema,
+        np.frombuffer(labels, dtype=np.uint8),
+        np.frombuffer(dense, dtype=np.float64).reshape(n, N_CRITEO_DENSE),
+        np.frombuffer(categorical, dtype=np.int64).reshape(n, N_CRITEO_CATEGORICAL),
+    )
+
+
+# Token text: any character but the tab and the line breaks of text mode.
+_TOKEN_CHARS = st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",))
+_DENSE_TOKENS = ["", "0", "7", " 7 ", "-5", "1e3", "1_000", "3.25", "+2", "0012", "-0.0", "\u0663"]
+# Rows of this test data take 40 to a few hundred bytes, so the smaller sizes
+# give blocks of one row read in several steps, the larger ones blocks of
+# several rows.
+_CHUNK_BYTES = [7, 33, 64, 200, 1000, 4096]
+
+
+@st.composite
+def _criteo_rows(draw, min_rows=0, max_rows=30):
+    """Valid rows over a small token pool, so that tokens repeat within and
+    across fields; the pool holds tokens of 0 to 20 bytes and more, with and
+    without multi-byte characters, and pairs that differ in a trailing byte."""
+    base = draw(st.lists(st.text(_TOKEN_CHARS, max_size=20), min_size=1, max_size=5))
+    pool = base + [t + tail for t in base for tail in ("\x00", "\x01")]
+    pool += [t[:-1] for t in base if t]
+    dense = st.one_of(st.sampled_from(_DENSE_TOKENS), st.integers(-(10**6), 10**12).map(str))
+    row = st.tuples(
+        st.sampled_from(["0", "1"]),
+        st.lists(dense, min_size=N_CRITEO_DENSE, max_size=N_CRITEO_DENSE),
+        st.lists(st.sampled_from(pool), min_size=N_CRITEO_CATEGORICAL, max_size=N_CRITEO_CATEGORICAL),
+    )
+    rows = draw(st.lists(row, min_size=min_rows, max_size=max_rows))
+    return [[label, *d, *c] for label, d, c in rows]
+
+
+def _tsv_bytes(rows, newline, final_newline) -> bytes:
+    text = newline.join("\t".join(r) for r in rows)
+    return (text + newline if rows and final_newline else text).encode("utf-8")
+
+
+def _first_block_rows(raw: bytes, chunk: int) -> int:
+    """Rows in the first block of whole lines read in chunk-byte steps."""
+    end = chunk
+    while b"\n" not in raw[:end] and end < len(raw):
+        end += chunk
+    return max(1, raw[:end].count(b"\n"))
+
+
+def _parse_both(path, max_rows, chunk):
+    """(outcome of load_criteo_tsv, outcome of the oracle): a Dataset or the
+    CriteoParseError raised."""
+    outcomes = []
+    for load in (load_criteo_tsv, reference_load_criteo_tsv):
+        try:
+            with mock.patch.object(data_module, "CHUNK_BYTES", chunk):
+                outcomes.append(load(path, max_rows=max_rows))
+        except CriteoParseError as e:
+            outcomes.append(e)
+    return outcomes
+
+
+def _assert_same_arrays(got: Dataset, want: Dataset):
+    assert got.schema == want.schema
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.dense.tobytes() == want.dense.tobytes()
+    assert got.categorical.dtype == want.categorical.dtype
+    assert np.array_equal(got.categorical, want.categorical)
 
 
 class TestCriteoLoader:
@@ -113,6 +225,158 @@ class TestCriteoLoader:
         loaded, meta = load_dataset(out)
         assert datasets_equal(ds, loaded)
         assert meta == {"origin": "test"}
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999", "-NaN"])
+    def test_non_finite_dense_rejected(self, tmp_path, raw):
+        rows = _random_criteo_rows(3, 0)
+        rows[1][3] = raw
+        path = tmp_path / "bad.tsv"
+        _write_tsv(path, rows)
+        with pytest.raises(CriteoParseError) as exc:
+            load_criteo_tsv(path)
+        assert exc.value.row_number == 2
+        assert str(exc.value) == f"row 2: bad dense value {raw!r}"
+
+    @pytest.mark.parametrize("max_rows", [0, -3])
+    def test_bad_max_rows_rejected(self, tmp_path, max_rows):
+        path = tmp_path / "data.tsv"
+        _write_tsv(path, _random_criteo_rows(2, 0))
+        with pytest.raises(ValueError, match="max_rows"):
+            load_criteo_tsv(path, max_rows=max_rows)
+
+    def test_lone_carriage_return_is_a_token_byte(self, tmp_path):
+        row = ["1"] + ["2"] * 13 + ["a\rb"] + ["t"] * 25
+        path = tmp_path / "cr.tsv"
+        _write_tsv(path, [row, row])
+        ds = load_criteo_tsv(path)
+        assert ds.n_samples == 2
+        assert list(ds.categorical[:, 0]) == [0, 0]
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        _criteo_rows(),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+        st.sampled_from(_CHUNK_BYTES),
+        st.sampled_from(["none", "one", "block", "past"]),
+    )
+    def test_matches_row_oracle(self, tmp_path_factory, rows, newline, final_newline, chunk, cap):
+        raw = _tsv_bytes(rows, newline, final_newline)
+        path = tmp_path_factory.getbasetemp() / "oracle.tsv"
+        path.write_bytes(raw)
+        max_rows = {
+            "none": None, "one": 1, "block": _first_block_rows(raw, chunk), "past": len(rows) + 3,
+        }[cap]
+        got, want = _parse_both(path, max_rows, chunk)
+        _assert_same_arrays(got, want)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        _criteo_rows(min_rows=3, max_rows=20),
+        st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.sampled_from(["width", "label", "dense", "non-finite"]),
+                st.integers(1, N_CRITEO_DENSE),
+                st.sampled_from(["", "x", "2", "01", " ", "1.2.3", "nan", "inf", "-inf", "1e999"]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.sampled_from(_CHUNK_BYTES),
+        st.sampled_from([None, 1, 5, 12]),
+    )
+    def test_errors_match_row_oracle(self, tmp_path_factory, rows, faults, chunk, max_rows):
+        """The first bad row wins, whatever blocks the faults fall in; within
+        a row the column count goes first, then the label, then the dense
+        values from left to right."""
+        for at, kind, column, raw in faults:
+            row = rows[at % len(rows)]
+            if kind == "width":
+                del row[column:column + 1 + at % 2]  # one or two columns fewer
+                row += ["x"] * (at % 3)  # and sometimes more
+            elif kind == "label":
+                row[0] = raw if raw not in ("0", "1") else "2"
+            elif kind == "dense":
+                row[column] = raw
+            else:
+                row[column] = ["nan", "inf", "-inf", "1e999"][at % 4]
+        path = tmp_path_factory.getbasetemp() / "faults.tsv"
+        path.write_bytes(_tsv_bytes(rows, "\n", True))
+        got, want = _parse_both(path, max_rows, chunk)
+        if isinstance(want, CriteoParseError):
+            assert isinstance(got, CriteoParseError)
+            assert (got.row_number, str(got)) == (want.row_number, str(want))
+        else:
+            _assert_same_arrays(got, want)
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 18])  # one row per block, or one block
+    @pytest.mark.parametrize(
+        "faults, row_number, message",
+        [
+            ({1: ("dense", 4, "x"), 2: ("width",)}, 2, "bad dense value 'x'"),
+            ({1: ("width",), 2: ("label", "2")}, 2, "expected 40 columns, got 39"),
+            ({1: ("label", ""), 3: ("dense", 1, "nan")}, 2, "label must be 0 or 1, got ''"),
+            ({1: ("label", "x"), 0: ("dense", 2, "nan")}, 1, "bad dense value 'nan'"),
+            ({1: ("width", "label", "2")}, 2, "expected 40 columns, got 39"),
+            ({1: ("label", "2", "dense", 1, "x")}, 2, "label must be 0 or 1, got '2'"),
+            ({1: ("dense", 3, "y", "dense", 5, "inf")}, 2, "bad dense value 'y'"),
+            ({1: ("dense", 5, "y", "dense", 3, "inf")}, 2, "bad dense value 'inf'"),
+        ],
+    )
+    def test_first_bad_row_wins(self, tmp_path, faults, row_number, message, chunk):
+        """The first bad row in file order wins, whatever block the faults
+        fall in; within a row the column count goes first, then the label,
+        then the dense values from left to right."""
+        rows = _random_criteo_rows(5, 1)
+        for r, fault in faults.items():
+            fault = list(fault)
+            while fault:
+                kind = fault.pop(0)
+                if kind == "width":
+                    del rows[r][-1]
+                elif kind == "label":
+                    rows[r][0] = fault.pop(0)
+                else:
+                    column, raw = fault.pop(0), fault.pop(0)
+                    rows[r][column] = raw
+        path = tmp_path / "bad.tsv"
+        _write_tsv(path, rows)
+        with mock.patch.object(data_module, "CHUNK_BYTES", chunk):
+            with pytest.raises(CriteoParseError) as exc:
+                load_criteo_tsv(path)
+        assert (exc.value.row_number, str(exc.value)) == (row_number, f"row {row_number}: {message}")
+
+    def test_hash_collisions_keep_tokens_apart(self, tmp_path):
+        """With a hash that maps most tokens alike, the vocabulary's record
+        comparison alone keeps them apart."""
+        path = tmp_path / "data.tsv"
+        _write_tsv(path, _random_criteo_rows(300, 4))
+        with mock.patch.object(data_module, "_mix", lambda z: z & np.uint64(1)):
+            got, want = _parse_both(path, None, 1000)
+        _assert_same_arrays(got, want)
+
+    def test_memory_is_bounded_by_the_chunk(self, tmp_path):
+        """The parse holds the output plus one block's arrays, never the
+        whole file's: parsing this 3.4 MB file as one block takes 64 MB more."""
+        n = 20_000
+        rng = np.random.default_rng(5)
+        columns = [rng.integers(0, 2, n).astype(str)]
+        columns += [rng.integers(0, 50, n).astype(str) for _ in range(N_CRITEO_DENSE)]
+        columns += [np.char.add("tok", rng.integers(0, 7, n).astype(str)) for _ in range(N_CRITEO_CATEGORICAL)]
+        path = tmp_path / "big.tsv"
+        _write_tsv(path, zip(*(c.tolist() for c in columns)))
+        tracemalloc.start()
+        try:
+            ds = load_criteo_tsv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.n_samples == n
+        output = ds.labels.nbytes + ds.dense.nbytes + ds.categorical.nbytes
+        # 32 blocks of the loader's 256 KiB: a fixed bound, so that a larger
+        # CHUNK_BYTES has to change it too.
+        assert peak < output + 32 * 256 * 1024
 
 
 class TestSynthetic:
