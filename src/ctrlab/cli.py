@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen-data, analyze-freq, scale, train, sweep, grad-check, verify.
-Every subcommand takes --config FILE (flat key=value text) and --seed N.
-Exit codes: 0 success, 1 verification/check failure, 2 training divergence.
+Every subcommand but scale takes --config FILE (flat key=value text) and
+--seed N; scale takes its hyperparameters as flags.
+Exit codes: 0 success, 1 verification/check failure or a bad argument,
+2 training divergence.
 """
 
 from __future__ import annotations
@@ -104,11 +106,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_grad_check(args) -> int:
     kinds = [args.model] if args.model else list(harness.models.MODEL_KINDS)
-    worst = 0.0
     ok = True
     for kind in kinds:
-        report = harness.grad_check(kind, args.seed, n_trials=args.trials)
-        worst = max(worst, report.max_rel_error)
+        try:
+            report = harness.grad_check(kind, args.seed, n_trials=args.trials)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
         ok = ok and report.passed
         print(
             f"{'PASS' if report.passed else 'FAIL'} {kind}: max relative error "

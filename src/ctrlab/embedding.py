@@ -80,9 +80,6 @@ class EmbeddingTable:
         """Per-field views of the block, for perfbench/spans.py only."""
         return split_rows(self.block, self.offsets)
 
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.fields, self.dim, self.block.copy())
-
 
 @dataclass
 class LookupRecord:

@@ -187,6 +187,7 @@ def _coerce(hint, raw: str):
 
 def parse_config_text(text: str) -> ExperimentConfig:
     values = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -197,6 +198,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in _FIELDS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        first = first_line.setdefault(key, lineno)
+        if first != lineno:
+            raise ValueError(f"config line {lineno}: duplicate key {key!r} (first on line {first})")
         name = _FIELDS[key]
         try:
             values[name] = _coerce(_TYPES[name], raw)
@@ -585,6 +589,8 @@ def grad_check(model_kind: str, seed: int, n_trials: int = 10) -> GradCheckRepor
     """
     if model_kind not in models.MODEL_KINDS:
         raise ValueError(f"unknown model kind {model_kind!r}")
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     rng = np.random.default_rng(seed)
     per_tensor: dict[str, float] = {}
     done = 0
@@ -596,11 +602,11 @@ def grad_check(model_kind: str, seed: int, n_trials: int = 10) -> GradCheckRepor
             continue
         done += 1
         _, dense_grads, sparse = models.loss_and_backward(probs, batch.labels, cache)
-        tensors = dict(params.named_arrays())
+        tensors = dict(models.named_parameters(params, table))
         analytic = dict(dense_grads)
-        for name, t, sg in zip(("embed", "lr"), models.model_tables(params, table), sparse):
-            tensors[name] = t.block
-            analytic[name] = g = np.zeros_like(t.block)
+        # the tables close the inventory, in the order of the sparse gradients
+        for name, sg in zip(list(tensors)[len(dense_grads):], sparse):
+            analytic[name] = g = np.zeros_like(tensors[name])
             g[sg.row_block] = sg.grad_block
         for name, tensor in tensors.items():
             an = analytic[name]

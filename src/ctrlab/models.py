@@ -37,7 +37,6 @@ from .embedding import (
     accumulate_gradients,
     field_offsets,
     lookup_forward,
-    split_rows,
 )
 
 MODEL_KINDS = ("wd", "deepfm", "dcn", "dcnv2")
@@ -348,59 +347,49 @@ def loss_and_backward(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: dense parameters bundled with the id-indexed tables
+# The parameter inventory, and checkpoints that store it
 # ---------------------------------------------------------------------------
 
+def named_parameters(params: DenseParams, table: EmbeddingTable) -> list[tuple[str, np.ndarray]]:
+    """Every parameter of a model by name: params.named_arrays(), then each
+    table of model_tables as its whole block, "embed" and (wd/deepfm) "lr"."""
+    blocks = [(name, t.block) for name, t in zip(("embed", "lr"), model_tables(params, table))]
+    return params.named_arrays() + blocks
+
+
 def save_checkpoint(path, params: DenseParams, table: EmbeddingTable) -> None:
-    """Arrays dense:{name}, then table:{j} and (wd/deepfm) lr:{j}, one per field."""
+    """The arrays of named_parameters, and a header of the shapes that name them."""
     header = {
         "kind": params.kind,
-        "dense_names": [name for name, _ in params.named_arrays()],
-        "table": {
-            "fields": [{"name": f.name, "vocab_size": f.vocab_size} for f in table.fields],
-            "dim": table.dim,
-        },
+        "fields": [{"name": f.name, "vocab_size": f.vocab_size} for f in table.fields],
+        "dim": table.dim,
+        "n_dense": params.mlp[0][0].shape[0] - table.n_fields * table.dim,
+        "hidden": [w.shape[1] for w, _ in params.mlp[:-1]],
+        "cross_depth": len(params.cross),
     }
-    arrays = {f"dense:{name}": a for name, a in params.named_arrays()}
-    for prefix, t in zip(("table", "lr"), model_tables(params, table)):
-        arrays.update({f"{prefix}:{j}": w for j, w in enumerate(split_rows(t.block, t.offsets))})
-    save_npz(path, header, arrays)
+    save_npz(path, header, dict(named_parameters(params, table)))
 
 
 def load_checkpoint(path) -> tuple[DenseParams, EmbeddingTable]:
-    """The saved model, in the training dtype whatever dtype the file holds."""
-    header, z = load_npz(path)
-    if header["kind"] not in MODEL_KINDS:
-        raise ValueError(f"checkpoint has unknown model kind {header['kind']!r}")
-    dense = {name: z[f"dense:{name}"].astype(TRAIN_DTYPE) for name in header["dense_names"]}
-    t = header["table"]
-    fields = tuple(FieldSchema(f["name"], CATEGORICAL, f["vocab_size"]) for f in t["fields"])
-    table = _load_table(z, "table", fields, t["dim"])
-    params = _params_from_named(header["kind"], dense)
-    if params.kind in FIRST_ORDER_KINDS:
-        params.first_order = _load_table(z, "lr", fields, 1)
-    return params, table
+    """The saved model, in the training dtype whatever dtype the file holds.
 
-
-def _load_table(z, prefix: str, fields: tuple[FieldSchema, ...], dim: int) -> EmbeddingTable:
+    The header builds a skeleton model, and one loop fills each of its named
+    parameters: a missing, wrong-shaped or unknown array is rejected by name.
+    """
+    header, stored = load_npz(path)
+    fields = tuple(FieldSchema(f["name"], CATEGORICAL, f["vocab_size"]) for f in header["fields"])
+    dim = header["dim"]
     table = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim), TRAIN_DTYPE))
-    for j, w in enumerate(split_rows(table.block, table.offsets)):
-        stored = z[f"{prefix}:{j}"]
-        if stored.shape != w.shape:
-            raise ValueError(f"checkpoint {prefix}:{j} has shape {stored.shape}, expected {w.shape}")
-        w[...] = stored
-    return table
-
-
-def _params_from_named(kind: str, arrays: dict[str, np.ndarray]) -> DenseParams:
-    mlp_idx = sorted({int(n.split(".")[1]) for n in arrays if n.startswith("mlp.")})
-    cross_idx = sorted(
-        {int(n.split(".")[1]) for n in arrays if n.startswith("cross.") and n != "cross.out"}
-    )
-    return DenseParams(
-        kind=kind,
-        mlp=[(arrays[f"mlp.{i}.W"], arrays[f"mlp.{i}.b"]) for i in mlp_idx],
-        lr_bias=arrays.get("lr.bias"),
-        cross=[(arrays[f"cross.{l}.w"], arrays[f"cross.{l}.b"]) for l in cross_idx],
-        cross_out=arrays.get("cross.out"),
-    )
+    params = init_dense_params(header["kind"], fields, dim, header["n_dense"],
+                               tuple(header["hidden"]), header["cross_depth"])
+    arrays = dict(named_parameters(params, table))
+    for name in {**arrays, **stored}:  # the model's names, then any others the file has
+        if name not in arrays:
+            raise ValueError(f"checkpoint array {name!r} is not a parameter of the model")
+        if name not in stored:
+            raise ValueError(f"checkpoint has no array {name!r}")
+        if stored[name].shape != arrays[name].shape:
+            raise ValueError(f"checkpoint array {name!r} has shape {stored[name].shape}, "
+                             f"expected {arrays[name].shape}")
+        arrays[name][...] = stored[name]
+    return params, table

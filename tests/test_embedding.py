@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ctrlab.data import CATEGORICAL, Batch, FieldSchema
 from ctrlab.embedding import (
     TRAIN_DTYPE,
+    EmbeddingTable,
     accumulate_gradients,
     init_table,
     lookup_forward,
@@ -155,7 +156,7 @@ class TestBlockLayout:
 
     def test_copy_is_independent(self):
         table = init_table(_fields(3, 5), dim=2, init_sigma=1.0, seed=4)
-        twin = table.copy()
+        twin = EmbeddingTable(table.fields, table.dim, table.block.copy())
         assert not np.shares_memory(twin.block, table.block)
         assert np.array_equal(twin.block, table.block)
         twin.weights[0][...] = 0.0

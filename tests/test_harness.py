@@ -74,7 +74,9 @@ class TestConfig:
         ("# header\nopt.dense_l2=maybe", "config line 2: opt.dense_l2: bad boolean 'maybe'"),
         ("data.top_k=0  # c", "config line 1: data.top_k: .*'0  # c'"),
         ("opt.l2=1e-4\n\nmodel.hidden=8,x", "config line 3: model.hidden: .*'x'"),
-    ], ids=["int", "bool", "trailing-comment", "tuple"])
+        ("train.epochs=1\ntrain.epochs=3",
+         r"config line 2: duplicate key 'train.epochs' \(first on line 1\)$"),
+    ], ids=["int", "bool", "trailing-comment", "tuple", "duplicate"])
     def test_bad_value_names_line_and_key(self, text, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             parse_config_text(text)
@@ -354,6 +356,18 @@ class TestGradCheckHarness:
         assert any(name.startswith("cross.") for name in report.per_tensor)
         assert "embed" in report.per_tensor
         assert report.passed
+
+    @pytest.mark.parametrize("n_trials", [0, -1])
+    def test_needs_a_trial(self, n_trials, monkeypatch):
+        # rejected before any work: no tiny model is built
+        monkeypatch.setattr(harness, "_tiny_setup", None)
+        with pytest.raises(ValueError, match=f"n_trials must be at least 1, got {n_trials}"):
+            harness.grad_check("wd", seed=0, n_trials=n_trials)
+
+    def test_cli_reports_a_bad_trial_count(self, capsys):
+        assert cli.main(["grad-check", "--model", "wd", "--trials", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: n_trials must be at least 1, got 0\n"
 
 
 class TestCli:

@@ -23,6 +23,7 @@ from ctrlab.models import (
     mlp_forward,
     model_forward,
     model_tables,
+    named_parameters,
 )
 from ctrlab.optim import AdamConfig, EmbedAdamState, adam_sparse_step
 
@@ -282,12 +283,12 @@ class TestLoss:
         probs, cache = model_forward(params, table, batch)
         _, grads, sparse = loss_and_backward(probs, batch.labels, cache)
         assert len(sparse) == len(tables)
-        tensors = dict(params.named_arrays())
+        tensors = dict(named_parameters(params, table))
         analytic = dict(grads)
-        for name, t, sg in zip(("embed", "lr"), tables, sparse):
+        for name, t, sg in zip(list(tensors)[len(grads):], tables, sparse):
             state = EmbedAdamState.init(t)
-            adam_sparse_step(state, t.copy(), sg, lr=1e-3, l2=l2, dense_l2=False)
-            tensors[name] = t.block
+            twin = EmbeddingTable(t.fields, t.dim, t.block.copy())
+            adam_sparse_step(state, twin, sg, lr=1e-3, l2=l2, dense_l2=False)
             analytic[name] = state.m_block / (1.0 - AdamConfig().beta1)
         for name, tensor in tensors.items():
             flat = tensor.reshape(-1)
@@ -344,7 +345,7 @@ def test_grad_check_short(kind):
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_checkpoint_roundtrip(kind, tmp_path):
-    from ctrlab.data import load_npz
+    from ctrlab.data import load_npz, save_npz
     from ctrlab.models import load_checkpoint, save_checkpoint
 
     rng = np.random.default_rng(13)
@@ -355,68 +356,94 @@ def test_checkpoint_roundtrip(kind, tmp_path):
     if kind in ("wd", "deepfm"):
         tables[1].block[...] = rng.normal(size=tables[1].block.shape)
     save_checkpoint(tmp_path / "ckpt.npz", params, table)
-    params2, table2 = load_checkpoint(tmp_path / "ckpt.npz")
     header, arrays = load_npz(tmp_path / "ckpt.npz")
-    # the array names and shapes are part of the file format
-    shapes = {f"dense:{n}": a.shape for n, a in params.named_arrays()}
-    shapes.update({"table:0": (5, 3), "table:1": (8, 3)})
+    # the array names and shapes are part of the file format: each parameter
+    # whole, the tables as (sum of vocab sizes, dim) blocks
+    shapes = {n: a.shape for n, a in params.named_arrays()}
+    shapes["embed"] = (13, 3)
     if kind in ("wd", "deepfm"):
-        shapes.update({"lr:0": (5, 1), "lr:1": (8, 1)})
+        shapes["lr"] = (13, 1)
     assert {name: a.shape for name, a in arrays.items()} == shapes
-    assert header["table"] == {"fields": [{"name": "c0", "vocab_size": 5},
-                                          {"name": "c1", "vocab_size": 8}], "dim": 3}
-    assert params2.kind == kind
-    # the restored model keeps the training dtype, so it trains and predicts as before
-    for (na, a), (nb, b) in zip(params.named_arrays(), params2.named_arrays()):
-        assert na == nb and np.array_equal(a, b) and b.dtype == TRAIN_DTYPE
-    assert table2.fields == table.fields and table2.dim == 3
-    tables2 = model_tables(params2, table2)
-    assert len(tables2) == len(tables)
-    for a, b in zip(tables, tables2):
-        assert b.fields == a.fields and np.array_equal(a.block, b.block)
-        assert b.block.dtype == TRAIN_DTYPE
-    # the restored pair computes bit-identical probabilities
+    assert header == {
+        "kind": kind,
+        "fields": [{"name": "c0", "vocab_size": 5}, {"name": "c1", "vocab_size": 8}],
+        "dim": 3, "n_dense": 2, "hidden": [7, 4],
+        "cross_depth": 2 if kind in ("dcn", "dcnv2") else 0,
+    }
+    # the same file in float64 loads to the same model, in the training dtype
+    save_npz(tmp_path / "f64.npz", header,
+             {name: a.astype(np.float64) for name, a in arrays.items()})
     batch = _batch(rng, vocabs, 6)
     p1, _ = model_forward(params, table, batch)
-    p2, _ = model_forward(params2, table2, batch)
-    assert np.array_equal(p1, p2)
+    for path in ("ckpt.npz", "f64.npz"):
+        params2, table2 = load_checkpoint(tmp_path / path)
+        assert params2.kind == kind
+        assert table2.fields == table.fields and table2.dim == 3
+        restored = named_parameters(params2, table2)
+        assert [n for n, _ in restored] == [n for n, _ in named_parameters(params, table)]
+        for (_, a), (_, b) in zip(named_parameters(params, table), restored):
+            assert np.array_equal(a, b) and b.dtype == TRAIN_DTYPE
+        # the restored pair computes bit-identical probabilities
+        p2, _ = model_forward(params2, table2, batch)
+        assert np.array_equal(p1, p2)
 
 
-def test_checkpoint_table_format_is_per_field(tmp_path):
-    # A checkpoint stores each field of the embedding table as its own
-    # (vocab, dim) array "table:{j}", and of the first-order table as
-    # "lr:{j}" of shape (vocab, 1): files written from blocks or from
-    # separate arrays load to the same tables, and a wrong shape is named.
+def test_checkpoint_stores_each_table_whole(tmp_path):
+    # An id-indexed table is one array, its block, whatever its fields: a
+    # field of vocabulary 1 included, and the field offsets come back from
+    # the header's fields.  The header holds shapes, not how they were drawn.
+    from ctrlab.data import load_npz
+    from ctrlab.models import load_checkpoint, save_checkpoint
+
+    table = init_table(_fields(5, 1, 8), dim=3, init_sigma=0.2, seed=14)
+    params = init_dense_params("wd", table.fields, 3, 2, hidden=(4,), seed=14)
+    params.first_order.block[...] = np.arange(14.0)[:, None]
+    save_checkpoint(tmp_path / "ckpt.npz", params, table)
+    header, arrays = load_npz(tmp_path / "ckpt.npz")
+    assert "init_sigma" not in header and "seed" not in header
+    assert np.array_equal(arrays["embed"], table.block)
+    assert np.array_equal(arrays["lr"], params.first_order.block)
+    params2, table2 = load_checkpoint(tmp_path / "ckpt.npz")
+    for stored, restored in ((table, table2), (params.first_order, params2.first_order)):
+        assert np.array_equal(restored.block, stored.block)
+        assert list(restored.offsets) == [0, 5, 6, 14]
+
+
+@pytest.mark.parametrize("name,replacement,message", [
+    ("cross.out", None, "checkpoint has no array 'cross.out'"),
+    ("mlp.0.W", np.zeros((4, 4)), r"'mlp.0.W' has shape \(4, 4\), expected \(5, 4\)"),
+    ("embed", np.zeros((6, 2)), r"'embed' has shape \(6, 2\), expected \(7, 2\)"),
+    ("cross.9.w", np.zeros(4), "'cross.9.w' is not a parameter of the model"),
+], ids=["missing", "dense-shape", "table-shape", "unknown"])
+def test_checkpoint_rejects_a_bad_array_by_name(name, replacement, message, tmp_path):
     from ctrlab.data import load_npz, save_npz
     from ctrlab.models import load_checkpoint, save_checkpoint
 
-    vocabs = [5, 1, 8]
-    table = init_table(_fields(*vocabs), dim=3, init_sigma=0.2, seed=14)
-    params = init_dense_params("wd", table.fields, 3, 2, hidden=(4,), seed=14)
-    params.first_order.block[...] = np.arange(14.0)[:, None]
-    save_checkpoint(tmp_path / "block.npz", params, table)
-    header, arrays = load_npz(tmp_path / "block.npz")
-    assert "init_sigma" not in header["table"] and "seed" not in header["table"]
+    table = init_table(_fields(3, 4), dim=2, init_sigma=0.2, seed=16)
+    params = init_dense_params("dcn", table.fields, 2, 1, hidden=(4,), cross_depth=1, seed=16)
+    save_checkpoint(tmp_path / "ok.npz", params, table)
+    header, arrays = load_npz(tmp_path / "ok.npz")
+    if replacement is None:
+        del arrays[name]
+    else:
+        arrays[name] = replacement
+    save_npz(tmp_path / "bad.npz", header, arrays)
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(tmp_path / "bad.npz")
 
-    # the same file with every field a separate, freshly made float64 array
-    # loads to the same tables, in the training dtype
-    separate = {name: np.array(a, dtype=np.float64) for name, a in arrays.items()}
-    save_npz(tmp_path / "fields.npz", header, separate)
-    params2, table2 = load_checkpoint(tmp_path / "fields.npz")
-    assert all(a.dtype == TRAIN_DTYPE for _, a in params2.named_arrays())
-    for prefix, stored, restored in (("table", table, table2),
-                                     ("lr", params.first_order, params2.first_order)):
-        for j, v in enumerate(vocabs):
-            assert arrays[f"{prefix}:{j}"].shape == (v, stored.dim)
-            assert np.array_equal(arrays[f"{prefix}:{j}"],
-                                  stored.block[stored.offsets[j]:stored.offsets[j + 1]])
-        assert np.array_equal(restored.block, stored.block) and restored.block.dtype == TRAIN_DTYPE
-        assert list(restored.offsets) == [0, 5, 6, 14]
 
-        bad = dict(separate, **{f"{prefix}:1": np.zeros((2, stored.dim))})
-        save_npz(tmp_path / "bad.npz", header, bad)
-        with pytest.raises(ValueError, match=f"{prefix}:1 has shape"):
-            load_checkpoint(tmp_path / "bad.npz")
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_checkpoint_names_are_the_grad_check_names(kind, tmp_path):
+    # One inventory names a model's parameters for the file and for the
+    # gradient check; the shapes here are grad_check's tiny model's.
+    from ctrlab.data import load_npz
+    from ctrlab.models import save_checkpoint
+
+    table = init_table(_fields(5, 5, 5), dim=3, init_sigma=0.2, seed=17)
+    params = init_dense_params(kind, table.fields, 3, 2, hidden=(8, 6), cross_depth=2, seed=17)
+    save_checkpoint(tmp_path / "ckpt.npz", params, table)
+    _, arrays = load_npz(tmp_path / "ckpt.npz")
+    assert list(arrays) == list(grad_check(kind, seed=3, n_trials=1).per_tensor)
 
 
 def test_checkpoint_with_unknown_kind_is_rejected(tmp_path):
