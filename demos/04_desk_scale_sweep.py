@@ -18,10 +18,10 @@ config = harness.ExperimentConfig(
     lr_dense=5e-4, lr_embed=5e-4, l2=1e-4, warmup_epochs=1.0,
     base_batch=128, batch_size=128, epochs=3,
     clip_variant="cowclip", clip_r=1.0, clip_zeta=1e-4,
+    sweep_batch_sizes=(128, 2048), sweep_rules=("none", "cowclip"),
 )
 
-records, table = harness.sweep(config, batch_sizes=(128, 2048),
-                               rules=("none", "cowclip"), seed=1)
+records, table = harness.sweep(config, seed=1)
 print(table)
 print()
 for r in records:

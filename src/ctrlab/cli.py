@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: gen-data, analyze-freq, scale, train, sweep, grad-check, verify.
-Every subcommand but scale takes --config FILE (flat key=value text) and
---seed N; scale takes its hyperparameters as flags.
+gen-data, analyze-freq, train and sweep take --config FILE (flat key=value
+text) and --seed N; grad-check and verify build their own tiny problems and
+take --seed N only; scale takes its hyperparameters as flags.
 Exit codes: 0 success, 1 verification/check failure or a bad argument,
-2 training divergence.
+2 training divergence, or a usage error (an unknown flag) from argparse.
 """
 
 from __future__ import annotations
@@ -168,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("grad-check", help="finite-difference check of every backward pass")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", choices=harness.models.MODEL_KINDS, default=None)
     p.add_argument("--trials", type=int, default=10)
     p.set_defaults(func=_cmd_grad_check)
 
     p = sub.add_parser("verify", help="run the numerical verification suites")
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("suites", nargs="*", help="subset of: " + ", ".join(harness._VERIFY_SUITES))
     p.set_defaults(func=_cmd_verify)
 

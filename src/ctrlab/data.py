@@ -512,15 +512,13 @@ class SyntheticSpec:
     """Shape and skew of a synthetic CTR dataset.
 
     Categorical ids follow a Zipf law: id k of a field with vocabulary V gets
-    probability (k+1)^-a / sum_j (j+1)^-a.  uniform_ids replaces the skew with
-    a uniform draw (the a -> 0 limit).
+    probability (k+1)^-a / sum_j (j+1)^-a.
     """
 
     n_dense: int = 2
     n_categorical: int = 6
     vocab_sizes: int | Sequence[int] = 10_000
     zipf_exponent: float = 1.2
-    uniform_ids: bool = False
 
     def vocab_list(self) -> list[int]:
         if isinstance(self.vocab_sizes, int):
@@ -568,11 +566,7 @@ def generate_synthetic(
     categorical = np.empty((n_samples, spec.n_categorical), dtype=np.int64)
     score = np.zeros(n_samples)
     for j, v in enumerate(vocabs):
-        if spec.uniform_ids:
-            ids = rng.integers(0, v, size=n_samples)
-        else:
-            probs = zipf_probabilities(v, spec.zipf_exponent)
-            ids = rng.choice(v, size=n_samples, p=probs)
+        ids = rng.choice(v, size=n_samples, p=zipf_probabilities(v, spec.zipf_exponent))
         categorical[:, j] = ids
         hidden = rng.normal(0.0, 1.0, size=v) * click_model[j]
         score += hidden[ids]

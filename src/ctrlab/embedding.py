@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import CATEGORICAL, Batch, Dataset, FieldSchema
+from .data import CATEGORICAL, Batch, FieldSchema
 
 # The dtype of every trained array: tables, dense weights, optimizer moments
 # and activations.
@@ -132,7 +132,7 @@ class SparseGradient:
 
 
 def init_table(
-    fields: tuple[FieldSchema, ...] | Dataset,
+    fields: tuple[FieldSchema, ...],
     dim: int,
     init_sigma: float = 1e-4,
     seed: int = 0,
@@ -142,8 +142,6 @@ def init_table(
 
     The draws are float64 and are rounded to dtype as they are stored.
     """
-    if isinstance(fields, Dataset):
-        fields = fields.categorical_fields
     fields = tuple(fields)
     if any(f.kind != CATEGORICAL for f in fields):
         raise ValueError("embedding tables are built over categorical fields only")
@@ -177,9 +175,10 @@ def lookup_forward(table: EmbeddingTable, batch: Batch) -> tuple[np.ndarray, Loo
 
 
 def accumulate_gradients(
-    record: LookupRecord, upstream: np.ndarray, batch_size: int, dim: int | None = None
+    record: LookupRecord, upstream: np.ndarray, dim: int | None = None
 ) -> SparseGradient:
-    """Fold per-sample upstream gradients into per-id sums scaled by 1/b.
+    """Fold per-sample upstream gradients into per-id sums scaled by 1/b, b
+    the number of samples (upstream's rows).
 
     upstream holds d(per-sample loss)/d(embedded row): one row per sample,
     field slices of dim (default: the looked-up table's) entries side by
@@ -197,6 +196,6 @@ def accumulate_gradients(
     bins = (inverse.reshape(-1, 1) * d + np.arange(d)).ravel()
     sums = np.bincount(bins, weights=upstream.ravel(), minlength=len(uniq) * d)
     # bincount sums in float64; the gradient takes the upstream's dtype.
-    grads = (sums.reshape(len(uniq), d) / batch_size).astype(upstream.dtype, copy=False)
+    grads = (sums.reshape(len(uniq), d) / b).astype(upstream.dtype, copy=False)
     return SparseGradient(uniq, grads, counts.astype(np.int64), record.offsets)
 

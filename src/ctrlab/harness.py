@@ -35,7 +35,7 @@ from .data import (
 )
 from .embedding import EmbeddingTable, init_table
 from .models import DenseParams, init_dense_params, model_forward
-from .optim import AdamConfig, AdamState, EmbedAdamState, WarmupSchedule
+from .optim import AdamState, EmbedAdamState, WarmupSchedule
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,6 @@ class ExperimentConfig:
     n_categorical: int = _key("data.n_categorical", 6)
     vocab_size: int = _key("data.vocab_size", 10_000)
     zipf_exponent: float = _key("data.zipf_exponent", 1.2)
-    uniform_ids: bool = _key("data.uniform_ids", False)
     click_strength: float = _key("data.click_strength", 1.0)
     top_k: int = _key("data.top_k", 0)                 # 0 disables the top-k id collapse
     split: float = _key("data.split", 0.9)
@@ -65,14 +64,10 @@ class ExperimentConfig:
     # model
     model_kind: str = _key("model.kind", "deepfm")
     hidden: tuple[int, ...] = _key("model.hidden", (400, 400, 400))
-    cross_depth: int = _key("model.cross_depth", 3)
     embed_dim: int = _key("model.embed_dim", 10)
     # None: 1e-2 with cowclip, else 1e-4
     init_sigma: float | None = _key("model.init_sigma", None)
     # optimizer
-    beta1: float = _key("opt.beta1", 0.9)
-    beta2: float = _key("opt.beta2", 0.999)
-    eps: float = _key("opt.eps", 1e-8)
     lr_dense: float = _key("opt.lr_dense", 1e-4)
     lr_embed: float = _key("opt.lr_embed", 1e-4)
     l2: float = _key("opt.l2", 1e-4)
@@ -116,8 +111,7 @@ class ExperimentConfig:
             raise ValueError(f"model.hidden widths must be >= 1, got {self.hidden}")
         if self.embed_dim < 1:
             raise ValueError("model.embed_dim must be >= 1")
-        for key, value in (("data.top_k", self.top_k), ("model.cross_depth", self.cross_depth),
-                           ("opt.warmup_epochs", self.warmup_epochs)):
+        for key, value in (("data.top_k", self.top_k), ("opt.warmup_epochs", self.warmup_epochs)):
             if not 0 <= value < math.inf:
                 raise ValueError(f"{key} must be finite and >= 0, got {value}")
         if self.init_sigma is not None and not self.init_sigma > 0:
@@ -129,23 +123,27 @@ class ExperimentConfig:
                                     ("data.n_categorical", self.n_categorical, 0)):
                 if value < low:
                     raise ValueError(f"{key} must be >= {low} for synthetic data, got {value}")
-            if not self.uniform_ids and not self.zipf_exponent > 0:
-                raise ValueError("data.zipf_exponent must be > 0 unless data.uniform_ids is set")
+            if not self.zipf_exponent > 0:
+                raise ValueError(f"data.zipf_exponent must be > 0, got {self.zipf_exponent}")
             if not math.isfinite(self.click_strength):
                 raise ValueError(f"data.click_strength must be finite, got {self.click_strength}")
         for key, value in (("opt.lr_dense", self.lr_dense), ("opt.lr_embed", self.lr_embed),
                            ("opt.l2", self.l2)):
             if not value > 0:
                 raise ValueError(f"{key} must be > 0, got {value}")
-        for key, value in (("opt.beta1", self.beta1), ("opt.beta2", self.beta2)):
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{key} must lie in [0, 1), got {value}")
-        if not self.eps > 0:
-            raise ValueError(f"opt.eps must be > 0, got {self.eps}")
         if self.batch_size < 1:
             raise ValueError("train.batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("train.epochs must be >= 0")
+        # Checked here, so that the error names the sweep key and not a cell's own key.
+        for b in self.sweep_batch_sizes:
+            if b < 1:
+                raise ValueError(f"sweep.batch_sizes entries must be >= 1, got {b}")
+        for rule in self.sweep_rules:
+            if rule not in scaling.RULES:
+                raise ValueError(
+                    f"sweep.rules entries must be one of {', '.join(scaling.RULES)}, got {rule!r}"
+                )
 
     def resolved_init_sigma(self) -> float:
         if self.init_sigma is not None:
@@ -276,7 +274,6 @@ def build_dataset(config: ExperimentConfig, seed: int) -> Dataset:
             n_categorical=config.n_categorical,
             vocab_sizes=config.vocab_size,
             zipf_exponent=config.zipf_exponent,
-            uniform_ids=config.uniform_ids,
         )
         click = np.full(config.n_categorical + config.n_dense, config.click_strength)
         data_seed = int(data_ss.generate_state(1)[0])
@@ -361,7 +358,6 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     )
     plan = scaling.scale(config.rule, base, s)
     clip_cfg = _clip_config(config, s)
-    adam_cfg = AdamConfig(config.beta1, config.beta2, config.eps)
 
     table_ss, params_ss = init_ss.spawn(2)
     table_seed = int(table_ss.generate_state(1)[0])
@@ -375,7 +371,6 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
         config.embed_dim,
         train_ds.n_dense,
         hidden=config.hidden,
-        cross_depth=config.cross_depth,
         seed=params_seed,
     )
     dense = dict(params.named_arrays())
@@ -422,12 +417,11 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
                 record.diverged = True
                 break
             losses.append(loss)
-            optim.adam_step(dense_state, dense, dgrads, warmup.lr(global_step), cfg=adam_cfg)
+            optim.adam_step(dense_state, dense, dgrads, warmup.lr(global_step))
             for t, state, sgrad in zip(tables, table_states, sgrads):
                 sgrad = clip.apply_clip(clip_cfg, t, sgrad)
                 optim.adam_sparse_step(
-                    state, t, sgrad, plan.eta_embed, l2=plan.l2,
-                    dense_l2=config.dense_l2, cfg=adam_cfg,
+                    state, t, sgrad, plan.eta_embed, l2=plan.l2, dense_l2=config.dense_l2
                 )
         train_loss = float(np.mean(losses)) if losses else float("nan")
         result = evaluate_model(params, table, test_ds)
@@ -453,15 +447,11 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     return record
 
 
-def sweep(
-    config: ExperimentConfig,
-    batch_sizes: tuple[int, ...] | None = None,
-    rules: tuple[str, ...] | None = None,
-    seed: int = 0,
-) -> tuple[list[RunRecord], str]:
-    """Train every (rule, batch size) pair on one shared dataset."""
-    batch_sizes = batch_sizes or config.sweep_batch_sizes or (config.batch_size,)
-    rules = rules or config.sweep_rules or (config.rule,)
+def sweep(config: ExperimentConfig, seed: int = 0) -> tuple[list[RunRecord], str]:
+    """Train every (rule, batch size) pair of sweep.rules and sweep.batch_sizes
+    on one shared dataset; an empty key sweeps the config's one value."""
+    batch_sizes = config.sweep_batch_sizes or (config.batch_size,)
+    rules = config.sweep_rules or (config.rule,)
     cells = [replace(config, rule=rule, batch_size=b) for rule in rules for b in batch_sizes]
     dataset = build_dataset(config, seed)
     records = [train(cfg, seed, dataset=dataset) for cfg in cells]

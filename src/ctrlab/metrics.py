@@ -7,6 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# logloss clamps probabilities to [PROB_EPS, 1 - PROB_EPS], so a confident
+# wrong prediction costs a finite loss.
+PROB_EPS = 1e-7
+
+
 class UndefinedMetricError(ValueError):
     """AUC needs at least one positive and one negative label."""
 
@@ -42,9 +47,9 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def logloss(probabilities: np.ndarray, labels: np.ndarray, eps_p: float = 1e-7) -> float:
-    """Mean binary cross-entropy with probabilities clamped to [eps_p, 1-eps_p]."""
-    p = np.clip(np.asarray(probabilities, dtype=np.float64), eps_p, 1.0 - eps_p)
+def logloss(probabilities: np.ndarray, labels: np.ndarray) -> float:
+    """Mean binary cross-entropy with probabilities clamped to [PROB_EPS, 1-PROB_EPS]."""
+    p = np.clip(np.asarray(probabilities, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
     y = np.asarray(labels, dtype=np.float64)
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
@@ -53,18 +58,7 @@ def logloss(probabilities: np.ndarray, labels: np.ndarray, eps_p: float = 1e-7) 
 class EvalResult:
     auc: float
     logloss: float
-    n_samples: int
-    n_positive: int
-    n_negative: int
 
 
-def evaluate(probabilities: np.ndarray, labels: np.ndarray, eps_p: float = 1e-7) -> EvalResult:
-    labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
-    return EvalResult(
-        auc=auc(probabilities, labels),
-        logloss=logloss(probabilities, labels, eps_p),
-        n_samples=len(labels),
-        n_positive=n_pos,
-        n_negative=len(labels) - n_pos,
-    )
+def evaluate(probabilities: np.ndarray, labels: np.ndarray) -> EvalResult:
+    return EvalResult(auc=auc(probabilities, labels), logloss=logloss(probabilities, labels))

@@ -183,7 +183,7 @@ def lr_head(bias: np.ndarray, first_order: EmbeddingTable, rows: np.ndarray) -> 
 def lr_head_backward(record: LookupRecord, dlogit: np.ndarray) -> SparseGradient:
     """First-order sparse gradient: each sample's dlogit, summed per selected id, over b."""
     upstream = np.repeat(dlogit[:, None], record.rows.shape[1], axis=1)
-    return accumulate_gradients(record, upstream, len(dlogit), dim=1)
+    return accumulate_gradients(record, upstream, dim=1)
 
 
 def fm_pairwise(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +296,6 @@ def loss_and_backward(
     probabilities: np.ndarray,
     labels: np.ndarray,
     cache: ForwardCache,
-    eps_p: float = 1e-7,
 ) -> tuple[float, dict[str, np.ndarray], tuple[SparseGradient, ...]]:
     """Mean logloss, the gradient of every dense tensor, and one sparse
     gradient per table of model_tables, in that order.
@@ -307,7 +306,7 @@ def loss_and_backward(
     kind = params.kind
     b = len(labels)
     y = np.asarray(labels, dtype=np.float64)
-    loss = metrics.logloss(probabilities, y, eps_p)
+    loss = metrics.logloss(probabilities, y)
     # d(per-sample loss)/d(logit), back in the model's dtype
     dlogit = (probabilities - y).astype(cache.logit.dtype, copy=False)
 
@@ -340,7 +339,7 @@ def loss_and_backward(
 
     for name in grads:
         grads[name] = grads[name] / b
-    sparse = (accumulate_gradients(record, d_embedded, b),)
+    sparse = (accumulate_gradients(record, d_embedded),)
     if kind in FIRST_ORDER_KINDS:
         sparse += (lr_head_backward(record, dlogit),)
     return loss, grads, sparse
@@ -374,9 +373,13 @@ def load_checkpoint(path) -> tuple[DenseParams, EmbeddingTable]:
     """The saved model, in the training dtype whatever dtype the file holds.
 
     The header builds a skeleton model, and one loop fills each of its named
-    parameters: a missing, wrong-shaped or unknown array is rejected by name.
+    parameters: a missing header key, or a missing, wrong-shaped or unknown
+    array, is rejected by name.
     """
     header, stored = load_npz(path)
+    for key in ("kind", "fields", "dim", "n_dense", "hidden", "cross_depth"):
+        if key not in header:
+            raise ValueError(f"checkpoint header has no key {key!r}")
     fields = tuple(FieldSchema(f["name"], CATEGORICAL, f["vocab_size"]) for f in header["fields"])
     dim = header["dim"]
     table = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim), TRAIN_DTYPE))

@@ -239,8 +239,9 @@ def test_c10_determinism():
     rec_a = harness.train(tiny, seed=5)
     rec_b = harness.train(tiny, seed=5)
     ok &= harness.record_fingerprint(rec_a) == harness.record_fingerprint(rec_b)
-    recs_a, table_a = harness.sweep(tiny, batch_sizes=(64,), rules=("none", "cowclip"), seed=6)
-    recs_b, table_b = harness.sweep(tiny, batch_sizes=(64,), rules=("none", "cowclip"), seed=6)
+    grid = replace(tiny, sweep_batch_sizes=(64,), sweep_rules=("none", "cowclip"))
+    recs_a, table_a = harness.sweep(grid, seed=6)
+    recs_b, table_b = harness.sweep(grid, seed=6)
     ok &= [harness.record_fingerprint(r) for r in recs_a] == [
         harness.record_fingerprint(r) for r in recs_b]
     ok &= table_a == table_b

@@ -386,12 +386,6 @@ class TestSynthetic:
         b = generate_synthetic(spec, 500, seed=7)
         assert datasets_equal(a, b)
 
-    def test_uniform_flag_flattens_counts(self):
-        spec = SyntheticSpec(n_dense=0, n_categorical=1, vocab_sizes=50, uniform_ids=True)
-        ds = generate_synthetic(spec, 100_000, seed=0)
-        counts = count_frequencies(ds).counts[0]
-        assert counts.max() / counts.min() < 1.2
-
     def test_bad_exponent(self):
         spec = SyntheticSpec(n_categorical=1, vocab_sizes=10, zipf_exponent=0.0)
         with pytest.raises(ValueError):

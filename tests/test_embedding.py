@@ -182,7 +182,7 @@ class TestAccumulate:
         ids = np.array([[1], [1], [1], [2], [2], [4]], dtype=np.int64)
         batch = Batch(np.zeros(6, dtype=np.uint8), np.zeros((6, 0)), ids)
         _, record = lookup_forward(table, batch)
-        sparse = accumulate_gradients(record, np.ones((6, 2)), 6)
+        sparse = accumulate_gradients(record, np.ones((6, 2)))
         assert list(sparse.row_block) == [1, 2, 4]
         assert list(sparse.count_block) == [3, 2, 1]
         assert sparse.count_block.sum() == 6  # one id per field per sample
@@ -192,7 +192,7 @@ class TestAccumulate:
         ids = np.array([[3]], dtype=np.int64)
         _, record = lookup_forward(table, Batch(np.zeros(1, dtype=np.uint8),
                                                 np.zeros((1, 0)), ids))
-        sparse = accumulate_gradients(record, np.ones((1, 2)), 1)
+        sparse = accumulate_gradients(record, np.ones((1, 2)))
         assert 7 not in sparse.row_block
         assert len(sparse.row_block) == 1
 
@@ -205,7 +205,7 @@ class TestAccumulate:
         batch = _batch(rng, vocabs, b)
         _, record = lookup_forward(table, batch)
         upstream = rng.normal(size=(b, len(vocabs) * dim))
-        sparse = accumulate_gradients(record, upstream, b)
+        sparse = accumulate_gradients(record, upstream)
         scattered = _scattered(table, sparse)
         for j, v in enumerate(vocabs):
             onehot = np.zeros((b, v))
@@ -226,7 +226,7 @@ class TestAccumulate:
         batch = _batch(rng, vocabs, b)
         _, record = lookup_forward(table, batch)
         upstream = rng.normal(size=(b, len(vocabs) * dim))
-        sparse = accumulate_gradients(record, upstream, b)
+        sparse = accumulate_gradients(record, upstream)
         scattered = _scattered(table, sparse)
         for j, v in enumerate(vocabs):
             block = upstream[:, j * dim : (j + 1) * dim]
@@ -253,8 +253,8 @@ class TestAccumulate:
         _, record = lookup_forward(table, batch)
         u1 = rng.normal(size=(10, 2))
         u2 = rng.normal(size=(10, 2))
-        sum_of = accumulate_gradients(record, u1 + u2, 10)
-        parts = [accumulate_gradients(record, u, 10) for u in (u1, u2)]
+        sum_of = accumulate_gradients(record, u1 + u2)
+        parts = [accumulate_gradients(record, u) for u in (u1, u2)]
         assert np.allclose(sum_of.grad_block, parts[0].grad_block + parts[1].grad_block,
                            rtol=0, atol=1e-14)
 
@@ -264,7 +264,7 @@ class TestAccumulate:
         table = init_table(_fields(*vocabs), dim=3, init_sigma=1.0, seed=12)
         batch = _batch(rng, vocabs, 9)
         _, record = lookup_forward(table, batch)
-        sparse = accumulate_gradients(record, rng.normal(size=(9, 9)), 9)
+        sparse = accumulate_gradients(record, rng.normal(size=(9, 9)))
         assert sparse.offsets is table.offsets
         assert np.array_equal(sparse.row_block, np.unique(record.rows))
         assert len(sparse.cuts) == 4 and sparse.cuts[-1] == len(sparse.row_block)
@@ -286,7 +286,7 @@ class TestAccumulate:
         table = init_table(_fields(4), dim=2, init_sigma=1.0, seed=0)
         _, record = lookup_forward(table, _batch(np.random.default_rng(0), [4], 3))
         with pytest.raises(ValueError):
-            accumulate_gradients(record, np.zeros((3, 5)), 3)
+            accumulate_gradients(record, np.zeros((3, 5)))
 
 
 class TestDenseEquivalence:
@@ -308,7 +308,7 @@ class TestDenseEquivalence:
         )
         assert np.max(np.abs(embedded - dense_forward)) < 1e-12
         upstream = rng.normal(size=(b, len(vocabs) * dim))
-        sparse = accumulate_gradients(record, upstream, b)
+        sparse = accumulate_gradients(record, upstream)
         scattered = _scattered(table, sparse)
         for j in range(len(vocabs)):
             dense_grad = onehots[j].T @ upstream[:, j * dim : (j + 1) * dim] / b

@@ -11,7 +11,10 @@ BLAS that sums in a different order may differ in the last bits.
     PYTHONPATH=src python tests/test_golden.py
 
 prints each config's name, hash, final AUC and final logloss: the values to
-re-pin a config with, and to compare a moved one by.
+re-pin a config with, and to compare a moved one by.  It also prints a
+numbers-only hash, the same hash without the record's config: a change that
+adds, drops or renames a config key moves the pinned hash but not this one,
+so the two runs' numbers can be compared across it.
 """
 
 import hashlib
@@ -37,38 +40,41 @@ GOLDEN = {
     "deepfm-cowclip-dense-l2": (
         replace(TINY, model_kind="deepfm", rule="cowclip", clip_variant="cowclip",
                 batch_size=128, dense_l2=True),
-        "3059bcfe83d602ecc32e1026b7df3123896d16b9d5943ccfa420a630c45a54e6",
+        "aa46c26e13c50ed70c5219a2c9f5d82635ad559dd6ebad1c15ec68ba570fef8f",
     ),
     "wd-cowclip-lazy": (
         replace(TINY, model_kind="wd", rule="cowclip", clip_variant="cowclip",
                 batch_size=128, dense_l2=False),
-        "c63efef0536d59203f1220ee6863eee415b01859fcaa240be5a6c28b727c5ccb",
+        "18ffeb323d4787781e9559a8e704d25bf8b05a08b5ae2e9cdd1fe84975b0b1b5",
     ),
     "dcn-fieldwise-s4-sqrt": (
         replace(TINY, model_kind="dcn", clip_variant="fieldwise", clip_value=3e-3,
                 clip_mode="sqrt", **S4),
-        "f9d2a3cedf6dec67419e7afdbc2c71c7cd071fac9e51cff1bf64495d86a176ea",
+        "4ea76793d0135b38ea2393355097d8f926e427957553e469246c3905d7e776c7",
     ),
     "dcnv2-global-s4-linear": (
         replace(TINY, model_kind="dcnv2", clip_variant="global", clip_value=3e-3,
                 clip_mode="linear", **S4),
-        "c7eb92d2f659655cee7633725cc3f918dfddb57b9fffcaa3e0404107286c65f9",
+        "e79f8fe1282d2b53a2b63ff43f999db386862767431c37da296677e7b9e1370e",
     ),
     "dcnv2-columnwise-s4-linear": (
         replace(TINY, model_kind="dcnv2", clip_variant="columnwise", clip_value=3e-3,
                 clip_mode="linear", **S4),
-        "28268bc64658c96f685b4237caf7ca3d40445d4d7cdebeb0392cdf09e98ce2f3",
+        "3759328c9fccb1415d094a45fa0e46fb3395d13166d953aa3327c3dd761b8991",
     ),
     "dcn-adaptive_fieldwise-s4-sqrt": (
         replace(TINY, model_kind="dcn", rule="sqrt", clip_variant="adaptive_fieldwise",
                 clip_r=0.1, **S4),
-        "59d0db5424ffbdc2f15b287ef2d3ef9c4e347af4cdd7c70a98850d13900cdffe",
+        "c4f6e0d06e5ac708379f9d7343b16eac2fd4d738e0c08a596993f7ea266778ec",
     ),
 }
 
 
-def _hash(record: RunRecord) -> str:
-    text = json.dumps(record_fingerprint(record), sort_keys=True)
+def _hash(record: RunRecord, with_config: bool = True) -> str:
+    fingerprint = record_fingerprint(record)
+    if not with_config:
+        del fingerprint["config"]
+    text = json.dumps(fingerprint, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -118,5 +124,5 @@ def test_training_stays_in_the_training_dtype(name, monkeypatch):
 if __name__ == "__main__":
     for name, (config, _) in GOLDEN.items():
         record = train(config, seed=1)
-        print(name, _hash(record), f"auc={record.final_auc!r}",
-              f"logloss={record.final_logloss!r}")
+        print(name, _hash(record), f"numbers={_hash(record, with_config=False)}",
+              f"auc={record.final_auc!r}", f"logloss={record.final_logloss!r}")

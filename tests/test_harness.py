@@ -83,7 +83,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,bad", [
         ("model.kind", {"model_kind": "deepfmm"}),
-        ("model.cross_depth", {"model_kind": "dcn", "cross_depth": -1}),
+        ("sweep.batch_sizes", {"sweep_batch_sizes": (0,)}),
         ("data.top_k", {"top_k": -2}),
         ("clip.variant", {"clip_variant": "cow"}),
         ("scale.rule", {"rule": "cubic"}),
@@ -108,9 +108,9 @@ class TestConfig:
         ("data.n_samples", {"n_samples": 0}),
         ("data.vocab_size", {"vocab_size": 0}),
         ("data.zipf_exponent", {"zipf_exponent": 0.0}),
-        ("opt.beta1", {"beta1": 1.0}),
-        ("opt.beta2", {"beta2": 1.0}),
-        ("opt.eps", {"eps": 0.0}),
+        ("sweep.batch_sizes", {"sweep_batch_sizes": (256, -64)}),
+        ("sweep.rules", {"sweep_rules": ("none", "cubic")}),
+        ("sweep.rules", {"sweep_rules": ("n2-lambda",)}),
         ("train.batch_size", {"batch_size": 0}),
         ("train.epochs", {"epochs": -1}),
         ("data.n_dense", {"n_dense": -1}),
@@ -133,13 +133,12 @@ class TestConfig:
     def test_checks_follow_the_keys_in_use(self):
         # Each of these keys is unused by the rest of its config.
         ExperimentConfig(source="data.npz", n_samples=0, vocab_size=0)
-        ExperimentConfig(uniform_ids=True, zipf_exponent=0.0)
         ExperimentConfig(source="data.npz", n_dense=-1, n_categorical=-1)
 
     def test_bad_sweep_rule_fails_before_any_data(self, monkeypatch):
         monkeypatch.setattr(harness, "build_dataset", _forbid_build)
-        with pytest.raises(ValueError, match="scale.rule"):
-            sweep(TINY, rules=("none", "cubic"), seed=0)
+        with pytest.raises(ValueError, match="^sweep.rules entries .* got 'cubic'$"):
+            sweep(replace(TINY, sweep_rules=("none", "cubic")), seed=0)
 
     def test_init_sigma_follows_clip_variant(self):
         assert ExperimentConfig().resolved_init_sigma() == 1e-4
@@ -283,14 +282,17 @@ class TestTrain:
 
 class TestSweep:
     def test_degenerate_sweep_equals_train(self):
-        records, table = sweep(TINY, batch_sizes=(64,), rules=("none",), seed=7)
+        grid = replace(TINY, sweep_batch_sizes=(64,), sweep_rules=("none",))
+        records, table = sweep(grid, seed=7)
         assert len(records) == 1
-        solo = train(TINY, seed=7, dataset=harness.build_dataset(TINY, 7))
+        solo = train(grid, seed=7, dataset=harness.build_dataset(TINY, 7))
         assert record_fingerprint(records[0]) == record_fingerprint(solo)
         assert "none" in table
 
     def test_grid_structure(self):
-        records, table = sweep(TINY, batch_sizes=(64, 128), rules=("none", "sqrt"), seed=8)
+        records, table = sweep(
+            replace(TINY, sweep_batch_sizes=(64, 128), sweep_rules=("none", "sqrt")), seed=8
+        )
         assert len(records) == 4
         combos = {(r.rule, r.batch_size) for r in records}
         assert combos == {("none", 64), ("none", 128), ("sqrt", 64), ("sqrt", 128)}
@@ -299,8 +301,8 @@ class TestSweep:
 
 class TestReports:
     def _records(self):
-        records, _ = sweep(replace(TINY, epochs=1), batch_sizes=(64,),
-                           rules=("none", "sqrt"), seed=9)
+        records, _ = sweep(replace(TINY, epochs=1, sweep_batch_sizes=(64,),
+                                   sweep_rules=("none", "sqrt")), seed=9)
         return records
 
     def test_empty_csv_is_headered(self):
@@ -446,6 +448,18 @@ class TestCli:
         monkeypatch.setitem(harness._VERIFY_SUITES, "presence-prob", lambda seed: failed)
         assert cli.main(["verify", "presence-prob"]) == 1
         assert capsys.readouterr().out.startswith("FAIL presence-prob")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "presence-prob"],
+        ["grad-check", "--model", "wd", "--trials", "1"],
+    ], ids=["verify", "grad-check"])
+    def test_config_is_a_usage_error_where_unread(self, argv, capsys):
+        # Neither subcommand reads a config, so a --config given to one must
+        # not be silently ignored.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--config", "/nonexistent.cfg"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     def test_analyze_freq(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

@@ -70,7 +70,7 @@ class TestLogloss:
         assert logloss(np.array([0.5]), np.array([1])) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_clamp(self):
-        value = logloss(np.array([1.0]), np.array([1]), eps_p=1e-7)
+        value = logloss(np.array([1.0]), np.array([1]))
         assert value == pytest.approx(-math.log(1.0 - 1e-7), rel=1e-9)
 
     def test_matches_scalar_loop(self):
@@ -92,9 +92,8 @@ class TestLogloss:
         assert logloss(p[perm], y[perm]) == pytest.approx(logloss(p, y), abs=1e-12)
 
 
-def test_evaluate_counts():
-    result = evaluate(np.array([0.2, 0.8, 0.5]), np.array([0, 1, 1]))
-    assert result.n_samples == 3
-    assert result.n_positive == 2
-    assert result.n_negative == 1
-    assert result.n_positive + result.n_negative == result.n_samples
+def test_evaluate_is_auc_and_logloss():
+    p, y = np.array([0.2, 0.8, 0.5]), np.array([0, 1, 1])
+    result = evaluate(p, y)
+    assert result.auc == auc(p, y) == 1.0
+    assert result.logloss == logloss(p, y)

@@ -459,3 +459,30 @@ def test_checkpoint_with_unknown_kind_is_rejected(tmp_path):
     save_npz(tmp_path / "bad.npz", dict(header, kind="dcnv3"), arrays)
     with pytest.raises(ValueError, match="unknown model kind 'dcnv3'"):
         load_checkpoint(tmp_path / "bad.npz")
+
+
+@pytest.mark.parametrize("key", ["kind", "fields", "dim", "n_dense", "hidden", "cross_depth"])
+def test_checkpoint_names_a_missing_header_key(key, tmp_path):
+    from ctrlab.data import load_npz, save_npz
+    from ctrlab.models import load_checkpoint, save_checkpoint
+
+    table = init_table(_fields(3, 4), dim=2, init_sigma=0.2, seed=18)
+    params = init_dense_params("deepfm", table.fields, 2, 1, hidden=(4,), seed=18)
+    save_checkpoint(tmp_path / "ok.npz", params, table)
+    header, arrays = load_npz(tmp_path / "ok.npz")
+    del header[key]
+    save_npz(tmp_path / "bad.npz", header, arrays)
+    with pytest.raises(ValueError, match=f"^checkpoint header has no key '{key}'$"):
+        load_checkpoint(tmp_path / "bad.npz")
+
+
+def test_dataset_file_is_not_a_checkpoint(tmp_path):
+    # save_dataset writes the same npz-with-header container; its header
+    # names a schema, not a model.
+    from ctrlab.data import SyntheticSpec, generate_synthetic, save_dataset
+    from ctrlab.models import load_checkpoint
+
+    dataset = generate_synthetic(SyntheticSpec(n_categorical=2, vocab_sizes=5), 20, seed=0)
+    save_dataset(tmp_path / "data.npz", dataset)
+    with pytest.raises(ValueError, match="^checkpoint header has no key 'kind'$"):
+        load_checkpoint(tmp_path / "data.npz")
