@@ -10,7 +10,7 @@ Usage: python demos/06_models_and_gradients.py
 
 import numpy as np
 
-from ctrlab import grad_check, init_dense_params, init_table, model_forward
+from ctrlab import grad_check, init_model, init_table, model_forward
 from ctrlab.data import CATEGORICAL, Batch, FieldSchema
 
 rng = np.random.default_rng(0)
@@ -25,9 +25,8 @@ batch = Batch(
 
 print("click probabilities for one batch, per model:")
 for kind in ("wd", "deepfm", "dcn", "dcnv2"):
-    params = init_dense_params(kind, fields, 4, 2, hidden=(16, 8),
-                               cross_depth=2, seed=1)
-    probs, cache = model_forward(params, table, batch)
+    model = init_model(kind, table, 2, hidden=(16, 8), cross_depth=2, seed=1)
+    probs, cache = model_forward(model, batch)
     print(f"  {kind:>6}: probs {np.round(probs, 3)}  logit range "
           f"[{cache.logit.min():+.3f}, {cache.logit.max():+.3f}]")
 

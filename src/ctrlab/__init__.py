@@ -32,8 +32,8 @@ from .embedding import (
 )
 from .metrics import EvalResult, auc, evaluate, logloss
 from .models import (
-    DenseParams,
-    init_dense_params,
+    Model,
+    init_model,
     load_checkpoint,
     loss_and_backward,
     model_forward,

@@ -5,7 +5,7 @@ gen-data, analyze-freq, train and sweep take --config FILE (flat key=value
 text) and --seed N; grad-check and verify build their own tiny problems and
 take --seed N only; scale takes its hyperparameters as flags.
 Exit codes: 0 success, 1 verification/check failure or a bad argument,
-2 training divergence, or a usage error (an unknown flag) from argparse.
+2 a usage error (an unknown flag) from argparse, 3 training divergence.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _cmd_train(args) -> int:
     if record.epochs:
         print(f" -> final auc {record.final_auc:.4f} logloss {record.final_logloss:.4f}", end="")
     print(f"  ({path})")
-    return 2 if record.diverged else 0
+    return 3 if record.diverged else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -102,7 +102,7 @@ def _cmd_sweep(args) -> int:
     harness.write_reports(records, out)
     print(table)
     print(f"reports in {out}/")
-    return 2 if any(r.diverged for r in records) else 0
+    return 3 if any(r.diverged for r in records) else 0
 
 
 def _cmd_grad_check(args) -> int:

@@ -597,6 +597,8 @@ def save_npz(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
 def load_npz(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read what save_npz wrote: (header, every other array by name)."""
     with np.load(path) as z:
+        if "header" not in z.files:
+            raise ValueError(f"{path} has no 'header' array: not a file save_npz wrote")
         header = json.loads(z["header"].tobytes().decode())
         arrays = {name: z[name] for name in z.files if name != "header"}
     return header, arrays
@@ -618,6 +620,9 @@ def save_dataset(path, dataset: Dataset, meta: dict | None = None) -> None:
 
 def load_dataset(path) -> tuple[Dataset, dict]:
     header, z = load_npz(path)
+    for key in ("schema", "meta"):
+        if key not in header:
+            raise ValueError(f"dataset header has no key {key!r}")
     schema = tuple(
         FieldSchema(f["name"], f["kind"], f["vocab_size"]) for f in header["schema"]
     )

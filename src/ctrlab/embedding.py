@@ -23,10 +23,11 @@ blocks; nothing else in ctrlab reads them.
 Training runs in float32 (TRAIN_DTYPE), as the paper does on its GPU: the
 dense-mode optimizer pass over every table entry is bound by memory traffic
 and the MLP by matrix products, and float32 halves the bytes of the one and
-doubles the BLAS rate of the other.  init_table, models.init_dense_params
-and models.load_checkpoint are the only places that pick a dtype; every
-other step keeps its inputs' dtype, so the finite-difference checks, which
-build float64 tensors, run the same code in float64.
+doubles the BLAS rate of the other.  init_table and models.load_checkpoint
+are the only places that pick a dtype: models.init_model builds a model in
+its embedding table's dtype, and every other step keeps its inputs' dtype,
+so the finite-difference checks, which build a float64 table, run the same
+code in float64.
 """
 
 from __future__ import annotations

@@ -33,8 +33,8 @@ from .data import (
     make_batches,
     top_k_collapse,
 )
-from .embedding import EmbeddingTable, init_table
-from .models import DenseParams, init_dense_params, model_forward
+from .embedding import init_table
+from .models import Model, init_model, model_forward
 from .optim import AdamState, EmbedAdamState, WarmupSchedule
 
 
@@ -301,7 +301,7 @@ def _clip_config(config: ExperimentConfig, s: float | None = None) -> clip.ClipC
     return clip.ClipConfig(variant)
 
 
-def _predict(params: DenseParams, table: EmbeddingTable, dataset: Dataset, n_rows: int):
+def _predict(model: Model, dataset: Dataset, n_rows: int):
     """Click probabilities of the dataset's first n_rows rows, forwarded in
     chunks of 8192 rows; only one chunk's forward cache is alive at a time."""
     chunk = 8192
@@ -309,16 +309,12 @@ def _predict(params: DenseParams, table: EmbeddingTable, dataset: Dataset, n_row
     for start in range(0, n_rows, chunk):
         rows = slice(start, min(start + chunk, n_rows))
         batch = Batch(dataset.labels[rows], dataset.dense[rows], dataset.categorical[rows])
-        probs[rows] = model_forward(params, table, batch)[0]
+        probs[rows] = model_forward(model, batch)[0]
     return probs
 
 
-def evaluate_model(
-    params: DenseParams,
-    table: EmbeddingTable,
-    dataset: Dataset,
-) -> metrics.EvalResult:
-    return metrics.evaluate(_predict(params, table, dataset, dataset.n_samples), dataset.labels)
+def evaluate_model(model: Model, dataset: Dataset) -> metrics.EvalResult:
+    return metrics.evaluate(_predict(model, dataset, dataset.n_samples), dataset.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -362,31 +358,26 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     table_ss, params_ss = init_ss.spawn(2)
     table_seed = int(table_ss.generate_state(1)[0])
     params_seed = int(params_ss.generate_state(1)[0])
-    table = init_table(
+    embed = init_table(
         train_ds.categorical_fields, config.embed_dim, config.resolved_init_sigma(), table_seed
     )
-    params = init_dense_params(
-        config.model_kind,
-        table.fields,
-        config.embed_dim,
-        train_ds.n_dense,
-        hidden=config.hidden,
-        seed=params_seed,
+    model = init_model(
+        config.model_kind, embed, train_ds.n_dense, hidden=config.hidden, seed=params_seed
     )
-    dense = dict(params.named_arrays())
+    dense = dict(model.named_arrays())
     dense_state = AdamState.init(dense)
-    tables = models.model_tables(params, table)
-    table_states = [EmbedAdamState.init(t) for t in tables]
+    tables = model.tables
+    table_states = {name: EmbedAdamState.init(t) for name, t in tables.items()}
 
     steps_per_epoch = train_ds.n_samples // b
     warmup = WarmupSchedule(
         plan.eta_dense, int(round(config.warmup_epochs * steps_per_epoch))
     )
 
-    initial_eval = evaluate_model(params, table, test_ds)
+    initial_eval = evaluate_model(model, test_ds)
     n_head = min(train_ds.n_samples, 16384)
     initial_train_loss = metrics.logloss(
-        _predict(params, table, train_ds, n_head), train_ds.labels[:n_head]
+        _predict(model, train_ds, n_head), train_ds.labels[:n_head]
     )
 
     run_id = f"{config.model_kind}-{config.rule}-b{b}-seed{seed}"
@@ -411,20 +402,21 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
         losses = []
         for batch in make_batches(train_ds, b, seed=epoch_seeds[epoch - 1]):
             global_step += 1
-            probs, cache = model_forward(params, table, batch)
+            probs, cache = model_forward(model, batch)
             loss, dgrads, sgrads = models.loss_and_backward(probs, batch.labels, cache)
             if not math.isfinite(loss):
                 record.diverged = True
                 break
             losses.append(loss)
             optim.adam_step(dense_state, dense, dgrads, warmup.lr(global_step))
-            for t, state, sgrad in zip(tables, table_states, sgrads):
-                sgrad = clip.apply_clip(clip_cfg, t, sgrad)
+            for name, t in tables.items():
+                sgrad = clip.apply_clip(clip_cfg, t, sgrads[name])
                 optim.adam_sparse_step(
-                    state, t, sgrad, plan.eta_embed, l2=plan.l2, dense_l2=config.dense_l2
+                    table_states[name], t, sgrad, plan.eta_embed, l2=plan.l2,
+                    dense_l2=config.dense_l2,
                 )
         train_loss = float(np.mean(losses)) if losses else float("nan")
-        result = evaluate_model(params, table, test_ds)
+        result = evaluate_model(model, test_ds)
         record.epochs.append(
             EpochRecord(
                 epoch=epoch,
@@ -454,6 +446,13 @@ def sweep(config: ExperimentConfig, seed: int = 0) -> tuple[list[RunRecord], str
     rules = config.sweep_rules or (config.rule,)
     cells = [replace(config, rule=rule, batch_size=b) for rule in rules for b in batch_sizes]
     dataset = build_dataset(config, seed)
+    # Checked before any cell trains, so that the error names the sweep key.
+    n_train = dataset.split(config.split)[0].n_samples
+    for b in config.sweep_batch_sizes:
+        if b > n_train:
+            raise ValueError(
+                f"sweep.batch_sizes entry {b} exceeds the training split's {n_train} rows"
+            )
     records = [train(cfg, seed, dataset=dataset) for cfg in cells]
     return records, comparison_table(records)
 
@@ -538,26 +537,23 @@ class GradCheckReport:
 def _tiny_setup(kind: str, rng: np.random.Generator):
     n_fields, vocab, dim, n_dense, b = 3, 5, 3, 2, 6
     fields = tuple(FieldSchema(f"c{j}", CATEGORICAL, vocab) for j in range(n_fields))
-    table = init_table(fields, dim, init_sigma=0.4, seed=rng.integers(2**32), dtype=np.float64)
-    params = init_dense_params(
-        kind, fields, dim, n_dense, hidden=(8, 6), cross_depth=2, seed=rng.integers(2**32),
-        dtype=np.float64,
-    )
+    embed = init_table(fields, dim, init_sigma=0.4, seed=rng.integers(2**32), dtype=np.float64)
+    model = init_model(kind, embed, n_dense, hidden=(8, 6), cross_depth=2,
+                       seed=rng.integers(2**32))
     # First-order weights start at zero; randomize them so their gradients get exercised
-    if params.first_order is not None:
-        params.first_order.block[...] = rng.normal(0, 0.3, size=(n_fields * vocab, 1))
-    if params.lr_bias is not None:
-        params.lr_bias = np.asarray(rng.normal(0, 0.3))
+    if model.first_order is not None:
+        model.first_order.block[...] = rng.normal(0, 0.3, size=(n_fields * vocab, 1))
+        model.lr_bias[...] = rng.normal(0, 0.3)
     batch = Batch(
         rng.integers(0, 2, size=b).astype(np.uint8),
         rng.normal(size=(b, n_dense)),
         rng.integers(0, vocab, size=(b, n_fields)),
     )
-    return table, params, batch
+    return model, batch
 
 
-def _total_loss(params, table, batch) -> float:
-    probs, _ = model_forward(params, table, batch)
+def _total_loss(model: Model, batch: Batch) -> float:
+    probs, _ = model_forward(model, batch)
     return metrics.logloss(probs, batch.labels)
 
 
@@ -585,17 +581,16 @@ def grad_check(model_kind: str, seed: int, n_trials: int = 10) -> GradCheckRepor
     per_tensor: dict[str, float] = {}
     done = 0
     while done < n_trials:
-        table, params, batch = _tiny_setup(model_kind, rng)
-        probs, cache = model_forward(params, table, batch)
+        model, batch = _tiny_setup(model_kind, rng)
+        probs, cache = model_forward(model, batch)
         kink = min((float(np.abs(z).min()) for z in cache.mlp_cache["zs"]), default=1.0)
         if kink < 1e-6 or float(np.max(np.abs(cache.logit))) > 8.0:
             continue
         done += 1
         _, dense_grads, sparse = models.loss_and_backward(probs, batch.labels, cache)
-        tensors = dict(models.named_parameters(params, table))
+        tensors = dict(model.named_parameters())
         analytic = dict(dense_grads)
-        # the tables close the inventory, in the order of the sparse gradients
-        for name, sg in zip(list(tensors)[len(dense_grads):], sparse):
+        for name, sg in sparse.items():
             analytic[name] = g = np.zeros_like(tensors[name])
             g[sg.row_block] = sg.grad_block
         for name, tensor in tensors.items():
@@ -607,9 +602,9 @@ def grad_check(model_kind: str, seed: int, n_trials: int = 10) -> GradCheckRepor
                 h = 1e-6 * max(1.0, abs(flat[i]))
                 orig = flat[i]
                 flat[i] = orig + h
-                up = _total_loss(params, table, batch)
+                up = _total_loss(model, batch)
                 flat[i] = orig - h
-                down = _total_loss(params, table, batch)
+                down = _total_loss(model, batch)
                 flat[i] = orig
                 fd = (up - down) / (2 * h)
                 err = abs(fd - an_flat[i]) / max(abs(fd), abs(an_flat[i]), 1e-3)

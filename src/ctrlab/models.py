@@ -11,8 +11,13 @@ Dense (continuous) features feed the deep stream only; the wide/cross streams
 see the categorical embeddings.  Backward passes return gradient sums over the
 batch; loss_and_backward normalizes by the batch size once at the end.
 
+A Model holds every parameter of one model.  Model.tables names its
+id-indexed tables; sparse gradients, the trainer's table optimizers,
+grad_check and checkpoints take the table names from it.
+
 Weights, activations and gradients are float32 in training
-(embedding.TRAIN_DTYPE), set by init_dense_params and init_table; every
+(embedding.TRAIN_DTYPE).  init_table and load_checkpoint pick the embedding
+table's dtype; init_model builds the rest of a model in that dtype, and every
 layer keeps its inputs' dtype.  The output probability, the loss and the
 metrics are float64: they cost b entries, and log(1 - p) needs the digits.
 
@@ -54,18 +59,34 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class DenseParams:
-    """A model's weights besides its embedding table; named_arrays() keys the dense ones."""
+@dataclass(frozen=True, eq=False)
+class Model:
+    """One model's parameters: its embedding table, and the weights of its head."""
 
     kind: str
+    embed: EmbeddingTable
     mlp: list[tuple[np.ndarray, np.ndarray]]            # hidden layers then output unit
     lr_bias: np.ndarray | None = None                   # shape (), wd/deepfm
     first_order: EmbeddingTable | None = None           # dim 1, wd/deepfm
     cross: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     cross_out: np.ndarray | None = None                 # (D,)
 
+    def __post_init__(self):
+        # The first-order weights are read at the embedding lookup's rows.
+        if self.first_order is not None and not np.array_equal(
+            self.first_order.offsets, self.embed.offsets
+        ):
+            raise ValueError("first-order table's field offsets differ from the embedding table's")
+
+    @property
+    def tables(self) -> dict[str, EmbeddingTable]:
+        """The id-indexed tables by name: "embed", and "lr" for wd/deepfm."""
+        if self.first_order is None:
+            return {"embed": self.embed}
+        return {"embed": self.embed, "lr": self.first_order}
+
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
+        """The dense parameters by name, in the order of named_parameters."""
         out = []
         for i, (w, b) in enumerate(self.mlp):
             out.append((f"mlp.{i}.W", w))
@@ -79,31 +100,29 @@ class DenseParams:
             out.append(("cross.out", self.cross_out))
         return out
 
+    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
+        """Every parameter by name: the dense arrays, then each table's whole block."""
+        return self.named_arrays() + [(name, t.block) for name, t in self.tables.items()]
 
-def model_tables(params: DenseParams, table: EmbeddingTable) -> tuple[EmbeddingTable, ...]:
-    """A model's id-indexed tables, in the order of loss_and_backward's sparse gradients."""
-    return (table,) if params.first_order is None else (table, params.first_order)
 
-
-def init_dense_params(
+def init_model(
     kind: str,
-    fields: tuple[FieldSchema, ...],
-    embed_dim: int,
+    embed: EmbeddingTable,
     n_dense: int,
     hidden: tuple[int, ...] = (400, 400, 400),
     cross_depth: int = 3,
     seed: int = 0,
-    dtype=TRAIN_DTYPE,
-) -> DenseParams:
-    """Kaiming (fan-in) normal weight matrices; zero biases and first-order table.
+) -> Model:
+    """A model over embed: Kaiming (fan-in) normal weight matrices, zero
+    biases and first-order table, all in embed's dtype.
 
-    The draws are float64 and are rounded to dtype.
+    The draws are float64 and are rounded to that dtype.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     rng = np.random.default_rng(seed)
-    n_fields = len(fields)
-    d_cross = n_fields * embed_dim
+    dtype = embed.block.dtype
+    d_cross = embed.n_fields * embed.dim
     width = d_cross + n_dense
 
     def kaiming(shape, fan_in):
@@ -119,18 +138,14 @@ def init_dense_params(
         prev = h
     mlp.append((kaiming((prev, 1), prev), zeros(1)))
 
-    params = DenseParams(kind=kind, mlp=mlp)
     if kind in FIRST_ORDER_KINDS:
-        params.lr_bias = zeros(())
-        params.first_order = EmbeddingTable(fields, 1, zeros((field_offsets(fields)[-1], 1)))
-    if kind in ("dcn", "dcnv2"):
-        for _ in range(cross_depth):
-            if kind == "dcn":
-                params.cross.append((kaiming((d_cross,), d_cross), zeros(d_cross)))
-            else:
-                params.cross.append((kaiming((d_cross, d_cross), d_cross), zeros(d_cross)))
-        params.cross_out = kaiming((d_cross,), d_cross)
-    return params
+        first_order = EmbeddingTable(embed.fields, 1, zeros((embed.offsets[-1], 1)))
+        return Model(kind, embed, mlp, lr_bias=zeros(()), first_order=first_order)
+    cross = []
+    for _ in range(cross_depth):  # dcn, dcnv2
+        w_shape = (d_cross,) if kind == "dcn" else (d_cross, d_cross)
+        cross.append((kaiming(w_shape, d_cross), zeros(d_cross)))
+    return Model(kind, embed, mlp, cross=cross, cross_out=kaiming((d_cross,), d_cross))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +259,7 @@ def dcnv2_cross_layer_backward(
 
 @dataclass
 class ForwardCache:
-    params: DenseParams
-    table: EmbeddingTable
+    model: Model
     record: LookupRecord
     embedded: np.ndarray          # (b, fields*dim)
     mlp_cache: dict
@@ -255,22 +269,18 @@ class ForwardCache:
     cross_aux: list[np.ndarray] = field(default_factory=list)
 
 
-def model_forward(
-    params: DenseParams, table: EmbeddingTable, batch: Batch
-) -> tuple[np.ndarray, ForwardCache]:
+def model_forward(model: Model, batch: Batch) -> tuple[np.ndarray, ForwardCache]:
     """Click probability per sample: sigmoid(deep stream + wide/cross stream),
-    for the head params.kind names."""
-    kind = params.kind
+    for the head model.kind names."""
+    kind, table = model.kind, model.embed
     embedded, record = lookup_forward(table, batch)
     # The dataset's dense features are float64; the model runs in the table's dtype.
     x_mlp = np.concatenate([embedded, batch.dense], axis=1, dtype=embedded.dtype)
-    logit, mlp_cache = mlp_forward(params.mlp, x_mlp)
-    cache = ForwardCache(params, table, record, embedded, mlp_cache, logit)
+    logit, mlp_cache = mlp_forward(model.mlp, x_mlp)
+    cache = ForwardCache(model, record, embedded, mlp_cache, logit)
 
     if kind in FIRST_ORDER_KINDS:
-        if not np.array_equal(params.first_order.offsets, table.offsets):
-            raise ValueError("first-order table's field offsets differ from the embedding table's")
-        logit = logit + lr_head(params.lr_bias, params.first_order, record.rows)
+        logit = logit + lr_head(model.lr_bias, model.first_order, record.rows)
     if kind == "deepfm":
         v = embedded.reshape(len(embedded), table.n_fields, table.dim)
         term, s = fm_pairwise(v)
@@ -279,14 +289,14 @@ def model_forward(
     if kind in ("dcn", "dcnv2"):
         x = embedded
         cache.cross_xs = [x]
-        for w, b in params.cross:
+        for w, b in model.cross:
             if kind == "dcn":
                 x, aux = dcn_cross_layer(embedded, x, w, b)
             else:
                 x, aux = dcnv2_cross_layer(embedded, x, w, b)
             cache.cross_xs.append(x)
             cache.cross_aux.append(aux)
-        logit = logit + x @ params.cross_out
+        logit = logit + x @ model.cross_out
 
     cache.logit = logit
     return sigmoid(logit), cache
@@ -296,21 +306,21 @@ def loss_and_backward(
     probabilities: np.ndarray,
     labels: np.ndarray,
     cache: ForwardCache,
-) -> tuple[float, dict[str, np.ndarray], tuple[SparseGradient, ...]]:
-    """Mean logloss, the gradient of every dense tensor, and one sparse
-    gradient per table of model_tables, in that order.
+) -> tuple[float, dict[str, np.ndarray], dict[str, SparseGradient]]:
+    """Mean logloss, the gradient of every dense tensor, and the sparse
+    gradient of every table, under the names of Model.tables.
 
     These are data gradients only: L2 is the optimizer's business.
     """
-    params, table, record = cache.params, cache.table, cache.record
-    kind = params.kind
+    model, record = cache.model, cache.record
+    kind, table = model.kind, model.embed
     b = len(labels)
     y = np.asarray(labels, dtype=np.float64)
     loss = metrics.logloss(probabilities, y)
     # d(per-sample loss)/d(logit), back in the model's dtype
     dlogit = (probabilities - y).astype(cache.logit.dtype, copy=False)
 
-    grads, dmlp_in = mlp_backward(params.mlp, cache.mlp_cache, dlogit)
+    grads, dmlp_in = mlp_backward(model.mlp, cache.mlp_cache, dlogit)
     width = table.n_fields * table.dim
     d_embedded = dmlp_in[:, :width].copy()
 
@@ -322,10 +332,10 @@ def loss_and_backward(
     if kind in ("dcn", "dcnv2"):
         x_last = cache.cross_xs[-1]
         grads["cross.out"] = x_last.T @ dlogit
-        dx = dlogit[:, None] * params.cross_out[None, :]
+        dx = dlogit[:, None] * model.cross_out[None, :]
         dx0_total = np.zeros_like(cache.embedded)
-        for l in range(len(params.cross) - 1, -1, -1):
-            w, _ = params.cross[l]
+        for l in range(len(model.cross) - 1, -1, -1):
+            w, _ = model.cross[l]
             xl = cache.cross_xs[l]
             aux = cache.cross_aux[l]
             if kind == "dcn":
@@ -339,37 +349,31 @@ def loss_and_backward(
 
     for name in grads:
         grads[name] = grads[name] / b
-    sparse = (accumulate_gradients(record, d_embedded),)
+    sparse = {"embed": accumulate_gradients(record, d_embedded)}
     if kind in FIRST_ORDER_KINDS:
-        sparse += (lr_head_backward(record, dlogit),)
+        sparse["lr"] = lr_head_backward(record, dlogit)
     return loss, grads, sparse
 
 
 # ---------------------------------------------------------------------------
-# The parameter inventory, and checkpoints that store it
+# Checkpoints: the parameter inventory, stored
 # ---------------------------------------------------------------------------
 
-def named_parameters(params: DenseParams, table: EmbeddingTable) -> list[tuple[str, np.ndarray]]:
-    """Every parameter of a model by name: params.named_arrays(), then each
-    table of model_tables as its whole block, "embed" and (wd/deepfm) "lr"."""
-    blocks = [(name, t.block) for name, t in zip(("embed", "lr"), model_tables(params, table))]
-    return params.named_arrays() + blocks
-
-
-def save_checkpoint(path, params: DenseParams, table: EmbeddingTable) -> None:
-    """The arrays of named_parameters, and a header of the shapes that name them."""
+def save_checkpoint(path, model: Model) -> None:
+    """The arrays of model.named_parameters(), and a header of the shapes that name them."""
+    embed = model.embed
     header = {
-        "kind": params.kind,
-        "fields": [{"name": f.name, "vocab_size": f.vocab_size} for f in table.fields],
-        "dim": table.dim,
-        "n_dense": params.mlp[0][0].shape[0] - table.n_fields * table.dim,
-        "hidden": [w.shape[1] for w, _ in params.mlp[:-1]],
-        "cross_depth": len(params.cross),
+        "kind": model.kind,
+        "fields": [{"name": f.name, "vocab_size": f.vocab_size} for f in embed.fields],
+        "dim": embed.dim,
+        "n_dense": model.mlp[0][0].shape[0] - embed.n_fields * embed.dim,
+        "hidden": [w.shape[1] for w, _ in model.mlp[:-1]],
+        "cross_depth": len(model.cross),
     }
-    save_npz(path, header, dict(named_parameters(params, table)))
+    save_npz(path, header, dict(model.named_parameters()))
 
 
-def load_checkpoint(path) -> tuple[DenseParams, EmbeddingTable]:
+def load_checkpoint(path) -> Model:
     """The saved model, in the training dtype whatever dtype the file holds.
 
     The header builds a skeleton model, and one loop fills each of its named
@@ -382,10 +386,10 @@ def load_checkpoint(path) -> tuple[DenseParams, EmbeddingTable]:
             raise ValueError(f"checkpoint header has no key {key!r}")
     fields = tuple(FieldSchema(f["name"], CATEGORICAL, f["vocab_size"]) for f in header["fields"])
     dim = header["dim"]
-    table = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim), TRAIN_DTYPE))
-    params = init_dense_params(header["kind"], fields, dim, header["n_dense"],
-                               tuple(header["hidden"]), header["cross_depth"])
-    arrays = dict(named_parameters(params, table))
+    embed = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim), TRAIN_DTYPE))
+    model = init_model(header["kind"], embed, header["n_dense"],
+                       tuple(header["hidden"]), header["cross_depth"])
+    arrays = dict(model.named_parameters())
     for name in {**arrays, **stored}:  # the model's names, then any others the file has
         if name not in arrays:
             raise ValueError(f"checkpoint array {name!r} is not a parameter of the model")
@@ -395,4 +399,4 @@ def load_checkpoint(path) -> tuple[DenseParams, EmbeddingTable]:
             raise ValueError(f"checkpoint array {name!r} has shape {stored[name].shape}, "
                              f"expected {arrays[name].shape}")
         arrays[name][...] = stored[name]
-    return params, table
+    return model

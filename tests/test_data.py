@@ -577,3 +577,28 @@ class TestInvariants:
                 part, whole = getattr(half, name), getattr(ds, name)
                 assert np.array_equal(part, whole[rows])
                 assert np.shares_memory(part, whole) and not part.flags.writeable
+
+
+class TestNpzContainer:
+    def test_plain_npz_has_no_header(self, tmp_path):
+        path = tmp_path / "plain.npz"
+        np.savez(path, labels=np.zeros(3))
+        with pytest.raises(ValueError, match="no 'header' array"):
+            data_module.load_npz(path)
+        with pytest.raises(ValueError, match="no 'header' array"):
+            load_dataset(path)
+
+    def test_checkpoint_is_not_a_dataset(self, tmp_path):
+        # save_checkpoint writes the same npz-with-header container; its
+        # header names a model, not a schema.
+        from ctrlab.embedding import init_table
+        from ctrlab.harness import ExperimentConfig, build_dataset
+        from ctrlab.models import init_model, save_checkpoint
+
+        fields = (FieldSchema("c0", CATEGORICAL, 4),)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, init_model("wd", init_table(fields, 2), 1, hidden=(3,)))
+        with pytest.raises(ValueError, match="^dataset header has no key 'schema'$"):
+            load_dataset(path)
+        with pytest.raises(ValueError, match="^dataset header has no key 'schema'$"):
+            build_dataset(ExperimentConfig(source=str(path)), seed=0)

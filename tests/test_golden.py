@@ -104,7 +104,7 @@ def test_training_stays_in_the_training_dtype(name, monkeypatch):
     def loss_spy(*args, **kwargs):
         out = loss_and_backward(*args, **kwargs)
         dtypes["dense grads"].update(g.dtype for g in out[1].values())
-        dtypes["sparse grads"].update(s.grad_block.dtype for s in out[2])
+        dtypes["sparse grads"].update(s.grad_block.dtype for s in out[2].values())
         return out
 
     def sparse_step_spy(state, table, sparse_grad, *args, **kwargs):

@@ -38,6 +38,10 @@ def _forbid_init(*args, **kwargs):  # pragma: no cover
     raise AssertionError("degenerate data must fail before the table is initialised")
 
 
+def _forbid_train(*args, **kwargs):  # pragma: no cover
+    raise AssertionError("a bad sweep must fail before any cell trains")
+
+
 class TestConfig:
     def test_parse_and_roundtrip(self):
         text = """
@@ -298,6 +302,15 @@ class TestSweep:
         assert combos == {("none", 64), ("none", 128), ("sqrt", 64), ("sqrt", 128)}
         assert "sqrt" in table and "128" in table
 
+    def test_oversized_batch_fails_before_any_cell_trains(self, monkeypatch):
+        # 2,000 rows leave 1,800 for training: the 64 cell could train, but
+        # the 5000 cell never can, so nothing trains and the sweep key is named.
+        monkeypatch.setattr(harness, "train", _forbid_train)
+        with pytest.raises(ValueError,
+                           match="^sweep.batch_sizes entry 5000 exceeds the training "
+                                 "split's 1800 rows$"):
+            sweep(replace(TINY, sweep_batch_sizes=(64, 5000)), seed=0)
+
 
 class TestReports:
     def _records(self):
@@ -392,15 +405,27 @@ class TestCli:
         assert record["seed"] == 3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_train_divergence_exits_two(self, tmp_path, capsys):
+    def test_train_divergence_exits_three(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg = replace(TINY, lr_dense=1e300, lr_embed=1e300, warmup_epochs=0.0,
                       out_dir=str(tmp_path / "runs"))
         cfg_path.write_text(
             "\n".join(f"{k}={v}" for k, v in cfg.to_dict().items() if v is not None)
         )
-        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        # 3, so that argparse's usage error is the only exit code 2
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
         assert capsys.readouterr().out.startswith("[DIVERGED] ")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sweep_divergence_exits_three(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg = replace(TINY, lr_dense=1e300, lr_embed=1e300, warmup_epochs=0.0, epochs=1,
+                      out_dir=str(tmp_path / "runs"))
+        cfg_path.write_text(
+            "\n".join(f"{k}={v}" for k, v in cfg.to_dict().items() if v is not None)
+        )
+        assert cli.main(["sweep", "--config", str(cfg_path)]) == 3
+        assert "diverge" in capsys.readouterr().out
 
     def test_scale_command_prints_machine_readable(self, capsys):
         assert cli.main(["scale", "--rule", "cowclip", "--base-batch", "1024",

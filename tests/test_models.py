@@ -15,15 +15,14 @@ from ctrlab.models import (
     dcn_cross_layer_backward,
     dcnv2_cross_layer,
     dcnv2_cross_layer_backward,
+    Model,
     fm_pairwise,
-    init_dense_params,
+    init_model,
     loss_and_backward,
     lr_head,
     lr_head_backward,
     mlp_forward,
     model_forward,
-    model_tables,
-    named_parameters,
 )
 from ctrlab.optim import AdamConfig, EmbedAdamState, adam_sparse_step
 
@@ -193,28 +192,28 @@ class TestModelForward:
         vocabs = [4, 5]
         table = init_table(_fields(*vocabs), dim=3, init_sigma=1.0, seed=0)
         table.block[...] = 0.0
-        params = init_dense_params(kind, table.fields, 3, 2, hidden=(6,), cross_depth=2, seed=0)
-        for _, a in params.named_arrays():
+        model = init_model(kind, table, 2, hidden=(6,), cross_depth=2, seed=0)
+        for _, a in model.named_arrays():
             a[...] = 0.0
         batch = _batch(np.random.default_rng(0), vocabs, 5)
-        probs, _ = model_forward(params, table, batch)
+        probs, _ = model_forward(model, batch)
         assert np.all(probs == 0.5)
 
     def test_wd_with_zero_deep_reduces_to_lr(self):
         vocabs = [4, 5]
         rng = np.random.default_rng(1)
         table = init_table(_fields(*vocabs), dim=3, init_sigma=0.5, seed=1)
-        params = init_dense_params("wd", table.fields, 3, 2, hidden=(6,), seed=1)
-        for name, a in params.named_arrays():
+        model = init_model("wd", table, 2, hidden=(6,), seed=1)
+        for name, a in model.named_arrays():
             a[...] = 0.4 if name == "lr.bias" else 0.0
-        w0, w1 = params.first_order.block[:4], params.first_order.block[4:]
+        w0, w1 = model.first_order.block[:4], model.first_order.block[4:]
         w0[:, 0] = rng.normal(size=4)
         w1[:, 0] = rng.normal(size=5)
         batch = _batch(rng, vocabs, 7)
-        probs, _ = model_forward(params, table, batch)
+        probs, _ = model_forward(model, batch)
         ids = batch.categorical
         # the logit in the weights' dtype, added in the model's order
-        logit = params.lr_bias + (w0[ids[:, 0], 0] + w1[ids[:, 1], 0])
+        logit = model.lr_bias + (w0[ids[:, 0], 0] + w1[ids[:, 1], 0])
         expected = 1 / (1 + np.exp(-logit.astype(np.float64)))
         assert np.allclose(probs, expected, rtol=0, atol=1e-15)
 
@@ -222,35 +221,53 @@ class TestModelForward:
     def test_deterministic(self, kind):
         vocabs = [6, 3]
         table = init_table(_fields(*vocabs), dim=2, init_sigma=0.3, seed=2)
-        params = init_dense_params(kind, table.fields, 2, 1, hidden=(5,), cross_depth=2, seed=2)
+        model = init_model(kind, table, 1, hidden=(5,), cross_depth=2, seed=2)
         batch = _batch(np.random.default_rng(2), vocabs, 9, n_dense=1)
-        a, _ = model_forward(params, table, batch)
-        b, _ = model_forward(params, table, batch)
+        a, _ = model_forward(model, batch)
+        b, _ = model_forward(model, batch)
         assert np.array_equal(a, b)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            init_dense_params("mystery", _fields(3), 2, 1)
+            init_model("mystery", init_table(_fields(3), dim=2), 1)
 
+
+class TestModel:
     @pytest.mark.parametrize("kind", ["wd", "deepfm"])
-    def test_first_order_offsets_must_match_the_table(self, kind):
-        # Same fields, same total rows, but field 0 ends at another row: the
-        # lookup's rows would read the wrong first-order weights.
+    def test_first_order_offsets_must_match_the_embeddings(self, kind):
+        # Same total rows, but field 0 ends at another row: the lookup's rows
+        # would read the wrong first-order weights, so no such model is built.
         table = init_table(_fields(4, 5), dim=2, init_sigma=0.3, seed=3)
-        params = init_dense_params(kind, _fields(5, 4), 2, 1, hidden=(5,), seed=3)
-        batch = _batch(np.random.default_rng(3), [4, 5], 4, n_dense=1)
+        model = init_model(kind, table, 1, hidden=(5,), seed=3)
+        other = _first_order([np.zeros(5), np.zeros(4)])
         with pytest.raises(ValueError, match="offsets"):
-            model_forward(params, table, batch)
+            Model(kind, table, model.mlp, lr_bias=model.lr_bias, first_order=other)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_one_list_of_table_names(self, kind):
+        # The sparse gradients and the parameter inventory name the tables
+        # that Model.tables names, in its order.
+        table = init_table(_fields(4, 5), dim=2, init_sigma=0.3, seed=5)
+        model = init_model(kind, table, 2, hidden=(5,), cross_depth=1, seed=5)
+        names = list(model.tables)
+        assert names == (["embed", "lr"] if kind in ("wd", "deepfm") else ["embed"])
+        batch = _batch(np.random.default_rng(5), [4, 5], 6)
+        probs, cache = model_forward(model, batch)
+        _, grads, sparse = loss_and_backward(probs, batch.labels, cache)
+        assert list(sparse) == names
+        inventory = [name for name, _ in model.named_parameters()]
+        assert set(inventory) == set(grads) | set(sparse)
+        assert [name for name in inventory if name not in grads] == names
 
 
 class TestLoss:
     def test_half_prob_is_ln2(self):
         vocabs = [3]
         table = init_table(_fields(*vocabs), dim=2, init_sigma=1e-6, seed=0)
-        params = init_dense_params("wd", table.fields, 2, 0, hidden=(4,), seed=0)
+        model = init_model("wd", table, 0, hidden=(4,), seed=0)
         batch = Batch(np.array([1], dtype=np.uint8), np.zeros((1, 0)),
                       np.array([[0]], dtype=np.int64))
-        probs, cache = model_forward(params, table, batch)
+        probs, cache = model_forward(model, batch)
         loss, _, _ = loss_and_backward(probs, batch.labels, cache)
         assert loss == pytest.approx(math.log(2.0), abs=1e-5)
 
@@ -267,25 +284,24 @@ class TestLoss:
         dim, n_dense, l2 = 2, 2, 0.05
         # float64: central differences at h = 1e-6 need more than float32's digits
         table = init_table(_fields(*vocabs), dim=dim, init_sigma=0.5, seed=4, dtype=np.float64)
-        params = init_dense_params(kind, table.fields, dim, n_dense, hidden=(5,),
-                                   cross_depth=2, seed=4, dtype=np.float64)
+        model = init_model(kind, table, n_dense, hidden=(5,), cross_depth=2, seed=4)
         batch = _batch(rng, vocabs, 6)
-        tables = model_tables(params, table)
+        tables = model.tables
         if kind in ("wd", "deepfm"):  # off zero, so that the L2 term shows
-            tables[1].block[...] = rng.normal(0.0, 0.5, size=tables[1].block.shape)
+            tables["lr"].block[...] = rng.normal(0.0, 0.5, size=tables["lr"].block.shape)
         touched = np.unique(batch.categorical + table.offsets[:-1])
 
         def objective():
-            probs, _ = model_forward(params, table, batch)
-            penalty = sum(float((t.block[touched] ** 2).sum()) for t in tables)
+            probs, _ = model_forward(model, batch)
+            penalty = sum(float((t.block[touched] ** 2).sum()) for t in tables.values())
             return logloss(probs, batch.labels) + 0.5 * l2 * penalty
 
-        probs, cache = model_forward(params, table, batch)
+        probs, cache = model_forward(model, batch)
         _, grads, sparse = loss_and_backward(probs, batch.labels, cache)
-        assert len(sparse) == len(tables)
-        tensors = dict(named_parameters(params, table))
+        tensors = dict(model.named_parameters())
         analytic = dict(grads)
-        for name, t, sg in zip(list(tensors)[len(grads):], tables, sparse):
+        for name, sg in sparse.items():
+            t = tables[name]
             state = EmbedAdamState.init(t)
             twin = EmbeddingTable(t.fields, t.dim, t.block.copy())
             adam_sparse_step(state, twin, sg, lr=1e-3, l2=l2, dense_l2=False)
@@ -313,8 +329,8 @@ def test_lazy_step_leaves_absent_first_order_rows_alone(kind):
     rng = np.random.default_rng(21)
     vocabs = [30, 40]
     table = init_table(_fields(*vocabs), dim=2, init_sigma=0.3, seed=21)
-    params = init_dense_params(kind, table.fields, 2, 2, hidden=(5,), seed=21)
-    first_order = params.first_order
+    model = init_model(kind, table, 2, hidden=(5,), seed=21)
+    first_order = model.first_order
     first_order.block[...] = rng.normal(size=first_order.block.shape)
     state = EmbedAdamState.init(first_order)
     state.m_block[...] = rng.normal(size=state.m_block.shape)
@@ -323,8 +339,8 @@ def test_lazy_step_leaves_absent_first_order_rows_alone(kind):
     before = [a.copy() for a in (first_order.block, state.m_block, state.v_block,
                                  state.col_t_block)]
     batch = _batch(rng, vocabs, 8)
-    probs, cache = model_forward(params, table, batch)
-    _, _, (_, sparse) = loss_and_backward(probs, batch.labels, cache)
+    probs, cache = model_forward(model, batch)
+    sparse = loss_and_backward(probs, batch.labels, cache)[2]["lr"]
     adam_sparse_step(state, first_order, sparse, lr=1e-2, l2=1e-3, dense_l2=False)
 
     touched = np.unique(batch.categorical + table.offsets[:-1])
@@ -351,15 +367,14 @@ def test_checkpoint_roundtrip(kind, tmp_path):
     rng = np.random.default_rng(13)
     vocabs = [5, 8]
     table = init_table(_fields(*vocabs), dim=3, init_sigma=0.2, seed=13)
-    params = init_dense_params(kind, table.fields, 3, 2, hidden=(7, 4), cross_depth=2, seed=13)
-    tables = model_tables(params, table)
+    model = init_model(kind, table, 2, hidden=(7, 4), cross_depth=2, seed=13)
     if kind in ("wd", "deepfm"):
-        tables[1].block[...] = rng.normal(size=tables[1].block.shape)
-    save_checkpoint(tmp_path / "ckpt.npz", params, table)
+        model.first_order.block[...] = rng.normal(size=model.first_order.block.shape)
+    save_checkpoint(tmp_path / "ckpt.npz", model)
     header, arrays = load_npz(tmp_path / "ckpt.npz")
     # the array names and shapes are part of the file format: each parameter
     # whole, the tables as (sum of vocab sizes, dim) blocks
-    shapes = {n: a.shape for n, a in params.named_arrays()}
+    shapes = {n: a.shape for n, a in model.named_arrays()}
     shapes["embed"] = (13, 3)
     if kind in ("wd", "deepfm"):
         shapes["lr"] = (13, 1)
@@ -374,17 +389,17 @@ def test_checkpoint_roundtrip(kind, tmp_path):
     save_npz(tmp_path / "f64.npz", header,
              {name: a.astype(np.float64) for name, a in arrays.items()})
     batch = _batch(rng, vocabs, 6)
-    p1, _ = model_forward(params, table, batch)
+    p1, _ = model_forward(model, batch)
     for path in ("ckpt.npz", "f64.npz"):
-        params2, table2 = load_checkpoint(tmp_path / path)
-        assert params2.kind == kind
-        assert table2.fields == table.fields and table2.dim == 3
-        restored = named_parameters(params2, table2)
-        assert [n for n, _ in restored] == [n for n, _ in named_parameters(params, table)]
-        for (_, a), (_, b) in zip(named_parameters(params, table), restored):
+        model2 = load_checkpoint(tmp_path / path)
+        assert model2.kind == kind
+        assert model2.embed.fields == table.fields and model2.embed.dim == 3
+        restored = model2.named_parameters()
+        assert [n for n, _ in restored] == [n for n, _ in model.named_parameters()]
+        for (_, a), (_, b) in zip(model.named_parameters(), restored):
             assert np.array_equal(a, b) and b.dtype == TRAIN_DTYPE
-        # the restored pair computes bit-identical probabilities
-        p2, _ = model_forward(params2, table2, batch)
+        # the restored model computes bit-identical probabilities
+        p2, _ = model_forward(model2, batch)
         assert np.array_equal(p1, p2)
 
 
@@ -396,15 +411,16 @@ def test_checkpoint_stores_each_table_whole(tmp_path):
     from ctrlab.models import load_checkpoint, save_checkpoint
 
     table = init_table(_fields(5, 1, 8), dim=3, init_sigma=0.2, seed=14)
-    params = init_dense_params("wd", table.fields, 3, 2, hidden=(4,), seed=14)
-    params.first_order.block[...] = np.arange(14.0)[:, None]
-    save_checkpoint(tmp_path / "ckpt.npz", params, table)
+    model = init_model("wd", table, 2, hidden=(4,), seed=14)
+    model.first_order.block[...] = np.arange(14.0)[:, None]
+    save_checkpoint(tmp_path / "ckpt.npz", model)
     header, arrays = load_npz(tmp_path / "ckpt.npz")
     assert "init_sigma" not in header and "seed" not in header
     assert np.array_equal(arrays["embed"], table.block)
-    assert np.array_equal(arrays["lr"], params.first_order.block)
-    params2, table2 = load_checkpoint(tmp_path / "ckpt.npz")
-    for stored, restored in ((table, table2), (params.first_order, params2.first_order)):
+    assert np.array_equal(arrays["lr"], model.first_order.block)
+    model2 = load_checkpoint(tmp_path / "ckpt.npz")
+    for name, stored in model.tables.items():
+        restored = model2.tables[name]
         assert np.array_equal(restored.block, stored.block)
         assert list(restored.offsets) == [0, 5, 6, 14]
 
@@ -420,8 +436,8 @@ def test_checkpoint_rejects_a_bad_array_by_name(name, replacement, message, tmp_
     from ctrlab.models import load_checkpoint, save_checkpoint
 
     table = init_table(_fields(3, 4), dim=2, init_sigma=0.2, seed=16)
-    params = init_dense_params("dcn", table.fields, 2, 1, hidden=(4,), cross_depth=1, seed=16)
-    save_checkpoint(tmp_path / "ok.npz", params, table)
+    model = init_model("dcn", table, 1, hidden=(4,), cross_depth=1, seed=16)
+    save_checkpoint(tmp_path / "ok.npz", model)
     header, arrays = load_npz(tmp_path / "ok.npz")
     if replacement is None:
         del arrays[name]
@@ -440,21 +456,21 @@ def test_checkpoint_names_are_the_grad_check_names(kind, tmp_path):
     from ctrlab.models import save_checkpoint
 
     table = init_table(_fields(5, 5, 5), dim=3, init_sigma=0.2, seed=17)
-    params = init_dense_params(kind, table.fields, 3, 2, hidden=(8, 6), cross_depth=2, seed=17)
-    save_checkpoint(tmp_path / "ckpt.npz", params, table)
+    model = init_model(kind, table, 2, hidden=(8, 6), cross_depth=2, seed=17)
+    save_checkpoint(tmp_path / "ckpt.npz", model)
     _, arrays = load_npz(tmp_path / "ckpt.npz")
     assert list(arrays) == list(grad_check(kind, seed=3, n_trials=1).per_tensor)
 
 
 def test_checkpoint_with_unknown_kind_is_rejected(tmp_path):
-    # The model kind has one source, DenseParams.kind, which load_checkpoint
+    # The model kind has one source, Model.kind, which load_checkpoint
     # takes from the file header; model_forward trusts it.
     from ctrlab.data import load_npz, save_npz
     from ctrlab.models import load_checkpoint, save_checkpoint
 
     table = init_table(_fields(3, 4), dim=2, init_sigma=0.2, seed=15)
-    params = init_dense_params("dcn", table.fields, 2, 1, hidden=(4,), cross_depth=1, seed=15)
-    save_checkpoint(tmp_path / "ok.npz", params, table)
+    model = init_model("dcn", table, 1, hidden=(4,), cross_depth=1, seed=15)
+    save_checkpoint(tmp_path / "ok.npz", model)
     header, arrays = load_npz(tmp_path / "ok.npz")
     save_npz(tmp_path / "bad.npz", dict(header, kind="dcnv3"), arrays)
     with pytest.raises(ValueError, match="unknown model kind 'dcnv3'"):
@@ -467,8 +483,8 @@ def test_checkpoint_names_a_missing_header_key(key, tmp_path):
     from ctrlab.models import load_checkpoint, save_checkpoint
 
     table = init_table(_fields(3, 4), dim=2, init_sigma=0.2, seed=18)
-    params = init_dense_params("deepfm", table.fields, 2, 1, hidden=(4,), seed=18)
-    save_checkpoint(tmp_path / "ok.npz", params, table)
+    model = init_model("deepfm", table, 1, hidden=(4,), seed=18)
+    save_checkpoint(tmp_path / "ok.npz", model)
     header, arrays = load_npz(tmp_path / "ok.npz")
     del header[key]
     save_npz(tmp_path / "bad.npz", header, arrays)
