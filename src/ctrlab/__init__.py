@@ -40,7 +40,6 @@ from .models import (
     save_checkpoint,
 )
 from .optim import (
-    AdamConfig,
     AdamState,
     EmbedAdamState,
     WarmupSchedule,

@@ -2,10 +2,12 @@
 
 Subcommands: gen-data, analyze-freq, scale, train, sweep, grad-check, verify.
 gen-data, analyze-freq, train and sweep take --config FILE (flat key=value
-text) and --seed N; grad-check and verify build their own tiny problems and
-take --seed N only; scale takes its hyperparameters as flags.
-Exit codes: 0 success, 1 verification/check failure or a bad argument,
-2 a usage error (an unknown flag) from argparse, 3 training divergence.
+text) and --seed N; scale takes --config FILE only and prints the lr, L2,
+clip and init sigma train applies to each cell sweep would train;
+grad-check and verify build their own tiny problems and take --seed N only.
+Exit codes: 0 success; 1 a check failure, or bad input (config, file or
+data) reported as one "error: <message>" line on stderr; 2 a usage error
+(an unknown flag) from argparse; 3 training divergence.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, scaling
+from . import harness
 from .data import batch_presence_probability, count_frequencies, save_dataset
 
 
 def _load_config(args) -> harness.ExperimentConfig:
     if args.config:
-        return harness.load_config(args.config)
+        return harness.parse_config_text(Path(args.config).read_text())
     return harness.ExperimentConfig()
 
 
@@ -60,23 +62,22 @@ def _cmd_analyze_freq(args) -> int:
 
 
 def _cmd_scale(args) -> int:
-    base = scaling.BaseHyperparams(
-        base_batch=args.base_batch,
-        eta_dense=args.eta_dense if args.eta_dense is not None else args.eta,
-        eta_embed=args.eta,
-        l2=args.l2,
-    )
-    plan = scaling.plan_for_batch(args.rule, base, args.target_batch)
-    print(f"rule {plan.rule}   s = {plan.factor:g}  ({args.base_batch} -> {args.target_batch})")
-    print(f"{'':16}{'base':>14}{'scaled':>14}")
-    print(f"{'lr (dense)':16}{base.eta_dense:>14.6g}{plan.eta_dense:>14.6g}")
-    print(f"{'lr (embed)':16}{base.eta_embed:>14.6g}{plan.eta_embed:>14.6g}")
-    print(f"{'l2':16}{base.l2:>14.6g}{plan.l2:>14.6g}")
-    clip_factor = 1.0
-    if args.clip_mode:
-        clip_factor = scaling.clip_value_scale(1.0, plan.factor, args.clip_mode)
-        print(f"{'clip factor':16}{1.0:>14.6g}{clip_factor:>14.6g}")
-    print(json.dumps({**asdict(plan), "clip_value_factor": clip_factor}))
+    config = _load_config(args)
+    print(f"{'rule':<11}{'batch':>7}{'s':>9}{'lr dense':>12}{'lr embed':>12}{'l2':>12}"
+          f"{'init sigma':>12}  clip")
+    rows = []
+    for cell in harness.sweep_cells(config):
+        plan, clip_cfg = harness.run_plan(cell)
+        clip_text = clip_cfg.variant + "".join(
+            f" {k} {v:g}" for k, v in asdict(clip_cfg).items() if k != "variant" and v is not None
+        )
+        sigma = cell.resolved_init_sigma()
+        print(f"{plan.rule:<11}{cell.batch_size:>7}{plan.factor:>9.4g}{plan.eta_dense:>12.4g}"
+              f"{plan.eta_embed:>12.4g}{plan.l2:>12.4g}{sigma:>12.4g}  {clip_text}")
+        rows.append({"rule": plan.rule, "batch_size": cell.batch_size, "s": plan.factor,
+                     "lr_dense": plan.eta_dense, "lr_embed": plan.eta_embed, "l2": plan.l2,
+                     "clip": asdict(clip_cfg), "init_sigma": sigma})
+    print(json.dumps(rows))
     return 0
 
 
@@ -86,7 +87,7 @@ def _cmd_train(args) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{record.run_id}.json"
-    path.write_text(json.dumps(record.to_dict(), indent=2))
+    path.write_text(harness.strict_json(record.to_dict()))
     status = "DIVERGED" if record.diverged else "ok"
     print(f"[{status}] {record.run_id}: initial auc {record.initial_auc:.4f}", end="")
     if record.epochs:
@@ -109,11 +110,7 @@ def _cmd_grad_check(args) -> int:
     kinds = [args.model] if args.model else list(harness.models.MODEL_KINDS)
     ok = True
     for kind in kinds:
-        try:
-            report = harness.grad_check(kind, args.seed, n_trials=args.trials)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
+        report = harness.grad_check(kind, args.seed, n_trials=args.trials)
         ok = ok and report.passed
         print(
             f"{'PASS' if report.passed else 'FAIL'} {kind}: max relative error "
@@ -123,11 +120,7 @@ def _cmd_grad_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        report = harness.verify(tuple(args.suites), seed=args.seed)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    report = harness.verify(tuple(args.suites), seed=args.seed)
     for line in report.lines():
         print(line)
     return 0 if report.all_passed else 1
@@ -150,14 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_analyze_freq)
 
-    p = sub.add_parser("scale", help="print a scaled hyperparameter plan")
-    p.add_argument("--rule", required=True, choices=scaling.RULES)
-    p.add_argument("--base-batch", type=int, default=1024)
-    p.add_argument("--target-batch", type=int, required=True)
-    p.add_argument("--eta", type=float, default=1e-4)
-    p.add_argument("--eta-dense", type=float, default=None)
-    p.add_argument("--lambda", dest="l2", type=float, default=1e-4)
-    p.add_argument("--clip-mode", choices=scaling.CLIP_MODES, default=None)
+    p = sub.add_parser("scale", help="print the lr, L2, clip and init sigma each cell applies")
+    p.add_argument("--config", default=None, help="flat key=value config file")
     p.set_defaults(func=_cmd_scale)
 
     p = sub.add_parser("train", help="run one training experiment")
@@ -184,7 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

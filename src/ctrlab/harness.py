@@ -120,7 +120,7 @@ class ExperimentConfig:
             for key, value, low in (("data.n_samples", self.n_samples, 1),
                                     ("data.vocab_size", self.vocab_size, 1),
                                     ("data.n_dense", self.n_dense, 0),
-                                    ("data.n_categorical", self.n_categorical, 0)):
+                                    ("data.n_categorical", self.n_categorical, 1)):
                 if value < low:
                     raise ValueError(f"{key} must be >= {low} for synthetic data, got {value}")
             if not self.zipf_exponent > 0:
@@ -207,10 +207,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def load_config(path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text())
-
-
 # ---------------------------------------------------------------------------
 # Run records and reports
 # ---------------------------------------------------------------------------
@@ -282,6 +278,8 @@ def build_dataset(config: ExperimentConfig, seed: int) -> Dataset:
         ds, _ = load_dataset(config.source)
     else:
         ds = load_criteo_tsv(config.source, max_rows=config.max_rows)
+    if ds.n_samples == 0:
+        raise ValueError(f"data.source {config.source!r} yielded 0 rows")
     if config.top_k >= 1:
         ds = top_k_collapse(ds, config.top_k)
     return ds
@@ -299,6 +297,14 @@ def _clip_config(config: ExperimentConfig, s: float | None = None) -> clip.ClipC
     if variant in clip.ADAPTIVE_VARIANTS:
         return clip.ClipConfig(variant, r=config.clip_r, zeta=config.clip_zeta)
     return clip.ClipConfig(variant)
+
+
+def run_plan(config: ExperimentConfig) -> tuple[scaling.ScalingPlan, clip.ClipConfig]:
+    """What a run applies: its rule's plan at s = train.batch_size /
+    scale.base_batch, and its clip settings with a constant threshold scaled to s."""
+    s = config.batch_size / config.base_batch
+    base = scaling.BaseHyperparams(config.base_batch, config.lr_dense, config.lr_embed, config.l2)
+    return scaling.scale(config.rule, base, s), _clip_config(config, s)
 
 
 def _predict(model: Model, dataset: Dataset, n_rows: int):
@@ -332,8 +338,6 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     _, init_ss, batch_ss = _seed_children(seed)
     if dataset is None:
         dataset = build_dataset(config, seed)
-    if dataset.n_samples == 0:
-        raise ValueError(f"data.source {config.source!r} yielded 0 rows")
     train_ds, test_ds = dataset.split(config.split)
     b = config.batch_size
     if b > train_ds.n_samples:
@@ -348,12 +352,7 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
             f"{n_neg} negative rows; AUC needs both classes"
         )
 
-    s = b / config.base_batch
-    base = scaling.BaseHyperparams(
-        config.base_batch, config.lr_dense, config.lr_embed, config.l2
-    )
-    plan = scaling.scale(config.rule, base, s)
-    clip_cfg = _clip_config(config, s)
+    plan, clip_cfg = run_plan(config)
 
     table_ss, params_ss = init_ss.spawn(2)
     table_seed = int(table_ss.generate_state(1)[0])
@@ -439,12 +438,16 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     return record
 
 
-def sweep(config: ExperimentConfig, seed: int = 0) -> tuple[list[RunRecord], str]:
-    """Train every (rule, batch size) pair of sweep.rules and sweep.batch_sizes
-    on one shared dataset; an empty key sweeps the config's one value."""
+def sweep_cells(config: ExperimentConfig) -> list[ExperimentConfig]:
+    """One config per (rule, batch size) pair of sweep.rules x sweep.batch_sizes,
+    rule-major; an empty key sweeps the config's one value."""
     batch_sizes = config.sweep_batch_sizes or (config.batch_size,)
     rules = config.sweep_rules or (config.rule,)
-    cells = [replace(config, rule=rule, batch_size=b) for rule in rules for b in batch_sizes]
+    return [replace(config, rule=rule, batch_size=b) for rule in rules for b in batch_sizes]
+
+
+def sweep(config: ExperimentConfig, seed: int = 0) -> tuple[list[RunRecord], str]:
+    """Train every cell of sweep_cells(config) on one shared dataset."""
     dataset = build_dataset(config, seed)
     # Checked before any cell trains, so that the error names the sweep key.
     n_train = dataset.split(config.split)[0].n_samples
@@ -453,7 +456,7 @@ def sweep(config: ExperimentConfig, seed: int = 0) -> tuple[list[RunRecord], str
             raise ValueError(
                 f"sweep.batch_sizes entry {b} exceeds the training split's {n_train} rows"
             )
-    records = [train(cfg, seed, dataset=dataset) for cfg in cells]
+    records = [train(cfg, seed, dataset=dataset) for cfg in sweep_cells(config)]
     return records, comparison_table(records)
 
 
@@ -502,8 +505,16 @@ def records_to_csv(records: list[RunRecord]) -> str:
     return buf.getvalue()
 
 
-def records_to_json(records: list[RunRecord]) -> str:
-    return json.dumps([r.to_dict() for r in records], indent=2)
+def strict_json(value) -> str:
+    """Indented JSON that RFC 8259 parsers accept: a non-finite float, such as
+    a diverged run's loss, is written as null."""
+    def finite(v):
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+    return json.dumps(finite(value), indent=2, allow_nan=False)
 
 
 def write_reports(records: list[RunRecord], out_dir) -> None:
@@ -511,7 +522,7 @@ def write_reports(records: list[RunRecord], out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "runs.csv").write_text(records_to_csv(records))
-    (out / "runs.json").write_text(records_to_json(records))
+    (out / "runs.json").write_text(strict_json([r.to_dict() for r in records]))
     (out / "runs.txt").write_text(comparison_table(records) + "\n")
 
 

@@ -43,11 +43,10 @@ DENSE_CHUNK_BYTES = 256 * 1024
 FLUSH_EVERY = 16
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+# Adam's moment decays and denominator offset, the same for every step.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,27 +77,28 @@ class AdamState:
         )
 
 
-def _adam_update(w, m, v, g, lr, bc1, bc2, cfg: AdamConfig, tmp, den) -> None:
+def _adam_update(w, m, v, g, lr, bc1, bc2, tmp, den, eps: float = EPS) -> None:
     """One Adam update of w, m and v in place, from the gradient g.
 
     bc1 and bc2 are the bias corrections 1 - beta^t: scalars, or (k, 1)
-    arrays of per-row values.  tmp and den are scratch shaped like w.  Only
-    w, m, v, tmp and den are written, never g; den may be g itself, which is
-    read for the last time before den is first written.  Every Adam step in
-    this module runs this operation order, which the golden fingerprints pin.
+    arrays of per-row values.  tmp and den are scratch shaped like w; eps
+    differs from EPS only in the loss-scaling probe.  Only w, m, v, tmp and
+    den are written, never g; den may be g itself, which is read for the last
+    time before den is first written.  Every Adam step in this module runs
+    this operation order, which the golden fingerprints pin.
     """
     # m <- b1*m + (1-b1)*g
-    m *= cfg.beta1
-    m += np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=tmp)
     # v <- b2*v + ((1-b2)*g)*g
-    v *= cfg.beta2
-    np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=tmp)
     tmp *= g
     v += tmp
     # w <- w - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
     np.divide(v, bc2, out=den)
     np.sqrt(den, out=den)
-    den += cfg.eps
+    den += eps
     np.divide(m, bc1, out=tmp)
     tmp *= lr
     tmp /= den
@@ -110,15 +110,14 @@ def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     lr: float,
-    cfg: AdamConfig = AdamConfig(),
 ) -> None:
     """Bias-corrected Adam on a dict of tensors, in place: updates the
     params' arrays and the state's m, v and t."""
     state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name, w in params.items():
-        _adam_update(w, state.m[name], state.v[name], grads[name], lr, bc1, bc2, cfg,
+        _adam_update(w, state.m[name], state.v[name], grads[name], lr, bc1, bc2,
                      np.empty_like(w), np.empty_like(w))
 
 
@@ -166,7 +165,6 @@ def adam_sparse_step(
     lr: float,
     l2: float = 0.0,
     dense_l2: bool = True,
-    cfg: AdamConfig = AdamConfig(),
 ) -> None:
     """Adam over an embedding table driven by a sparse gradient, in place.
 
@@ -184,8 +182,8 @@ def adam_sparse_step(
     state.t += 1
     w, rows = table.block, sparse_grad.row_block
     if dense_l2:
-        bc1 = 1.0 - cfg.beta1 ** state.t
-        bc2 = 1.0 - cfg.beta2 ** state.t
+        bc1 = 1.0 - BETA1 ** state.t
+        bc2 = 1.0 - BETA2 ** state.t
         flush = state.t % FLUSH_EVERY == 0
         flush_below = np.sqrt(np.finfo(w.dtype).tiny)
         # One pass over the block, a slice of rows at a time; rows is sorted,
@@ -202,7 +200,7 @@ def adam_sparse_step(
                 g.fill(0.0)
             g[rows[lo:hi] - a] += sparse_grad.grad_block[lo:hi]
             _adam_update(w[a:z], state.m_block[a:z], state.v_block[a:z], g,
-                         lr, bc1, bc2, cfg, tmp, g)
+                         lr, bc1, bc2, tmp, g)
             if flush:
                 np.less(np.abs(w[a:z], out=tmp), flush_below, out=low)
                 np.copyto(w[a:z], 0.0, where=low)
@@ -223,9 +221,9 @@ def adam_sparse_step(
         # not the caller's gradient block.
         den = g if l2 else np.empty_like(m)
         # The per-row bias corrections come out float64; they take w's dtype.
-        bc1 = (1.0 - cfg.beta1 ** tj).astype(w.dtype)
-        bc2 = (1.0 - cfg.beta2 ** tj).astype(w.dtype)
-        _adam_update(w_rows, m, v, g, lr, bc1, bc2, cfg, np.empty_like(m), den)
+        bc1 = (1.0 - BETA1 ** tj).astype(w.dtype)
+        bc2 = (1.0 - BETA2 ** tj).astype(w.dtype)
+        _adam_update(w_rows, m, v, g, lr, bc1, bc2, np.empty_like(m), den)
         state.m_block[rows] = m
         state.v_block[rows] = v
         w[rows] = w_rows
@@ -259,13 +257,12 @@ def verify_adam_scaling_equivalence(
     if c <= 0:
         raise ValueError("c must be > 0")
     d = _bounded_gradient_stream(steps, seed)
-    cfg = AdamConfig(eps=eps)
     # Runs A and B step side by side as the two entries of one array.
     w, m, v, tmp, den = np.ones(2), np.zeros(2), np.zeros(2), np.empty(2), np.empty(2)
     worst = 0.0
     for t in range(1, steps + 1):
         g = np.array([c * d[t - 1] + l2 * w[0], d[t - 1] + (l2 / c) * w[1]])
-        _adam_update(w, m, v, g, _PROBE_LR, 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t, cfg, tmp, den)
+        _adam_update(w, m, v, g, _PROBE_LR, 1.0 - BETA1 ** t, 1.0 - BETA2 ** t, tmp, den, eps)
         worst = max(worst, abs(w[0] - w[1]))
     return float(worst)
 

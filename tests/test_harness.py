@@ -2,11 +2,13 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
 
 from ctrlab import cli, harness, optim, scaling
+from ctrlab.clip import ClipConfig
 from ctrlab.data import Dataset
 from ctrlab.harness import (
     ExperimentConfig,
@@ -15,7 +17,7 @@ from ctrlab.harness import (
     parse_config_text,
     record_fingerprint,
     records_to_csv,
-    records_to_json,
+    strict_json,
     sweep,
     train,
     verify,
@@ -40,6 +42,15 @@ def _forbid_init(*args, **kwargs):  # pragma: no cover
 
 def _forbid_train(*args, **kwargs):  # pragma: no cover
     raise AssertionError("a bad sweep must fail before any cell trains")
+
+
+def _reject_constant(name):  # pragma: no cover
+    raise AssertionError(f"{name} is not JSON (RFC 8259)")
+
+
+def _write_config(path, config):
+    path.write_text("\n".join(f"{k}={v}" for k, v in config.to_dict().items() if v is not None))
+    return str(path)
 
 
 class TestConfig:
@@ -128,6 +139,7 @@ class TestConfig:
         ("opt.warmup_epochs", {"warmup_epochs": math.nan}),
         ("data.click_strength", {"click_strength": math.nan}),
         ("data.click_strength", {"click_strength": math.inf}),
+        ("data.n_categorical", {"n_categorical": 0}),
     ])
     def test_bad_config_fails_before_any_data(self, monkeypatch, key, bad):
         monkeypatch.setattr(harness, "build_dataset", _forbid_build)
@@ -329,13 +341,23 @@ class TestReports:
 
     def test_json_roundtrip_identical(self):
         records = self._records()
-        assert json.loads(records_to_json(records)) == [r.to_dict() for r in records]
+        dicts = [r.to_dict() for r in records]
+        assert json.loads(strict_json(dicts)) == dicts
+
+    def test_non_finite_floats_are_written_as_null(self):
+        epoch = harness.EpochRecord(1, math.nan, 0.5, math.inf, 0.1, 3)
+        rec = RunRecord("x", "deepfm", "linear", 4096, 0, 0.5, -math.inf, [epoch], True, {})
+        payload = json.loads(strict_json([rec.to_dict()]), parse_constant=_reject_constant)
+        assert payload[0]["initial_logloss"] is None
+        assert payload[0]["epochs"][0]["train_loss"] is None
+        assert payload[0]["epochs"][0]["test_logloss"] is None
+        assert payload[0]["epochs"][0]["test_auc"] == 0.5
 
     def test_write_reports_files(self, tmp_path):
         records = self._records()
         write_reports(records, tmp_path / "out")
         for name, text in (("runs.csv", records_to_csv(records)),
-                           ("runs.json", records_to_json(records)),
+                           ("runs.json", strict_json([r.to_dict() for r in records])),
                            ("runs.txt", comparison_table(records) + "\n")):
             assert (tmp_path / "out" / name).read_bytes() == text.encode()
 
@@ -406,60 +428,124 @@ class TestCli:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_train_divergence_exits_three(self, tmp_path, capsys):
-        cfg_path = tmp_path / "exp.cfg"
         cfg = replace(TINY, lr_dense=1e300, lr_embed=1e300, warmup_epochs=0.0,
                       out_dir=str(tmp_path / "runs"))
-        cfg_path.write_text(
-            "\n".join(f"{k}={v}" for k, v in cfg.to_dict().items() if v is not None)
-        )
         # 3, so that argparse's usage error is the only exit code 2
-        assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        assert cli.main(["train", "--config", _write_config(tmp_path / "exp.cfg", cfg)]) == 3
         assert capsys.readouterr().out.startswith("[DIVERGED] ")
+        (written,) = (tmp_path / "runs").glob("*.json")
+        record = json.loads(written.read_text(), parse_constant=_reject_constant)
+        assert record["diverged"] is True
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sweep_divergence_exits_three(self, tmp_path, capsys):
-        cfg_path = tmp_path / "exp.cfg"
         cfg = replace(TINY, lr_dense=1e300, lr_embed=1e300, warmup_epochs=0.0, epochs=1,
                       out_dir=str(tmp_path / "runs"))
-        cfg_path.write_text(
-            "\n".join(f"{k}={v}" for k, v in cfg.to_dict().items() if v is not None)
-        )
-        assert cli.main(["sweep", "--config", str(cfg_path)]) == 3
+        assert cli.main(["sweep", "--config", _write_config(tmp_path / "exp.cfg", cfg)]) == 3
         assert "diverge" in capsys.readouterr().out
 
-    def test_scale_command_prints_machine_readable(self, capsys):
-        assert cli.main(["scale", "--rule", "cowclip", "--base-batch", "1024",
-                         "--target-batch", "131072", "--eta", "1e-4",
-                         "--lambda", "1e-4"]) == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out.strip().splitlines()[-1])
+    def test_scale_command_prints_machine_readable(self, tmp_path, capsys):
+        cfg = ExperimentConfig(rule="cowclip", base_batch=1024, batch_size=131072,
+                               lr_embed=1e-4, l2=1e-4)
+        assert cli.main(["scale", "--config", _write_config(tmp_path / "s.cfg", cfg)]) == 0
+        (payload,) = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["s"] == 128.0
         assert payload["l2"] == pytest.approx(1.28e-2)
-        assert payload["eta_embed"] == 1e-4
+        assert payload["lr_embed"] == 1e-4
 
-    @pytest.mark.parametrize("mode,factor,json_line", [
-        ("sqrt", math.sqrt(8),
-         '{"rule": "cowclip", "factor": 8.0, "eta_dense": 0.000282842712474619, '
-         '"eta_embed": 0.0001, "l2": 0.0008, "clip_value_factor": 2.8284271247461903}'),
-        ("linear", 8.0,
-         '{"rule": "cowclip", "factor": 8.0, "eta_dense": 0.000282842712474619, '
-         '"eta_embed": 0.0001, "l2": 0.0008, "clip_value_factor": 8.0}'),
-        (None, None,
-         '{"rule": "cowclip", "factor": 8.0, "eta_dense": 0.000282842712474619, '
-         '"eta_embed": 0.0001, "l2": 0.0008, "clip_value_factor": 1.0}'),
-    ])
-    def test_scale_clip_mode(self, capsys, mode, factor, json_line):
-        argv = ["scale", "--rule", "cowclip", "--base-batch", "1024",
-                "--target-batch", "8192", "--eta", "1e-4", "--lambda", "1e-4"]
-        if mode:
-            argv += ["--clip-mode", mode]
-        assert cli.main(argv) == 0
+    @pytest.mark.parametrize("variant,mode,clip_json,clip_text", [
+        ("global", "sqrt", {"variant": "global", "value": 25 * math.sqrt(8), "r": None,
+                            "zeta": None}, "global value 70.7107"),
+        ("global", "linear", {"variant": "global", "value": 200.0, "r": None, "zeta": None},
+         "global value 200"),
+        # An adaptive threshold follows the weights, so s leaves it alone.
+        ("cowclip", "sqrt", {"variant": "cowclip", "value": None, "r": 1.0, "zeta": 1e-4},
+         "cowclip r 1 zeta 0.0001"),
+        ("none", "sqrt", {"variant": "none", "value": None, "r": None, "zeta": None}, "none"),
+    ], ids=["global-sqrt", "global-linear", "cowclip-sqrt", "none-sqrt"])
+    def test_scale_clip_mode(self, tmp_path, capsys, variant, mode, clip_json, clip_text):
+        cfg = ExperimentConfig(rule="cowclip", base_batch=1024, batch_size=8192,
+                               clip_variant=variant, clip_mode=mode)
+        assert cli.main(["scale", "--config", _write_config(tmp_path / "s.cfg", cfg)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        rows = [line.split() for line in lines if line.startswith("clip factor")]
-        if mode:
-            assert [float(v) for v in rows[0][2:]] == [1.0, pytest.approx(factor, rel=1e-5)]
-        else:
-            assert rows == []
-        assert lines[-1] == json_line
+        assert lines[-2].endswith(f"  {clip_text}")
+        (payload,) = json.loads(lines[-1])
+        assert payload["clip"] == pytest.approx(clip_json)
+        assert payload["lr_dense"] == pytest.approx(math.sqrt(8) * 1e-4)
+        assert payload["init_sigma"] == cfg.resolved_init_sigma()
+
+    def test_scale_prints_one_row_per_cell(self, tmp_path, capsys):
+        cfg = replace(TINY, sweep_batch_sizes=(256, 64), sweep_rules=("cowclip", "none"))
+        assert cli.main(["scale", "--config", _write_config(tmp_path / "s.cfg", cfg)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        cells = [("cowclip", 256), ("cowclip", 64), ("none", 256), ("none", 64)]
+        assert [tuple(line.split()[:2]) for line in lines[1:-1]] == [
+            (rule, str(b)) for rule, b in cells
+        ]
+        assert [(r["rule"], r["batch_size"]) for r in json.loads(lines[-1])] == cells
+
+    @pytest.mark.parametrize("variant", ["global", "cowclip"])
+    def test_scale_prints_what_train_applies(self, tmp_path, capsys, monkeypatch, variant):
+        # Without warmup, the dense lr of every step is the plan's.
+        cfg = replace(TINY, warmup_epochs=0.0, epochs=1, clip_variant=variant,
+                      sweep_batch_sizes=(64, 256), sweep_rules=("none", "cowclip", "linear"))
+        assert cli.main(["scale", "--config", _write_config(tmp_path / "s.cfg", cfg)]) == 0
+        rows = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+        applied = []
+        train_, dense_step, sparse_step = harness.train, optim.adam_step, optim.adam_sparse_step
+        apply_clip, init_table = harness.clip.apply_clip, harness.init_table
+
+        def spy_train(config, seed, dataset=None):
+            applied.append({"lr_dense": set(), "sparse": set(), "clip": set(), "sigma": set()})
+            return train_(config, seed, dataset=dataset)
+
+        def spy_dense(state, params, grads, lr):
+            applied[-1]["lr_dense"].add(lr)
+            dense_step(state, params, grads, lr)
+
+        def spy_sparse(state, table, grad, lr, l2, **kw):
+            applied[-1]["sparse"].add((lr, l2))
+            sparse_step(state, table, grad, lr, l2, **kw)
+
+        def spy_clip(clip_cfg, table, grad):
+            applied[-1]["clip"].add(clip_cfg)
+            return apply_clip(clip_cfg, table, grad)
+
+        def spy_init(fields, dim, sigma, seed, **kw):
+            applied[-1]["sigma"].add(sigma)
+            return init_table(fields, dim, sigma, seed, **kw)
+
+        monkeypatch.setattr(harness, "train", spy_train)
+        monkeypatch.setattr(optim, "adam_step", spy_dense)
+        monkeypatch.setattr(optim, "adam_sparse_step", spy_sparse)
+        monkeypatch.setattr(harness.clip, "apply_clip", spy_clip)
+        monkeypatch.setattr(harness, "init_table", spy_init)
+        records, _ = sweep(cfg, seed=0)
+        assert [(r["rule"], r["batch_size"]) for r in rows] == [
+            (rec.rule, rec.batch_size) for rec in records
+        ]
+        assert [{"lr_dense": {r["lr_dense"]}, "sparse": {(r["lr_embed"], r["l2"])},
+                 "clip": {ClipConfig(**r["clip"])}, "sigma": {r["init_sigma"]}}
+                for r in rows] == applied
+
+    @pytest.mark.parametrize("command,lines,message", [
+        ("train", ["model.kind=foo"], "model.kind must be one of .*got 'foo'"),
+        ("train", None, "No such file or directory"),
+        ("train", ["data.source={empty}"], "data.source '.*empty.tsv' yielded 0 rows"),
+        ("analyze-freq", ["data.source={empty}"], "data.source '.*empty.tsv' yielded 0 rows"),
+        ("scale", None, "No such file or directory"),
+    ], ids=["train-bad-key", "train-missing-config", "train-empty-tsv", "analyze-freq-empty-tsv",
+            "scale-missing-config"])
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, command, lines, message):
+        cfg_path = tmp_path / "exp.cfg"
+        if lines is not None:
+            (tmp_path / "empty.tsv").write_text("")
+            cfg_path.write_text("\n".join(lines).format(empty=tmp_path / "empty.tsv"))
+        assert cli.main([command, "--config", str(cfg_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(f"error: .*{message}.*\n", err)
 
     def test_verify_subset(self, capsys):
         assert cli.main(["verify", "adam-equivalence", "--seed", "0"]) == 0

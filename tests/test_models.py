@@ -24,7 +24,7 @@ from ctrlab.models import (
     mlp_forward,
     model_forward,
 )
-from ctrlab.optim import AdamConfig, EmbedAdamState, adam_sparse_step
+from ctrlab.optim import BETA1, EmbedAdamState, adam_sparse_step
 
 
 def _fields(*vocabs):
@@ -305,7 +305,7 @@ class TestLoss:
             state = EmbedAdamState.init(t)
             twin = EmbeddingTable(t.fields, t.dim, t.block.copy())
             adam_sparse_step(state, twin, sg, lr=1e-3, l2=l2, dense_l2=False)
-            analytic[name] = state.m_block / (1.0 - AdamConfig().beta1)
+            analytic[name] = state.m_block / (1.0 - BETA1)
         for name, tensor in tensors.items():
             flat = tensor.reshape(-1)
             gflat = np.asarray(analytic[name]).reshape(-1)

@@ -11,7 +11,9 @@ from ctrlab import optim
 from ctrlab.data import CATEGORICAL, FieldSchema
 from ctrlab.embedding import TRAIN_DTYPE, EmbeddingTable, init_table
 from ctrlab.optim import (
-    AdamConfig,
+    BETA1,
+    BETA2,
+    EPS,
     AdamState,
     EmbedAdamState,
     WarmupSchedule,
@@ -24,18 +26,18 @@ from ctrlab.optim import (
 from conftest import sparse_gradient
 
 
-def reference_adam_step(state, params, grads, lr, cfg=AdamConfig()):
+def reference_adam_step(state, params, grads, lr):
     """The pure dense Adam step, kept as the bit-exact oracle for the in-place
     one: returns a new state and new arrays, inputs untouched."""
     t = state.t + 1
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     new_m, new_v, out = {}, {}, {}
     for name, w in params.items():
         g = grads[name]
-        m = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
-        out[name] = w - lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        v = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
+        out[name] = w - lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
         new_m[name], new_v[name] = m, v
     return AdamState(new_m, new_v, t), out
 
@@ -60,8 +62,7 @@ class TestAdam:
         for g in (3.0, -0.25):
             params = {"w": np.array([1.0])}
             state = AdamState.init(params)
-            cfg = AdamConfig(eps=1e-15)
-            assert adam_step(state, params, {"w": np.array([g])}, lr=0.01, cfg=cfg) is None
+            assert adam_step(state, params, {"w": np.array([g])}, lr=0.01) is None
             assert params["w"][0] == pytest.approx(1.0 - 0.01 * math.copysign(1.0, g), abs=1e-9)
             assert state.t == 1
 
@@ -217,8 +218,7 @@ class ReferenceAdamState:
     col_t_block: np.ndarray
 
 
-def reference_adam_sparse_step(state, table, sparse_grad, lr, l2=0.0, dense_l2=True,
-                               cfg=AdamConfig()):
+def reference_adam_sparse_step(state, table, sparse_grad, lr, l2=0.0, dense_l2=True):
     """The copy-then-update sparse Adam step, kept as the bit-exact oracle for
     the in-place one: returns a new state and table, inputs untouched."""
     new = ReferenceAdamState(
@@ -228,13 +228,13 @@ def reference_adam_sparse_step(state, table, sparse_grad, lr, l2=0.0, dense_l2=T
     new.t += 1
     w, rows = out.block, sparse_grad.row_block
     if dense_l2:
-        bc1 = 1.0 - cfg.beta1 ** new.t
-        bc2 = 1.0 - cfg.beta2 ** new.t
+        bc1 = 1.0 - BETA1 ** new.t
+        bc2 = 1.0 - BETA2 ** new.t
         g = l2 * w if l2 else np.zeros_like(w)
         g[rows] += sparse_grad.grad_block
-        new.m_block = cfg.beta1 * new.m_block + (1.0 - cfg.beta1) * g
-        new.v_block = cfg.beta2 * new.v_block + (1.0 - cfg.beta2) * g * g
-        w -= lr * (new.m_block / bc1) / (np.sqrt(new.v_block / bc2) + cfg.eps)
+        new.m_block = BETA1 * new.m_block + (1.0 - BETA1) * g
+        new.v_block = BETA2 * new.v_block + (1.0 - BETA2) * g * g
+        w -= lr * (new.m_block / bc1) / (np.sqrt(new.v_block / bc2) + EPS)
         if new.t % optim.FLUSH_EVERY == 0:
             flushed = np.abs(w) < np.sqrt(np.finfo(w.dtype).tiny)
             w[flushed] = 0.0
@@ -243,13 +243,13 @@ def reference_adam_sparse_step(state, table, sparse_grad, lr, l2=0.0, dense_l2=T
         g = sparse_grad.grad_block + (l2 * w[rows] if l2 else 0.0)
         new.col_t_block[rows] += 1
         tj = new.col_t_block[rows][:, None]
-        m = cfg.beta1 * new.m_block[rows] + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * new.v_block[rows] + (1.0 - cfg.beta2) * g * g
+        m = BETA1 * new.m_block[rows] + (1.0 - BETA1) * g
+        v = BETA2 * new.v_block[rows] + (1.0 - BETA2) * g * g
         new.m_block[rows], new.v_block[rows] = m, v
         # the per-row bias corrections in the table's dtype
-        mhat = m / (1.0 - cfg.beta1 ** tj).astype(w.dtype)
-        vhat = v / (1.0 - cfg.beta2 ** tj).astype(w.dtype)
-        w[rows] -= lr * mhat / (np.sqrt(vhat) + cfg.eps)
+        mhat = m / (1.0 - BETA1 ** tj).astype(w.dtype)
+        vhat = v / (1.0 - BETA2 ** tj).astype(w.dtype)
+        w[rows] -= lr * mhat / (np.sqrt(vhat) + EPS)
     return new, out
 
 
