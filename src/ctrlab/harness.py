@@ -309,13 +309,13 @@ def run_plan(config: ExperimentConfig) -> tuple[scaling.ScalingPlan, clip.ClipCo
 
 def _predict(model: Model, dataset: Dataset, n_rows: int):
     """Click probabilities of the dataset's first n_rows rows, forwarded in
-    chunks of 8192 rows; only one chunk's forward cache is alive at a time."""
+    chunks of 8192 rows by a forward that keeps no cache."""
     chunk = 8192
     probs = np.empty(n_rows)
     for start in range(0, n_rows, chunk):
         rows = slice(start, min(start + chunk, n_rows))
         batch = Batch(dataset.labels[rows], dataset.dense[rows], dataset.categorical[rows])
-        probs[rows] = model_forward(model, batch)[0]
+        probs[rows] = model_forward(model, batch, keep=False)[0]
     return probs
 
 
@@ -343,6 +343,10 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     if b > train_ds.n_samples:
         raise ValueError(
             f"train.batch_size={b} exceeds the training split's {train_ds.n_samples} rows"
+        )
+    if train_ds.n_categorical == 0:
+        raise ValueError(
+            f"data.source {config.source!r} has no categorical field; the models embed at least one"
         )
     n_pos = int(test_ds.labels.sum())
     n_neg = test_ds.n_samples - n_pos
@@ -564,7 +568,7 @@ def _tiny_setup(kind: str, rng: np.random.Generator):
 
 
 def _total_loss(model: Model, batch: Batch) -> float:
-    probs, _ = model_forward(model, batch)
+    probs, _ = model_forward(model, batch, keep=False)
     return metrics.logloss(probs, batch.labels)
 
 
@@ -594,7 +598,9 @@ def grad_check(model_kind: str, seed: int, n_trials: int = 10) -> GradCheckRepor
     while done < n_trials:
         model, batch = _tiny_setup(model_kind, rng)
         probs, cache = model_forward(model, batch)
-        kink = min((float(np.abs(z).min()) for z in cache.mlp_cache["zs"]), default=1.0)
+        # The pre-activations are recomputed from the layer inputs the cache keeps.
+        pre = (h @ w + b for h, (w, b) in zip(cache.mlp_cache["hs"], model.mlp[:-1]))
+        kink = min((float(np.abs(z).min()) for z in pre), default=1.0)
         if kink < 1e-6 or float(np.max(np.abs(cache.logit))) > 8.0:
             continue
         done += 1

@@ -3,13 +3,16 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from ctrlab import cli, harness, optim, scaling
 from ctrlab.clip import ClipConfig
-from ctrlab.data import Dataset
+from ctrlab.data import DENSE, Dataset, FieldSchema, SyntheticSpec, generate_synthetic, save_dataset
+from ctrlab.embedding import init_table
 from ctrlab.harness import (
     ExperimentConfig,
     RunRecord,
@@ -46,6 +49,16 @@ def _forbid_train(*args, **kwargs):  # pragma: no cover
 
 def _reject_constant(name):  # pragma: no cover
     raise AssertionError(f"{name} is not JSON (RFC 8259)")
+
+
+def _dense_only_npz(path):
+    """A saved dataset whose one field is dense."""
+    rng = np.random.default_rng(0)
+    n = 200
+    save_dataset(path, Dataset((FieldSchema("d0", DENSE),),
+                               (np.arange(n) % 2).astype(np.uint8),
+                               rng.normal(size=(n, 1)), np.zeros((n, 0), np.int64)))
+    return str(path)
 
 
 def _write_config(path, config):
@@ -181,6 +194,13 @@ class TestDegenerateData:
         with pytest.raises(ValueError, match="data.source .* yielded 0 rows"):
             train(replace(TINY, source=str(path)), seed=0)
 
+    def test_no_categorical_field_fails_before_init(self, monkeypatch, tmp_path):
+        path = _dense_only_npz(tmp_path / "dense.npz")
+        monkeypatch.setattr(harness, "init_table", _forbid_init)
+        for kind in ("dcn", "deepfm"):
+            with pytest.raises(ValueError, match="data.source '.*dense.npz' has no categorical"):
+                train(replace(TINY, source=path, model_kind=kind), seed=0)
+
 
 class TestTrain:
     def test_zero_epochs_initial_eval_only(self):
@@ -296,6 +316,25 @@ class TestTrain:
         assert rec.epochs[-1].train_loss < math.log(2.0)
 
 
+def test_evaluation_peak_is_under_three_activations():
+    # Evaluation keeps no forward cache: one 8192-row chunk through a
+    # 400x400x400 MLP holds a layer's input and its output, not every layer's
+    # pre-activation and activation.
+    n, width = 8192, 400
+    ds = generate_synthetic(SyntheticSpec(n_dense=2, n_categorical=6, vocab_sizes=1000), n, seed=0)
+    embed = init_table(ds.categorical_fields, 10, 1e-2, seed=0)
+    model = harness.init_model("dcnv2", embed, ds.n_dense, hidden=(width,) * 3, seed=0)
+    activation = n * width * embed.block.itemsize
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        harness.evaluate_model(model, ds)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * activation, f"peak {peak / 2**20:.1f} MB"
+
+
 class TestSweep:
     def test_degenerate_sweep_equals_train(self):
         grid = replace(TINY, sweep_batch_sizes=(64,), sweep_rules=("none",))
@@ -400,6 +439,28 @@ class TestGradCheckHarness:
         monkeypatch.setattr(harness, "_tiny_setup", None)
         with pytest.raises(ValueError, match=f"n_trials must be at least 1, got {n_trials}"):
             harness.grad_check("wd", seed=0, n_trials=n_trials)
+
+    @pytest.mark.parametrize("kinked,setups", [(False, 1), (True, 2)])
+    def test_a_trial_at_a_relu_kink_is_drawn_again(self, monkeypatch, kinked, setups):
+        # The first tiny setup is made to meet a hidden unit's kink on one
+        # sample; it is skipped and a second one is drawn, not counted.
+        tiny_setup = harness._tiny_setup
+        drawn = []
+
+        def setup(kind, rng):
+            model, batch = tiny_setup(kind, rng)
+            if kinked and not drawn:
+                w, b = model.mlp[0]
+                x = harness.model_forward(model, batch)[1].mlp_cache["hs"][0]
+                b[0] -= (x @ w + b)[0, 0]
+                assert abs((x @ w + b)[0, 0]) < 1e-6
+            drawn.append(model)
+            return model, batch
+
+        monkeypatch.setattr(harness, "_tiny_setup", setup)
+        report = harness.grad_check("wd", seed=0, n_trials=1)
+        assert len(drawn) == setups
+        assert report.n_trials == 1 and report.passed
 
     def test_cli_reports_a_bad_trial_count(self, capsys):
         assert cli.main(["grad-check", "--model", "wd", "--trials", "0"]) == 1
@@ -533,15 +594,18 @@ class TestCli:
         ("train", ["model.kind=foo"], "model.kind must be one of .*got 'foo'"),
         ("train", None, "No such file or directory"),
         ("train", ["data.source={empty}"], "data.source '.*empty.tsv' yielded 0 rows"),
+        ("train", ["data.source={dense}", "model.kind=dcn", "train.batch_size=16"],
+         "data.source '.*dense.npz' has no categorical field"),
         ("analyze-freq", ["data.source={empty}"], "data.source '.*empty.tsv' yielded 0 rows"),
         ("scale", None, "No such file or directory"),
-    ], ids=["train-bad-key", "train-missing-config", "train-empty-tsv", "analyze-freq-empty-tsv",
-            "scale-missing-config"])
+    ], ids=["train-bad-key", "train-missing-config", "train-empty-tsv", "train-dense-only-npz",
+            "analyze-freq-empty-tsv", "scale-missing-config"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, command, lines, message):
         cfg_path = tmp_path / "exp.cfg"
         if lines is not None:
             (tmp_path / "empty.tsv").write_text("")
-            cfg_path.write_text("\n".join(lines).format(empty=tmp_path / "empty.tsv"))
+            cfg_path.write_text("\n".join(lines).format(
+                empty=tmp_path / "empty.tsv", dense=_dense_only_npz(tmp_path / "dense.npz")))
         assert cli.main([command, "--config", str(cfg_path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""

@@ -21,6 +21,7 @@ from ctrlab.models import (
     loss_and_backward,
     lr_head,
     lr_head_backward,
+    mlp_backward,
     mlp_forward,
     model_forward,
 )
@@ -60,6 +61,101 @@ class TestMlp:
         layers = [(np.zeros((3, 4)), np.zeros(4)), (np.zeros((4, 1)), np.zeros(1))]
         with pytest.raises(ValueError):
             mlp_forward(layers, np.zeros((2, 5)))
+
+
+def reference_mlp_forward(layers, x):
+    """The MLP forward with a new array per step and the pre-activations kept,
+    kept as the bit-exact oracle for the in-place one."""
+    hs, zs, h = [x], [], x
+    for w, b in layers[:-1]:
+        z = h @ w + b
+        h = np.maximum(z, 0.0)
+        zs.append(z)
+        hs.append(h)
+    w_out, b_out = layers[-1]
+    return (h @ w_out + b_out)[:, 0], hs, zs
+
+
+def reference_mlp_backward(layers, hs, zs, dlogit):
+    """The MLP backward that masks by the pre-activations, into new arrays."""
+    last = len(layers) - 1
+    grads = {f"mlp.{last}.W": hs[-1].T @ dlogit[:, None], f"mlp.{last}.b": np.array([dlogit.sum()])}
+    dh = dlogit[:, None] @ layers[-1][0].T
+    for i in range(last - 1, -1, -1):
+        dz = dh * (zs[i] > 0)
+        grads[f"mlp.{i}.W"] = hs[i].T @ dz
+        grads[f"mlp.{i}.b"] = dz.sum(axis=0)
+        dh = dz @ layers[i][0].T
+    return grads, dh
+
+
+def _oracle_layers(rng, widths):
+    """float32 layers whose first hidden layer has no bias, and no weights into
+    its unit 0: that unit, and every unit on an all-zero input row, has an
+    exact-zero pre-activation."""
+    layers = []
+    for n_in, n_out in zip(widths[:-1], widths[1:]):
+        w = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_in, n_out)).astype(TRAIN_DTYPE)
+        b = rng.normal(0.0, 0.5, size=n_out).astype(TRAIN_DTYPE)
+        layers.append((w, b))
+    layers[0][0][:, 0] = 0.0
+    layers[0][1][...] = 0.0
+    return layers
+
+
+class TestMlpInPlace:
+    """The in-place forward and the activation-masked backward against the
+    allocating formulas: bit for bit, in float32."""
+
+    @pytest.mark.parametrize("b", [1, 7, 64, 513])
+    def test_bit_exact_against_the_reference(self, b):
+        rng = np.random.default_rng(b)
+        layers = _oracle_layers(rng, (9, 16, 12, 8, 1))
+        x = rng.normal(size=(b, 9)).astype(TRAIN_DTYPE)
+        x[0] = 0.0
+        x_before = x.copy()
+        ref_logits, ref_hs, zs = reference_mlp_forward(layers, x)
+        # the inputs reach the kink exactly and both sides of it
+        assert np.any(zs[0] == 0.0) and np.any(np.concatenate([z.ravel() for z in zs]) < 0)
+
+        logits, cache = mlp_forward(layers, x)
+        assert logits.dtype == TRAIN_DTYPE
+        assert np.array_equal(logits, ref_logits)
+        assert len(cache["hs"]) == len(ref_hs)
+        for h, ref_h in zip(cache["hs"], ref_hs):
+            assert np.array_equal(h, ref_h)
+        assert np.array_equal(x, x_before)
+
+        dlogit = rng.normal(size=b).astype(TRAIN_DTYPE)
+        grads, dx = mlp_backward(layers, cache, dlogit)
+        ref_grads, ref_dx = reference_mlp_backward(layers, ref_hs, zs, dlogit)
+        assert dx.dtype == TRAIN_DTYPE
+        assert np.array_equal(dx, ref_dx)
+        assert set(grads) == set(ref_grads)
+        for name, g in grads.items():
+            assert g.dtype == ref_grads[name].dtype
+            assert np.array_equal(g, ref_grads[name]), name
+
+        uncached, none = mlp_forward(layers, x, keep=False)
+        assert none is None
+        assert np.array_equal(uncached, ref_logits)
+        assert np.array_equal(x, x_before)
+
+    def test_nan_input_masks_like_the_reference(self):
+        # A NaN pre-activation fails z > 0, and its ReLU output fails h > 0.
+        rng = np.random.default_rng(3)
+        layers = _oracle_layers(rng, (5, 6, 4, 1))
+        x = rng.normal(size=(8, 5)).astype(TRAIN_DTYPE)
+        x[2, 1] = np.nan
+        ref_logits, ref_hs, zs = reference_mlp_forward(layers, x)
+        logits, cache = mlp_forward(layers, x)
+        assert np.array_equal(logits, ref_logits, equal_nan=True)
+        dlogit = rng.normal(size=8).astype(TRAIN_DTYPE)
+        grads, dx = mlp_backward(layers, cache, dlogit)
+        ref_grads, ref_dx = reference_mlp_backward(layers, ref_hs, zs, dlogit)
+        assert np.array_equal(dx, ref_dx, equal_nan=True)
+        for name, g in grads.items():
+            assert np.array_equal(g, ref_grads[name], equal_nan=True), name
 
 
 class TestLrHead:
@@ -230,6 +326,34 @@ class TestModelForward:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             init_model("mystery", init_table(_fields(3), dim=2), 1)
+
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_training_cache_holds_no_pre_activations(self, kind):
+        # The MLP cache keeps each hidden layer's input (its ReLU output, so
+        # never negative) and nothing else.
+        vocabs = [6, 3]
+        table = init_table(_fields(*vocabs), dim=2, init_sigma=0.3, seed=4)
+        model = init_model(kind, table, 1, hidden=(5, 7), cross_depth=2, seed=4)
+        batch = _batch(np.random.default_rng(4), vocabs, 9, n_dense=1)
+        _, cache = model_forward(model, batch)
+        assert list(cache.mlp_cache) == ["hs"]
+        hs = cache.mlp_cache["hs"]
+        assert [h.shape for h in hs] == [(9, 5), (9, 5), (9, 7)]
+        assert all(np.all(h >= 0) for h in hs[1:])
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_evaluation_keeps_no_cache(self, kind):
+        vocabs = [6, 3]
+        table = init_table(_fields(*vocabs), dim=2, init_sigma=0.3, seed=6)
+        model = init_model(kind, table, 1, hidden=(5,), cross_depth=2, seed=6)
+        batch = _batch(np.random.default_rng(6), vocabs, 9, n_dense=1)
+        kept, cache = model_forward(model, batch)
+        probs, none = model_forward(model, batch, keep=False)
+        assert none is None and cache is not None
+        assert np.array_equal(probs, kept)
+        with pytest.raises(TypeError):
+            model_forward(model, batch, False)  # keep is keyword-only
 
 
 class TestModel:
