@@ -42,9 +42,26 @@ from .optim import AdamState, EmbedAdamState, WarmupSchedule
 # Configuration
 # ---------------------------------------------------------------------------
 
-def _key(key: str, default):
-    """A config field and the key it is read from and written to."""
-    return field(default=default, metadata={"key": key})
+# A check is a (test, phrase) pair: a value passes when test(value) is true,
+# and a failure reads "<key> must be <phrase>, got <value>".  Every numeric
+# test is a comparison, which NaN fails.
+def _at_least(low: int):
+    return (lambda v: v >= low, f">= {low}")
+
+
+def _one_of(names: tuple[str, ...]):
+    return (lambda v: v in names, f"one of {', '.join(names)}")
+
+
+_POSITIVE = (lambda v: v > 0, "> 0")
+_FINITE = (lambda v: -math.inf < v < math.inf, "finite")
+_FINITE_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+
+
+def _key(key: str, default, check=None, synthetic: bool = False):
+    """A config field, the key it is read from and written to, and the check
+    its value must pass; a synthetic check applies to synthetic data only."""
+    return field(default=default, metadata={"key": key, "check": check, "synthetic": synthetic})
 
 
 @dataclass(frozen=True)
@@ -52,26 +69,26 @@ class ExperimentConfig:
     # data
     # "synthetic", a .npz container, or a Criteo TSV
     source: str = _key("data.source", "synthetic")
-    n_samples: int = _key("data.n_samples", 200_000)
-    n_dense: int = _key("data.n_dense", 2)
-    n_categorical: int = _key("data.n_categorical", 6)
-    vocab_size: int = _key("data.vocab_size", 10_000)
-    zipf_exponent: float = _key("data.zipf_exponent", 1.2)
-    click_strength: float = _key("data.click_strength", 1.0)
-    top_k: int = _key("data.top_k", 0)                 # 0 disables the top-k id collapse
-    split: float = _key("data.split", 0.9)
-    max_rows: int | None = _key("data.max_rows", None)
+    n_samples: int = _key("data.n_samples", 200_000, _at_least(1), synthetic=True)
+    n_dense: int = _key("data.n_dense", 2, _at_least(0), synthetic=True)
+    n_categorical: int = _key("data.n_categorical", 6, _at_least(1), synthetic=True)
+    vocab_size: int = _key("data.vocab_size", 10_000, _at_least(1), synthetic=True)
+    zipf_exponent: float = _key("data.zipf_exponent", 1.2, _POSITIVE, synthetic=True)
+    click_strength: float = _key("data.click_strength", 1.0, _FINITE, synthetic=True)
+    top_k: int = _key("data.top_k", 0, _FINITE_NONNEGATIVE)  # 0 disables the top-k id collapse
+    split: float = _key("data.split", 0.9, (lambda v: 0 < v < 1, "strictly between 0 and 1"))
+    max_rows: int | None = _key("data.max_rows", None, _at_least(1))
     # model
-    model_kind: str = _key("model.kind", "deepfm")
-    hidden: tuple[int, ...] = _key("model.hidden", (400, 400, 400))
-    embed_dim: int = _key("model.embed_dim", 10)
+    model_kind: str = _key("model.kind", "deepfm", _one_of(models.MODEL_KINDS))
+    hidden: tuple[int, ...] = _key("model.hidden", (400, 400, 400), _at_least(1))
+    embed_dim: int = _key("model.embed_dim", 10, _at_least(1))
     # None: 1e-2 with cowclip, else 1e-4
-    init_sigma: float | None = _key("model.init_sigma", None)
+    init_sigma: float | None = _key("model.init_sigma", None, _POSITIVE)
     # optimizer
-    lr_dense: float = _key("opt.lr_dense", 1e-4)
-    lr_embed: float = _key("opt.lr_embed", 1e-4)
-    l2: float = _key("opt.l2", 1e-4)
-    warmup_epochs: float = _key("opt.warmup_epochs", 1.0)
+    lr_dense: float = _key("opt.lr_dense", 1e-4, _POSITIVE)
+    lr_embed: float = _key("opt.lr_embed", 1e-4, _POSITIVE)
+    l2: float = _key("opt.l2", 1e-4, _POSITIVE)
+    warmup_epochs: float = _key("opt.warmup_epochs", 1.0, _FINITE_NONNEGATIVE)
     dense_l2: bool = _key("opt.dense_l2", True)
     # clipping
     clip_variant: str = _key("clip.variant", "none")
@@ -79,71 +96,33 @@ class ExperimentConfig:
     clip_r: float = _key("clip.r", 1.0)
     clip_zeta: float = _key("clip.zeta", 1e-4)
     # scaling
-    rule: str = _key("scale.rule", "none")
-    base_batch: int = _key("scale.base_batch", 1024)
-    clip_mode: str = _key("scale.clip_mode", "sqrt")
+    rule: str = _key("scale.rule", "none", _one_of(scaling.RULES))
+    base_batch: int = _key("scale.base_batch", 1024, _at_least(1))
+    clip_mode: str = _key("scale.clip_mode", "sqrt", _one_of(scaling.CLIP_MODES))
     # training
-    batch_size: int = _key("train.batch_size", 1024)
-    epochs: int = _key("train.epochs", 10)
-    # sweep
-    sweep_batch_sizes: tuple[int, ...] = _key("sweep.batch_sizes", ())
-    sweep_rules: tuple[str, ...] = _key("sweep.rules", ())
+    batch_size: int = _key("train.batch_size", 1024, _at_least(1))
+    epochs: int = _key("train.epochs", 10, _at_least(0))
+    # sweep: checked here, so that an error names the sweep key and not a cell's own key
+    sweep_batch_sizes: tuple[int, ...] = _key("sweep.batch_sizes", (), _at_least(1))
+    sweep_rules: tuple[str, ...] = _key("sweep.rules", (), _one_of(scaling.RULES))
     # output
     out_dir: str = _key("out.dir", "runs")
 
     def __post_init__(self):
-        """Reject a bad config here, before any data is built."""
-        for key, value, allowed in (
-            ("model.kind", self.model_kind, models.MODEL_KINDS),
-            ("scale.rule", self.rule, scaling.RULES),
-            ("scale.clip_mode", self.clip_mode, scaling.CLIP_MODES),
-        ):
-            if value not in allowed:
-                raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {value!r}")
-        if self.max_rows is not None and self.max_rows < 1:
-            raise ValueError(f"data.max_rows must be >= 1, got {self.max_rows}")
-        if not 0.0 < self.split < 1.0:
-            raise ValueError("data.split must lie strictly between 0 and 1")
-        if self.base_batch < 1:
-            raise ValueError("scale.base_batch must be positive")
-        _clip_config(self)  # ClipConfig owns the clip.* rules
-        if any(width < 1 for width in self.hidden):
-            raise ValueError(f"model.hidden widths must be >= 1, got {self.hidden}")
-        if self.embed_dim < 1:
-            raise ValueError("model.embed_dim must be >= 1")
-        for key, value in (("data.top_k", self.top_k), ("opt.warmup_epochs", self.warmup_epochs)):
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{key} must be finite and >= 0, got {value}")
-        if self.init_sigma is not None and not self.init_sigma > 0:
-            raise ValueError(f"model.init_sigma must be > 0, got {self.init_sigma}")
-        if self.source == "synthetic":
-            for key, value, low in (("data.n_samples", self.n_samples, 1),
-                                    ("data.vocab_size", self.vocab_size, 1),
-                                    ("data.n_dense", self.n_dense, 0),
-                                    ("data.n_categorical", self.n_categorical, 1)):
-                if value < low:
-                    raise ValueError(f"{key} must be >= {low} for synthetic data, got {value}")
-            if not self.zipf_exponent > 0:
-                raise ValueError(f"data.zipf_exponent must be > 0, got {self.zipf_exponent}")
-            if not math.isfinite(self.click_strength):
-                raise ValueError(f"data.click_strength must be finite, got {self.click_strength}")
-        for key, value in (("opt.lr_dense", self.lr_dense), ("opt.lr_embed", self.lr_embed),
-                           ("opt.l2", self.l2)):
-            if not value > 0:
-                raise ValueError(f"{key} must be > 0, got {value}")
-        if self.batch_size < 1:
-            raise ValueError("train.batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("train.epochs must be >= 0")
-        # Checked here, so that the error names the sweep key and not a cell's own key.
-        for b in self.sweep_batch_sizes:
-            if b < 1:
-                raise ValueError(f"sweep.batch_sizes entries must be >= 1, got {b}")
-        for rule in self.sweep_rules:
-            if rule not in scaling.RULES:
-                raise ValueError(
-                    f"sweep.rules entries must be one of {', '.join(scaling.RULES)}, got {rule!r}"
-                )
+        """Reject a bad config here, before any data is built.  None passes
+        every check, and each entry of a tuple is checked on its own."""
+        synthetic = self.source == "synthetic"
+        for f in fields(self):
+            check, value = f.metadata["check"], getattr(self, f.name)
+            if check is None or value is None or (f.metadata["synthetic"] and not synthetic):
+                continue
+            test, phrase = check
+            is_tuple = isinstance(value, tuple)
+            for entry in value if is_tuple else (value,):
+                if not test(entry):
+                    name = f.metadata["key"] + (" entries" if is_tuple else "")
+                    raise ValueError(f"{name} must be {phrase}, got {entry!r}")
+        _clip_config(self)  # ClipConfig owns the clip.* rules, which depend on the variant
 
     def resolved_init_sigma(self) -> float:
         if self.init_sigma is not None:
@@ -302,15 +281,16 @@ def _clip_config(config: ExperimentConfig, s: float | None = None) -> clip.ClipC
 def run_plan(config: ExperimentConfig) -> tuple[scaling.ScalingPlan, clip.ClipConfig]:
     """What a run applies: its rule's plan at s = train.batch_size /
     scale.base_batch, and its clip settings with a constant threshold scaled to s."""
-    s = config.batch_size / config.base_batch
     base = scaling.BaseHyperparams(config.base_batch, config.lr_dense, config.lr_embed, config.l2)
-    return scaling.scale(config.rule, base, s), _clip_config(config, s)
+    plan = scaling.plan_for_batch(config.rule, base, config.batch_size)
+    return plan, _clip_config(config, plan.factor)
 
 
-def _predict(model: Model, dataset: Dataset, n_rows: int):
-    """Click probabilities of the dataset's first n_rows rows, forwarded in
-    chunks of 8192 rows by a forward that keeps no cache."""
+def _predict(model: Model, dataset: Dataset):
+    """Click probabilities of the dataset's rows, forwarded in chunks of 8192
+    rows by a forward that keeps no cache."""
     chunk = 8192
+    n_rows = dataset.n_samples
     probs = np.empty(n_rows)
     for start in range(0, n_rows, chunk):
         rows = slice(start, min(start + chunk, n_rows))
@@ -320,7 +300,7 @@ def _predict(model: Model, dataset: Dataset, n_rows: int):
 
 
 def evaluate_model(model: Model, dataset: Dataset) -> metrics.EvalResult:
-    return metrics.evaluate(_predict(model, dataset, dataset.n_samples), dataset.labels)
+    return metrics.evaluate(_predict(model, dataset), dataset.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +314,9 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     step (warmup lr) -> per id-indexed table (embeddings, first-order): clip
     -> sparse step.  The L2 term is applied inside the sparse step, after
     clipping, so the clip operates on the data gradient alone.
+
+    The run diverges, and stops, on a non-finite step loss or on the third
+    epoch in a row whose train loss is above 10x the initial test logloss.
     """
     _, init_ss, batch_ss = _seed_children(seed)
     if dataset is None:
@@ -378,10 +361,6 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     )
 
     initial_eval = evaluate_model(model, test_ds)
-    n_head = min(train_ds.n_samples, 16384)
-    initial_train_loss = metrics.logloss(
-        _predict(model, train_ds, n_head), train_ds.labels[:n_head]
-    )
 
     run_id = f"{config.model_kind}-{config.rule}-b{b}-seed{seed}"
     record = RunRecord(
@@ -432,7 +411,7 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
         )
         if record.diverged:
             break
-        if math.isfinite(train_loss) and train_loss > 10.0 * initial_train_loss:
+        if math.isfinite(train_loss) and train_loss > 10.0 * initial_eval.logloss:
             over_initial += 1
             if over_initial >= 3:
                 record.diverged = True

@@ -4,7 +4,7 @@ import json
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -33,6 +33,55 @@ TINY = ExperimentConfig(
     lr_dense=5e-3, lr_embed=5e-3, l2=1e-5, warmup_epochs=0.5,
     base_batch=64, batch_size=64, epochs=2,
 )
+
+
+# One bad value per case, for every checked key; the clip.* cases are
+# ClipConfig's.
+BAD_CONFIGS = [
+    ("model.kind", {"model_kind": "deepfmm"}),
+    ("sweep.batch_sizes", {"sweep_batch_sizes": (0,)}),
+    ("data.top_k", {"top_k": -2}),
+    ("clip.variant", {"clip_variant": "cow"}),
+    ("scale.rule", {"rule": "cubic"}),
+    ("scale.clip_mode", {"clip_mode": "log"}),
+    ("data.split", {"split": 0.0}),
+    ("data.split", {"split": 1.0}),
+    ("data.split", {"split": 1.5}),
+    ("scale.base_batch", {"base_batch": 0}),
+    ("clip.value", {"clip_variant": "global", "clip_value": 0.0}),
+    ("clip.value", {"clip_variant": "fieldwise", "clip_value": -1.0}),
+    ("clip.value", {"clip_variant": "columnwise", "clip_value": 0.0}),
+    ("clip.r", {"clip_variant": "cowclip", "clip_r": 0.0}),
+    ("clip.zeta", {"clip_variant": "cowclip", "clip_zeta": 0.0}),
+    ("clip.r", {"clip_variant": "adaptive_fieldwise", "clip_r": -1.0}),
+    ("clip.zeta", {"clip_variant": "adaptive_fieldwise", "clip_zeta": -1e-4}),
+    ("model.hidden", {"hidden": (0,)}),
+    ("model.hidden", {"hidden": (8, 0)}),
+    ("model.embed_dim", {"embed_dim": 0}),
+    ("opt.lr_dense", {"lr_dense": 0.0}),
+    ("opt.lr_embed", {"lr_embed": -1.0}),
+    ("opt.l2", {"l2": 0.0}),
+    ("data.n_samples", {"n_samples": 0}),
+    ("data.vocab_size", {"vocab_size": 0}),
+    ("data.zipf_exponent", {"zipf_exponent": 0.0}),
+    ("sweep.batch_sizes", {"sweep_batch_sizes": (256, -64)}),
+    ("sweep.rules", {"sweep_rules": ("none", "cubic")}),
+    ("sweep.rules", {"sweep_rules": ("n2-lambda",)}),
+    ("train.batch_size", {"batch_size": 0}),
+    ("train.epochs", {"epochs": -1}),
+    ("data.n_dense", {"n_dense": -1}),
+    ("data.n_categorical", {"n_categorical": -1}),
+    ("opt.warmup_epochs", {"warmup_epochs": -1.0}),
+    ("data.max_rows", {"max_rows": 0}),
+    ("data.max_rows", {"max_rows": -3}),
+    ("model.init_sigma", {"init_sigma": 0.0}),
+    ("model.init_sigma", {"init_sigma": -1.0}),
+    ("model.init_sigma", {"init_sigma": math.nan}),
+    ("opt.warmup_epochs", {"warmup_epochs": math.nan}),
+    ("data.click_strength", {"click_strength": math.nan}),
+    ("data.click_strength", {"click_strength": math.inf}),
+    ("data.n_categorical", {"n_categorical": 0}),
+]
 
 
 def _forbid_build(*args, **kwargs):  # pragma: no cover
@@ -109,55 +158,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{message}"):
             parse_config_text(text)
 
-    @pytest.mark.parametrize("key,bad", [
-        ("model.kind", {"model_kind": "deepfmm"}),
-        ("sweep.batch_sizes", {"sweep_batch_sizes": (0,)}),
-        ("data.top_k", {"top_k": -2}),
-        ("clip.variant", {"clip_variant": "cow"}),
-        ("scale.rule", {"rule": "cubic"}),
-        ("scale.clip_mode", {"clip_mode": "log"}),
-        ("data.split", {"split": 0.0}),
-        ("data.split", {"split": 1.0}),
-        ("data.split", {"split": 1.5}),
-        ("scale.base_batch", {"base_batch": 0}),
-        ("clip.value", {"clip_variant": "global", "clip_value": 0.0}),
-        ("clip.value", {"clip_variant": "fieldwise", "clip_value": -1.0}),
-        ("clip.value", {"clip_variant": "columnwise", "clip_value": 0.0}),
-        ("clip.r", {"clip_variant": "cowclip", "clip_r": 0.0}),
-        ("clip.zeta", {"clip_variant": "cowclip", "clip_zeta": 0.0}),
-        ("clip.r", {"clip_variant": "adaptive_fieldwise", "clip_r": -1.0}),
-        ("clip.zeta", {"clip_variant": "adaptive_fieldwise", "clip_zeta": -1e-4}),
-        ("model.hidden", {"hidden": (0,)}),
-        ("model.hidden", {"hidden": (8, 0)}),
-        ("model.embed_dim", {"embed_dim": 0}),
-        ("opt.lr_dense", {"lr_dense": 0.0}),
-        ("opt.lr_embed", {"lr_embed": -1.0}),
-        ("opt.l2", {"l2": 0.0}),
-        ("data.n_samples", {"n_samples": 0}),
-        ("data.vocab_size", {"vocab_size": 0}),
-        ("data.zipf_exponent", {"zipf_exponent": 0.0}),
-        ("sweep.batch_sizes", {"sweep_batch_sizes": (256, -64)}),
-        ("sweep.rules", {"sweep_rules": ("none", "cubic")}),
-        ("sweep.rules", {"sweep_rules": ("n2-lambda",)}),
-        ("train.batch_size", {"batch_size": 0}),
-        ("train.epochs", {"epochs": -1}),
-        ("data.n_dense", {"n_dense": -1}),
-        ("data.n_categorical", {"n_categorical": -1}),
-        ("opt.warmup_epochs", {"warmup_epochs": -1.0}),
-        ("data.max_rows", {"max_rows": 0}),
-        ("data.max_rows", {"max_rows": -3}),
-        ("model.init_sigma", {"init_sigma": 0.0}),
-        ("model.init_sigma", {"init_sigma": -1.0}),
-        ("model.init_sigma", {"init_sigma": math.nan}),
-        ("opt.warmup_epochs", {"warmup_epochs": math.nan}),
-        ("data.click_strength", {"click_strength": math.nan}),
-        ("data.click_strength", {"click_strength": math.inf}),
-        ("data.n_categorical", {"n_categorical": 0}),
-    ])
+    @pytest.mark.parametrize("key,bad", BAD_CONFIGS)
     def test_bad_config_fails_before_any_data(self, monkeypatch, key, bad):
         monkeypatch.setattr(harness, "build_dataset", _forbid_build)
         with pytest.raises(ValueError, match=key):
             train(replace(TINY, **bad), seed=0)
+
+    def test_every_checked_key_has_a_bad_case(self):
+        checked = {f.metadata["key"] for f in fields(ExperimentConfig) if f.metadata["check"]}
+        assert checked == {key for key, _ in BAD_CONFIGS if not key.startswith("clip.")}
+
+    @pytest.mark.parametrize("key,bad", BAD_CONFIGS)
+    def test_bad_config_message_gives_key_and_value(self, key, bad):
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)}( entries)? must be .+, got .+$"):
+            replace(TINY, **bad)
 
     def test_checks_follow_the_keys_in_use(self):
         # Each of these keys is unused by the rest of its config.
@@ -208,6 +222,22 @@ class TestTrain:
         assert rec.epochs == []
         assert 0.0 <= rec.initial_auc <= 1.0
         assert rec.final_auc == rec.initial_auc
+
+    def test_only_the_steps_forward_training_rows(self, monkeypatch):
+        # Every other forward evaluates the test split: once before training
+        # and once per epoch.
+        forwarded = []
+        forward = harness.model_forward
+
+        def spy(model, batch, *, keep=True):
+            if not keep:
+                forwarded.append(len(batch.labels))
+            return forward(model, batch, keep=keep)
+
+        monkeypatch.setattr(harness, "model_forward", spy)
+        train(TINY, seed=0)
+        n_test = harness.build_dataset(TINY, 0).split(TINY.split)[1].n_samples
+        assert sum(forwarded) == n_test * (TINY.epochs + 1)
 
     def test_smoke_loss_decreases(self):
         # initial loss is ~ln 2 at sigmoid(0); two epochs must beat it

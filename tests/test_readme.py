@@ -2,6 +2,7 @@
 
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 from ctrlab import cli
@@ -38,3 +39,10 @@ def test_config_block_is_the_default_config():
             if line.strip() and not line.lstrip().startswith("#")]
     assert sorted(keys) == sorted(ExperimentConfig().to_dict())
     assert parse_config_text(block) == ExperimentConfig()
+
+
+def test_config_checks_list_names_every_checked_key():
+    checks = README.split("A config is checked when it is built", 1)[1]
+    checks = checks.split("Once the data is built", 1)[0]
+    checked = [f.metadata["key"] for f in fields(ExperimentConfig) if f.metadata["check"]]
+    assert [key for key in checked if f"`{key}`" not in checks] == []
