@@ -22,6 +22,14 @@ CATEGORICAL = "categorical"
 N_CRITEO_DENSE = 13
 N_CRITEO_CATEGORICAL = 26
 
+# The dtypes a dataset stores, which are the ones training reads: ids are
+# int32, and the dense features are in the dtype of every trained array
+# (tables, dense weights, optimizer moments and activations).
+ID_DTYPE = np.int32
+TRAIN_DTYPE = np.float32
+# A field's ids are 0..vocab_size-1, so every id fits ID_DTYPE.
+MAX_VOCAB_SIZE = int(np.iinfo(ID_DTYPE).max) + 1
+
 
 class CriteoParseError(ValueError):
     """Raised on a malformed TSV row; carries the 1-based row number."""
@@ -42,6 +50,10 @@ class FieldSchema:
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == CATEGORICAL and self.vocab_size < 0:
             raise ValueError("vocab_size must be >= 0")
+        if self.vocab_size > MAX_VOCAB_SIZE:
+            raise ValueError(
+                f"field {self.name!r}: vocab_size must be <= {MAX_VOCAB_SIZE}, got {self.vocab_size}"
+            )
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -51,12 +63,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable sample table.  Schema lists dense fields first, then categorical."""
+    """Immutable sample table.  Schema lists dense fields first, then categorical.
+
+    Ids of any integer dtype are stored as ID_DTYPE and the dense features as
+    TRAIN_DTYPE; arrays already in those dtypes are kept, not copied.
+    """
 
     schema: tuple[FieldSchema, ...]
     labels: np.ndarray        # (N,) uint8 in {0,1}
-    dense: np.ndarray         # (N, n_dense) float64
-    categorical: np.ndarray   # (N, n_categorical) int64
+    dense: np.ndarray         # (N, n_dense) TRAIN_DTYPE
+    categorical: np.ndarray   # (N, n_categorical) ID_DTYPE
 
     def __post_init__(self):
         names = [f.name for f in self.schema]
@@ -73,6 +89,11 @@ class Dataset:
             col = self.categorical[:, j]
             if n and (col.min() < 0 or col.max() >= f.vocab_size):
                 raise ValueError(f"categorical ids out of range for field {f.name!r}")
+        if self.categorical.dtype.kind not in "iu":
+            raise ValueError(f"categorical ids must be integers, got dtype {self.categorical.dtype}")
+        # The range checks passed, so the cast keeps every id's value.
+        object.__setattr__(self, "categorical", self.categorical.astype(ID_DTYPE, copy=False))
+        object.__setattr__(self, "dense", self.dense.astype(TRAIN_DTYPE, copy=False))
         _freeze(self.labels), _freeze(self.dense), _freeze(self.categorical)
 
     @property
@@ -184,29 +205,30 @@ def top_k_collapse(dataset: Dataset, k: int) -> Dataset:
 
     Kept ids are relabeled 0..k-1 in decreasing frequency (ties broken by lower
     original index); everything else maps to id k.  Fields that already have at
-    most k+1 ids are left untouched, which makes the operation idempotent.
+    most k+1 ids are left untouched, which makes the operation idempotent; a
+    dataset none of whose fields collapse is returned as it is.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    freq = count_frequencies(dataset) if dataset.n_samples else None
+    fields = dataset.categorical_fields
+    if dataset.n_samples == 0 or all(f.vocab_size <= k + 1 for f in fields):
+        return dataset
+    freq = count_frequencies(dataset)
     new_cols = []
     new_cat_schema = []
-    for j, f in enumerate(dataset.categorical_fields):
-        if f.vocab_size <= k + 1 or freq is None:
+    for j, f in enumerate(fields):
+        if f.vocab_size <= k + 1:
             new_cols.append(dataset.categorical[:, j])
             new_cat_schema.append(f)
             continue
-        counts = freq.counts[j]
-        order = np.lexsort((np.arange(f.vocab_size), -counts))
-        mapping = np.full(f.vocab_size, k, dtype=np.int64)
+        order = np.lexsort((np.arange(f.vocab_size), -freq.counts[j]))
+        mapping = np.full(f.vocab_size, k, dtype=ID_DTYPE)
         mapping[order[:k]] = np.arange(k)
         new_cols.append(mapping[dataset.categorical[:, j]])
         new_cat_schema.append(FieldSchema(f.name, CATEGORICAL, k + 1))
-    categorical = (
-        np.stack(new_cols, axis=1) if new_cols else dataset.categorical.copy()
-    )
+    # The datasets are immutable, so the labels and dense features are shared.
     schema = dataset.dense_fields + tuple(new_cat_schema)
-    return Dataset(schema, dataset.labels.copy(), dataset.dense.copy(), categorical)
+    return Dataset(schema, dataset.labels, dataset.dense, np.stack(new_cols, axis=1))
 
 
 def make_batches(dataset: Dataset, batch_size: int, seed: int = 0) -> Iterator[Batch]:
@@ -270,9 +292,10 @@ def load_criteo_tsv(path, max_rows: int | None = None) -> Dataset:
     """
     if max_rows is not None and max_rows < 1:
         raise ValueError(f"max_rows must be >= 1 or None, got {max_rows}")
-    # Flat typed columns, not a list per row: 8 bytes a value instead of a
-    # Python object each, and numpy reads them without a conversion pass.
-    labels, dense, categorical = array("B"), array("d"), array("q")
+    # Flat typed columns in the dataset's dtypes, not a list per row: 4 bytes
+    # a value instead of a Python object each, and neither numpy nor Dataset
+    # makes a copy of them.
+    labels, dense, categorical = array("B"), array("f"), array("i")
     vocab = _Vocabulary()
     with open(path, "rb") as fh:
         for block in _line_blocks(fh):
@@ -292,8 +315,8 @@ def load_criteo_tsv(path, max_rows: int | None = None) -> Dataset:
     return Dataset(
         schema,
         np.frombuffer(labels, dtype=np.uint8),
-        np.frombuffer(dense, dtype=np.float64).reshape(n, N_CRITEO_DENSE),
-        np.frombuffer(categorical, dtype=np.int64).reshape(n, N_CRITEO_CATEGORICAL),
+        np.frombuffer(dense, dtype=TRAIN_DTYPE).reshape(n, N_CRITEO_DENSE),
+        np.frombuffer(categorical, dtype=ID_DTYPE).reshape(n, N_CRITEO_CATEGORICAL),
     )
 
 
@@ -318,7 +341,7 @@ def _parse_block(
     block: bytes, rows_before: int, limit: int | None, vocab: _Vocabulary
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Labels, transformed dense values and categorical ids of the block's
-    first limit lines (all of them if limit is None)."""
+    first limit lines (all of them if limit is None), in the dataset's dtypes."""
     data = np.frombuffer(block, dtype=np.uint8)
     line_end = np.flatnonzero(data == ord("\n"))
     if not block.endswith(b"\n"):
@@ -364,11 +387,12 @@ def _parse_block(
         raise CriteoParseError(
             rows_before + k + 1, f"expected {_N_COLUMNS} columns, got {n_columns[k]}"
         )
-    dense_values = np.array([math.log1p(max(v, 0.0)) for v in values.tolist()])
+    # Computed in float64 and rounded once, as Dataset would round it.
+    dense_values = np.array([math.log1p(max(v, 0.0)) for v in values.tolist()], TRAIN_DTYPE)
 
     cat = first[cat_lo:]
     field = first_group[cat_lo:] - 2
-    ids = vocab.ids_of(field, length[cat], np.take(words, cat, axis=1), cat)
+    ids = vocab.ids_of(field, length[cat], np.take(words, cat, axis=1), cat).astype(ID_DTYPE)
     return (
         label,
         dense_values[dense_inverse.ravel()],
@@ -563,13 +587,14 @@ def generate_synthetic(
         raise ValueError("click_model must have one weight per field")
 
     rng = np.random.default_rng(seed)
-    categorical = np.empty((n_samples, spec.n_categorical), dtype=np.int64)
+    categorical = np.empty((n_samples, spec.n_categorical), dtype=ID_DTYPE)
     score = np.zeros(n_samples)
     for j, v in enumerate(vocabs):
         ids = rng.choice(v, size=n_samples, p=zipf_probabilities(v, spec.zipf_exponent))
         categorical[:, j] = ids
         hidden = rng.normal(0.0, 1.0, size=v) * click_model[j]
         score += hidden[ids]
+    # The click model reads the float64 draws; Dataset stores them rounded.
     dense = rng.normal(0.0, 1.0, size=(n_samples, spec.n_dense))
     score += dense @ click_model[spec.n_categorical :]
     prob = 1.0 / (1.0 + np.exp(-score))

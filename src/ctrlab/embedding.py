@@ -23,8 +23,10 @@ blocks; nothing else in ctrlab reads them.
 Training runs in float32 (TRAIN_DTYPE), as the paper does on its GPU: the
 dense-mode optimizer pass over every table entry is bound by memory traffic
 and the MLP by matrix products, and float32 halves the bytes of the one and
-doubles the BLAS rate of the other.  init_table and models.load_checkpoint
-are the only places that pick a dtype: models.init_model builds a model in
+doubles the BLAS rate of the other.  TRAIN_DTYPE is defined in data, where
+a dataset stores its dense features in it, and re-exported here.
+init_table and models.load_checkpoint are the only places that pick a
+model's dtype: models.init_model builds a model in
 its embedding table's dtype, and every other step keeps its inputs' dtype,
 so the finite-difference checks, which build a float64 table, run the same
 code in float64.
@@ -37,11 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import CATEGORICAL, Batch, FieldSchema
-
-# The dtype of every trained array: tables, dense weights, optimizer moments
-# and activations.
-TRAIN_DTYPE = np.float32
+from .data import CATEGORICAL, TRAIN_DTYPE, Batch, FieldSchema
 
 
 def field_offsets(fields: tuple[FieldSchema, ...]) -> np.ndarray:

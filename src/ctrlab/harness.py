@@ -22,6 +22,7 @@ import numpy as np
 from . import clip, metrics, models, optim, scaling
 from .data import (
     CATEGORICAL,
+    MAX_VOCAB_SIZE,
     Batch,
     Dataset,
     FieldSchema,
@@ -72,7 +73,10 @@ class ExperimentConfig:
     n_samples: int = _key("data.n_samples", 200_000, _at_least(1), synthetic=True)
     n_dense: int = _key("data.n_dense", 2, _at_least(0), synthetic=True)
     n_categorical: int = _key("data.n_categorical", 6, _at_least(1), synthetic=True)
-    vocab_size: int = _key("data.vocab_size", 10_000, _at_least(1), synthetic=True)
+    vocab_size: int = _key(
+        "data.vocab_size", 10_000,
+        (lambda v: 1 <= v <= MAX_VOCAB_SIZE, f">= 1 and <= {MAX_VOCAB_SIZE}"), synthetic=True,
+    )
     zipf_exponent: float = _key("data.zipf_exponent", 1.2, _POSITIVE, synthetic=True)
     click_strength: float = _key("data.click_strength", 1.0, _FINITE, synthetic=True)
     top_k: int = _key("data.top_k", 0, _FINITE_NONNEGATIVE)  # 0 disables the top-k id collapse

@@ -299,7 +299,8 @@ def model_forward(
     """
     kind, table = model.kind, model.embed
     embedded, record = lookup_forward(table, batch)
-    # The dataset's dense features are float64; the model runs in the table's dtype.
+    # A dataset's dense features are TRAIN_DTYPE already; the cast is for a
+    # table of another dtype, such as the finite-difference checks' float64.
     x_mlp = np.concatenate([embedded, batch.dense], axis=1, dtype=embedded.dtype)
     logit, mlp_cache = mlp_forward(model.mlp, x_mlp, keep=keep)
     cache = ForwardCache(model, record, embedded, mlp_cache, logit)

@@ -14,11 +14,14 @@ from ctrlab import data as data_module
 from ctrlab.data import (
     CATEGORICAL,
     DENSE,
+    ID_DTYPE,
+    MAX_VOCAB_SIZE,
     N_CRITEO_CATEGORICAL,
     N_CRITEO_DENSE,
     CriteoParseError,
     Dataset,
     FieldSchema,
+    TRAIN_DTYPE,
     SyntheticSpec,
     batch_presence_probability,
     count_frequencies,
@@ -220,10 +223,12 @@ class TestCriteoLoader:
         path = tmp_path / "data.tsv"
         _write_tsv(path, _random_criteo_rows(200, 3))
         ds = load_criteo_tsv(path)
+        assert ds.dense.dtype == TRAIN_DTYPE and ds.categorical.dtype == ID_DTYPE
         out = tmp_path / "data.npz"
         save_dataset(out, ds, meta={"origin": "test"})
         loaded, meta = load_dataset(out)
         assert datasets_equal(ds, loaded)
+        assert loaded.dense.dtype == TRAIN_DTYPE and loaded.categorical.dtype == ID_DTYPE
         assert meta == {"origin": "test"}
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999", "-NaN"])
@@ -405,6 +410,10 @@ class TestSynthetic:
         assert np.all(np.abs(cum_emp - cum_exp) / cum_exp < 0.05)
         assert np.all(np.abs(counts[:10] - expected[:10]) / expected[:10] < 0.05)
 
+    def test_stores_the_training_dtypes(self):
+        ds = generate_synthetic(SyntheticSpec(n_dense=2, n_categorical=2, vocab_sizes=9), 50, seed=5)
+        assert ds.dense.dtype == TRAIN_DTYPE and ds.categorical.dtype == ID_DTYPE
+
     def test_roundtrip(self, tmp_path):
         ds = generate_synthetic(SyntheticSpec(n_categorical=2, vocab_sizes=9), 300, seed=5)
         save_dataset(tmp_path / "s.npz", ds, meta={"seed": 5})
@@ -525,6 +534,17 @@ class TestTopKCollapse:
         twice = top_k_collapse(once, k)
         assert datasets_equal(once, twice)
 
+    def test_shares_the_arrays_it_keeps(self):
+        ds = generate_synthetic(SyntheticSpec(n_dense=2, n_categorical=2, vocab_sizes=[3, 40]), 200, seed=2)
+        out = top_k_collapse(ds, 3)
+        assert out.categorical_fields[1].vocab_size == 4
+        assert np.shares_memory(out.labels, ds.labels) and np.shares_memory(out.dense, ds.dense)
+        assert not np.shares_memory(out.categorical, ds.categorical)
+        # No field collapses: every array is shared.
+        same = top_k_collapse(ds, 40)
+        for name in ("labels", "dense", "categorical"):
+            assert np.shares_memory(getattr(same, name), getattr(ds, name))
+
 
 class TestMakeBatches:
     def test_disjoint_epoch(self):
@@ -569,13 +589,42 @@ class TestInvariants:
         with pytest.raises(ValueError):
             ds.labels[0] = 1
 
+    def test_stored_in_the_training_dtypes(self):
+        rng = np.random.default_rng(0)
+        schema = (FieldSchema("d", DENSE), FieldSchema("c", CATEGORICAL, 7))
+        dense, cat = rng.normal(size=(20, 1)), rng.integers(0, 7, size=(20, 1), dtype=np.uint64)
+        ds = Dataset(schema, np.zeros(20, dtype=np.uint8), dense, cat)
+        assert ds.dense.dtype == TRAIN_DTYPE and ds.categorical.dtype == ID_DTYPE
+        assert np.array_equal(ds.dense, dense.astype(np.float32))
+        assert np.array_equal(ds.categorical, cat)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, bool])
+    def test_non_integer_ids_rejected(self, dtype):
+        cat = np.zeros((4, 1), dtype=dtype)
+        with pytest.raises(ValueError, match=f"categorical ids must be integers, got dtype {np.dtype(dtype)}"):
+            Dataset((FieldSchema("c", CATEGORICAL, 2),), np.zeros(4, dtype=np.uint8), np.zeros((4, 0)), cat)
+
+    def test_vocab_must_fit_the_id_dtype(self):
+        assert MAX_VOCAB_SIZE == 2**31
+        FieldSchema("c", CATEGORICAL, MAX_VOCAB_SIZE)
+        with pytest.raises(ValueError, match=f"^field 'c9': vocab_size must be <= {2**31}, got {2**31 + 1}$"):
+            FieldSchema("c9", CATEGORICAL, MAX_VOCAB_SIZE + 1)
+
+    def test_compact_arrays_are_kept(self):
+        labels = np.arange(10, dtype=np.uint8) % 2
+        dense = np.ones((10, 1), dtype=TRAIN_DTYPE)
+        cat = np.arange(10, dtype=ID_DTYPE)[:, None] % 3
+        ds = Dataset((FieldSchema("d", DENSE), FieldSchema("c", CATEGORICAL, 3)), labels, dense, cat)
+        assert ds.labels is labels and ds.dense is dense and ds.categorical is cat
+
     def test_split_halves_are_read_only_views(self):
+        # A compact dataset: a split allocates no sample memory.
         ds = generate_synthetic(SyntheticSpec(n_dense=2, n_categorical=2, vocab_sizes=5), 10, seed=0)
         head, tail = ds.split(0.7)
         for half, rows in ((head, slice(0, 7)), (tail, slice(7, 10))):
             for name in ("labels", "dense", "categorical"):
                 part, whole = getattr(half, name), getattr(ds, name)
-                assert np.array_equal(part, whole[rows])
+                assert np.array_equal(part, whole[rows]) and part.dtype == whole.dtype
                 assert np.shares_memory(part, whole) and not part.flags.writeable
 
 

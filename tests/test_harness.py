@@ -11,7 +11,19 @@ import pytest
 
 from ctrlab import cli, harness, optim, scaling
 from ctrlab.clip import ClipConfig
-from ctrlab.data import DENSE, Dataset, FieldSchema, SyntheticSpec, generate_synthetic, save_dataset
+from ctrlab.data import (
+    CATEGORICAL,
+    DENSE,
+    ID_DTYPE,
+    TRAIN_DTYPE,
+    Dataset,
+    FieldSchema,
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+    save_npz,
+)
 from ctrlab.embedding import init_table
 from ctrlab.harness import (
     ExperimentConfig,
@@ -81,6 +93,7 @@ BAD_CONFIGS = [
     ("data.click_strength", {"click_strength": math.nan}),
     ("data.click_strength", {"click_strength": math.inf}),
     ("data.n_categorical", {"n_categorical": 0}),
+    ("data.vocab_size", {"vocab_size": 2**31 + 1}),
 ]
 
 
@@ -107,6 +120,16 @@ def _dense_only_npz(path):
     save_dataset(path, Dataset((FieldSchema("d0", DENSE),),
                                (np.arange(n) % 2).astype(np.uint8),
                                rng.normal(size=(n, 1)), np.zeros((n, 0), np.int64)))
+    return str(path)
+
+
+def _float_ids_npz(path):
+    """A dataset file whose categorical array holds floats.  A Dataset
+    rejects such ids, so the container is written without one."""
+    n = 200
+    header = {"schema": [{"name": "c0", "kind": CATEGORICAL, "vocab_size": 4}], "meta": {}}
+    save_npz(path, header, {"labels": (np.arange(n) % 2).astype(np.uint8),
+                            "dense": np.zeros((n, 0)), "categorical": np.arange(n)[:, None] % 4.0})
     return str(path)
 
 
@@ -214,6 +237,28 @@ class TestDegenerateData:
         for kind in ("dcn", "deepfm"):
             with pytest.raises(ValueError, match="data.source '.*dense.npz' has no categorical"):
                 train(replace(TINY, source=path, model_kind=kind), seed=0)
+
+    def test_wide_dtype_npz_trains_as_the_compact_one(self, tmp_path):
+        """A dataset file with int64 ids and float64 dense features, as
+        gen-data wrote them before datasets were stored compact, loads in the
+        training dtypes and trains to the same record."""
+        ds = harness.build_dataset(TINY, 0)
+        dense = np.random.default_rng(1).normal(size=ds.dense.shape)  # float64 with low bits
+        header = {"schema": [{"name": f.name, "kind": f.kind, "vocab_size": f.vocab_size}
+                             for f in ds.schema], "meta": {}}
+        path = tmp_path / "data.npz"
+        cfg = replace(TINY, source=str(path), epochs=1)
+        fingerprints = []
+        for wide in (True, False):
+            if wide:
+                save_npz(path, header, {"labels": ds.labels, "dense": dense,
+                                        "categorical": ds.categorical.astype(np.int64)})
+            else:
+                save_dataset(path, Dataset(ds.schema, ds.labels, dense, ds.categorical))
+            loaded, _ = load_dataset(path)
+            assert loaded.dense.dtype == TRAIN_DTYPE and loaded.categorical.dtype == ID_DTYPE
+            fingerprints.append(harness.record_fingerprint(train(cfg, seed=0)))
+        assert fingerprints[0] == fingerprints[1]
 
 
 class TestTrain:
@@ -626,16 +671,19 @@ class TestCli:
         ("train", ["data.source={empty}"], "data.source '.*empty.tsv' yielded 0 rows"),
         ("train", ["data.source={dense}", "model.kind=dcn", "train.batch_size=16"],
          "data.source '.*dense.npz' has no categorical field"),
+        ("train", ["data.source={float_ids}", "train.batch_size=16"],
+         "categorical ids must be integers, got dtype float64"),
         ("analyze-freq", ["data.source={empty}"], "data.source '.*empty.tsv' yielded 0 rows"),
         ("scale", None, "No such file or directory"),
     ], ids=["train-bad-key", "train-missing-config", "train-empty-tsv", "train-dense-only-npz",
-            "analyze-freq-empty-tsv", "scale-missing-config"])
+            "train-float-ids-npz", "analyze-freq-empty-tsv", "scale-missing-config"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, command, lines, message):
         cfg_path = tmp_path / "exp.cfg"
         if lines is not None:
             (tmp_path / "empty.tsv").write_text("")
             cfg_path.write_text("\n".join(lines).format(
-                empty=tmp_path / "empty.tsv", dense=_dense_only_npz(tmp_path / "dense.npz")))
+                empty=tmp_path / "empty.tsv", dense=_dense_only_npz(tmp_path / "dense.npz"),
+                float_ids=_float_ids_npz(tmp_path / "float_ids.npz")))
         assert cli.main([command, "--config", str(cfg_path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
