@@ -52,7 +52,6 @@ from .clip import ClipConfig, apply_clip, cowclip
 from .scaling import (
     BaseHyperparams,
     ScalingPlan,
-    clip_value_scale,
     estimate_update_covariance,
     expected_update_frequency_check,
     plan_for_batch,

@@ -26,14 +26,15 @@ scaling rule and zeta 1e-4 (mean final test AUC over seeds 1-3):
 This threshold clipped 6.4 % of touched embedding ids at b=256 and 0.93 %
 at b=4096; the per-occurrence one clipped 93 % and 99.7 %.  zeta keeps an
 adaptive threshold off the floor for weights that have decayed to almost
-nothing.  A constant threshold is used as given; batch sweeps scale it
-beforehand with scaling.clip_value_scale.  Clipping never changes a
+nothing.  A constant threshold is used as given; a run scales it to its
+batch beforehand (harness._clip_config).  Clipping never changes a
 gradient's direction and is the identity on anything already under its
 threshold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,10 @@ class ClipConfig:
         elif self.variant in ADAPTIVE_VARIANTS:
             params = {"clip.r": self.r, "clip.zeta": self.zeta}
         for key, value in params.items():
-            if value is None or not value > 0:
-                raise ValueError(f"{key} must be > 0 for {self.variant} clipping, got {value}")
+            if value is None or not 0 < value < math.inf:
+                raise ValueError(
+                    f"{key} must be > 0 and finite for {self.variant} clipping, got {value}"
+                )
 
 
 def _segment_norms(rows: np.ndarray, cuts: np.ndarray) -> np.ndarray:

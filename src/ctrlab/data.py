@@ -144,10 +144,6 @@ class Batch:
     dense: np.ndarray
     categorical: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
 
 @dataclass(frozen=True)
 class FrequencyTable:

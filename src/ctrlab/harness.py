@@ -54,7 +54,7 @@ def _one_of(names: tuple[str, ...]):
     return (lambda v: v in names, f"one of {', '.join(names)}")
 
 
-_POSITIVE = (lambda v: v > 0, "> 0")
+_POSITIVE = (lambda v: 0 < v < math.inf, "> 0 and finite")
 _FINITE = (lambda v: -math.inf < v < math.inf, "finite")
 _FINITE_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
 
@@ -102,7 +102,6 @@ class ExperimentConfig:
     # scaling
     rule: str = _key("scale.rule", "none", _one_of(scaling.RULES))
     base_batch: int = _key("scale.base_batch", 1024, _at_least(1))
-    clip_mode: str = _key("scale.clip_mode", "sqrt", _one_of(scaling.CLIP_MODES))
     # training
     batch_size: int = _key("train.batch_size", 1024, _at_least(1))
     epochs: int = _key("train.epochs", 10, _at_least(0))
@@ -268,15 +267,13 @@ def build_dataset(config: ExperimentConfig, seed: int) -> Dataset:
     return ds
 
 
-def _clip_config(config: ExperimentConfig, s: float | None = None) -> clip.ClipConfig:
-    """The run's clip settings; a constant threshold is scaled to batch factor s,
-    or left unscaled without one."""
+def _clip_config(config: ExperimentConfig, s: float = 1.0) -> clip.ClipConfig:
+    """The run's clip settings at batch factor s.  A constant threshold grows
+    by sqrt(s), as the gradient norm of s batches with disjoint ids does; an
+    adaptive one follows the weights and is used as given."""
     variant = config.clip_variant
     if variant in clip.CONSTANT_VARIANTS:
-        value = config.clip_value
-        if s is not None:
-            value = scaling.clip_value_scale(value, s, config.clip_mode)
-        return clip.ClipConfig(variant, value=value)
+        return clip.ClipConfig(variant, value=config.clip_value * math.sqrt(s))
     if variant in clip.ADAPTIVE_VARIANTS:
         return clip.ClipConfig(variant, r=config.clip_r, zeta=config.clip_zeta)
     return clip.ClipConfig(variant)

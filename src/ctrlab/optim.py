@@ -19,7 +19,7 @@ probes run their own float64 arrays through the same kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,32 +121,20 @@ def adam_step(
                      np.empty_like(w), np.empty_like(w))
 
 
-def _slice_rows(dim: int, itemsize: int) -> int:
-    return max(1, DENSE_CHUNK_BYTES // (dim * itemsize))
-
-
 @dataclass(eq=False)
 class EmbedAdamState:
     """Adam moments shaped like the table's block, with per-row step counts for lazy mode.
 
     Row i of each block belongs to the table's row i, so a step indexes them
     with the gradient's rows, as it does the table; there are no per-field
-    views.  scratch holds two work buffers and a mask for one slice of the
-    dense-mode step; they carry nothing from one step to the next and are
-    not optimizer state.
+    views.  It holds optimizer state only: whatever a step works in, it
+    allocates itself.
     """
 
     m_block: np.ndarray      # (rows, dim)
     v_block: np.ndarray      # (rows, dim)
     col_t_block: np.ndarray  # (rows,) int64
     t: int = 0
-    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        rows, dim = self.m_block.shape
-        dtype = self.m_block.dtype
-        shape = (min(rows, _slice_rows(dim, dtype.itemsize)), dim)
-        self.scratch = (np.empty(shape, dtype), np.empty(shape, dtype), np.empty(shape, bool))
 
     @classmethod
     def init(cls, table: EmbeddingTable) -> "EmbedAdamState":
@@ -188,42 +176,37 @@ def adam_sparse_step(
         flush_below = np.sqrt(np.finfo(w.dtype).tiny)
         # One pass over the block, a slice of rows at a time; rows is sorted,
         # so each slice's touched rows are one run of it.
-        step = _slice_rows(table.dim, w.itemsize)
+        step = max(1, DENSE_CHUNK_BYTES // (table.dim * w.itemsize))
+        shape = (min(len(w), step), table.dim)
+        g_buf, tmp_buf = np.empty(shape, w.dtype), np.empty(shape, w.dtype)
         starts = np.arange(0, len(w), step)
         runs = np.searchsorted(rows, np.append(starts, len(w)))
         for a, lo, hi in zip(starts.tolist(), runs[:-1].tolist(), runs[1:].tolist()):
             z = min(a + step, len(w))
-            g, tmp, low = (buf[: z - a] for buf in state.scratch)
-            if l2:
-                np.multiply(w[a:z], l2, out=g)
-            else:
-                g.fill(0.0)
+            g, tmp = g_buf[: z - a], tmp_buf[: z - a]
+            np.multiply(w[a:z], l2, out=g)
             g[rows[lo:hi] - a] += sparse_grad.grad_block[lo:hi]
             _adam_update(w[a:z], state.m_block[a:z], state.v_block[a:z], g,
                          lr, bc1, bc2, tmp, g)
             if flush:
-                np.less(np.abs(w[a:z], out=tmp), flush_below, out=low)
+                low = np.abs(w[a:z], out=tmp) < flush_below
                 np.copyto(w[a:z], 0.0, where=low)
                 np.copyto(state.m_block[a:z], 0.0, where=low)
     elif len(rows):
         # Each touched row is gathered and scattered once per array, and
         # bias correction runs on the rows' own step counts.
         w_rows = np.take(w, rows, axis=0)
-        g = sparse_grad.grad_block
-        if l2:
-            g = np.multiply(w_rows, l2) + g
+        # g is this step's own array, not the caller's, so it can serve as den.
+        g = np.multiply(w_rows, l2) + sparse_grad.grad_block
         tj = state.col_t_block[rows] + 1
         state.col_t_block[rows] = tj
         tj = tj[:, None]
         m = np.take(state.m_block, rows, axis=0)
         v = np.take(state.v_block, rows, axis=0)
-        # g can take den's values only when it is this step's own array,
-        # not the caller's gradient block.
-        den = g if l2 else np.empty_like(m)
         # The per-row bias corrections come out float64; they take w's dtype.
         bc1 = (1.0 - BETA1 ** tj).astype(w.dtype)
         bc2 = (1.0 - BETA2 ** tj).astype(w.dtype)
-        _adam_update(w_rows, m, v, g, lr, bc1, bc2, np.empty_like(m), den)
+        _adam_update(w_rows, m, v, g, lr, bc1, bc2, np.empty_like(m), g)
         state.m_block[rows] = m
         state.v_block[rows] = v
         w[rows] = w_rows

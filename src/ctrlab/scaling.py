@@ -28,8 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 RULES = ("none", "sqrt", "sqrt_star", "linear", "n2_lambda", "cowclip")
-# How a constant clip threshold tracks the batch factor s: times s or sqrt(s).
-CLIP_MODES = ("sqrt", "linear")
 
 
 @dataclass(frozen=True)
@@ -79,20 +77,6 @@ def scale(rule: str, base: BaseHyperparams, s: float) -> ScalingPlan:
 
 def plan_for_batch(rule: str, base: BaseHyperparams, target_batch: int) -> ScalingPlan:
     return scale(rule, base, target_batch / base.base_batch)
-
-
-def clip_value_scale(base_clip: float, s: float, mode: str) -> float:
-    """Constant clip thresholds track the batch: linear (frequent-id regime)
-    or sqrt (disjoint-occurrence regime, the better default)."""
-    if not base_clip > 0:
-        raise ValueError("base_clip must be > 0")
-    if not s > 0:
-        raise ValueError("batch factor must be > 0")
-    if mode == "linear":
-        return base_clip * s
-    if mode == "sqrt":
-        return base_clip * math.sqrt(s)
-    raise ValueError(f"unknown clip scale mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ctrlab.clip import ClipConfig, apply_clip, cowclip
 from ctrlab.data import CATEGORICAL, FieldSchema
 from ctrlab.embedding import init_table
-from ctrlab.scaling import clip_value_scale
+from ctrlab.harness import ExperimentConfig, _clip_config
 
 from conftest import sparse_gradient
 
@@ -171,7 +171,9 @@ class TestFieldwise:
         table = _table([1], dim=2)
         sparse = sparse_gradient(table, [np.array([0])], [np.array([[10.0, 0.0]])],
                                  [np.array([1])])
-        out = _clip("fieldwise", sparse, table, value=clip_value_scale(1.0, 4.0, "sqrt"))
+        # A run at batch factor s = 4 applies a constant threshold of 1 as 2.
+        cfg = _clip_config(ExperimentConfig(clip_variant="fieldwise", clip_value=1.0), s=4.0)
+        out = apply_clip(cfg, table, sparse)
         assert np.linalg.norm(out.grad_block) == pytest.approx(2.0, rel=1e-12)
 
     def test_disjoint_merge_norm_grows_like_sqrt_s(self):

@@ -40,32 +40,29 @@ GOLDEN = {
     "deepfm-cowclip-dense-l2": (
         replace(TINY, model_kind="deepfm", rule="cowclip", clip_variant="cowclip",
                 batch_size=128, dense_l2=True),
-        "aa46c26e13c50ed70c5219a2c9f5d82635ad559dd6ebad1c15ec68ba570fef8f",
+        "f3c1f0d9345c2fc3325c243be364207fa9ab923a8291eece072ff82a6c381f4f",
     ),
     "wd-cowclip-lazy": (
         replace(TINY, model_kind="wd", rule="cowclip", clip_variant="cowclip",
                 batch_size=128, dense_l2=False),
-        "18ffeb323d4787781e9559a8e704d25bf8b05a08b5ae2e9cdd1fe84975b0b1b5",
+        "070c717d1fb74d0a407c950adfb87cc3712961602048a160be1f7325fb71c0f2",
     ),
     "dcn-fieldwise-s4-sqrt": (
-        replace(TINY, model_kind="dcn", clip_variant="fieldwise", clip_value=3e-3,
-                clip_mode="sqrt", **S4),
-        "4ea76793d0135b38ea2393355097d8f926e427957553e469246c3905d7e776c7",
+        replace(TINY, model_kind="dcn", clip_variant="fieldwise", clip_value=3e-3, **S4),
+        "997213e2f2c7717ac688676bbef9bf9f1afea97088167041334680cac8b96053",
     ),
-    "dcnv2-global-s4-linear": (
-        replace(TINY, model_kind="dcnv2", clip_variant="global", clip_value=3e-3,
-                clip_mode="linear", **S4),
-        "e79f8fe1282d2b53a2b63ff43f999db386862767431c37da296677e7b9e1370e",
+    "dcnv2-global-s4": (
+        replace(TINY, model_kind="dcnv2", clip_variant="global", clip_value=6e-3, **S4),
+        "c9ff7666bc8d8000a156a2d709945cf13ed151a9deeb9b550ca14c3a6d8ee1f6",
     ),
-    "dcnv2-columnwise-s4-linear": (
-        replace(TINY, model_kind="dcnv2", clip_variant="columnwise", clip_value=3e-3,
-                clip_mode="linear", **S4),
-        "3759328c9fccb1415d094a45fa0e46fb3395d13166d953aa3327c3dd761b8991",
+    "dcnv2-columnwise-s4": (
+        replace(TINY, model_kind="dcnv2", clip_variant="columnwise", clip_value=6e-3, **S4),
+        "3dcb27d1b1fdb202267aac711a543365d29f998163b77f6fa9a7894762c5ab36",
     ),
     "dcn-adaptive_fieldwise-s4-sqrt": (
         replace(TINY, model_kind="dcn", rule="sqrt", clip_variant="adaptive_fieldwise",
                 clip_r=0.1, **S4),
-        "c4f6e0d06e5ac708379f9d7343b16eac2fd4d738e0c08a596993f7ea266778ec",
+        "0dfaeaec823bf3ebcba48b9866dde1f9ed50e8201407b57e897134c829255b07",
     ),
 }
 

@@ -55,7 +55,7 @@ BAD_CONFIGS = [
     ("data.top_k", {"top_k": -2}),
     ("clip.variant", {"clip_variant": "cow"}),
     ("scale.rule", {"rule": "cubic"}),
-    ("scale.clip_mode", {"clip_mode": "log"}),
+    ("opt.lr_embed", {"lr_embed": math.inf}),
     ("data.split", {"split": 0.0}),
     ("data.split", {"split": 1.0}),
     ("data.split", {"split": 1.5}),
@@ -94,6 +94,13 @@ BAD_CONFIGS = [
     ("data.click_strength", {"click_strength": math.inf}),
     ("data.n_categorical", {"n_categorical": 0}),
     ("data.vocab_size", {"vocab_size": 2**31 + 1}),
+    ("opt.lr_dense", {"lr_dense": math.inf}),
+    ("opt.l2", {"l2": math.inf}),
+    ("model.init_sigma", {"init_sigma": math.inf}),
+    ("data.zipf_exponent", {"zipf_exponent": math.inf}),
+    ("clip.value", {"clip_variant": "global", "clip_value": math.inf}),
+    ("clip.r", {"clip_variant": "cowclip", "clip_r": math.inf}),
+    ("clip.zeta", {"clip_variant": "cowclip", "clip_zeta": math.inf}),
 ]
 
 
@@ -589,19 +596,18 @@ class TestCli:
         assert payload["l2"] == pytest.approx(1.28e-2)
         assert payload["lr_embed"] == 1e-4
 
-    @pytest.mark.parametrize("variant,mode,clip_json,clip_text", [
-        ("global", "sqrt", {"variant": "global", "value": 25 * math.sqrt(8), "r": None,
-                            "zeta": None}, "global value 70.7107"),
-        ("global", "linear", {"variant": "global", "value": 200.0, "r": None, "zeta": None},
-         "global value 200"),
+    @pytest.mark.parametrize("variant,clip_json,clip_text", [
+        # A constant threshold grows by sqrt(s).
+        ("global", {"variant": "global", "value": 25 * math.sqrt(8), "r": None, "zeta": None},
+         "global value 70.7107"),
         # An adaptive threshold follows the weights, so s leaves it alone.
-        ("cowclip", "sqrt", {"variant": "cowclip", "value": None, "r": 1.0, "zeta": 1e-4},
+        ("cowclip", {"variant": "cowclip", "value": None, "r": 1.0, "zeta": 1e-4},
          "cowclip r 1 zeta 0.0001"),
-        ("none", "sqrt", {"variant": "none", "value": None, "r": None, "zeta": None}, "none"),
-    ], ids=["global-sqrt", "global-linear", "cowclip-sqrt", "none-sqrt"])
-    def test_scale_clip_mode(self, tmp_path, capsys, variant, mode, clip_json, clip_text):
+        ("none", {"variant": "none", "value": None, "r": None, "zeta": None}, "none"),
+    ], ids=["global", "cowclip", "none"])
+    def test_scale_prints_the_applied_clip(self, tmp_path, capsys, variant, clip_json, clip_text):
         cfg = ExperimentConfig(rule="cowclip", base_batch=1024, batch_size=8192,
-                               clip_variant=variant, clip_mode=mode)
+                               clip_variant=variant)
         assert cli.main(["scale", "--config", _write_config(tmp_path / "s.cfg", cfg)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[-2].endswith(f"  {clip_text}")
@@ -675,8 +681,10 @@ class TestCli:
          "categorical ids must be integers, got dtype float64"),
         ("analyze-freq", ["data.source={empty}"], "data.source '.*empty.tsv' yielded 0 rows"),
         ("scale", None, "No such file or directory"),
+        ("train", ["opt.lr_embed=inf"], "opt.lr_embed must be > 0 and finite, got inf"),
     ], ids=["train-bad-key", "train-missing-config", "train-empty-tsv", "train-dense-only-npz",
-            "train-float-ids-npz", "analyze-freq-empty-tsv", "scale-missing-config"])
+            "train-float-ids-npz", "analyze-freq-empty-tsv", "scale-missing-config",
+            "train-infinite-lr"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, command, lines, message):
         cfg_path = tmp_path / "exp.cfg"
         if lines is not None:

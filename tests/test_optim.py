@@ -275,7 +275,7 @@ def _blocks(sparse):
 
 
 def _assert_blocks_unchanged(sparse, before):
-    # With l2=0 the lazy Adam step works on grad_block itself, not a copy.
+    # A step reads the gradient's blocks and never writes them.
     for now, then in zip((sparse.grad_block, sparse.row_block, sparse.count_block), before):
         assert np.array_equal(now, then)
 
@@ -328,28 +328,39 @@ class TestInPlaceMatchesReference:
         assert not state.col_t_block.any()
 
 
-def test_lazy_adam_step_is_o_touched():
-    # A 1M x 8 table: a step that copied or swept it would allocate 64 MB.
-    # k is what one field of a b=1024 batch touches at most.
+def _million_row_table():
+    """A 1M x 8 table, its fresh state and a gradient touching k of its ids:
+    a step that copied or swept the table at once would allocate 64 MB.  k
+    is what one field of a b=1024 batch touches at most."""
     vocab, dim, k = 1_000_000, 8, 1024
     fields = (FieldSchema("c", CATEGORICAL, vocab),)
     table = init_table(fields, dim, init_sigma=0.1, seed=1)
-    # np.zeros and np.empty map their pages lazily, so the untouched moments
-    # and the dense-mode scratch cost no memory.
+    # np.zeros maps its pages lazily, so the untouched moments cost no memory.
     state = EmbedAdamState.init(table)
     rng = np.random.default_rng(2)
     ids = np.sort(rng.choice(vocab, size=k, replace=False)).astype(np.int64)
     sparse = sparse_gradient(table, [ids], [rng.normal(size=(k, dim))], [np.ones(k, dtype=np.int64)])
-    before = table.block.copy()
+    return table, state, sparse, ids
 
+
+def _traced_peak(step) -> int:
+    """The peak of the bytes that step() allocates, as tracemalloc sees them."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        adam_sparse_step(state, table, sparse, 0.01, 1e-3, dense_l2=False)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        step()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+
+
+def test_lazy_adam_step_is_o_touched():
+    table, state, sparse, ids = _million_row_table()
+    vocab = len(table.block)
+    before = table.block.copy()
+
+    assert _traced_peak(lambda: adam_sparse_step(state, table, sparse, 0.01, 1e-3,
+                                                 dense_l2=False)) < 2**20
 
     untouched = np.ones(vocab, dtype=bool)
     untouched[ids] = False
@@ -361,6 +372,17 @@ def test_lazy_adam_step_is_o_touched():
         assert not np.any(moment[untouched].view(np.int64))
     assert np.array_equal(np.flatnonzero(state.col_t_block), ids)
     assert np.all(state.col_t_block[ids] == 1)
+
+
+def test_dense_adam_step_allocates_a_few_slices():
+    # The dense-mode pass works in buffers of one DENSE_CHUNK_BYTES slice.
+    # This step is a flush step, so it allocates the flush mask too.
+    table, state, sparse, _ = _million_row_table()
+    state.t = optim.FLUSH_EVERY - 1
+
+    assert _traced_peak(lambda: adam_sparse_step(state, table, sparse, 0.01, 1e-3,
+                                                 dense_l2=True)) < 2**20
+    assert state.t % optim.FLUSH_EVERY == 0
 
 
 class TestWarmup:

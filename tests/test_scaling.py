@@ -13,7 +13,6 @@ from ctrlab.scaling import (
     SQRT_SCHEDULE,
     BaseHyperparams,
     QuadraticProblem,
-    clip_value_scale,
     estimate_update_covariance,
     expected_update_frequency_check,
     plan_for_batch,
@@ -147,23 +146,6 @@ class TestAlgebra:
             cow_plan = scale("cowclip", BASE, s)
             assert cow_plan.eta_embed * cow_plan.l2 == pytest.approx(
                 s * BASE.eta_embed * BASE.l2, rel=1e-14)
-
-
-class TestClipValueScale:
-    def test_cases(self):
-        assert clip_value_scale(5.0, 1.0, "sqrt") == 5.0
-        assert clip_value_scale(5.0, 4.0, "sqrt") == 10.0
-        assert clip_value_scale(5.0, 8.0, "linear") == 40.0
-        with pytest.raises(ValueError):
-            clip_value_scale(5.0, 2.0, "log")
-        with pytest.raises(ValueError):
-            clip_value_scale(0.0, 2.0, "sqrt")
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError, match="base_clip"):
-            clip_value_scale(float("nan"), 2.0, "sqrt")
-        with pytest.raises(ValueError, match="batch factor"):
-            clip_value_scale(5.0, float("nan"), "sqrt")
 
 
 class TestUpdateCovariance:
