@@ -261,7 +261,7 @@ _BYTE_MASKS = np.array([(1 << (8 * r)) - 1 for r in range(9)], dtype=np.uint64)
 _COLUMN_GROUPS = np.array([0] + [1] * N_CRITEO_DENSE + list(range(2, N_CRITEO_CATEGORICAL + 2)))
 
 
-def load_criteo_tsv(path, max_rows: int | None = None) -> Dataset:
+def load_criteo_tsv(path) -> Dataset:
     r"""Parse the 40-column tab-separated ad-click format.
 
     Columns: label, 13 number-or-empty dense fields, 26 categorical tokens
@@ -273,10 +273,10 @@ def load_criteo_tsv(path, max_rows: int | None = None) -> Dataset:
     fixed file.
 
     The file must be UTF-8.  A line ends at "\n"; a "\r" before it stays in
-    the last token, and a "\r" anywhere else is a token byte too.  Only the
-    first max_rows rows are read and checked.  The first malformed row in file
-    order raises CriteoParseError; within a row the column count is checked
-    first, then the label, then the dense values from left to right.
+    the last token, and a "\r" anywhere else is a token byte too.  The first
+    malformed row in file order raises CriteoParseError; within a row the
+    column count is checked first, then the label, then the dense values from
+    left to right.
 
     The file is parsed in blocks of whole lines of about CHUNK_BYTES with
     array operations: one sort per block finds its distinct tokens, float()
@@ -286,8 +286,6 @@ def load_criteo_tsv(path, max_rows: int | None = None) -> Dataset:
     reads about 133k rows/s of a Criteo-like file, where the row-by-row loop
     it replaced read about 50k.
     """
-    if max_rows is not None and max_rows < 1:
-        raise ValueError(f"max_rows must be >= 1 or None, got {max_rows}")
     # Flat typed columns in the dataset's dtypes, not a list per row: 4 bytes
     # a value instead of a Python object each, and neither numpy nor Dataset
     # makes a copy of them.
@@ -295,12 +293,9 @@ def load_criteo_tsv(path, max_rows: int | None = None) -> Dataset:
     vocab = _Vocabulary()
     with open(path, "rb") as fh:
         for block in _line_blocks(fh):
-            limit = None if max_rows is None else max_rows - len(labels)
-            parsed = _parse_block(block, len(labels), limit, vocab)
+            parsed = _parse_block(block, len(labels), vocab)
             for column, values in zip((labels, dense, categorical), parsed):
                 column.frombytes(values.view(np.uint8))
-            if len(labels) == max_rows:
-                break
     schema = tuple(
         FieldSchema(f"I{i + 1}", DENSE) for i in range(N_CRITEO_DENSE)
     ) + tuple(
@@ -334,15 +329,14 @@ def _line_blocks(fh) -> Iterator[bytes]:
 
 
 def _parse_block(
-    block: bytes, rows_before: int, limit: int | None, vocab: _Vocabulary
+    block: bytes, rows_before: int, vocab: _Vocabulary
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Labels, transformed dense values and categorical ids of the block's
-    first limit lines (all of them if limit is None), in the dataset's dtypes."""
+    lines, in the dataset's dtypes."""
     data = np.frombuffer(block, dtype=np.uint8)
     line_end = np.flatnonzero(data == ord("\n"))
     if not block.endswith(b"\n"):
         line_end = np.append(line_end, len(block))
-    line_end = line_end[:limit]
     # A file that is not UTF-8 fails here, as it did in text mode.
     str(memoryview(block)[: line_end[-1]], "utf-8")
     line_start = np.concatenate(([0], line_end[:-1] + 1))

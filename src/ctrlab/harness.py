@@ -81,7 +81,6 @@ class ExperimentConfig:
     click_strength: float = _key("data.click_strength", 1.0, _FINITE, synthetic=True)
     top_k: int = _key("data.top_k", 0, _FINITE_NONNEGATIVE)  # 0 disables the top-k id collapse
     split: float = _key("data.split", 0.9, (lambda v: 0 < v < 1, "strictly between 0 and 1"))
-    max_rows: int | None = _key("data.max_rows", None, _at_least(1))
     # model
     model_kind: str = _key("model.kind", "deepfm", _one_of(models.MODEL_KINDS))
     hidden: tuple[int, ...] = _key("model.hidden", (400, 400, 400), _at_least(1))
@@ -259,7 +258,7 @@ def build_dataset(config: ExperimentConfig, seed: int) -> Dataset:
     elif config.source.endswith(".npz"):
         ds, _ = load_dataset(config.source)
     else:
-        ds = load_criteo_tsv(config.source, max_rows=config.max_rows)
+        ds = load_criteo_tsv(config.source)
     if ds.n_samples == 0:
         raise ValueError(f"data.source {config.source!r} yielded 0 rows")
     if config.top_k >= 1:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,23 +17,14 @@ class UndefinedMetricError(ValueError):
     """AUC needs at least one positive and one negative label."""
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties averaged (Mann–Whitney convention), via a stable sort."""
-    n = len(values)
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    boundaries = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1])
-    starts = np.concatenate(([0], boundaries + 1))
-    ends = np.concatenate((boundaries, [n - 1]))
-    group_rank = (starts + ends) / 2.0 + 1.0
-    sizes = ends - starts + 1
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(group_rank, sizes)
-    return ranks
-
-
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Probability a random positive outranks a random negative; ties count 1/2."""
+    """Probability a random positive outscores a random negative; ties count 1/2.
+
+    Counted over all pairs: with the negatives' scores sorted, a binary search
+    per positive finds the negatives it beats ("left") and those it beats or
+    ties ("right"), so each tie adds 1/2 to their mean.  A NaN score, such as
+    a diverged model's, makes the AUC NaN; ±inf are ordered values.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
@@ -42,9 +34,12 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC undefined without both label classes")
-    ranks = _average_ranks(scores)
-    rank_sum = float(ranks[pos].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    if np.isnan(scores).any():
+        return math.nan
+    neg, pos_scores = np.sort(scores[~pos]), scores[pos]
+    beats = int(np.searchsorted(neg, pos_scores, "left").sum())
+    beats_or_ties = int(np.searchsorted(neg, pos_scores, "right").sum())
+    return (beats + beats_or_ties) / (2 * n_pos * n_neg)
 
 
 def logloss(probabilities: np.ndarray, labels: np.ndarray) -> float:

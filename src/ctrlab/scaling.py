@@ -38,9 +38,11 @@ class BaseHyperparams:
     l2: float = 1e-4
 
     def __post_init__(self):
-        # `not x > 0` also rejects NaN, for which every comparison is false.
-        if self.base_batch < 1 or not all(x > 0 for x in (self.eta_dense, self.eta_embed, self.l2)):
-            raise ValueError("base hyperparameters must be positive")
+        # The comparisons also reject NaN, for which every comparison is false.
+        if self.base_batch < 1 or not all(
+            0 < x < math.inf for x in (self.eta_dense, self.eta_embed, self.l2)
+        ):
+            raise ValueError("base hyperparameters must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,8 @@ class ScalingPlan:
 
 def scale(rule: str, base: BaseHyperparams, s: float) -> ScalingPlan:
     """Apply one scaling rule for batch factor s (target batch / base batch)."""
-    if not s > 0:
-        raise ValueError("batch factor s must be > 0")
+    if not 0 < s < math.inf:
+        raise ValueError("batch factor s must be > 0 and finite")
     if rule == "none":
         eta_d, eta_e, l2 = base.eta_dense, base.eta_embed, base.l2
     elif rule == "sqrt":

@@ -51,7 +51,7 @@ def _random_criteo_rows(n, seed):
     return rows
 
 
-def reference_load_criteo_tsv(path, max_rows=None) -> Dataset:
+def reference_load_criteo_tsv(path) -> Dataset:
     """Row-at-a-time oracle for load_criteo_tsv: the loader's earlier
     implementation, plus its rejection of non-finite dense values.
 
@@ -62,8 +62,6 @@ def reference_load_criteo_tsv(path, max_rows=None) -> Dataset:
     vocab: list[dict[str, int]] = [dict() for _ in range(N_CRITEO_CATEGORICAL)]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row_number, line in enumerate(fh, start=1):
-            if max_rows is not None and len(labels) >= max_rows:
-                break
             cols = line.rstrip("\n").split("\t")
             if len(cols) != 1 + N_CRITEO_DENSE + N_CRITEO_CATEGORICAL:
                 raise CriteoParseError(row_number, f"expected 40 columns, got {len(cols)}")
@@ -127,22 +125,14 @@ def _tsv_bytes(rows, newline, final_newline) -> bytes:
     return (text + newline if rows and final_newline else text).encode("utf-8")
 
 
-def _first_block_rows(raw: bytes, chunk: int) -> int:
-    """Rows in the first block of whole lines read in chunk-byte steps."""
-    end = chunk
-    while b"\n" not in raw[:end] and end < len(raw):
-        end += chunk
-    return max(1, raw[:end].count(b"\n"))
-
-
-def _parse_both(path, max_rows, chunk):
+def _parse_both(path, chunk):
     """(outcome of load_criteo_tsv, outcome of the oracle): a Dataset or the
     CriteoParseError raised."""
     outcomes = []
     for load in (load_criteo_tsv, reference_load_criteo_tsv):
         try:
             with mock.patch.object(data_module, "CHUNK_BYTES", chunk):
-                outcomes.append(load(path, max_rows=max_rows))
+                outcomes.append(load(path))
         except CriteoParseError as e:
             outcomes.append(e)
     return outcomes
@@ -213,12 +203,6 @@ class TestCriteoLoader:
         for j in range(ds.n_categorical):
             assert freq.counts[j].sum() == n
 
-    def test_max_rows(self, tmp_path):
-        path = tmp_path / "big.tsv"
-        _write_tsv(path, _random_criteo_rows(50, 7))
-        ds = load_criteo_tsv(path, max_rows=10)
-        assert ds.n_samples == 10
-
     def test_roundtrip_via_container(self, tmp_path):
         path = tmp_path / "data.tsv"
         _write_tsv(path, _random_criteo_rows(200, 3))
@@ -242,13 +226,6 @@ class TestCriteoLoader:
         assert exc.value.row_number == 2
         assert str(exc.value) == f"row 2: bad dense value {raw!r}"
 
-    @pytest.mark.parametrize("max_rows", [0, -3])
-    def test_bad_max_rows_rejected(self, tmp_path, max_rows):
-        path = tmp_path / "data.tsv"
-        _write_tsv(path, _random_criteo_rows(2, 0))
-        with pytest.raises(ValueError, match="max_rows"):
-            load_criteo_tsv(path, max_rows=max_rows)
-
     def test_lone_carriage_return_is_a_token_byte(self, tmp_path):
         row = ["1"] + ["2"] * 13 + ["a\rb"] + ["t"] * 25
         path = tmp_path / "cr.tsv"
@@ -263,16 +240,11 @@ class TestCriteoLoader:
         st.sampled_from(["\n", "\r\n"]),
         st.booleans(),
         st.sampled_from(_CHUNK_BYTES),
-        st.sampled_from(["none", "one", "block", "past"]),
     )
-    def test_matches_row_oracle(self, tmp_path_factory, rows, newline, final_newline, chunk, cap):
-        raw = _tsv_bytes(rows, newline, final_newline)
+    def test_matches_row_oracle(self, tmp_path_factory, rows, newline, final_newline, chunk):
         path = tmp_path_factory.getbasetemp() / "oracle.tsv"
-        path.write_bytes(raw)
-        max_rows = {
-            "none": None, "one": 1, "block": _first_block_rows(raw, chunk), "past": len(rows) + 3,
-        }[cap]
-        got, want = _parse_both(path, max_rows, chunk)
+        path.write_bytes(_tsv_bytes(rows, newline, final_newline))
+        got, want = _parse_both(path, chunk)
         _assert_same_arrays(got, want)
 
     @settings(deadline=None, max_examples=150)
@@ -289,9 +261,8 @@ class TestCriteoLoader:
             max_size=3,
         ),
         st.sampled_from(_CHUNK_BYTES),
-        st.sampled_from([None, 1, 5, 12]),
     )
-    def test_errors_match_row_oracle(self, tmp_path_factory, rows, faults, chunk, max_rows):
+    def test_errors_match_row_oracle(self, tmp_path_factory, rows, faults, chunk):
         """The first bad row wins, whatever blocks the faults fall in; within
         a row the column count goes first, then the label, then the dense
         values from left to right."""
@@ -308,7 +279,7 @@ class TestCriteoLoader:
                 row[column] = ["nan", "inf", "-inf", "1e999"][at % 4]
         path = tmp_path_factory.getbasetemp() / "faults.tsv"
         path.write_bytes(_tsv_bytes(rows, "\n", True))
-        got, want = _parse_both(path, max_rows, chunk)
+        got, want = _parse_both(path, chunk)
         if isinstance(want, CriteoParseError):
             assert isinstance(got, CriteoParseError)
             assert (got.row_number, str(got)) == (want.row_number, str(want))
@@ -358,7 +329,7 @@ class TestCriteoLoader:
         path = tmp_path / "data.tsv"
         _write_tsv(path, _random_criteo_rows(300, 4))
         with mock.patch.object(data_module, "_mix", lambda z: z & np.uint64(1)):
-            got, want = _parse_both(path, None, 1000)
+            got, want = _parse_both(path, 1000)
         _assert_same_arrays(got, want)
 
     def test_memory_is_bounded_by_the_chunk(self, tmp_path):

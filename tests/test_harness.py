@@ -84,8 +84,8 @@ BAD_CONFIGS = [
     ("data.n_dense", {"n_dense": -1}),
     ("data.n_categorical", {"n_categorical": -1}),
     ("opt.warmup_epochs", {"warmup_epochs": -1.0}),
-    ("data.max_rows", {"max_rows": 0}),
-    ("data.max_rows", {"max_rows": -3}),
+    ("opt.warmup_epochs", {"warmup_epochs": math.inf}),
+    ("data.top_k", {"top_k": math.inf}),
     ("model.init_sigma", {"init_sigma": 0.0}),
     ("model.init_sigma", {"init_sigma": -1.0}),
     ("model.init_sigma", {"init_sigma": math.nan}),
@@ -348,6 +348,12 @@ class TestTrain:
         assert len(applied) == 1
         # The diverged epoch records the steps applied, not the epoch's length.
         assert sum(e.steps for e in rec.epochs) == len(applied)
+        # The diverged model's probabilities are NaN, so they rank nothing:
+        # its AUC is NaN, as its logloss is, and the JSON record says null.
+        last = rec.epochs[-1]
+        assert math.isnan(last.test_logloss) and math.isnan(last.test_auc)
+        payload = json.loads(strict_json(rec.to_dict()), parse_constant=_reject_constant)
+        assert payload["epochs"][-1]["test_auc"] is None
 
     @pytest.mark.parametrize("epochs,diverged", [(2, False), (3, True), (4, True)])
     def test_three_epochs_far_above_initial_loss_diverge(self, epochs, diverged):

@@ -31,12 +31,14 @@ class TestAuc:
 
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(0)
-        for trial in range(100):
+        for trial in range(150):
             n = int(rng.integers(2, 1000))
             labels = rng.integers(0, 2, size=n)
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
-            if trial % 2:
+            if trial >= 100:  # infinities are ordered values, and tie
+                scores = rng.choice([-math.inf, -1.0, 0.0, 1.0, math.inf], size=n)
+            elif trial % 2:
                 scores = rng.choice([0.1, 0.2, 0.3], size=n)  # tie-heavy
             else:
                 scores = rng.normal(size=n)
@@ -57,6 +59,15 @@ class TestAuc:
             labels = rng.integers(0, 2, size=50)
             labels[0], labels[1] = 0, 1
             assert auc(scores, labels) + auc(-scores, labels) == 1.0
+
+    @pytest.mark.parametrize("scores", [
+        [0.1, math.nan, 0.3, 0.9],
+        [0.5, 0.5, math.nan, 0.5],  # with ties
+        [math.nan] * 4,
+    ])
+    def test_nan_score_makes_auc_nan(self, scores):
+        # A diverged model's probabilities carry no ranking.
+        assert math.isnan(auc(np.array(scores), np.array([0, 1, 0, 1])))
 
     def test_undefined_without_both_classes(self):
         with pytest.raises(UndefinedMetricError):

@@ -72,6 +72,17 @@ class TestRuleExactness:
         with pytest.raises(ValueError, match="must be positive"):
             BaseHyperparams(1024, **values)
 
+    @pytest.mark.parametrize("rule", ["sqrt", "cowclip"])
+    def test_infinite_batch_factor_rejected(self, rule):
+        with pytest.raises(ValueError, match="batch factor"):
+            scale(rule, BASE, math.inf)
+
+    @pytest.mark.parametrize("name", ["eta_dense", "eta_embed", "l2"])
+    def test_infinite_base_hyperparameter_rejected(self, name):
+        values = {"eta_dense": 1e-4, "eta_embed": 1e-4, "l2": 1e-4, name: math.inf}
+        with pytest.raises(ValueError, match="must be positive"):
+            BaseHyperparams(1024, **values)
+
 
 class TestSchedules:
     def test_sqrt_schedule_cells(self):
