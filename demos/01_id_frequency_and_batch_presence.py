@@ -42,7 +42,7 @@ print("grows linearly with b, which is why embedding learning rates must not")
 print("be scaled with the batch size.")
 
 # Monte Carlo cross-check on the dataset itself, for the most frequent id
-p_head = freq.probabilities(0).max()
+p_head = freq.counts[0].max() / freq.total_samples
 head_id = int(np.argmax(freq.counts[0]))
 hits = 0
 n_batches = 2000

@@ -12,13 +12,13 @@ Usage: python demos/02_clipping_variants.py
 import numpy as np
 
 from ctrlab.clip import ClipConfig, apply_clip, cowclip
-from ctrlab.data import CATEGORICAL, FieldSchema
+from ctrlab.data import FieldSchema
 from ctrlab.embedding import SparseGradient, init_table
 
 rng = np.random.default_rng(0)
 vocab, dim, touched = 1000, 10, 64
 
-table = init_table((FieldSchema("items", CATEGORICAL, vocab),), dim,
+table = init_table((FieldSchema("items", vocab),), dim,
                    init_sigma=1e-2, seed=0)
 # let some ids "mature": large weights for a handful of frequent ids
 table.block[:8] *= 40.0

@@ -11,11 +11,11 @@ Usage: python demos/06_models_and_gradients.py
 import numpy as np
 
 from ctrlab import grad_check, init_model, init_table, model_forward
-from ctrlab.data import CATEGORICAL, Batch, FieldSchema
+from ctrlab.data import Batch, FieldSchema
 
 rng = np.random.default_rng(0)
 vocabs = [6, 6, 6]
-fields = tuple(FieldSchema(f"c{j}", CATEGORICAL, v) for j, v in enumerate(vocabs))
+fields = tuple(FieldSchema(f"c{j}", v) for j, v in enumerate(vocabs))
 table = init_table(fields, dim=4, init_sigma=0.3, seed=0)
 batch = Batch(
     rng.integers(0, 2, size=4).astype(np.uint8),

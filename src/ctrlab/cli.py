@@ -51,7 +51,7 @@ def _cmd_analyze_freq(args) -> int:
         order = np.argsort(-counts)[:5]
         print(f"field {name}: vocab {len(counts)}")
         for rank, idx in enumerate(order):
-            p = freq.probability(j, idx)
+            p = counts[idx] / freq.total_samples
             exact = batch_presence_probability(p, b, "exact")
             approx = batch_presence_probability(p, b, "approx")
             print(

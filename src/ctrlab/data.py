@@ -1,9 +1,10 @@
 """Datasets for CTR training experiments.
 
-A dataset is a fixed table of (label, dense values, categorical ids) with a
-schema.  Categorical fields select exactly one id per sample, so per-field id
-counts always sum to the number of samples.  Everything here is immutable
-after construction and safe to share between runs.
+A dataset is a fixed table of (label, dense values, categorical ids), with
+one FieldSchema per categorical column.  Categorical fields select exactly
+one id per sample, so per-field id counts always sum to the number of
+samples.  Everything here is immutable after construction and safe to share
+between runs.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-
-DENSE = "dense"
-CATEGORICAL = "categorical"
 
 N_CRITEO_DENSE = 13
 N_CRITEO_CATEGORICAL = 26
@@ -41,14 +39,13 @@ class CriteoParseError(ValueError):
 
 @dataclass(frozen=True)
 class FieldSchema:
+    """One categorical field: its name and its ids 0..vocab_size-1."""
+
     name: str
-    kind: str
-    vocab_size: int = 0  # categorical only; 0 is the degenerate nothing-seen case
+    vocab_size: int  # 0 is the degenerate nothing-seen case
 
     def __post_init__(self):
-        if self.kind not in (DENSE, CATEGORICAL):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind == CATEGORICAL and self.vocab_size < 0:
+        if self.vocab_size < 0:
             raise ValueError("vocab_size must be >= 0")
         if self.vocab_size > MAX_VOCAB_SIZE:
             raise ValueError(
@@ -63,29 +60,30 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable sample table.  Schema lists dense fields first, then categorical.
+    """Immutable sample table.  fields describes the categorical columns, the
+    ones an embedding table is built over; the dense columns are unnamed.
 
     Ids of any integer dtype are stored as ID_DTYPE and the dense features as
     TRAIN_DTYPE; arrays already in those dtypes are kept, not copied.
     """
 
-    schema: tuple[FieldSchema, ...]
+    fields: tuple[FieldSchema, ...]
     labels: np.ndarray        # (N,) uint8 in {0,1}
     dense: np.ndarray         # (N, n_dense) TRAIN_DTYPE
     categorical: np.ndarray   # (N, n_categorical) ID_DTYPE
 
     def __post_init__(self):
-        names = [f.name for f in self.schema]
+        names = [f.name for f in self.fields]
         if len(set(names)) != len(names):
-            raise ValueError("field names must be unique within a schema")
+            raise ValueError("field names must be unique")
         n = len(self.labels)
-        if self.dense.shape != (n, self.n_dense):
-            raise ValueError("dense array shape does not match schema")
+        if self.dense.ndim != 2 or len(self.dense) != n:
+            raise ValueError(f"dense array must have shape ({n}, n_dense), got {self.dense.shape}")
         if self.categorical.shape != (n, self.n_categorical):
-            raise ValueError("categorical array shape does not match schema")
+            raise ValueError("categorical array shape does not match the fields")
         if n and not np.isin(self.labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
-        for j, f in enumerate(self.categorical_fields):
+        for j, f in enumerate(self.fields):
             col = self.categorical[:, j]
             if n and (col.min() < 0 or col.max() >= f.vocab_size):
                 raise ValueError(f"categorical ids out of range for field {f.name!r}")
@@ -101,20 +99,12 @@ class Dataset:
         return len(self.labels)
 
     @property
-    def dense_fields(self) -> tuple[FieldSchema, ...]:
-        return tuple(f for f in self.schema if f.kind == DENSE)
-
-    @property
-    def categorical_fields(self) -> tuple[FieldSchema, ...]:
-        return tuple(f for f in self.schema if f.kind == CATEGORICAL)
-
-    @property
     def n_dense(self) -> int:
-        return len(self.dense_fields)
+        return self.dense.shape[1]
 
     @property
     def n_categorical(self) -> int:
-        return len(self.categorical_fields)
+        return len(self.fields)
 
     def split(self, train_fraction: float) -> tuple["Dataset", "Dataset"]:
         """Deterministic head/tail split (rows are assumed already shuffled).
@@ -124,14 +114,14 @@ class Dataset:
         """
         n_train = int(math.floor(self.n_samples * train_fraction))
         return tuple(
-            Dataset(self.schema, self.labels[rows], self.dense[rows], self.categorical[rows])
+            Dataset(self.fields, self.labels[rows], self.dense[rows], self.categorical[rows])
             for rows in (slice(None, n_train), slice(n_train, None))
         )
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
     return (
-        a.schema == b.schema
+        a.fields == b.fields
         and np.array_equal(a.labels, b.labels)
         and np.array_equal(a.dense, b.dense)
         and np.array_equal(a.categorical, b.categorical)
@@ -153,20 +143,11 @@ class FrequencyTable:
     counts: tuple[np.ndarray, ...]
     total_samples: int
 
-    def count(self, field: int, id_index: int) -> int:
-        return int(self.counts[field][id_index])
-
-    def probability(self, field: int, id_index: int) -> float:
-        return self.counts[field][id_index] / self.total_samples
-
-    def probabilities(self, field: int) -> np.ndarray:
-        return self.counts[field] / self.total_samples
-
 
 def count_frequencies(dataset: Dataset) -> FrequencyTable:
     if dataset.n_samples == 0:
         raise ValueError("cannot count frequencies of an empty dataset")
-    fields = dataset.categorical_fields
+    fields = dataset.fields
     counts = tuple(
         _freeze(np.bincount(dataset.categorical[:, j], minlength=f.vocab_size))
         for j, f in enumerate(fields)
@@ -206,25 +187,24 @@ def top_k_collapse(dataset: Dataset, k: int) -> Dataset:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    fields = dataset.categorical_fields
+    fields = dataset.fields
     if dataset.n_samples == 0 or all(f.vocab_size <= k + 1 for f in fields):
         return dataset
     freq = count_frequencies(dataset)
     new_cols = []
-    new_cat_schema = []
+    new_fields = []
     for j, f in enumerate(fields):
         if f.vocab_size <= k + 1:
             new_cols.append(dataset.categorical[:, j])
-            new_cat_schema.append(f)
+            new_fields.append(f)
             continue
         order = np.lexsort((np.arange(f.vocab_size), -freq.counts[j]))
         mapping = np.full(f.vocab_size, k, dtype=ID_DTYPE)
         mapping[order[:k]] = np.arange(k)
         new_cols.append(mapping[dataset.categorical[:, j]])
-        new_cat_schema.append(FieldSchema(f.name, CATEGORICAL, k + 1))
+        new_fields.append(FieldSchema(f.name, k + 1))
     # The datasets are immutable, so the labels and dense features are shared.
-    schema = dataset.dense_fields + tuple(new_cat_schema)
-    return Dataset(schema, dataset.labels, dataset.dense, np.stack(new_cols, axis=1))
+    return Dataset(tuple(new_fields), dataset.labels, dataset.dense, np.stack(new_cols, axis=1))
 
 
 def make_batches(dataset: Dataset, batch_size: int, seed: int = 0) -> Iterator[Batch]:
@@ -296,15 +276,10 @@ def load_criteo_tsv(path) -> Dataset:
             parsed = _parse_block(block, len(labels), vocab)
             for column, values in zip((labels, dense, categorical), parsed):
                 column.frombytes(values.view(np.uint8))
-    schema = tuple(
-        FieldSchema(f"I{i + 1}", DENSE) for i in range(N_CRITEO_DENSE)
-    ) + tuple(
-        FieldSchema(f"C{j + 1}", CATEGORICAL, int(vocab.sizes[j]))
-        for j in range(N_CRITEO_CATEGORICAL)
-    )
+    fields = tuple(FieldSchema(f"C{j + 1}", int(size)) for j, size in enumerate(vocab.sizes))
     n = len(labels)
     return Dataset(
-        schema,
+        fields,
         np.frombuffer(labels, dtype=np.uint8),
         np.frombuffer(dense, dtype=TRAIN_DTYPE).reshape(n, N_CRITEO_DENSE),
         np.frombuffer(categorical, dtype=ID_DTYPE).reshape(n, N_CRITEO_CATEGORICAL),
@@ -365,7 +340,7 @@ def _parse_block(
     dense_inverse = inverse[:, 1 : 1 + N_CRITEO_DENSE] - dense_lo
 
     values = np.fromiter(map(_dense_value, texts(first[dense_lo:cat_lo])), np.float64)
-    bad_dense = ~np.isfinite(values)[dense_inverse]
+    bad_dense = np.isnan(values)[dense_inverse]
     bad = np.flatnonzero(bad_label | bad_dense.any(axis=1))
     if len(bad):
         r = int(bad[0])
@@ -377,25 +352,26 @@ def _parse_block(
         raise CriteoParseError(
             rows_before + k + 1, f"expected {_N_COLUMNS} columns, got {n_columns[k]}"
         )
-    # Computed in float64 and rounded once, as Dataset would round it.
-    dense_values = np.array([math.log1p(max(v, 0.0)) for v in values.tolist()], TRAIN_DTYPE)
 
     cat = first[cat_lo:]
     field = first_group[cat_lo:] - 2
     ids = vocab.ids_of(field, length[cat], np.take(words, cat, axis=1), cat).astype(ID_DTYPE)
     return (
         label,
-        dense_values[dense_inverse.ravel()],
+        # Computed in float64 and rounded once, as Dataset would round it.
+        values.astype(TRAIN_DTYPE)[dense_inverse.ravel()],
         ids[inverse[:, 1 + N_CRITEO_DENSE :].ravel() - cat_lo],
     )
 
 
 def _dense_value(token: bytes) -> float:
-    """float() of a dense token, 0.0 if it is empty, nan if it is no number."""
+    """ln(1 + max(v, 0)) of a dense token's float() value v, with v = 0.0 for
+    an empty token; nan if v is no finite number."""
     try:
-        return float(token.decode()) if token else 0.0
+        v = float(token.decode()) if token else 0.0
     except ValueError:
         return math.nan
+    return math.log1p(max(v, 0.0)) if math.isfinite(v) else math.nan
 
 
 def _token_words(block: bytes, start: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -590,12 +566,8 @@ def generate_synthetic(
     prob = 1.0 / (1.0 + np.exp(-score))
     labels = (rng.random(n_samples) < prob).astype(np.uint8)
 
-    schema = tuple(
-        FieldSchema(f"dense_{i}", DENSE) for i in range(spec.n_dense)
-    ) + tuple(
-        FieldSchema(f"cat_{j}", CATEGORICAL, v) for j, v in enumerate(vocabs)
-    )
-    return Dataset(schema, labels, dense, categorical)
+    fields = tuple(FieldSchema(f"cat_{j}", v) for j, v in enumerate(vocabs))
+    return Dataset(fields, labels, dense, categorical)
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +593,7 @@ def load_npz(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 def save_dataset(path, dataset: Dataset, meta: dict | None = None) -> None:
     header = {
-        "schema": [
-            {"name": f.name, "kind": f.kind, "vocab_size": f.vocab_size}
-            for f in dataset.schema
-        ],
+        "schema": [{"name": f.name, "vocab_size": f.vocab_size} for f in dataset.fields],
         "meta": meta or {},
     }
     arrays = {
@@ -638,7 +607,7 @@ def load_dataset(path) -> tuple[Dataset, dict]:
     for key in ("schema", "meta"):
         if key not in header:
             raise ValueError(f"dataset header has no key {key!r}")
-    schema = tuple(
-        FieldSchema(f["name"], f["kind"], f["vocab_size"]) for f in header["schema"]
-    )
-    return Dataset(schema, z["labels"], z["dense"], z["categorical"]), header["meta"]
+    # Older files also list the dense columns, as entries of kind "dense".
+    fields = tuple(FieldSchema(f["name"], f["vocab_size"]) for f in header["schema"]
+                   if f.get("kind") != "dense")
+    return Dataset(fields, z["labels"], z["dense"], z["categorical"]), header["meta"]

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import CATEGORICAL, TRAIN_DTYPE, Batch, FieldSchema
+from .data import TRAIN_DTYPE, Batch, FieldSchema
 
 
 def field_offsets(fields: tuple[FieldSchema, ...]) -> np.ndarray:
@@ -142,8 +142,6 @@ def init_table(
     The draws are float64 and are rounded to dtype as they are stored.
     """
     fields = tuple(fields)
-    if any(f.kind != CATEGORICAL for f in fields):
-        raise ValueError("embedding tables are built over categorical fields only")
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if not init_sigma > 0:

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import clip, metrics, models, optim, scaling
 from .data import (
-    CATEGORICAL,
     MAX_VOCAB_SIZE,
     Batch,
     Dataset,
@@ -228,8 +227,11 @@ class RunRecord:
 
 
 def record_fingerprint(record: RunRecord) -> dict:
-    """Everything in a record except wall-clock, for determinism comparisons."""
+    """Everything in a record except wall-clock time and the config, for
+    determinism comparisons: those compare runs of one config, so a renamed
+    or removed config key must not move the fingerprint."""
     d = record.to_dict()
+    del d["config"]
     d["epochs"] = [{k: v for k, v in e.items() if k != "seconds"} for e in d["epochs"]]
     return d
 
@@ -344,9 +346,7 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     table_ss, params_ss = init_ss.spawn(2)
     table_seed = int(table_ss.generate_state(1)[0])
     params_seed = int(params_ss.generate_state(1)[0])
-    embed = init_table(
-        train_ds.categorical_fields, config.embed_dim, config.resolved_init_sigma(), table_seed
-    )
+    embed = init_table(train_ds.fields, config.embed_dim, config.resolved_init_sigma(), table_seed)
     model = init_model(
         config.model_kind, embed, train_ds.n_dense, hidden=config.hidden, seed=params_seed
     )
@@ -530,7 +530,7 @@ class GradCheckReport:
 
 def _tiny_setup(kind: str, rng: np.random.Generator):
     n_fields, vocab, dim, n_dense, b = 3, 5, 3, 2, 6
-    fields = tuple(FieldSchema(f"c{j}", CATEGORICAL, vocab) for j in range(n_fields))
+    fields = tuple(FieldSchema(f"c{j}", vocab) for j in range(n_fields))
     embed = init_table(fields, dim, init_sigma=0.4, seed=rng.integers(2**32), dtype=np.float64)
     model = init_model(kind, embed, n_dense, hidden=(8, 6), cross_depth=2,
                        seed=rng.integers(2**32))

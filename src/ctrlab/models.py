@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .data import CATEGORICAL, Batch, FieldSchema, load_npz, save_npz
+from .data import Batch, FieldSchema, load_npz, save_npz
 from .embedding import (
     TRAIN_DTYPE,
     EmbeddingTable,
@@ -58,14 +58,14 @@ FIRST_ORDER_KINDS = ("wd", "deepfm")  # heads with a logistic-regression term
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, in float64 whatever x's dtype."""
+    """Elementwise logistic function, in float64 whatever x's dtype.
+
+    With e = exp(-|x|), which never overflows, it is 1 / (1 + e) for x >= 0
+    and e / (1 + e) below.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,7 +409,7 @@ def load_checkpoint(path) -> Model:
     for key in ("kind", "fields", "dim", "n_dense", "hidden", "cross_depth"):
         if key not in header:
             raise ValueError(f"checkpoint header has no key {key!r}")
-    fields = tuple(FieldSchema(f["name"], CATEGORICAL, f["vocab_size"]) for f in header["fields"])
+    fields = tuple(FieldSchema(f["name"], f["vocab_size"]) for f in header["fields"])
     dim = header["dim"]
     embed = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim), TRAIN_DTYPE))
     model = init_model(header["kind"], embed, header["n_dense"],

@@ -17,7 +17,7 @@ from ctrlab import harness, scaling
 from ctrlab.clip import cowclip
 from ctrlab.data import datasets_equal
 from ctrlab.embedding import SparseGradient, init_table
-from ctrlab.data import CATEGORICAL, FieldSchema
+from ctrlab.data import FieldSchema
 from ctrlab.metrics import auc
 
 
@@ -60,7 +60,7 @@ def test_c03_cowclip_contract():
     ok = True
     for r, zeta in ((1.0, 1e-5), (1.0, 1e-4), (0.3, 1e-3), (5.0, 1e-4)):
         n, dim = 2500, 10
-        fields = (FieldSchema("c", CATEGORICAL, n),)
+        fields = (FieldSchema("c", n),)
         table = init_table(fields, dim, init_sigma=1.0, seed=int(r * 1000))
         table.block[...] *= rng.lognormal(0.0, 2.0, size=(n, 1))  # wide norm range
         grads = rng.normal(size=(n, dim)) * rng.lognormal(0.0, 2.0, size=(n, 1))

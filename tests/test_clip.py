@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrlab.clip import ClipConfig, apply_clip, cowclip
-from ctrlab.data import CATEGORICAL, FieldSchema
+from ctrlab.data import FieldSchema
 from ctrlab.embedding import init_table
 from ctrlab.harness import ExperimentConfig, _clip_config
 
@@ -15,7 +15,7 @@ from conftest import sparse_gradient
 
 def _table(vocabs, dim=4, sigma=0.1, seed=0):
     # float64, since the tests hold the clip to float64 hand values and bounds
-    fields = tuple(FieldSchema(f"c{j}", CATEGORICAL, v) for j, v in enumerate(vocabs))
+    fields = tuple(FieldSchema(f"c{j}", v) for j, v in enumerate(vocabs))
     return init_table(fields, dim, init_sigma=sigma, seed=seed, dtype=np.float64)
 
 

@@ -1,6 +1,7 @@
 """Dataset construction, ingestion, frequency statistics, and batching."""
 
 import math
+import re
 import tracemalloc
 from array import array
 from unittest import mock
@@ -12,8 +13,6 @@ from hypothesis import strategies as st
 
 from ctrlab import data as data_module
 from ctrlab.data import (
-    CATEGORICAL,
-    DENSE,
     ID_DTYPE,
     MAX_VOCAB_SIZE,
     N_CRITEO_CATEGORICAL,
@@ -78,15 +77,10 @@ def reference_load_criteo_tsv(path) -> Dataset:
                 dense.append(math.log1p(max(value, 0.0)))
             for j, token in enumerate(cols[1 + N_CRITEO_DENSE :]):
                 categorical.append(vocab[j].setdefault(token, len(vocab[j])))
-    schema = tuple(
-        FieldSchema(f"I{i + 1}", DENSE) for i in range(N_CRITEO_DENSE)
-    ) + tuple(
-        FieldSchema(f"C{j + 1}", CATEGORICAL, len(vocab[j]))
-        for j in range(N_CRITEO_CATEGORICAL)
-    )
+    fields = tuple(FieldSchema(f"C{j + 1}", len(vocab[j])) for j in range(N_CRITEO_CATEGORICAL))
     n = len(labels)
     return Dataset(
-        schema,
+        fields,
         np.frombuffer(labels, dtype=np.uint8),
         np.frombuffer(dense, dtype=np.float64).reshape(n, N_CRITEO_DENSE),
         np.frombuffer(categorical, dtype=np.int64).reshape(n, N_CRITEO_CATEGORICAL),
@@ -139,7 +133,7 @@ def _parse_both(path, chunk):
 
 
 def _assert_same_arrays(got: Dataset, want: Dataset):
-    assert got.schema == want.schema
+    assert got.fields == want.fields
     assert got.labels.tobytes() == want.labels.tobytes()
     assert got.dense.tobytes() == want.dense.tobytes()
     assert got.categorical.dtype == want.categorical.dtype
@@ -168,14 +162,14 @@ class TestCriteoLoader:
         _write_tsv(path, rows)
         ds = load_criteo_tsv(path)
         assert list(ds.categorical[:, 0]) == [0, 1, 0]
-        assert ds.categorical_fields[0].vocab_size == 2
+        assert ds.fields[0].vocab_size == 2
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("")
         ds = load_criteo_tsv(path)
         assert ds.n_samples == 0
-        assert all(f.vocab_size == 0 for f in ds.categorical_fields)
+        assert all(f.vocab_size == 0 for f in ds.fields)
 
     def test_malformed_row_carries_number(self, tmp_path):
         rows = _random_criteo_rows(2, 0)
@@ -395,18 +389,19 @@ class TestSynthetic:
 
 class TestFrequencies:
     def test_definition(self):
-        schema = (FieldSchema("c", CATEGORICAL, 3),)
+        fields = (FieldSchema("c", 3),)
         cat = np.array([[0]] * 5 + [[1]] * 45, dtype=np.int64)
-        ds = Dataset(schema, np.zeros(50, dtype=np.uint8), np.zeros((50, 0)), cat)
+        ds = Dataset(fields, np.zeros(50, dtype=np.uint8), np.zeros((50, 0)), cat)
         freq = count_frequencies(ds)
-        assert freq.count(0, 0) == 5
-        assert freq.probability(0, 0) == 0.1
+        assert freq.counts[0].tolist() == [5, 45, 0]
+        assert freq.total_samples == 50
 
     def test_vocab_one_field_has_prob_one(self):
-        schema = (FieldSchema("c", CATEGORICAL, 1),)
-        ds = Dataset(schema, np.zeros(8, dtype=np.uint8), np.zeros((8, 0)),
+        fields = (FieldSchema("c", 1),)
+        ds = Dataset(fields, np.zeros(8, dtype=np.uint8), np.zeros((8, 0)),
                      np.zeros((8, 1), dtype=np.int64))
-        assert count_frequencies(ds).probability(0, 0) == 1.0
+        freq = count_frequencies(ds)
+        assert freq.counts[0].tolist() == [freq.total_samples] == [8]
 
     def test_counts_sum_to_n_against_recount(self):
         ds = generate_synthetic(SyntheticSpec(n_categorical=3, vocab_sizes=17), 400, seed=2)
@@ -420,8 +415,8 @@ class TestFrequencies:
             assert freq.counts[j].sum() == 400
 
     def test_empty_dataset_rejected(self):
-        schema = (FieldSchema("c", CATEGORICAL, 2),)
-        ds = Dataset(schema, np.zeros(0, dtype=np.uint8), np.zeros((0, 0)),
+        fields = (FieldSchema("c", 2),)
+        ds = Dataset(fields, np.zeros(0, dtype=np.uint8), np.zeros((0, 0)),
                      np.zeros((0, 1), dtype=np.int64))
         with pytest.raises(ValueError):
             count_frequencies(ds)
@@ -460,9 +455,9 @@ class TestBatchPresence:
 
 
 def _tiny_dataset(rng, n, vocabs):
-    schema = tuple(FieldSchema(f"c{j}", CATEGORICAL, v) for j, v in enumerate(vocabs))
+    fields = tuple(FieldSchema(f"c{j}", v) for j, v in enumerate(vocabs))
     cat = np.stack([rng.integers(0, v, size=n) for v in vocabs], axis=1)
-    return Dataset(schema, rng.integers(0, 2, size=n).astype(np.uint8), np.zeros((n, 0)), cat)
+    return Dataset(fields, rng.integers(0, 2, size=n).astype(np.uint8), np.zeros((n, 0)), cat)
 
 
 class TestTopKCollapse:
@@ -474,12 +469,12 @@ class TestTopKCollapse:
     def test_most_frequent_maps_to_zero(self):
         rng = np.random.default_rng(1)
         cat = np.concatenate([np.full(30, 9), rng.integers(0, 9, size=30)])
-        schema = (FieldSchema("c", CATEGORICAL, 10),)
-        ds = Dataset(schema, np.zeros(60, dtype=np.uint8), np.zeros((60, 0)),
+        fields = (FieldSchema("c", 10),)
+        ds = Dataset(fields, np.zeros(60, dtype=np.uint8), np.zeros((60, 0)),
                      cat[:, None].astype(np.int64))
         out = top_k_collapse(ds, 3)
         assert np.all(out.categorical[cat == 9, 0] == 0)
-        assert out.categorical_fields[0].vocab_size == 4
+        assert out.fields[0].vocab_size == 4
 
     def test_zipf_collapse_recount(self):
         ds = generate_synthetic(
@@ -490,10 +485,10 @@ class TestTopKCollapse:
         out = top_k_collapse(ds, 3)
         new = count_frequencies(out)
         for j in range(2):
-            assert out.categorical_fields[j].vocab_size <= 4
+            assert out.fields[j].vocab_size <= 4
             assert new.counts[j].sum() == 20_000
-            kept_old = np.sort(old.probabilities(j))[::-1][:3]
-            assert np.all(new.probabilities(j) >= kept_old.min())
+            kept_old = np.sort(old.counts[j])[::-1][:3]
+            assert np.all(new.counts[j] >= kept_old.min())
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 2**31), st.integers(1, 5))
@@ -508,7 +503,7 @@ class TestTopKCollapse:
     def test_shares_the_arrays_it_keeps(self):
         ds = generate_synthetic(SyntheticSpec(n_dense=2, n_categorical=2, vocab_sizes=[3, 40]), 200, seed=2)
         out = top_k_collapse(ds, 3)
-        assert out.categorical_fields[1].vocab_size == 4
+        assert out.fields[1].vocab_size == 4
         assert np.shares_memory(out.labels, ds.labels) and np.shares_memory(out.dense, ds.dense)
         assert not np.shares_memory(out.categorical, ds.categorical)
         # No field collapses: every array is shared.
@@ -550,7 +545,7 @@ class TestInvariants:
     def test_unique_names_required(self):
         with pytest.raises(ValueError):
             Dataset(
-                (FieldSchema("x", CATEGORICAL, 2), FieldSchema("x", CATEGORICAL, 2)),
+                (FieldSchema("x", 2), FieldSchema("x", 2)),
                 np.zeros(1, dtype=np.uint8), np.zeros((1, 0)),
                 np.zeros((1, 2), dtype=np.int64),
             )
@@ -562,9 +557,9 @@ class TestInvariants:
 
     def test_stored_in_the_training_dtypes(self):
         rng = np.random.default_rng(0)
-        schema = (FieldSchema("d", DENSE), FieldSchema("c", CATEGORICAL, 7))
+        fields = (FieldSchema("c", 7),)
         dense, cat = rng.normal(size=(20, 1)), rng.integers(0, 7, size=(20, 1), dtype=np.uint64)
-        ds = Dataset(schema, np.zeros(20, dtype=np.uint8), dense, cat)
+        ds = Dataset(fields, np.zeros(20, dtype=np.uint8), dense, cat)
         assert ds.dense.dtype == TRAIN_DTYPE and ds.categorical.dtype == ID_DTYPE
         assert np.array_equal(ds.dense, dense.astype(np.float32))
         assert np.array_equal(ds.categorical, cat)
@@ -573,19 +568,26 @@ class TestInvariants:
     def test_non_integer_ids_rejected(self, dtype):
         cat = np.zeros((4, 1), dtype=dtype)
         with pytest.raises(ValueError, match=f"categorical ids must be integers, got dtype {np.dtype(dtype)}"):
-            Dataset((FieldSchema("c", CATEGORICAL, 2),), np.zeros(4, dtype=np.uint8), np.zeros((4, 0)), cat)
+            Dataset((FieldSchema("c", 2),), np.zeros(4, dtype=np.uint8), np.zeros((4, 0)), cat)
 
     def test_vocab_must_fit_the_id_dtype(self):
         assert MAX_VOCAB_SIZE == 2**31
-        FieldSchema("c", CATEGORICAL, MAX_VOCAB_SIZE)
+        FieldSchema("c", MAX_VOCAB_SIZE)
         with pytest.raises(ValueError, match=f"^field 'c9': vocab_size must be <= {2**31}, got {2**31 + 1}$"):
-            FieldSchema("c9", CATEGORICAL, MAX_VOCAB_SIZE + 1)
+            FieldSchema("c9", MAX_VOCAB_SIZE + 1)
+
+    @pytest.mark.parametrize("shape", [(10,), (9, 2), (11, 2), (10, 2, 1)])
+    def test_dense_must_be_2d_with_a_row_per_label(self, shape):
+        cat = np.zeros((10, 1), dtype=ID_DTYPE)
+        message = re.escape(f"dense array must have shape (10, n_dense), got {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset((FieldSchema("c", 1),), np.zeros(10, dtype=np.uint8), np.zeros(shape), cat)
 
     def test_compact_arrays_are_kept(self):
         labels = np.arange(10, dtype=np.uint8) % 2
         dense = np.ones((10, 1), dtype=TRAIN_DTYPE)
         cat = np.arange(10, dtype=ID_DTYPE)[:, None] % 3
-        ds = Dataset((FieldSchema("d", DENSE), FieldSchema("c", CATEGORICAL, 3)), labels, dense, cat)
+        ds = Dataset((FieldSchema("c", 3),), labels, dense, cat)
         assert ds.labels is labels and ds.dense is dense and ds.categorical is cat
 
     def test_split_halves_are_read_only_views(self):
@@ -615,7 +617,7 @@ class TestNpzContainer:
         from ctrlab.harness import ExperimentConfig, build_dataset
         from ctrlab.models import init_model, save_checkpoint
 
-        fields = (FieldSchema("c0", CATEGORICAL, 4),)
+        fields = (FieldSchema("c0", 4),)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, init_model("wd", init_table(fields, 2), 1, hidden=(3,)))
         with pytest.raises(ValueError, match="^dataset header has no key 'schema'$"):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrlab.data import CATEGORICAL, Batch, FieldSchema
+from ctrlab.data import Batch, FieldSchema
 from ctrlab.embedding import (
     TRAIN_DTYPE,
     EmbeddingTable,
@@ -22,7 +22,7 @@ from conftest import sparse_gradient
 
 
 def _fields(*vocabs):
-    return tuple(FieldSchema(f"c{j}", CATEGORICAL, v) for j, v in enumerate(vocabs))
+    return tuple(FieldSchema(f"c{j}", v) for j, v in enumerate(vocabs))
 
 
 def _field_rows(table, j, block=None):

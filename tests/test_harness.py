@@ -12,8 +12,6 @@ import pytest
 from ctrlab import cli, harness, optim, scaling
 from ctrlab.clip import ClipConfig
 from ctrlab.data import (
-    CATEGORICAL,
-    DENSE,
     ID_DTYPE,
     TRAIN_DTYPE,
     Dataset,
@@ -121,22 +119,21 @@ def _reject_constant(name):  # pragma: no cover
 
 
 def _dense_only_npz(path):
-    """A saved dataset whose one field is dense."""
+    """A saved dataset with one dense column and no categorical field."""
     rng = np.random.default_rng(0)
     n = 200
-    save_dataset(path, Dataset((FieldSchema("d0", DENSE),),
-                               (np.arange(n) % 2).astype(np.uint8),
+    save_dataset(path, Dataset((), (np.arange(n) % 2).astype(np.uint8),
                                rng.normal(size=(n, 1)), np.zeros((n, 0), np.int64)))
     return str(path)
 
 
-def _float_ids_npz(path):
-    """A dataset file whose categorical array holds floats.  A Dataset
-    rejects such ids, so the container is written without one."""
+def _raw_npz(path, dense, categorical):
+    """A dataset file of 200 rows with one field of 4 ids, written without a
+    Dataset, so that it can hold arrays a Dataset rejects."""
     n = 200
-    header = {"schema": [{"name": "c0", "kind": CATEGORICAL, "vocab_size": 4}], "meta": {}}
+    header = {"schema": [{"name": "c0", "vocab_size": 4}], "meta": {}}
     save_npz(path, header, {"labels": (np.arange(n) % 2).astype(np.uint8),
-                            "dense": np.zeros((n, 0)), "categorical": np.arange(n)[:, None] % 4.0})
+                            "dense": dense, "categorical": categorical})
     return str(path)
 
 
@@ -225,7 +222,7 @@ class TestDegenerateData:
         n_train = int(ds.n_samples * TINY.split)
         labels = ds.labels.copy()
         labels[n_train:] = 1
-        one_class = Dataset(ds.schema, labels, ds.dense, ds.categorical)
+        one_class = Dataset(ds.fields, labels, ds.dense, ds.categorical)
         monkeypatch.setattr(harness, "init_table", _forbid_init)
         n_test = ds.n_samples - n_train
         with pytest.raises(ValueError, match=f"data.split.*{n_test} positive and 0 negative"):
@@ -248,11 +245,14 @@ class TestDegenerateData:
     def test_wide_dtype_npz_trains_as_the_compact_one(self, tmp_path):
         """A dataset file with int64 ids and float64 dense features, as
         gen-data wrote them before datasets were stored compact, loads in the
-        training dtypes and trains to the same record."""
+        training dtypes and trains to the same record.  Its header is the old
+        one too: every entry has a kind, and the dense columns are listed."""
         ds = harness.build_dataset(TINY, 0)
         dense = np.random.default_rng(1).normal(size=ds.dense.shape)  # float64 with low bits
-        header = {"schema": [{"name": f.name, "kind": f.kind, "vocab_size": f.vocab_size}
-                             for f in ds.schema], "meta": {}}
+        header = {"schema": [{"name": f"dense_{i}", "kind": "dense", "vocab_size": 0}
+                             for i in range(ds.n_dense)]
+                            + [{"name": f.name, "kind": "categorical", "vocab_size": f.vocab_size}
+                               for f in ds.fields], "meta": {}}
         path = tmp_path / "data.npz"
         cfg = replace(TINY, source=str(path), epochs=1)
         fingerprints = []
@@ -261,8 +261,9 @@ class TestDegenerateData:
                 save_npz(path, header, {"labels": ds.labels, "dense": dense,
                                         "categorical": ds.categorical.astype(np.int64)})
             else:
-                save_dataset(path, Dataset(ds.schema, ds.labels, dense, ds.categorical))
+                save_dataset(path, Dataset(ds.fields, ds.labels, dense, ds.categorical))
             loaded, _ = load_dataset(path)
+            assert loaded.fields == ds.fields and loaded.n_dense == ds.n_dense == 2
             assert loaded.dense.dtype == TRAIN_DTYPE and loaded.categorical.dtype == ID_DTYPE
             fingerprints.append(harness.record_fingerprint(train(cfg, seed=0)))
         assert fingerprints[0] == fingerprints[1]
@@ -301,6 +302,14 @@ class TestTrain:
         a = train(TINY, seed=3)
         b = train(TINY, seed=3)
         assert record_fingerprint(a) == record_fingerprint(b)
+
+    def test_fingerprint_leaves_out_config_and_wall_clock(self):
+        rec = train(replace(TINY, epochs=1), seed=3)
+        fingerprint = record_fingerprint(rec)
+        assert "config" not in fingerprint
+        assert all("seconds" not in e for e in fingerprint["epochs"])
+        renamed = replace(rec, config={"renamed.key": 1}, epochs=[replace(rec.epochs[0], seconds=9.0)])
+        assert record_fingerprint(renamed) == fingerprint
 
     def test_seed_changes_outputs(self):
         a = train(TINY, seed=3)
@@ -410,7 +419,7 @@ def test_evaluation_peak_is_under_three_activations():
     # pre-activation and activation.
     n, width = 8192, 400
     ds = generate_synthetic(SyntheticSpec(n_dense=2, n_categorical=6, vocab_sizes=1000), n, seed=0)
-    embed = init_table(ds.categorical_fields, 10, 1e-2, seed=0)
+    embed = init_table(ds.fields, 10, 1e-2, seed=0)
     model = harness.init_model("dcnv2", embed, ds.n_dense, hidden=(width,) * 3, seed=0)
     activation = n * width * embed.block.itemsize
     tracemalloc.start()
@@ -688,16 +697,24 @@ class TestCli:
         ("analyze-freq", ["data.source={empty}"], "data.source '.*empty.tsv' yielded 0 rows"),
         ("scale", None, "No such file or directory"),
         ("train", ["opt.lr_embed=inf"], "opt.lr_embed must be > 0 and finite, got inf"),
+        ("train", ["data.source={dense_1d}", "train.batch_size=16"],
+         r"dense array must have shape \(200, n_dense\), got \(200,\)"),
+        ("train", ["data.source={dense_short}", "train.batch_size=16"],
+         r"dense array must have shape \(200, n_dense\), got \(199, 2\)"),
     ], ids=["train-bad-key", "train-missing-config", "train-empty-tsv", "train-dense-only-npz",
             "train-float-ids-npz", "analyze-freq-empty-tsv", "scale-missing-config",
-            "train-infinite-lr"])
+            "train-infinite-lr", "train-1d-dense-npz", "train-short-dense-npz"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, command, lines, message):
         cfg_path = tmp_path / "exp.cfg"
         if lines is not None:
             (tmp_path / "empty.tsv").write_text("")
             cfg_path.write_text("\n".join(lines).format(
                 empty=tmp_path / "empty.tsv", dense=_dense_only_npz(tmp_path / "dense.npz"),
-                float_ids=_float_ids_npz(tmp_path / "float_ids.npz")))
+                **{name: _raw_npz(tmp_path / f"{name}.npz", dense, ids) for name, dense, ids in (
+                    ("float_ids", np.zeros((200, 0)), np.arange(200)[:, None] % 4.0),
+                    ("dense_1d", np.zeros(200), np.arange(200)[:, None] % 4),
+                    ("dense_short", np.zeros((199, 2)), np.arange(200)[:, None] % 4),
+                )}))
         assert cli.main([command, "--config", str(cfg_path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ctrlab.data import CATEGORICAL, Batch, FieldSchema
+from ctrlab.data import Batch, FieldSchema
 from ctrlab.embedding import TRAIN_DTYPE, EmbeddingTable, init_table, lookup_forward
 from ctrlab.harness import grad_check
 from ctrlab.metrics import logloss
@@ -24,12 +24,13 @@ from ctrlab.models import (
     mlp_backward,
     mlp_forward,
     model_forward,
+    sigmoid,
 )
 from ctrlab.optim import BETA1, EmbedAdamState, adam_sparse_step
 
 
 def _fields(*vocabs):
-    return tuple(FieldSchema(f"c{j}", CATEGORICAL, v) for j, v in enumerate(vocabs))
+    return tuple(FieldSchema(f"c{j}", v) for j, v in enumerate(vocabs))
 
 
 def _first_order(weights):
@@ -41,6 +42,39 @@ def _batch(rng, vocabs, b, n_dense=2):
     cat = np.stack([rng.integers(0, v, size=b) for v in vocabs], axis=1)
     return Batch(rng.integers(0, 2, size=b).astype(np.uint8),
                  rng.normal(size=(b, n_dense)), cat)
+
+
+def reference_sigmoid(x):
+    """The two masked branches sigmoid replaced: 1 / (1 + exp(-x)) where
+    x >= 0, exp(x) / (1 + exp(x)) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 800.0, -800.0, 36.0, -36.0]
+
+    def test_edges(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow is fine
+            out = sigmoid(np.array(self.EDGES))
+        want = reference_sigmoid(self.EDGES)
+        number = ~np.isnan(want)  # a NaN's sign bit may differ, and nothing reads it
+        assert out[number].tobytes() == want[number].tobytes() and np.isnan(out[~number]).all()
+        assert out[:4].tolist() == [0.5, 0.5, 1.0, 0.0] and np.isnan(out[4])
+        assert out[5] == out[7] == 1.0 and out[8] == 0.0
+        assert 0.0 < out[6] < 1e-300  # exp(-745) is the smallest subnormal
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_the_two_branches_bit_for_bit(self, dtype):
+        x = np.random.default_rng(0).normal(0.0, 20.0, size=100_000).astype(dtype)
+        out = sigmoid(x)
+        assert out.dtype == np.float64
+        assert out.tobytes() == reference_sigmoid(x).tobytes()
 
 
 class TestMlp:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ctrlab import optim
-from ctrlab.data import CATEGORICAL, FieldSchema
+from ctrlab.data import FieldSchema
 from ctrlab.embedding import TRAIN_DTYPE, EmbeddingTable, init_table
 from ctrlab.optim import (
     BETA1,
@@ -128,7 +128,7 @@ class TestDenseInPlaceMatchesReference:
 
 
 def _table_and_grad(vocab=6, dim=3, seed=0, sigma=0.01, dtype=TRAIN_DTYPE):
-    fields = (FieldSchema("c", CATEGORICAL, vocab),)
+    fields = (FieldSchema("c", vocab),)
     table = init_table(fields, dim, init_sigma=sigma, seed=seed, dtype=dtype)
     return table
 
@@ -197,7 +197,7 @@ class TestAdamSparse:
     @pytest.mark.parametrize("dense_l2", [True, False])
     def test_gradient_for_other_vocab_sizes_is_rejected(self, dense_l2):
         # the same field count, so only the offsets tell the tables apart
-        fields = [FieldSchema(f"c{j}", CATEGORICAL, v) for j, v in enumerate((4, 6))]
+        fields = [FieldSchema(f"c{j}", v) for j, v in enumerate((4, 6))]
         table = init_table(tuple(fields), 2, seed=1)
         other = init_table(tuple(fields[::-1]), 2, seed=1)
         sparse = sparse_gradient(other, [np.array([5]), np.array([0])],
@@ -286,7 +286,7 @@ class TestInPlaceMatchesReference:
     STEPS = 25
 
     def _table(self):
-        fields = tuple(FieldSchema(f"c{j}", CATEGORICAL, v) for j, v in enumerate(self.VOCABS))
+        fields = tuple(FieldSchema(f"c{j}", v) for j, v in enumerate(self.VOCABS))
         return init_table(fields, self.DIM, init_sigma=0.1, seed=8)
 
     @pytest.mark.parametrize("dense_l2", [True, False])
@@ -333,7 +333,7 @@ def _million_row_table():
     a step that copied or swept the table at once would allocate 64 MB.  k
     is what one field of a b=1024 batch touches at most."""
     vocab, dim, k = 1_000_000, 8, 1024
-    fields = (FieldSchema("c", CATEGORICAL, vocab),)
+    fields = (FieldSchema("c", vocab),)
     table = init_table(fields, dim, init_sigma=0.1, seed=1)
     # np.zeros maps its pages lazily, so the untouched moments cost no memory.
     state = EmbedAdamState.init(table)
