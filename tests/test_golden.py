@@ -3,16 +3,19 @@
 Each config is a tiny training (well under a second) that takes one path
 through the trainer: the model head, the clip variant with its batch-scaled
 threshold, the scaling rule, and the embedding step's mode (dense L2 or
-lazy).  The hash covers every number of the run record, that is
-everything but wall-clock time and the config: a change that adds, drops or
-renames a config key moves no number, so it keeps every hash.
+lazy).  Each config pins two hashes.  The numbers hash is the hash of
+``record_fingerprint``: every number of the run record, that is everything
+but wall-clock time and the config, so a change that adds, drops or renames
+a config key keeps it, and its test shows that no number of the run moved.
+The full hash adds the record's config back in, so it also pins how the
+config is written into a record.
 The hashes were recorded training in float32 with numpy 2.4 on OpenBLAS; a
 BLAS that sums in a different order may differ in the last bits.
 
     PYTHONPATH=src python tests/test_golden.py
 
-prints each config's name, hash, final AUC and final logloss: the values to
-re-pin a config with, and to compare a moved one by.
+prints each config's name, full hash, numbers hash, final AUC and final
+logloss: the values to re-pin a config with, and to compare a moved one by.
 """
 
 import functools
@@ -35,40 +38,49 @@ TINY = ExperimentConfig(
 )
 S4 = dict(base_batch=64, batch_size=256)  # batch factor s = 4
 
-# name: (config, hash of record_fingerprint)
+# name: (config, full hash, numbers hash)
 GOLDEN = {
     "deepfm-cowclip-dense-l2": (
         replace(TINY, model_kind="deepfm", rule="cowclip", clip_variant="cowclip",
                 batch_size=128, dense_l2=True),
+        "b1354e9755139aebe35739613e4a81b1b63eeb627882d6ccbc3108c01c03bf0b",
         "f3636bf7814d89728e69a50e24d8ee227bafd907fd125f0b807d92a001a9f26e",
     ),
     "wd-cowclip-lazy": (
         replace(TINY, model_kind="wd", rule="cowclip", clip_variant="cowclip",
                 batch_size=128, dense_l2=False),
+        "88b4f9e34a109361a70ea5e75707bd565aced02fdded5f768c4018f82a44a990",
         "eb3bd2e44f2adb5eda01e5570abcda1f5b2e6bdded15d58f2e4b26775e27e8e0",
     ),
     "dcn-fieldwise-s4-sqrt": (
         replace(TINY, model_kind="dcn", clip_variant="fieldwise", clip_value=3e-3, **S4),
+        "7261d2d52110778a7be72ab61763655291e01521a1e0b2bcf18a8392a88ca61f",
         "50ca2975e90efcfd0aa8bc82bd3092c0006729d52627be2eebe43ba7eeee15a3",
     ),
     "dcnv2-global-s4": (
         replace(TINY, model_kind="dcnv2", clip_variant="global", clip_value=6e-3, **S4),
+        "af2774f6451c6df8d9529fdf45a5e1a94747085da9e17990621d185441eb8b44",
         "5cdfd6d9efa9591f01d4a4f77c4e68a88f148fa4ea002ded59766dd30af66db1",
     ),
     "dcnv2-columnwise-s4": (
         replace(TINY, model_kind="dcnv2", clip_variant="columnwise", clip_value=6e-3, **S4),
+        "eadb07160c28e302c4cfaf8e0fdaa1bb88a330bf6fa75d36d4c50c6fae601598",
         "6ac135297a2f00b0007b2fe8eac5614ee45c0d86d3958de2d1df58563d20b9ad",
     ),
     "dcn-adaptive_fieldwise-s4-sqrt": (
         replace(TINY, model_kind="dcn", rule="sqrt", clip_variant="adaptive_fieldwise",
                 clip_r=0.1, **S4),
+        "69a1c480c0654381547ba1de2249dbcd924cd2ffb9d8e9ad364f58de54ee462e",
         "da101948f934393e46ff74c42bd9b5b51b80668184712bc8bd856c566f432e1c",
     ),
 }
 
 
-def _hash(record: RunRecord) -> str:
-    text = json.dumps(record_fingerprint(record), sort_keys=True)
+def _hash(record: RunRecord, with_config: bool = True) -> str:
+    fingerprint = record_fingerprint(record)
+    if with_config:
+        fingerprint["config"] = record.to_dict()["config"]
+    text = json.dumps(fingerprint, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -80,6 +92,11 @@ def _trained(name: str) -> RunRecord:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_fingerprint(name):
     assert _hash(_trained(name)) == GOLDEN[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_numbers(name):
+    assert _hash(_trained(name), with_config=False) == GOLDEN[name][2]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -120,6 +137,7 @@ def test_training_stays_in_the_training_dtype(name, monkeypatch):
 
 
 if __name__ == "__main__":
-    for name, (config, _) in GOLDEN.items():
+    for name, (config, *_) in GOLDEN.items():
         record = train(config, seed=1)
-        print(name, _hash(record), f"auc={record.final_auc!r}", f"logloss={record.final_logloss!r}")
+        print(name, _hash(record), f"numbers={_hash(record, with_config=False)}",
+              f"auc={record.final_auc!r}", f"logloss={record.final_logloss!r}")
