@@ -10,19 +10,13 @@ Usage: python demos/01_id_frequency_and_batch_presence.py
 
 import numpy as np
 
-from ctrlab import (
-    SyntheticSpec,
-    batch_presence_probability,
-    count_frequencies,
-    generate_synthetic,
-)
+from ctrlab import batch_presence_probability, count_frequencies, generate_synthetic
 
-spec = SyntheticSpec(n_dense=2, n_categorical=3, vocab_sizes=5000, zipf_exponent=1.2)
-dataset = generate_synthetic(spec, 100_000, seed=0)
-freq = count_frequencies(dataset)
+dataset = generate_synthetic(100_000, seed=0, n_categorical=3, vocab_sizes=5000)
+counts_0 = count_frequencies(dataset)[0]
 
 print("rank-frequency head of field cat_0 (Zipf exponent 1.2):")
-counts = np.sort(freq.counts[0])[::-1]
+counts = np.sort(counts_0)[::-1]
 for rank in (1, 2, 3, 10, 100, 1000):
     print(f"  rank {rank:>5}: count {counts[rank - 1]:>6}  "
           f"p = {counts[rank - 1] / dataset.n_samples:.6f}")
@@ -42,8 +36,8 @@ print("grows linearly with b, which is why embedding learning rates must not")
 print("be scaled with the batch size.")
 
 # Monte Carlo cross-check on the dataset itself, for the most frequent id
-p_head = freq.counts[0].max() / freq.total_samples
-head_id = int(np.argmax(freq.counts[0]))
+p_head = counts_0.max() / dataset.n_samples
+head_id = int(np.argmax(counts_0))
 hits = 0
 n_batches = 2000
 rng = np.random.default_rng(1)

@@ -12,8 +12,6 @@ from .data import (
     Batch,
     Dataset,
     FieldSchema,
-    FrequencyTable,
-    SyntheticSpec,
     batch_presence_probability,
     count_frequencies,
     generate_synthetic,

@@ -43,15 +43,13 @@ def _cmd_gen_data(args) -> int:
 def _cmd_analyze_freq(args) -> int:
     config = _load_config(args)
     dataset = harness.build_dataset(config, args.seed)
-    freq = count_frequencies(dataset)
     b = config.batch_size
     print(f"samples: {dataset.n_samples}   batch size: {b}")
-    for j, name in enumerate(freq.field_names):
-        counts = freq.counts[j]
+    for f, counts in zip(dataset.fields, count_frequencies(dataset)):
         order = np.argsort(-counts)[:5]
-        print(f"field {name}: vocab {len(counts)}")
+        print(f"field {f.name}: vocab {len(counts)}")
         for rank, idx in enumerate(order):
-            p = counts[idx] / freq.total_samples
+            p = counts[idx] / dataset.n_samples
             exact = batch_presence_probability(p, b, "exact")
             approx = batch_presence_probability(p, b, "approx")
             print(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -45,6 +46,14 @@ class FieldSchema:
     vocab_size: int  # 0 is the degenerate nothing-seen case
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"field name must be a string, got {self.name!r}")
+        if isinstance(self.vocab_size, bool) or not isinstance(self.vocab_size, numbers.Integral):
+            raise ValueError(
+                f"field {self.name!r}: vocab_size must be an integer, got {self.vocab_size!r}"
+            )
+        # A numpy integer is stored as an int, so that the field writes as JSON.
+        object.__setattr__(self, "vocab_size", int(self.vocab_size))
         if self.vocab_size < 0:
             raise ValueError("vocab_size must be >= 0")
         if self.vocab_size > MAX_VOCAB_SIZE:
@@ -135,24 +144,15 @@ class Batch:
     categorical: np.ndarray
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Per categorical field: id occurrence counts over a dataset of N samples."""
-
-    field_names: tuple[str, ...]
-    counts: tuple[np.ndarray, ...]
-    total_samples: int
-
-
-def count_frequencies(dataset: Dataset) -> FrequencyTable:
+def count_frequencies(dataset: Dataset) -> tuple[np.ndarray, ...]:
+    """Per categorical field, in dataset.fields order: each id's number of
+    occurrences, an array of the field's vocab_size."""
     if dataset.n_samples == 0:
         raise ValueError("cannot count frequencies of an empty dataset")
-    fields = dataset.fields
-    counts = tuple(
+    return tuple(
         _freeze(np.bincount(dataset.categorical[:, j], minlength=f.vocab_size))
-        for j, f in enumerate(fields)
+        for j, f in enumerate(dataset.fields)
     )
-    return FrequencyTable(tuple(f.name for f in fields), counts, dataset.n_samples)
 
 
 def batch_presence_probability(prob_in_sample: float, batch_size: int, mode: str = "exact") -> float:
@@ -190,7 +190,7 @@ def top_k_collapse(dataset: Dataset, k: int) -> Dataset:
     fields = dataset.fields
     if dataset.n_samples == 0 or all(f.vocab_size <= k + 1 for f in fields):
         return dataset
-    freq = count_frequencies(dataset)
+    counts = count_frequencies(dataset)
     new_cols = []
     new_fields = []
     for j, f in enumerate(fields):
@@ -198,7 +198,7 @@ def top_k_collapse(dataset: Dataset, k: int) -> Dataset:
             new_cols.append(dataset.categorical[:, j])
             new_fields.append(f)
             continue
-        order = np.lexsort((np.arange(f.vocab_size), -freq.counts[j]))
+        order = np.lexsort((np.arange(f.vocab_size), -counts[j]))
         mapping = np.full(f.vocab_size, k, dtype=ID_DTYPE)
         mapping[order[:k]] = np.arange(k)
         new_cols.append(mapping[dataset.categorical[:, j]])
@@ -497,28 +497,6 @@ class _Vocabulary:
 # Synthetic generation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Shape and skew of a synthetic CTR dataset.
-
-    Categorical ids follow a Zipf law: id k of a field with vocabulary V gets
-    probability (k+1)^-a / sum_j (j+1)^-a.
-    """
-
-    n_dense: int = 2
-    n_categorical: int = 6
-    vocab_sizes: int | Sequence[int] = 10_000
-    zipf_exponent: float = 1.2
-
-    def vocab_list(self) -> list[int]:
-        if isinstance(self.vocab_sizes, int):
-            return [self.vocab_sizes] * self.n_categorical
-        sizes = list(self.vocab_sizes)
-        if len(sizes) != self.n_categorical:
-            raise ValueError("vocab_sizes length must equal n_categorical")
-        return sizes
-
-
 def zipf_probabilities(vocab_size: int, exponent: float) -> np.ndarray:
     if exponent <= 0:
         raise ValueError("zipf_exponent must be > 0")
@@ -528,45 +506,48 @@ def zipf_probabilities(vocab_size: int, exponent: float) -> np.ndarray:
 
 
 def generate_synthetic(
-    spec: SyntheticSpec,
     n_samples: int,
     seed: int,
-    click_model: np.ndarray | None = None,
+    *,
+    n_dense: int = 2,
+    n_categorical: int = 6,
+    vocab_sizes: int | Sequence[int] = 10_000,
+    zipf_exponent: float = 1.2,
+    click_strength: float = 1.0,
 ) -> Dataset:
     """Draw a labeled dataset with a controlled id-frequency distribution.
 
-    Labels come from a planted linear model: every id owns a hidden weight,
-    dense features enter linearly, and the click is Bernoulli(sigmoid(score)).
-    click_model gives one strength multiplier per field (categorical fields
-    first, then dense); default all ones.  Deterministic for a fixed seed.
+    vocab_sizes is one size for every categorical field, or one per field.
+    Field j's ids follow a Zipf law: id k of a vocabulary V gets probability
+    (k+1)^-a / sum_i (i+1)^-a, a being zipf_exponent.  Labels come from a
+    planted linear model: every id owns a hidden weight, dense features enter
+    linearly, every term is scaled by click_strength, and the click is
+    Bernoulli(sigmoid(score)).  Deterministic for a fixed seed.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    vocabs = spec.vocab_list()
-    if any(v < 1 for v in vocabs):
+    vocabs = [vocab_sizes] * n_categorical if np.ndim(vocab_sizes) == 0 else list(vocab_sizes)
+    if len(vocabs) != n_categorical:
+        raise ValueError("vocab_sizes length must equal n_categorical")
+    fields = tuple(FieldSchema(f"cat_{j}", v) for j, v in enumerate(vocabs))
+    if any(f.vocab_size < 1 for f in fields):
         raise ValueError("vocab sizes must all be >= 1")
-    n_fields = spec.n_categorical + spec.n_dense
-    if click_model is None:
-        click_model = np.ones(n_fields)
-    click_model = np.asarray(click_model, dtype=np.float64)
-    if click_model.shape != (n_fields,):
-        raise ValueError("click_model must have one weight per field")
 
     rng = np.random.default_rng(seed)
-    categorical = np.empty((n_samples, spec.n_categorical), dtype=ID_DTYPE)
+    categorical = np.empty((n_samples, n_categorical), dtype=ID_DTYPE)
     score = np.zeros(n_samples)
-    for j, v in enumerate(vocabs):
-        ids = rng.choice(v, size=n_samples, p=zipf_probabilities(v, spec.zipf_exponent))
+    for j, f in enumerate(fields):
+        v = f.vocab_size
+        ids = rng.choice(v, size=n_samples, p=zipf_probabilities(v, zipf_exponent))
         categorical[:, j] = ids
-        hidden = rng.normal(0.0, 1.0, size=v) * click_model[j]
+        hidden = rng.normal(0.0, 1.0, size=v) * click_strength
         score += hidden[ids]
     # The click model reads the float64 draws; Dataset stores them rounded.
-    dense = rng.normal(0.0, 1.0, size=(n_samples, spec.n_dense))
-    score += dense @ click_model[spec.n_categorical :]
+    # A matrix product, as c * dense.sum(axis=1) would round differently.
+    dense = rng.normal(0.0, 1.0, size=(n_samples, n_dense))
+    score += dense @ np.full(n_dense, float(click_strength))
     prob = 1.0 / (1.0 + np.exp(-score))
     labels = (rng.random(n_samples) < prob).astype(np.uint8)
-
-    fields = tuple(FieldSchema(f"cat_{j}", v) for j, v in enumerate(vocabs))
     return Dataset(fields, labels, dense, categorical)
 
 
@@ -591,11 +572,31 @@ def load_npz(path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
+def fields_to_header(fields: Sequence[FieldSchema]) -> list[dict]:
+    """The JSON form of a field list, as dataset and checkpoint headers store it."""
+    return [{"name": f.name, "vocab_size": f.vocab_size} for f in fields]
+
+
+def fields_from_header(entries, where: str) -> tuple[FieldSchema, ...]:
+    """Read what fields_to_header wrote; where names the list in errors.
+
+    Older dataset files also list the dense columns, as entries of kind
+    "dense"; those are skipped.
+    """
+    if not isinstance(entries, list):
+        raise ValueError(f"{where} must be a list of fields, got {entries!r}")
+    fields = []
+    for i, entry in enumerate(entries):
+        if isinstance(entry, dict) and entry.get("kind") == "dense":
+            continue
+        if not isinstance(entry, dict) or not {"name", "vocab_size"} <= entry.keys():
+            raise ValueError(f"{where} entry {i} must have a name and a vocab_size, got {entry!r}")
+        fields.append(FieldSchema(entry["name"], entry["vocab_size"]))
+    return tuple(fields)
+
+
 def save_dataset(path, dataset: Dataset, meta: dict | None = None) -> None:
-    header = {
-        "schema": [{"name": f.name, "vocab_size": f.vocab_size} for f in dataset.fields],
-        "meta": meta or {},
-    }
+    header = {"schema": fields_to_header(dataset.fields), "meta": meta or {}}
     arrays = {
         "labels": dataset.labels, "dense": dataset.dense, "categorical": dataset.categorical,
     }
@@ -607,7 +608,8 @@ def load_dataset(path) -> tuple[Dataset, dict]:
     for key in ("schema", "meta"):
         if key not in header:
             raise ValueError(f"dataset header has no key {key!r}")
-    # Older files also list the dense columns, as entries of kind "dense".
-    fields = tuple(FieldSchema(f["name"], f["vocab_size"]) for f in header["schema"]
-                   if f.get("kind") != "dense")
+    for name in ("labels", "dense", "categorical"):
+        if name not in z:
+            raise ValueError(f"dataset file has no array {name!r}")
+    fields = fields_from_header(header["schema"], "dataset schema")
     return Dataset(fields, z["labels"], z["dense"], z["categorical"]), header["meta"]

@@ -25,7 +25,6 @@ from .data import (
     Batch,
     Dataset,
     FieldSchema,
-    SyntheticSpec,
     batch_presence_probability,
     generate_synthetic,
     load_criteo_tsv,
@@ -248,15 +247,15 @@ def _seed_children(seed: int):
 def build_dataset(config: ExperimentConfig, seed: int) -> Dataset:
     data_ss, _, _ = _seed_children(seed)
     if config.source == "synthetic":
-        spec = SyntheticSpec(
+        ds = generate_synthetic(
+            config.n_samples,
+            int(data_ss.generate_state(1)[0]),
             n_dense=config.n_dense,
             n_categorical=config.n_categorical,
             vocab_sizes=config.vocab_size,
             zipf_exponent=config.zipf_exponent,
+            click_strength=config.click_strength,
         )
-        click = np.full(config.n_categorical + config.n_dense, config.click_strength)
-        data_seed = int(data_ss.generate_state(1)[0])
-        ds = generate_synthetic(spec, config.n_samples, data_seed, click_model=click)
     elif config.source.endswith(".npz"):
         ds, _ = load_dataset(config.source)
     else:

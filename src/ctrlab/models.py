@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .data import Batch, FieldSchema, load_npz, save_npz
+from .data import Batch, fields_from_header, fields_to_header, load_npz, save_npz
 from .embedding import (
     TRAIN_DTYPE,
     EmbeddingTable,
@@ -389,7 +389,7 @@ def save_checkpoint(path, model: Model) -> None:
     embed = model.embed
     header = {
         "kind": model.kind,
-        "fields": [{"name": f.name, "vocab_size": f.vocab_size} for f in embed.fields],
+        "fields": fields_to_header(embed.fields),
         "dim": embed.dim,
         "n_dense": model.mlp[0][0].shape[0] - embed.n_fields * embed.dim,
         "hidden": [w.shape[1] for w, _ in model.mlp[:-1]],
@@ -409,7 +409,7 @@ def load_checkpoint(path) -> Model:
     for key in ("kind", "fields", "dim", "n_dense", "hidden", "cross_depth"):
         if key not in header:
             raise ValueError(f"checkpoint header has no key {key!r}")
-    fields = tuple(FieldSchema(f["name"], f["vocab_size"]) for f in header["fields"])
+    fields = fields_from_header(header["fields"], "checkpoint fields")
     dim = header["dim"]
     embed = EmbeddingTable(fields, dim, np.empty((field_offsets(fields)[-1], dim), TRAIN_DTYPE))
     model = init_model(header["kind"], embed, header["n_dense"],

@@ -21,7 +21,6 @@ from ctrlab.data import (
     Dataset,
     FieldSchema,
     TRAIN_DTYPE,
-    SyntheticSpec,
     batch_presence_probability,
     count_frequencies,
     datasets_equal,
@@ -193,9 +192,9 @@ class TestCriteoLoader:
         path = tmp_path / "big.tsv"
         _write_tsv(path, _random_criteo_rows(n, 7))
         ds = load_criteo_tsv(path)
-        freq = count_frequencies(ds)
+        counts = count_frequencies(ds)
         for j in range(ds.n_categorical):
-            assert freq.counts[j].sum() == n
+            assert counts[j].sum() == n
 
     def test_roundtrip_via_container(self, tmp_path):
         path = tmp_path / "data.tsv"
@@ -351,24 +350,22 @@ class TestCriteoLoader:
 
 class TestSynthetic:
     def test_determinism(self):
-        spec = SyntheticSpec(n_dense=2, n_categorical=3, vocab_sizes=20)
-        a = generate_synthetic(spec, 500, seed=7)
-        b = generate_synthetic(spec, 500, seed=7)
+        a = generate_synthetic(500, seed=7, n_dense=2, n_categorical=3, vocab_sizes=20)
+        b = generate_synthetic(500, seed=7, n_dense=2, n_categorical=3, vocab_sizes=20)
         assert datasets_equal(a, b)
 
     def test_bad_exponent(self):
-        spec = SyntheticSpec(n_categorical=1, vocab_sizes=10, zipf_exponent=0.0)
         with pytest.raises(ValueError):
-            generate_synthetic(spec, 10, seed=0)
+            generate_synthetic(10, seed=0, n_categorical=1, vocab_sizes=10, zipf_exponent=0.0)
 
     def test_zipf_rank_frequency_matches_analytic(self):
         # Oracle: the analytic Zipf mass; the cumulative top-k empirical mass
         # must track it within 5% at every rank k <= 100 (and per-rank for the
         # top 10, where Poisson noise is well under the tolerance).
         n, vocab, a = 200_000, 10_000, 1.2
-        spec = SyntheticSpec(n_dense=0, n_categorical=1, vocab_sizes=vocab, zipf_exponent=a)
-        ds = generate_synthetic(spec, n, seed=11)
-        counts = count_frequencies(ds).counts[0]
+        ds = generate_synthetic(n, seed=11, n_dense=0, n_categorical=1, vocab_sizes=vocab,
+                                zipf_exponent=a)
+        counts = count_frequencies(ds)[0]
         expected = zipf_probabilities(vocab, a) * n  # ids are already rank-ordered
         cum_emp = np.cumsum(counts[:100])
         cum_exp = np.cumsum(expected[:100])
@@ -376,15 +373,32 @@ class TestSynthetic:
         assert np.all(np.abs(counts[:10] - expected[:10]) / expected[:10] < 0.05)
 
     def test_stores_the_training_dtypes(self):
-        ds = generate_synthetic(SyntheticSpec(n_dense=2, n_categorical=2, vocab_sizes=9), 50, seed=5)
+        ds = generate_synthetic(50, seed=5, n_dense=2, n_categorical=2, vocab_sizes=9)
         assert ds.dense.dtype == TRAIN_DTYPE and ds.categorical.dtype == ID_DTYPE
 
     def test_roundtrip(self, tmp_path):
-        ds = generate_synthetic(SyntheticSpec(n_categorical=2, vocab_sizes=9), 300, seed=5)
+        ds = generate_synthetic(300, seed=5, n_categorical=2, vocab_sizes=9)
         save_dataset(tmp_path / "s.npz", ds, meta={"seed": 5})
         loaded, meta = load_dataset(tmp_path / "s.npz")
         assert datasets_equal(ds, loaded)
         assert meta["seed"] == 5
+
+    @pytest.mark.parametrize("vocab_sizes,expected", [
+        (np.int64(9), [9, 9]),
+        (np.array([3, 40]), [3, 40]),
+        ([np.int32(3), np.uint16(40)], [3, 40]),
+    ], ids=["scalar", "array", "list"])
+    def test_numpy_vocab_sizes_roundtrip(self, tmp_path, vocab_sizes, expected):
+        ds = generate_synthetic(300, seed=5, n_categorical=2, vocab_sizes=vocab_sizes)
+        assert [f.vocab_size for f in ds.fields] == expected
+        assert all(type(f.vocab_size) is int for f in ds.fields)
+        save_dataset(tmp_path / "s.npz", ds)
+        loaded, _ = load_dataset(tmp_path / "s.npz")
+        assert datasets_equal(ds, loaded)
+
+    def test_vocab_sizes_length_must_match(self):
+        with pytest.raises(ValueError, match="^vocab_sizes length must equal n_categorical$"):
+            generate_synthetic(10, seed=0, n_categorical=3, vocab_sizes=[4, 5])
 
 
 class TestFrequencies:
@@ -392,27 +406,24 @@ class TestFrequencies:
         fields = (FieldSchema("c", 3),)
         cat = np.array([[0]] * 5 + [[1]] * 45, dtype=np.int64)
         ds = Dataset(fields, np.zeros(50, dtype=np.uint8), np.zeros((50, 0)), cat)
-        freq = count_frequencies(ds)
-        assert freq.counts[0].tolist() == [5, 45, 0]
-        assert freq.total_samples == 50
+        assert count_frequencies(ds)[0].tolist() == [5, 45, 0]
 
     def test_vocab_one_field_has_prob_one(self):
         fields = (FieldSchema("c", 1),)
         ds = Dataset(fields, np.zeros(8, dtype=np.uint8), np.zeros((8, 0)),
                      np.zeros((8, 1), dtype=np.int64))
-        freq = count_frequencies(ds)
-        assert freq.counts[0].tolist() == [freq.total_samples] == [8]
+        assert count_frequencies(ds)[0].tolist() == [ds.n_samples] == [8]
 
     def test_counts_sum_to_n_against_recount(self):
-        ds = generate_synthetic(SyntheticSpec(n_categorical=3, vocab_sizes=17), 400, seed=2)
-        freq = count_frequencies(ds)
+        ds = generate_synthetic(400, seed=2, n_categorical=3, vocab_sizes=17)
+        counts = count_frequencies(ds)
         for j in range(3):
             # brute-force recount, one sample at a time
             brute = np.zeros(17, dtype=int)
             for i in range(ds.n_samples):
                 brute[ds.categorical[i, j]] += 1
-            assert np.array_equal(brute, freq.counts[j])
-            assert freq.counts[j].sum() == 400
+            assert np.array_equal(brute, counts[j])
+            assert counts[j].sum() == 400
 
     def test_empty_dataset_rejected(self):
         fields = (FieldSchema("c", 2),)
@@ -477,18 +488,16 @@ class TestTopKCollapse:
         assert out.fields[0].vocab_size == 4
 
     def test_zipf_collapse_recount(self):
-        ds = generate_synthetic(
-            SyntheticSpec(n_dense=0, n_categorical=2, vocab_sizes=500, zipf_exponent=1.2),
-            20_000, seed=3,
-        )
+        ds = generate_synthetic(20_000, seed=3, n_dense=0, n_categorical=2, vocab_sizes=500,
+                                zipf_exponent=1.2)
         old = count_frequencies(ds)
         out = top_k_collapse(ds, 3)
         new = count_frequencies(out)
         for j in range(2):
             assert out.fields[j].vocab_size <= 4
-            assert new.counts[j].sum() == 20_000
-            kept_old = np.sort(old.counts[j])[::-1][:3]
-            assert np.all(new.counts[j] >= kept_old.min())
+            assert new[j].sum() == 20_000
+            kept_old = np.sort(old[j])[::-1][:3]
+            assert np.all(new[j] >= kept_old.min())
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 2**31), st.integers(1, 5))
@@ -501,7 +510,7 @@ class TestTopKCollapse:
         assert datasets_equal(once, twice)
 
     def test_shares_the_arrays_it_keeps(self):
-        ds = generate_synthetic(SyntheticSpec(n_dense=2, n_categorical=2, vocab_sizes=[3, 40]), 200, seed=2)
+        ds = generate_synthetic(200, seed=2, n_dense=2, n_categorical=2, vocab_sizes=[3, 40])
         out = top_k_collapse(ds, 3)
         assert out.fields[1].vocab_size == 4
         assert np.shares_memory(out.labels, ds.labels) and np.shares_memory(out.dense, ds.dense)
@@ -538,9 +547,8 @@ class TestMakeBatches:
 
 class TestInvariants:
     def test_counts_sum_invariant(self):
-        ds = generate_synthetic(SyntheticSpec(n_categorical=4, vocab_sizes=30), 777, seed=9)
-        freq = count_frequencies(ds)
-        assert all(c.sum() == 777 for c in freq.counts)
+        ds = generate_synthetic(777, seed=9, n_categorical=4, vocab_sizes=30)
+        assert all(c.sum() == 777 for c in count_frequencies(ds))
 
     def test_unique_names_required(self):
         with pytest.raises(ValueError):
@@ -551,7 +559,7 @@ class TestInvariants:
             )
 
     def test_immutability(self):
-        ds = generate_synthetic(SyntheticSpec(n_categorical=1, vocab_sizes=5), 10, seed=0)
+        ds = generate_synthetic(10, seed=0, n_categorical=1, vocab_sizes=5)
         with pytest.raises(ValueError):
             ds.labels[0] = 1
 
@@ -569,6 +577,17 @@ class TestInvariants:
         cat = np.zeros((4, 1), dtype=dtype)
         with pytest.raises(ValueError, match=f"categorical ids must be integers, got dtype {np.dtype(dtype)}"):
             Dataset((FieldSchema("c", 2),), np.zeros(4, dtype=np.uint8), np.zeros((4, 0)), cat)
+
+    @pytest.mark.parametrize("name,vocab_size,message", [
+        (5, 3, "field name must be a string, got 5"),
+        ("c", 4.5, "field 'c': vocab_size must be an integer, got 4.5"),
+        ("c", "4", "field 'c': vocab_size must be an integer, got '4'"),
+        ("c", True, "field 'c': vocab_size must be an integer, got True"),
+        ("c", np.float64(4.0), "field 'c': vocab_size must be an integer, got np.float64(4.0)"),
+    ], ids=["int-name", "float-vocab", "str-vocab", "bool-vocab", "numpy-float-vocab"])
+    def test_field_schema_types(self, name, vocab_size, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FieldSchema(name, vocab_size)
 
     def test_vocab_must_fit_the_id_dtype(self):
         assert MAX_VOCAB_SIZE == 2**31
@@ -592,7 +611,7 @@ class TestInvariants:
 
     def test_split_halves_are_read_only_views(self):
         # A compact dataset: a split allocates no sample memory.
-        ds = generate_synthetic(SyntheticSpec(n_dense=2, n_categorical=2, vocab_sizes=5), 10, seed=0)
+        ds = generate_synthetic(10, seed=0, n_dense=2, n_categorical=2, vocab_sizes=5)
         head, tail = ds.split(0.7)
         for half, rows in ((head, slice(0, 7)), (tail, slice(7, 10))):
             for name in ("labels", "dense", "categorical"):

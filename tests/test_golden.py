@@ -12,10 +12,15 @@ config is written into a record.
 The hashes were recorded training in float32 with numpy 2.4 on OpenBLAS; a
 BLAS that sums in a different order may differ in the last bits.
 
+The data hashes pin the bytes ``build_dataset`` makes for a few synthetic
+configs (field names and sizes, labels, dense features and ids), so a change
+to the generator or to the top-k collapse shows before any training does.
+
     PYTHONPATH=src python tests/test_golden.py
 
 prints each config's name, full hash, numbers hash, final AUC and final
-logloss: the values to re-pin a config with, and to compare a moved one by.
+logloss, then each data config's name and data hash: the values to re-pin a
+config with, and to compare a moved one by.
 """
 
 import functools
@@ -28,7 +33,7 @@ import pytest
 
 from ctrlab import models, optim
 from ctrlab.embedding import TRAIN_DTYPE
-from ctrlab.harness import ExperimentConfig, RunRecord, record_fingerprint, train
+from ctrlab.harness import ExperimentConfig, RunRecord, build_dataset, record_fingerprint, train
 
 TINY = ExperimentConfig(
     n_samples=2000, n_categorical=3, n_dense=2, vocab_size=50,
@@ -75,6 +80,27 @@ GOLDEN = {
     ),
 }
 
+# name: (config, hash of build_dataset(config, seed=1)).  The default config's
+# data is the acceptance DESK data.
+DATA_GOLDEN = {
+    "desk": (
+        ExperimentConfig(),
+        "7fa70f60707af735ebd28e282f83e17a46950a172873afdd90ae4b8516828b19",
+    ),
+    "no-dense": (
+        replace(TINY, n_dense=0),
+        "5c3e88264071d2139b037674ab64b7bbb13f7061cccf84aa85ce9e4258994e76",
+    ),
+    "negative-click": (
+        replace(TINY, click_strength=-0.7),
+        "be30838351fb4922b5a417e50ad1fab68b9d1cc37368660e8e12e06f86665f32",
+    ),
+    "top3": (
+        replace(TINY, n_categorical=4, vocab_size=300, top_k=3),
+        "687d72b2c4dcb737e99a24f838fc6a32b31679f6cb4a4fd36244093f0f74847e",
+    ),
+}
+
 
 def _hash(record: RunRecord, with_config: bool = True) -> str:
     fingerprint = record_fingerprint(record)
@@ -82,6 +108,17 @@ def _hash(record: RunRecord, with_config: bool = True) -> str:
         fingerprint["config"] = record.to_dict()["config"]
     text = json.dumps(fingerprint, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _data_hash(config: ExperimentConfig) -> str:
+    ds = build_dataset(config, seed=1)
+    arrays = (ds.labels, ds.dense, ds.categorical)
+    head = {"fields": [[f.name, f.vocab_size] for f in ds.fields],
+            "arrays": [[a.dtype.str, a.shape] for a in arrays]}
+    h = hashlib.sha256(json.dumps(head).encode())
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
 
 
 @functools.cache
@@ -97,6 +134,12 @@ def test_golden_fingerprint(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_numbers(name):
     assert _hash(_trained(name), with_config=False) == GOLDEN[name][2]
+
+
+@pytest.mark.parametrize("name", sorted(DATA_GOLDEN))
+def test_golden_data(name):
+    config, expected = DATA_GOLDEN[name]
+    assert _data_hash(config) == expected
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -141,3 +184,5 @@ if __name__ == "__main__":
         record = train(config, seed=1)
         print(name, _hash(record), f"numbers={_hash(record, with_config=False)}",
               f"auc={record.final_auc!r}", f"logloss={record.final_logloss!r}")
+    for name, (config, _) in DATA_GOLDEN.items():
+        print(name, f"data={_data_hash(config)}")

@@ -16,7 +16,6 @@ from ctrlab.data import (
     TRAIN_DTYPE,
     Dataset,
     FieldSchema,
-    SyntheticSpec,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -127,13 +126,18 @@ def _dense_only_npz(path):
     return str(path)
 
 
-def _raw_npz(path, dense, categorical):
-    """A dataset file of 200 rows with one field of 4 ids, written without a
-    Dataset, so that it can hold arrays a Dataset rejects."""
+def _raw_npz(path, dense=None, categorical=None, schema=None):
+    """A dataset file of 200 rows, written without a Dataset, so that it can
+    hold arrays or a header a Dataset rejects.  By default it has no dense
+    column and one field "c0" of 4 ids; categorical=False leaves that array out."""
     n = 200
-    header = {"schema": [{"name": "c0", "vocab_size": 4}], "meta": {}}
-    save_npz(path, header, {"labels": (np.arange(n) % 2).astype(np.uint8),
-                            "dense": dense, "categorical": categorical})
+    dense = np.zeros((n, 0)) if dense is None else dense
+    categorical = np.arange(n)[:, None] % 4 if categorical is None else categorical
+    schema = [{"name": "c0", "vocab_size": 4}] if schema is None else schema
+    arrays = {"labels": (np.arange(n) % 2).astype(np.uint8), "dense": dense}
+    if categorical is not False:
+        arrays["categorical"] = categorical
+    save_npz(path, {"schema": schema, "meta": {}}, arrays)
     return str(path)
 
 
@@ -418,7 +422,7 @@ def test_evaluation_peak_is_under_three_activations():
     # 400x400x400 MLP holds a layer's input and its output, not every layer's
     # pre-activation and activation.
     n, width = 8192, 400
-    ds = generate_synthetic(SyntheticSpec(n_dense=2, n_categorical=6, vocab_sizes=1000), n, seed=0)
+    ds = generate_synthetic(n, seed=0, n_dense=2, n_categorical=6, vocab_sizes=1000)
     embed = init_table(ds.fields, 10, 1e-2, seed=0)
     model = harness.init_model("dcnv2", embed, ds.n_dense, hidden=(width,) * 3, seed=0)
     activation = n * width * embed.block.itemsize
@@ -701,19 +705,36 @@ class TestCli:
          r"dense array must have shape \(200, n_dense\), got \(200,\)"),
         ("train", ["data.source={dense_short}", "train.batch_size=16"],
          r"dense array must have shape \(200, n_dense\), got \(199, 2\)"),
+        ("train", ["data.source={no_vocab}", "train.batch_size=16"],
+         "dataset schema entry 0 must have a name and a vocab_size, got {'name': 'c0'}"),
+        ("train", ["data.source={float_vocab}", "train.batch_size=16"],
+         r"field 'c0': vocab_size must be an integer, got 4\.5"),
+        ("train", ["data.source={str_vocab}", "train.batch_size=16"],
+         "field 'c0': vocab_size must be an integer, got '4'"),
+        ("train", ["data.source={int_schema}", "train.batch_size=16"],
+         "dataset schema must be a list of fields, got 5"),
+        ("train", ["data.source={no_categorical}", "train.batch_size=16"],
+         "dataset file has no array 'categorical'"),
     ], ids=["train-bad-key", "train-missing-config", "train-empty-tsv", "train-dense-only-npz",
             "train-float-ids-npz", "analyze-freq-empty-tsv", "scale-missing-config",
-            "train-infinite-lr", "train-1d-dense-npz", "train-short-dense-npz"])
+            "train-infinite-lr", "train-1d-dense-npz", "train-short-dense-npz",
+            "train-schema-entry-without-vocab-npz", "train-float-vocab-npz",
+            "train-string-vocab-npz", "train-int-schema-npz", "train-no-categorical-npz"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, command, lines, message):
         cfg_path = tmp_path / "exp.cfg"
         if lines is not None:
             (tmp_path / "empty.tsv").write_text("")
             cfg_path.write_text("\n".join(lines).format(
                 empty=tmp_path / "empty.tsv", dense=_dense_only_npz(tmp_path / "dense.npz"),
-                **{name: _raw_npz(tmp_path / f"{name}.npz", dense, ids) for name, dense, ids in (
-                    ("float_ids", np.zeros((200, 0)), np.arange(200)[:, None] % 4.0),
-                    ("dense_1d", np.zeros(200), np.arange(200)[:, None] % 4),
-                    ("dense_short", np.zeros((199, 2)), np.arange(200)[:, None] % 4),
+                **{name: _raw_npz(tmp_path / f"{name}.npz", **kw) for name, kw in (
+                    ("float_ids", dict(categorical=np.arange(200)[:, None] % 4.0)),
+                    ("dense_1d", dict(dense=np.zeros(200))),
+                    ("dense_short", dict(dense=np.zeros((199, 2)))),
+                    ("no_vocab", dict(schema=[{"name": "c0"}])),
+                    ("float_vocab", dict(schema=[{"name": "c0", "vocab_size": 4.5}])),
+                    ("str_vocab", dict(schema=[{"name": "c0", "vocab_size": "4"}])),
+                    ("int_schema", dict(schema=5)),
+                    ("no_categorical", dict(categorical=False)),
                 )}))
         assert cli.main([command, "--config", str(cfg_path)]) == 1
         out, err = capsys.readouterr()
@@ -747,7 +768,29 @@ class TestCli:
 
     def test_analyze_freq(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text("data.n_samples=500\ndata.n_categorical=1\n"
+        cfg_path.write_text("data.n_samples=500\ndata.n_categorical=2\n"
                             "data.vocab_size=10\ntrain.batch_size=32\n")
-        assert cli.main(["analyze-freq", "--config", str(cfg_path)]) == 0
-        assert "vocab 10" in capsys.readouterr().out
+        assert cli.main(["analyze-freq", "--config", str(cfg_path), "--seed", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        ds = harness.build_dataset(parse_config_text(cfg_path.read_text()), seed=4)
+        assert lines[0] == "samples: 500   batch size: 32"
+        row = re.compile(r"  #(\d) id (\d+): count (\d+)  p (\S+)  in-batch exact (\S+) approx (\S+)")
+        for j, f in enumerate(ds.fields):
+            # the oracle: a recount of the field's column, one sample at a time
+            recount = [0] * f.vocab_size
+            for i in ds.categorical[:, j].tolist():
+                recount[i] += 1
+            block = lines[1 + 6 * j : 7 + 6 * j]
+            assert block[0] == f"field {f.name}: vocab 10"
+            rows = [row.fullmatch(line).groups() for line in block[1:]]
+            assert [int(r[0]) for r in rows] == [1, 2, 3, 4, 5]
+            assert len({r[1] for r in rows}) == 5
+            printed = [int(r[2]) for r in rows]
+            assert printed == [recount[int(r[1])] for r in rows]
+            assert printed == sorted(recount, reverse=True)[:5]
+            for _, _, count, p, exact, approx in rows:
+                assert p == f"{int(count) / 500:.6f}"
+                prob = int(count) / 500
+                assert exact == f"{1 - (1 - prob) ** 32:.4f}"
+                assert approx == f"{min(1.0, 32 * prob):.4f}"
+        assert len(lines) == 1 + 6 * ds.n_categorical

@@ -650,13 +650,27 @@ def test_checkpoint_names_a_missing_header_key(key, tmp_path):
         load_checkpoint(tmp_path / "bad.npz")
 
 
+def test_checkpoint_names_a_field_without_vocab_size(tmp_path):
+    from ctrlab.data import load_npz, save_npz
+    from ctrlab.models import load_checkpoint, save_checkpoint
+
+    table = init_table(_fields(3, 4), dim=2, init_sigma=0.2, seed=18)
+    save_checkpoint(tmp_path / "ok.npz", init_model("deepfm", table, 1, hidden=(4,), seed=18))
+    header, arrays = load_npz(tmp_path / "ok.npz")
+    del header["fields"][1]["vocab_size"]
+    save_npz(tmp_path / "bad.npz", header, arrays)
+    message = "^checkpoint fields entry 1 must have a name and a vocab_size, got {'name': 'c1'}$"
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(tmp_path / "bad.npz")
+
+
 def test_dataset_file_is_not_a_checkpoint(tmp_path):
     # save_dataset writes the same npz-with-header container; its header
     # names a schema, not a model.
-    from ctrlab.data import SyntheticSpec, generate_synthetic, save_dataset
+    from ctrlab.data import generate_synthetic, save_dataset
     from ctrlab.models import load_checkpoint
 
-    dataset = generate_synthetic(SyntheticSpec(n_categorical=2, vocab_sizes=5), 20, seed=0)
+    dataset = generate_synthetic(20, seed=0, n_categorical=2, vocab_sizes=5)
     save_dataset(tmp_path / "data.npz", dataset)
     with pytest.raises(ValueError, match="^checkpoint header has no key 'kind'$"):
         load_checkpoint(tmp_path / "data.npz")
