@@ -72,8 +72,9 @@ class Dataset:
     """Immutable sample table.  fields describes the categorical columns, the
     ones an embedding table is built over; the dense columns are unnamed.
 
-    Ids of any integer dtype are stored as ID_DTYPE and the dense features as
-    TRAIN_DTYPE; arrays already in those dtypes are kept, not copied.
+    Labels are stored as uint8, ids of any integer dtype as ID_DTYPE and the
+    dense features as TRAIN_DTYPE; arrays already in those dtypes are kept,
+    not copied.
     """
 
     fields: tuple[FieldSchema, ...]
@@ -85,6 +86,8 @@ class Dataset:
         names = [f.name for f in self.fields]
         if len(set(names)) != len(names):
             raise ValueError("field names must be unique")
+        if self.labels.ndim != 1:
+            raise ValueError(f"labels array must have shape (n_samples,), got {self.labels.shape}")
         n = len(self.labels)
         if self.dense.ndim != 2 or len(self.dense) != n:
             raise ValueError(f"dense array must have shape ({n}, n_dense), got {self.dense.shape}")
@@ -98,7 +101,8 @@ class Dataset:
                 raise ValueError(f"categorical ids out of range for field {f.name!r}")
         if self.categorical.dtype.kind not in "iu":
             raise ValueError(f"categorical ids must be integers, got dtype {self.categorical.dtype}")
-        # The range checks passed, so the cast keeps every id's value.
+        # The range and 0/1 checks passed, so the casts keep every value.
+        object.__setattr__(self, "labels", self.labels.astype(np.uint8, copy=False))
         object.__setattr__(self, "categorical", self.categorical.astype(ID_DTYPE, copy=False))
         object.__setattr__(self, "dense", self.dense.astype(TRAIN_DTYPE, copy=False))
         _freeze(self.labels), _freeze(self.dense), _freeze(self.categorical)

@@ -43,9 +43,12 @@ from .optim import AdamState, EmbedAdamState, WarmupSchedule
 
 # A check is a (test, phrase) pair: a value passes when test(value) is true,
 # and a failure reads "<key> must be <phrase>, got <value>".  Every numeric
-# test is a comparison, which NaN fails.
-def _at_least(low: int):
-    return (lambda v: v >= low, f">= {low}")
+# test is a comparison, which NaN fails; an integer key's test also rejects a
+# float (2.5, inf) and a bool, which a comparison would let through.
+def _integer(low: int, high: float = math.inf):
+    phrase = f"an integer >= {low}" + (f" and <= {high}" if high < math.inf else "")
+    return (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            and low <= v <= high, phrase)
 
 
 def _one_of(names: tuple[str, ...]):
@@ -68,21 +71,18 @@ class ExperimentConfig:
     # data
     # "synthetic", a .npz container, or a Criteo TSV
     source: str = _key("data.source", "synthetic")
-    n_samples: int = _key("data.n_samples", 200_000, _at_least(1), synthetic=True)
-    n_dense: int = _key("data.n_dense", 2, _at_least(0), synthetic=True)
-    n_categorical: int = _key("data.n_categorical", 6, _at_least(1), synthetic=True)
-    vocab_size: int = _key(
-        "data.vocab_size", 10_000,
-        (lambda v: 1 <= v <= MAX_VOCAB_SIZE, f">= 1 and <= {MAX_VOCAB_SIZE}"), synthetic=True,
-    )
+    n_samples: int = _key("data.n_samples", 200_000, _integer(1), synthetic=True)
+    n_dense: int = _key("data.n_dense", 2, _integer(0), synthetic=True)
+    n_categorical: int = _key("data.n_categorical", 6, _integer(1), synthetic=True)
+    vocab_size: int = _key("data.vocab_size", 10_000, _integer(1, MAX_VOCAB_SIZE), synthetic=True)
     zipf_exponent: float = _key("data.zipf_exponent", 1.2, _POSITIVE, synthetic=True)
     click_strength: float = _key("data.click_strength", 1.0, _FINITE, synthetic=True)
-    top_k: int = _key("data.top_k", 0, _FINITE_NONNEGATIVE)  # 0 disables the top-k id collapse
+    top_k: int = _key("data.top_k", 0, _integer(0))  # 0 disables the top-k id collapse
     split: float = _key("data.split", 0.9, (lambda v: 0 < v < 1, "strictly between 0 and 1"))
     # model
     model_kind: str = _key("model.kind", "deepfm", _one_of(models.MODEL_KINDS))
-    hidden: tuple[int, ...] = _key("model.hidden", (400, 400, 400), _at_least(1))
-    embed_dim: int = _key("model.embed_dim", 10, _at_least(1))
+    hidden: tuple[int, ...] = _key("model.hidden", (400, 400, 400), _integer(1))
+    embed_dim: int = _key("model.embed_dim", 10, _integer(1))
     # None: 1e-2 with cowclip, else 1e-4
     init_sigma: float | None = _key("model.init_sigma", None, _POSITIVE)
     # optimizer
@@ -98,12 +98,12 @@ class ExperimentConfig:
     clip_zeta: float = _key("clip.zeta", 1e-4)
     # scaling
     rule: str = _key("scale.rule", "none", _one_of(scaling.RULES))
-    base_batch: int = _key("scale.base_batch", 1024, _at_least(1))
+    base_batch: int = _key("scale.base_batch", 1024, _integer(1))
     # training
-    batch_size: int = _key("train.batch_size", 1024, _at_least(1))
-    epochs: int = _key("train.epochs", 10, _at_least(0))
+    batch_size: int = _key("train.batch_size", 1024, _integer(1))
+    epochs: int = _key("train.epochs", 10, _integer(0))
     # sweep: checked here, so that an error names the sweep key and not a cell's own key
-    sweep_batch_sizes: tuple[int, ...] = _key("sweep.batch_sizes", (), _at_least(1))
+    sweep_batch_sizes: tuple[int, ...] = _key("sweep.batch_sizes", (), _integer(1))
     sweep_rules: tuple[str, ...] = _key("sweep.rules", (), _one_of(scaling.RULES))
     # output
     out_dir: str = _key("out.dir", "runs")
@@ -287,16 +287,20 @@ def run_plan(config: ExperimentConfig) -> tuple[scaling.ScalingPlan, clip.ClipCo
     return plan, _clip_config(config, plan.factor)
 
 
+# Evaluation runs the training forward, cache and all, on chunks of 4096
+# rows: a wide-benchmark chunk then peaks below a training step of b=4096,
+# where 8192 rows would peak above one (BENCH_pr24.json).
+EVAL_CHUNK = 4096
+
+
 def _predict(model: Model, dataset: Dataset):
-    """Click probabilities of the dataset's rows, forwarded in chunks of 8192
-    rows by a forward that keeps no cache."""
-    chunk = 8192
+    """Click probabilities of the dataset's rows, forwarded EVAL_CHUNK rows at a time."""
     n_rows = dataset.n_samples
     probs = np.empty(n_rows)
-    for start in range(0, n_rows, chunk):
-        rows = slice(start, min(start + chunk, n_rows))
+    for start in range(0, n_rows, EVAL_CHUNK):
+        rows = slice(start, min(start + EVAL_CHUNK, n_rows))
         batch = Batch(dataset.labels[rows], dataset.dense[rows], dataset.categorical[rows])
-        probs[rows] = model_forward(model, batch, keep=False)[0]
+        probs[rows] = model_forward(model, batch)[0]
     return probs
 
 
@@ -546,7 +550,7 @@ def _tiny_setup(kind: str, rng: np.random.Generator):
 
 
 def _total_loss(model: Model, batch: Batch) -> float:
-    probs, _ = model_forward(model, batch, keep=False)
+    probs, _ = model_forward(model, batch)
     return metrics.logloss(probs, batch.labels)
 
 
@@ -577,7 +581,7 @@ def grad_check(model_kind: str, seed: int, n_trials: int = 10) -> GradCheckRepor
         model, batch = _tiny_setup(model_kind, rng)
         probs, cache = model_forward(model, batch)
         # The pre-activations are recomputed from the layer inputs the cache keeps.
-        pre = (h @ w + b for h, (w, b) in zip(cache.mlp_cache["hs"], model.mlp[:-1]))
+        pre = (h @ w + b for h, (w, b) in zip(cache.mlp_inputs, model.mlp[:-1]))
         kink = min((float(np.abs(z).min()) for z in pre), default=1.0)
         if kink < 1e-6 or float(np.max(np.abs(cache.logit))) > 8.0:
             continue

@@ -11,14 +11,14 @@ Dense (continuous) features feed the deep stream only; the wide/cross streams
 see the categorical embeddings.  Backward passes return gradient sums over the
 batch; loss_and_backward normalizes by the batch size once at the end.
 
-The forward cache keeps only what backward reads.  The MLP keeps each hidden
-layer's input, its ReLU output computed in place (h = h @ W; h += b;
-max(h, 0) into h), and no pre-activation: backward masks by h > 0, which holds
-exactly where the pre-activation is > 0.  An evaluation forward
-(model_forward(..., keep=False)) keeps no cache at all and frees each layer
-once the next is built.  At a 400x400x400 dcnv2, one 8192-row evaluation
-chunk peaks at 29 MB of numpy allocations and one b=4096 training step at
-40 MB, against 91 and 67 MB with the pre-activations kept (BENCH_pr17.json).
+The forward cache keeps only what backward reads.  The MLP keeps each layer's
+input, its ReLU output computed in place (h = h @ W; h += b; max(h, 0) into
+h), and no pre-activation: backward masks by h > 0, which holds exactly where
+the pre-activation is > 0.  Training and evaluation run the same forward;
+evaluation (harness._predict) runs it on 4096-row chunks and drops each
+chunk's cache.  At a 400x400x400 dcnv2, one b=4096 training step peaks at
+40 MB of numpy allocations and one evaluation of 8,000 rows at 27 MB
+(BENCH_pr24.json).
 
 A Model holds every parameter of one model.  Model.tables names its
 id-indexed tables; sparse gradients, the trainer's table optimizers,
@@ -161,18 +161,14 @@ def init_model(
 # Layer primitives
 # ---------------------------------------------------------------------------
 
-# keep is keyword-only here and in model_forward: perfbench/spans.py's hook on
-# mlp_forward unpacks `layers, x = args`, so a third positional argument would
-# fail every traced training.
 def mlp_forward(
-    layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, *, keep: bool = True
-) -> tuple[np.ndarray, dict | None]:
-    """Affine+ReLU stack with a linear scalar output unit.  Returns (logits, cache).
+    layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Affine+ReLU stack with a linear scalar output unit.  Returns (logits, hs).
 
-    The cache is {"hs": [x, h1, ...]}, each hidden layer's input: backward
-    needs nothing else, since a ReLU output is > 0 exactly where its
-    pre-activation is.  With keep=False it is None, and each hidden layer is
-    freed once the next one is built.  x is never written.
+    hs is [x, h1, ...], each layer's input: backward needs nothing else,
+    since a ReLU output is > 0 exactly where its pre-activation is.  x is
+    never written.
     """
     if x.shape[1] != layers[0][0].shape[0]:
         raise ValueError("input width does not match the first layer")
@@ -182,18 +178,17 @@ def mlp_forward(
         h = h @ w  # a new array, so that the two in-place steps below leave x alone
         h += b
         np.maximum(h, 0.0, out=h)
-        if keep:
-            hs.append(h)
+        hs.append(h)
     w_out, b_out = layers[-1]
     logits = (h @ w_out + b_out)[:, 0]
-    return logits, ({"hs": hs} if keep else None)
+    return logits, hs
 
 
 def mlp_backward(
-    layers: list[tuple[np.ndarray, np.ndarray]], cache: dict, dlogit: np.ndarray
+    layers: list[tuple[np.ndarray, np.ndarray]], hs: list[np.ndarray], dlogit: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Gradient sums over the batch for every layer, plus d(input)."""
-    hs = cache["hs"]
+    """Gradient sums over the batch for every layer, plus d(input).  hs is
+    mlp_forward's list of layer inputs."""
     grads: dict[str, np.ndarray] = {}
     w_out, _ = layers[-1]
     last = len(layers) - 1
@@ -281,29 +276,23 @@ class ForwardCache:
     model: Model
     record: LookupRecord
     embedded: np.ndarray          # (b, fields*dim)
-    mlp_cache: dict
+    mlp_inputs: list[np.ndarray]  # each MLP layer's input, from mlp_forward
     logit: np.ndarray
     fm_sum: np.ndarray | None = None
     cross_xs: list[np.ndarray] = field(default_factory=list)
     cross_aux: list[np.ndarray] = field(default_factory=list)
 
 
-def model_forward(
-    model: Model, batch: Batch, *, keep: bool = True
-) -> tuple[np.ndarray, ForwardCache | None]:
+def model_forward(model: Model, batch: Batch) -> tuple[np.ndarray, ForwardCache]:
     """Click probability per sample: sigmoid(deep stream + wide/cross stream),
-    for the head model.kind names, and the cache loss_and_backward reads.
-
-    keep=False is for evaluation: the cache is None, and no layer's output is
-    kept once the next is built.
-    """
+    for the head model.kind names, and the cache loss_and_backward reads."""
     kind, table = model.kind, model.embed
     embedded, record = lookup_forward(table, batch)
     # A dataset's dense features are TRAIN_DTYPE already; the cast is for a
     # table of another dtype, such as the finite-difference checks' float64.
     x_mlp = np.concatenate([embedded, batch.dense], axis=1, dtype=embedded.dtype)
-    logit, mlp_cache = mlp_forward(model.mlp, x_mlp, keep=keep)
-    cache = ForwardCache(model, record, embedded, mlp_cache, logit)
+    logit, mlp_inputs = mlp_forward(model.mlp, x_mlp)
+    cache = ForwardCache(model, record, embedded, mlp_inputs, logit)
 
     if kind in FIRST_ORDER_KINDS:
         logit = logit + lr_head(model.lr_bias, model.first_order, record.rows)
@@ -318,13 +307,12 @@ def model_forward(
         cache.cross_xs = [x]
         for w, b in model.cross:
             x, aux = layer(embedded, x, w, b)
-            if keep:
-                cache.cross_xs.append(x)
-                cache.cross_aux.append(aux)
+            cache.cross_xs.append(x)
+            cache.cross_aux.append(aux)
         logit = logit + x @ model.cross_out
 
     cache.logit = logit
-    return sigmoid(logit), (cache if keep else None)
+    return sigmoid(logit), cache
 
 
 def loss_and_backward(
@@ -345,7 +333,7 @@ def loss_and_backward(
     # d(per-sample loss)/d(logit), back in the model's dtype
     dlogit = (probabilities - y).astype(cache.logit.dtype, copy=False)
 
-    grads, dmlp_in = mlp_backward(model.mlp, cache.mlp_cache, dlogit)
+    grads, dmlp_in = mlp_backward(model.mlp, cache.mlp_inputs, dlogit)
     width = table.n_fields * table.dim
     d_embedded = dmlp_in[:, :width].copy()
 

@@ -1,10 +1,11 @@
 """Acceptance gate: ten numbered criteria, each at its stated tolerance.
 
 Run with `pytest -s tests/test_acceptance.py` to see one pass/fail line per
-criterion (pytest -v shows the same via test outcomes).  The long criterion
-is 09 (desk-scale ordering replication), about three and a half minutes of
-training.  Criteria 02, 05, 07 and 08 each run one `harness.verify` suite,
-the same code `ctrlab verify` runs.
+criterion (pytest -v shows the same via test outcomes).  The long criteria,
+01 (gradient check) and 09 (desk-scale ordering replication, the longest by
+far), are marked slow; `pytest -m "not slow"` leaves them out.  Criteria 02,
+05, 07 and 08 each run one `harness.verify` suite, the same code
+`ctrlab verify` runs.
 """
 
 import math
@@ -12,6 +13,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from ctrlab import harness, scaling
 from ctrlab.clip import cowclip
@@ -35,6 +37,7 @@ def _run_suite(number: int, suite: str, seed: int, bound_s: float) -> None:
             f"{check.detail}; {elapsed:.1f}s (< {bound_s:g}s)")
 
 
+@pytest.mark.slow
 def test_c01_gradient_correctness():
     """4 model heads x 100 random configs, central differences, rel err < 1e-5."""
     t0 = time.time()
@@ -176,6 +179,7 @@ DESK = harness.ExperimentConfig(
 )
 
 
+@pytest.mark.slow
 def test_c09_desk_scale_ordering():
     """Large-batch orderings on the default synthetic dataset, 3-seed means.
 

@@ -29,6 +29,7 @@ from ctrlab.data import (
     load_dataset,
     make_batches,
     save_dataset,
+    save_npz,
     top_k_collapse,
     zipf_probabilities,
 )
@@ -601,6 +602,21 @@ class TestInvariants:
         message = re.escape(f"dense array must have shape (10, n_dense), got {shape}")
         with pytest.raises(ValueError, match=f"^{message}$"):
             Dataset((FieldSchema("c", 1),), np.zeros(10, dtype=np.uint8), np.zeros(shape), cat)
+
+    @pytest.mark.parametrize("shape", [(10, 2), (10, 1), ()])
+    def test_labels_must_be_1d(self, shape):
+        cat = np.zeros((10, 1), dtype=ID_DTYPE)
+        message = re.escape(f"labels array must have shape (n_samples,), got {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset((FieldSchema("c", 1),), np.zeros(shape, np.uint8), np.zeros((10, 0)), cat)
+
+    def test_float_labels_load_as_uint8(self, tmp_path):
+        labels = (np.arange(10) % 2).astype(np.float64)
+        cat = np.zeros((10, 1), dtype=ID_DTYPE)
+        save_npz(tmp_path / "f.npz", {"schema": [{"name": "c", "vocab_size": 1}], "meta": {}},
+                 {"labels": labels, "dense": np.zeros((10, 0)), "categorical": cat})
+        ds, _ = load_dataset(tmp_path / "f.npz")
+        assert ds.labels.dtype == np.uint8 and np.array_equal(ds.labels, labels)
 
     def test_compact_arrays_are_kept(self):
         labels = np.arange(10, dtype=np.uint8) % 2

@@ -16,11 +16,17 @@ The data hashes pin the bytes ``build_dataset`` makes for a few synthetic
 configs (field names and sizes, labels, dense features and ids), so a change
 to the generator or to the top-k collapse shows before any training does.
 
+The evaluation hashes pin the probabilities ``harness._predict`` gives for an
+untrained model over the acceptance DESK test split.  Its 20,000 rows take
+several evaluation chunks, where every golden training's test split has 400
+rows and fits in one, so these pin what happens across chunk boundaries.
+
     PYTHONPATH=src python tests/test_golden.py
 
 prints each config's name, full hash, numbers hash, final AUC and final
-logloss, then each data config's name and data hash: the values to re-pin a
-config with, and to compare a moved one by.
+logloss, then each data config's name and data hash, then each evaluation
+golden's model kind and hash: the values to re-pin a config with, and to
+compare a moved one by.
 """
 
 import functools
@@ -31,8 +37,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ctrlab import models, optim
-from ctrlab.embedding import TRAIN_DTYPE
+from ctrlab import harness, models, optim
+from ctrlab.embedding import TRAIN_DTYPE, init_table
 from ctrlab.harness import ExperimentConfig, RunRecord, build_dataset, record_fingerprint, train
 
 TINY = ExperimentConfig(
@@ -101,6 +107,14 @@ DATA_GOLDEN = {
     ),
 }
 
+# model kind: hash of harness._predict's probabilities for an untrained model
+# (the acceptance DESK shape: 10-dim embeddings, a 64x64 MLP) over the DESK
+# data's test split.
+EVAL_GOLDEN = {
+    "deepfm": "2cc3c00cd7c338c68fb70f3315010a58f17761531d9f2688855678cd32f6b898",
+    "dcnv2": "f54f42c8adcdc9f26ffe015a41918168bc8975b1486aa5b4a681214eafd50f21",
+}
+
 
 def _hash(record: RunRecord, with_config: bool = True) -> str:
     fingerprint = record_fingerprint(record)
@@ -122,6 +136,19 @@ def _data_hash(config: ExperimentConfig) -> str:
 
 
 @functools.cache
+def _desk_test_split():
+    config = DATA_GOLDEN["desk"][0]
+    return build_dataset(config, seed=1).split(config.split)[1]
+
+
+def _eval_hash(kind: str) -> str:
+    test_ds = _desk_test_split()
+    embed = init_table(test_ds.fields, 10, init_sigma=1e-2, seed=1)
+    model = models.init_model(kind, embed, test_ds.n_dense, hidden=(64, 64), seed=2)
+    return hashlib.sha256(harness._predict(model, test_ds).tobytes()).hexdigest()
+
+
+@functools.cache
 def _trained(name: str) -> RunRecord:
     return train(GOLDEN[name][0], seed=1)
 
@@ -140,6 +167,12 @@ def test_golden_numbers(name):
 def test_golden_data(name):
     config, expected = DATA_GOLDEN[name]
     assert _data_hash(config) == expected
+
+
+@pytest.mark.parametrize("kind", sorted(EVAL_GOLDEN))
+def test_golden_evaluation(kind):
+    assert _desk_test_split().n_samples == 20_000
+    assert _eval_hash(kind) == EVAL_GOLDEN[kind]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -186,3 +219,5 @@ if __name__ == "__main__":
               f"auc={record.final_auc!r}", f"logloss={record.final_logloss!r}")
     for name, (config, _) in DATA_GOLDEN.items():
         print(name, f"data={_data_hash(config)}")
+    for kind in EVAL_GOLDEN:
+        print(kind, f"evaluation={_eval_hash(kind)}")

@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -98,6 +99,13 @@ BAD_CONFIGS = [
     ("clip.value", {"clip_variant": "global", "clip_value": math.inf}),
     ("clip.r", {"clip_variant": "cowclip", "clip_r": math.inf}),
     ("clip.zeta", {"clip_variant": "cowclip", "clip_zeta": math.inf}),
+    ("train.epochs", {"epochs": math.inf}),
+    ("train.batch_size", {"batch_size": 64.5}),
+    ("model.embed_dim", {"embed_dim": 2.5}),
+    ("model.hidden", {"hidden": (8.5,)}),
+    ("data.n_samples", {"n_samples": 2000.5}),
+    ("data.top_k", {"top_k": 2.5}),
+    ("train.epochs", {"epochs": True}),
 ]
 
 
@@ -126,15 +134,17 @@ def _dense_only_npz(path):
     return str(path)
 
 
-def _raw_npz(path, dense=None, categorical=None, schema=None):
+def _raw_npz(path, labels=None, dense=None, categorical=None, schema=None):
     """A dataset file of 200 rows, written without a Dataset, so that it can
-    hold arrays or a header a Dataset rejects.  By default it has no dense
-    column and one field "c0" of 4 ids; categorical=False leaves that array out."""
+    hold arrays or a header a Dataset rejects.  By default it has alternating
+    uint8 labels, no dense column and one field "c0" of 4 ids;
+    categorical=False leaves that array out."""
     n = 200
+    labels = (np.arange(n) % 2).astype(np.uint8) if labels is None else labels
     dense = np.zeros((n, 0)) if dense is None else dense
     categorical = np.arange(n)[:, None] % 4 if categorical is None else categorical
     schema = [{"name": "c0", "vocab_size": 4}] if schema is None else schema
-    arrays = {"labels": (np.arange(n) % 2).astype(np.uint8), "dense": dense}
+    arrays = {"labels": labels, "dense": dense}
     if categorical is not False:
         arrays["categorical"] = categorical
     save_npz(path, {"schema": schema, "meta": {}}, arrays)
@@ -203,6 +213,18 @@ class TestConfig:
     def test_bad_config_message_gives_key_and_value(self, key, bad):
         with pytest.raises(ValueError, match=rf"^{re.escape(key)}( entries)? must be .+, got .+$"):
             replace(TINY, **bad)
+
+    @pytest.mark.parametrize("bad", [2.5, True], ids=["float", "bool"])
+    def test_integer_keys_reject_non_integers(self, bad):
+        # Every int-annotated key, and every entry of a tuple of ints.
+        hints = get_type_hints(ExperimentConfig)
+        integer = [f for f in fields(ExperimentConfig) if hints[f.name] in (int, tuple[int, ...])]
+        assert len(integer) == 11
+        for f in integer:
+            value = bad if hints[f.name] is int else (bad,)
+            with pytest.raises(ValueError, match=rf"^{re.escape(f.metadata['key'])}( entries)? "
+                                                 rf"must be an integer.*, got {bad}$"):
+                replace(TINY, **{f.name: value})
 
     def test_checks_follow_the_keys_in_use(self):
         # Each of these keys is unused by the rest of its config.
@@ -281,20 +303,20 @@ class TestTrain:
         assert rec.final_auc == rec.initial_auc
 
     def test_only_the_steps_forward_training_rows(self, monkeypatch):
-        # Every other forward evaluates the test split: once before training
-        # and once per epoch.
+        # Every forward but the steps' evaluates the test split: once before
+        # training and once per epoch.
         forwarded = []
         forward = harness.model_forward
 
-        def spy(model, batch, *, keep=True):
-            if not keep:
-                forwarded.append(len(batch.labels))
-            return forward(model, batch, keep=keep)
+        def spy(model, batch):
+            forwarded.append(len(batch.labels))
+            return forward(model, batch)
 
         monkeypatch.setattr(harness, "model_forward", spy)
         train(TINY, seed=0)
-        n_test = harness.build_dataset(TINY, 0).split(TINY.split)[1].n_samples
-        assert sum(forwarded) == n_test * (TINY.epochs + 1)
+        train_ds, test_ds = harness.build_dataset(TINY, 0).split(TINY.split)
+        steps = TINY.epochs * (train_ds.n_samples // TINY.batch_size)
+        assert sum(forwarded) == steps * TINY.batch_size + test_ds.n_samples * (TINY.epochs + 1)
 
     def test_smoke_loss_decreases(self):
         # initial loss is ~ln 2 at sigmoid(0); two epochs must beat it
@@ -418,9 +440,8 @@ class TestTrain:
 
 
 def test_evaluation_peak_is_under_three_activations():
-    # Evaluation keeps no forward cache: one 8192-row chunk through a
-    # 400x400x400 MLP holds a layer's input and its output, not every layer's
-    # pre-activation and activation.
+    # Evaluation forwards 4096-row chunks: 8192 rows through a 400x400x400
+    # MLP hold one chunk's layer outputs at a time, not every row's.
     n, width = 8192, 400
     ds = generate_synthetic(n, seed=0, n_dense=2, n_categorical=6, vocab_sizes=1000)
     embed = init_table(ds.fields, 10, 1e-2, seed=0)
@@ -552,7 +573,7 @@ class TestGradCheckHarness:
             model, batch = tiny_setup(kind, rng)
             if kinked and not drawn:
                 w, b = model.mlp[0]
-                x = harness.model_forward(model, batch)[1].mlp_cache["hs"][0]
+                x = harness.model_forward(model, batch)[1].mlp_inputs[0]
                 b[0] -= (x @ w + b)[0, 0]
                 assert abs((x @ w + b)[0, 0]) < 1e-6
             drawn.append(model)
@@ -715,11 +736,14 @@ class TestCli:
          "dataset schema must be a list of fields, got 5"),
         ("train", ["data.source={no_categorical}", "train.batch_size=16"],
          "dataset file has no array 'categorical'"),
+        ("train", ["data.source={labels_2d}", "train.batch_size=16"],
+         r"labels array must have shape \(n_samples,\), got \(200, 2\)"),
     ], ids=["train-bad-key", "train-missing-config", "train-empty-tsv", "train-dense-only-npz",
             "train-float-ids-npz", "analyze-freq-empty-tsv", "scale-missing-config",
             "train-infinite-lr", "train-1d-dense-npz", "train-short-dense-npz",
             "train-schema-entry-without-vocab-npz", "train-float-vocab-npz",
-            "train-string-vocab-npz", "train-int-schema-npz", "train-no-categorical-npz"])
+            "train-string-vocab-npz", "train-int-schema-npz", "train-no-categorical-npz",
+            "train-2d-labels-npz"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, command, lines, message):
         cfg_path = tmp_path / "exp.cfg"
         if lines is not None:
@@ -735,6 +759,7 @@ class TestCli:
                     ("str_vocab", dict(schema=[{"name": "c0", "vocab_size": "4"}])),
                     ("int_schema", dict(schema=5)),
                     ("no_categorical", dict(categorical=False)),
+                    ("labels_2d", dict(labels=np.zeros((200, 2), np.uint8))),
                 )}))
         assert cli.main([command, "--config", str(cfg_path)]) == 1
         out, err = capsys.readouterr()

@@ -152,16 +152,16 @@ class TestMlpInPlace:
         # the inputs reach the kink exactly and both sides of it
         assert np.any(zs[0] == 0.0) and np.any(np.concatenate([z.ravel() for z in zs]) < 0)
 
-        logits, cache = mlp_forward(layers, x)
+        logits, hs = mlp_forward(layers, x)
         assert logits.dtype == TRAIN_DTYPE
         assert np.array_equal(logits, ref_logits)
-        assert len(cache["hs"]) == len(ref_hs)
-        for h, ref_h in zip(cache["hs"], ref_hs):
+        assert len(hs) == len(ref_hs)
+        for h, ref_h in zip(hs, ref_hs):
             assert np.array_equal(h, ref_h)
         assert np.array_equal(x, x_before)
 
         dlogit = rng.normal(size=b).astype(TRAIN_DTYPE)
-        grads, dx = mlp_backward(layers, cache, dlogit)
+        grads, dx = mlp_backward(layers, hs, dlogit)
         ref_grads, ref_dx = reference_mlp_backward(layers, ref_hs, zs, dlogit)
         assert dx.dtype == TRAIN_DTYPE
         assert np.array_equal(dx, ref_dx)
@@ -170,11 +170,6 @@ class TestMlpInPlace:
             assert g.dtype == ref_grads[name].dtype
             assert np.array_equal(g, ref_grads[name]), name
 
-        uncached, none = mlp_forward(layers, x, keep=False)
-        assert none is None
-        assert np.array_equal(uncached, ref_logits)
-        assert np.array_equal(x, x_before)
-
     def test_nan_input_masks_like_the_reference(self):
         # A NaN pre-activation fails z > 0, and its ReLU output fails h > 0.
         rng = np.random.default_rng(3)
@@ -182,10 +177,10 @@ class TestMlpInPlace:
         x = rng.normal(size=(8, 5)).astype(TRAIN_DTYPE)
         x[2, 1] = np.nan
         ref_logits, ref_hs, zs = reference_mlp_forward(layers, x)
-        logits, cache = mlp_forward(layers, x)
+        logits, hs = mlp_forward(layers, x)
         assert np.array_equal(logits, ref_logits, equal_nan=True)
         dlogit = rng.normal(size=8).astype(TRAIN_DTYPE)
-        grads, dx = mlp_backward(layers, cache, dlogit)
+        grads, dx = mlp_backward(layers, hs, dlogit)
         ref_grads, ref_dx = reference_mlp_backward(layers, ref_hs, zs, dlogit)
         assert np.array_equal(dx, ref_dx, equal_nan=True)
         for name, g in grads.items():
@@ -371,23 +366,9 @@ class TestModelForward:
         model = init_model(kind, table, 1, hidden=(5, 7), cross_depth=2, seed=4)
         batch = _batch(np.random.default_rng(4), vocabs, 9, n_dense=1)
         _, cache = model_forward(model, batch)
-        assert list(cache.mlp_cache) == ["hs"]
-        hs = cache.mlp_cache["hs"]
+        hs = cache.mlp_inputs
         assert [h.shape for h in hs] == [(9, 5), (9, 5), (9, 7)]
         assert all(np.all(h >= 0) for h in hs[1:])
-
-    @pytest.mark.parametrize("kind", MODEL_KINDS)
-    def test_evaluation_keeps_no_cache(self, kind):
-        vocabs = [6, 3]
-        table = init_table(_fields(*vocabs), dim=2, init_sigma=0.3, seed=6)
-        model = init_model(kind, table, 1, hidden=(5,), cross_depth=2, seed=6)
-        batch = _batch(np.random.default_rng(6), vocabs, 9, n_dense=1)
-        kept, cache = model_forward(model, batch)
-        probs, none = model_forward(model, batch, keep=False)
-        assert none is None and cache is not None
-        assert np.array_equal(probs, kept)
-        with pytest.raises(TypeError):
-            model_forward(model, batch, False)  # keep is keyword-only
 
 
 class TestModel:
