@@ -45,5 +45,5 @@ p, b, s, eta = 1e-4, 64, 16, 1e-3
 fixed = expected_update_frequency_check(p, b, s, eta, n_trials=300_000, seed=2)
 naive = expected_update_frequency_check(p, b, s, eta, n_trials=300_000, seed=3,
                                         eta_big=s * eta)
-print(f"  lr held fixed:   big/small = {fixed.ratio:.3f}  (want ~1)")
-print(f"  lr scaled by s:  big/small = {naive.ratio:.2f}  (overshoots ~{s}x)")
+print(f"  lr held fixed:   big/small = {fixed:.3f}  (want ~1)")
+print(f"  lr scaled by s:  big/small = {naive:.2f}  (overshoots ~{s}x)")

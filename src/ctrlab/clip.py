@@ -41,15 +41,18 @@ import numpy as np
 
 from .embedding import EmbeddingTable, SparseGradient
 
-CONSTANT_VARIANTS = ("global", "fieldwise", "columnwise")
-ADAPTIVE_VARIANTS = ("adaptive_fieldwise", "cowclip")
-VARIANTS = ("none",) + CONSTANT_VARIANTS + ADAPTIVE_VARIANTS
+# variant: the ClipConfig parameters its threshold reads (see the table above)
+VARIANT_PARAMS = {"none": (), "global": ("value",), "fieldwise": ("value",),
+                  "columnwise": ("value",), "adaptive_fieldwise": ("r", "zeta"),
+                  "cowclip": ("r", "zeta")}
+VARIANTS = tuple(VARIANT_PARAMS)
 PER_ID_VARIANTS = ("columnwise", "cowclip")
 
 
 @dataclass(frozen=True)
 class ClipConfig:
-    """A variant and its threshold parameters; the one home of their rules."""
+    """A variant and its threshold parameters; the one home of their rules.  Each
+    parameter the variant reads must be > 0 and finite; the others are dropped."""
 
     variant: str = "none"
     value: float | None = None            # constant-threshold variants, as applied
@@ -61,15 +64,13 @@ class ClipConfig:
             raise ValueError(
                 f"clip.variant must be one of {', '.join(VARIANTS)}, got {self.variant!r}"
             )
-        params = {}
-        if self.variant in CONSTANT_VARIANTS:
-            params = {"clip.value": self.value}
-        elif self.variant in ADAPTIVE_VARIANTS:
-            params = {"clip.r": self.r, "clip.zeta": self.zeta}
-        for key, value in params.items():
-            if value is None or not 0 < value < math.inf:
+        for name in ("value", "r", "zeta"):
+            value = getattr(self, name)
+            if name not in VARIANT_PARAMS[self.variant]:
+                object.__setattr__(self, name, None)
+            elif value is None or not 0 < value < math.inf:
                 raise ValueError(
-                    f"{key} must be > 0 and finite for {self.variant} clipping, got {value}"
+                    f"clip.{name} must be > 0 and finite for {self.variant} clipping, got {value!r}"
                 )
 
 

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -42,13 +43,21 @@ from .optim import AdamState, EmbedAdamState, WarmupSchedule
 # ---------------------------------------------------------------------------
 
 # A check is a (test, phrase) pair: a value passes when test(value) is true,
-# and a failure reads "<key> must be <phrase>, got <value>".  Every numeric
-# test is a comparison, which NaN fails; an integer key's test also rejects a
-# float (2.5, inf) and a bool, which a comparison would let through.
+# and a failure reads "<key> must be <phrase>, got <value>".  A value is first
+# checked against its annotation (_TYPE_CHECKS), then against its key's check.
+# Every numeric check is a comparison, which NaN fails.
+_TYPE_CHECKS = {
+    # bool is an int subclass, so True would pass as 1 without the bool test.
+    int: (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool), "an integer"),
+    float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a real number"),
+    bool: (lambda v: isinstance(v, bool), "a bool"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def _integer(low: int, high: float = math.inf):
     phrase = f"an integer >= {low}" + (f" and <= {high}" if high < math.inf else "")
-    return (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-            and low <= v <= high, phrase)
+    return (lambda v: low <= v <= high, phrase)
 
 
 def _one_of(names: tuple[str, ...]):
@@ -110,18 +119,31 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Reject a bad config here, before any data is built.  None passes
-        every check, and each entry of a tuple is checked on its own."""
+        an optional key only.  A tuple key takes a tuple or a list, stored as
+        a tuple, and each of its entries is checked on its own."""
         synthetic = self.source == "synthetic"
         for f in fields(self):
-            check, value = f.metadata["check"], getattr(self, f.name)
-            if check is None or value is None or (f.metadata["synthetic"] and not synthetic):
-                continue
-            test, phrase = check
-            is_tuple = isinstance(value, tuple)
-            for entry in value if is_tuple else (value,):
-                if not test(entry):
-                    name = f.metadata["key"] + (" entries" if is_tuple else "")
-                    raise ValueError(f"{name} must be {phrase}, got {entry!r}")
+            name, value = f.metadata["key"], getattr(self, f.name)
+            hint = _TYPES[f.name]
+            if type(None) in get_args(hint):
+                if value is None:
+                    continue
+                hint = get_args(hint)[0]
+            entries = (value,)
+            if get_origin(hint) is tuple:
+                if isinstance(value, list):
+                    value = tuple(value)
+                    object.__setattr__(self, f.name, value)
+                if not isinstance(value, tuple):
+                    raise ValueError(f"{name} must be a tuple or a list, got {value!r}")
+                name, entries, hint = name + " entries", value, get_args(hint)[0]
+            checks = [_TYPE_CHECKS[hint]]
+            if f.metadata["check"] and (synthetic or not f.metadata["synthetic"]):
+                checks.append(f.metadata["check"])
+            for test, phrase in checks:
+                for entry in entries:
+                    if not test(entry):
+                        raise ValueError(f"{name} must be {phrase}, got {entry!r}")
         _clip_config(self)  # ClipConfig owns the clip.* rules, which depend on the variant
 
     def resolved_init_sigma(self) -> float:
@@ -270,13 +292,11 @@ def build_dataset(config: ExperimentConfig, seed: int) -> Dataset:
 def _clip_config(config: ExperimentConfig, s: float = 1.0) -> clip.ClipConfig:
     """The run's clip settings at batch factor s.  A constant threshold grows
     by sqrt(s), as the gradient norm of s batches with disjoint ids does; an
-    adaptive one follows the weights and is used as given."""
-    variant = config.clip_variant
-    if variant in clip.CONSTANT_VARIANTS:
-        return clip.ClipConfig(variant, value=config.clip_value * math.sqrt(s))
-    if variant in clip.ADAPTIVE_VARIANTS:
-        return clip.ClipConfig(variant, r=config.clip_r, zeta=config.clip_zeta)
-    return clip.ClipConfig(variant)
+    adaptive one follows the weights and is used as given.  ClipConfig keeps
+    the parameters the variant reads and drops the others."""
+    return clip.ClipConfig(
+        config.clip_variant, config.clip_value * math.sqrt(s), config.clip_r, config.clip_zeta
+    )
 
 
 def run_plan(config: ExperimentConfig) -> tuple[scaling.ScalingPlan, clip.ClipConfig]:
@@ -699,10 +719,10 @@ def _check_update_frequency(seed: int) -> CheckResult:
     naive = scaling.expected_update_frequency_check(
         p, b, s, eta, n_trials=200_000, seed=seed + 1, eta_big=s * eta
     )
-    ok = 0.9 <= fixed.ratio <= 1.1 and 0.85 * s <= naive.ratio <= 1.15 * s
+    ok = 0.9 <= fixed <= 1.1 and 0.85 * s <= naive <= 1.15 * s
     return CheckResult(
         "update-frequency", ok,
-        f"fixed-lr ratio {fixed.ratio:.3f} in [0.9, 1.1]; naive-linear {naive.ratio:.2f} in [{0.85*s:.1f}, {1.15*s:.1f}]",
+        f"fixed-lr ratio {fixed:.3f} in [0.9, 1.1]; naive-linear {naive:.2f} in [{0.85*s:.1f}, {1.15*s:.1f}]",
     )
 
 

@@ -1,14 +1,16 @@
 """Hyperparameter scaling rules for batch-size sweeps.
 
 Given base hyperparameters at a reference batch size and a factor s, each rule
-produces the learning rates and L2 weight for the scaled batch:
+multiplies the dense lr, the embedding lr and the L2 weight by a power of s
+(RULE_POWERS):
 
-  none        everything unchanged
-  sqrt        lr *= sqrt(s) (both tracks), l2 *= sqrt(s)
-  sqrt_star   lr *= sqrt(s), l2 unchanged
-  linear      lr *= s, l2 unchanged
-  n2_lambda   embedding lr fixed, l2 *= s**2, dense lr *= s
-  cowclip     embedding lr fixed, l2 *= s, dense lr *= sqrt(s)
+  rule        dense lr   embedding lr   l2
+  none        1          1              1
+  sqrt        sqrt(s)    sqrt(s)        sqrt(s)
+  sqrt_star   sqrt(s)    sqrt(s)        1
+  linear      s          s              1
+  n2_lambda   s          1              s**2
+  cowclip     sqrt(s)    1              s
 
 The frequency-aware rules (n2_lambda, cowclip) never scale the embedding
 learning rate: an id that shows up in a fraction of batches already sees its
@@ -27,7 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-RULES = ("none", "sqrt", "sqrt_star", "linear", "n2_lambda", "cowclip")
+# rule: the powers of s applied to (dense lr, embedding lr, l2)
+RULE_POWERS = {
+    "none": (0, 0, 0),
+    "sqrt": (0.5, 0.5, 0.5),
+    "sqrt_star": (0.5, 0.5, 0),
+    "linear": (1, 1, 0),
+    "n2_lambda": (1, 0, 2),
+    "cowclip": (0.5, 0, 1),
+}
+RULES = tuple(RULE_POWERS)
 
 
 @dataclass(frozen=True)
@@ -58,23 +69,11 @@ def scale(rule: str, base: BaseHyperparams, s: float) -> ScalingPlan:
     """Apply one scaling rule for batch factor s (target batch / base batch)."""
     if not 0 < s < math.inf:
         raise ValueError("batch factor s must be > 0 and finite")
-    if rule == "none":
-        eta_d, eta_e, l2 = base.eta_dense, base.eta_embed, base.l2
-    elif rule == "sqrt":
-        r = math.sqrt(s)
-        eta_d, eta_e, l2 = r * base.eta_dense, r * base.eta_embed, r * base.l2
-    elif rule == "sqrt_star":
-        r = math.sqrt(s)
-        eta_d, eta_e, l2 = r * base.eta_dense, r * base.eta_embed, base.l2
-    elif rule == "linear":
-        eta_d, eta_e, l2 = s * base.eta_dense, s * base.eta_embed, base.l2
-    elif rule == "n2_lambda":
-        eta_d, eta_e, l2 = s * base.eta_dense, base.eta_embed, s ** 2 * base.l2
-    elif rule == "cowclip":
-        eta_d, eta_e, l2 = math.sqrt(s) * base.eta_dense, base.eta_embed, s * base.l2
-    else:
+    if rule not in RULE_POWERS:
         raise ValueError(f"unknown scaling rule {rule!r}")
-    return ScalingPlan(rule, s, eta_d, eta_e, l2)
+    # math.sqrt is correctly rounded; s ** 0.5 is not guaranteed to be.
+    dense, embed, l2 = (math.sqrt(s) if p == 0.5 else s ** p for p in RULE_POWERS[rule])
+    return ScalingPlan(rule, s, dense * base.eta_dense, embed * base.eta_embed, l2 * base.l2)
 
 
 def plan_for_batch(rule: str, base: BaseHyperparams, target_batch: int) -> ScalingPlan:
@@ -176,16 +175,6 @@ def estimate_update_covariance(
     return np.atleast_2d(np.cov(updates, rowvar=False))
 
 
-@dataclass(frozen=True)
-class FrequencyCheckResult:
-    big_mean: float    # E[update per big-batch step]
-    small_mean: float  # E[update over s small-batch steps]
-
-    @property
-    def ratio(self) -> float:
-        return self.big_mean / self.small_mean
-
-
 def expected_update_frequency_check(
     p: float,
     b: int,
@@ -194,8 +183,9 @@ def expected_update_frequency_check(
     n_trials: int,
     seed: int,
     eta_big: float | None = None,
-) -> FrequencyCheckResult:
-    """Expected embedding update: one batch of s*b samples vs s batches of b.
+) -> float:
+    """The expected embedding update of one batch of s*b samples over that of
+    s batches of b.
 
     The surrogate updates by eta whenever the id appears in the batch: the
     adaptive-optimizer regime where the update magnitude per occurrence
@@ -214,4 +204,4 @@ def expected_update_frequency_check(
     big_mean = float(np.mean(eta_big * present_big))
     present_small = rng.binomial(b, p, size=(n_trials, s)) > 0
     small_mean = float(np.mean(eta * present_small.sum(axis=1)))
-    return FrequencyCheckResult(big_mean, small_mean)
+    return big_mean / small_mean

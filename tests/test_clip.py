@@ -1,5 +1,8 @@
 """Clipping variants: hand-evaluated thresholds, norm/direction/idempotence laws."""
 
+import math
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +244,21 @@ class TestConfigAndDispatch:
             cowclip(_table([3]), _sparse(np.random.default_rng(0), _table([3])), r=0.0, zeta=1e-4)
         ClipConfig(variant="none")
         ClipConfig(variant="cowclip", r=1.0, zeta=1e-4)
+
+    @pytest.mark.parametrize("variant,kept", [
+        ("none", {}),
+        ("global", {"value": 2.0}),
+        ("fieldwise", {"value": 2.0}),
+        ("columnwise", {"value": 2.0}),
+        ("adaptive_fieldwise", {"r": 3.0, "zeta": 4.0}),
+        ("cowclip", {"r": 3.0, "zeta": 4.0}),
+    ])
+    def test_variant_keeps_exactly_the_parameters_it_reads(self, variant, kept):
+        # A parameter the variant does not read is dropped, in range or not.
+        for unread in (1.0, 0.0, -1.0, math.nan, math.inf, None):
+            cfg = ClipConfig(variant, **{"value": unread, "r": unread, "zeta": unread, **kept})
+            assert asdict(cfg) == {"variant": variant, "value": None, "r": None, "zeta": None,
+                                   **kept}
 
     def test_none_returns_same_object(self):
         rng = np.random.default_rng(7)

@@ -26,7 +26,8 @@ rows and fits in one, so these pin what happens across chunk boundaries.
 prints each config's name, full hash, numbers hash, final AUC and final
 logloss, then each data config's name and data hash, then each evaluation
 golden's model kind and hash: the values to re-pin a config with, and to
-compare a moved one by.
+compare a moved one by.  Each hash is followed by "same" when it equals its
+pin and "moved" when it does not, so one run shows which pins a change keeps.
 """
 
 import functools
@@ -212,12 +213,17 @@ def test_training_stays_in_the_training_dtype(name, monkeypatch):
     assert any(row_corrections) == (not config.dense_l2)
 
 
+def _against(current: str, pin: str) -> str:
+    return f"{current} {'same' if current == pin else 'moved'}"
+
+
 if __name__ == "__main__":
-    for name, (config, *_) in GOLDEN.items():
+    for name, (config, full, numbers) in GOLDEN.items():
         record = train(config, seed=1)
-        print(name, _hash(record), f"numbers={_hash(record, with_config=False)}",
+        print(name, _against(_hash(record), full),
+              f"numbers={_against(_hash(record, with_config=False), numbers)}",
               f"auc={record.final_auc!r}", f"logloss={record.final_logloss!r}")
-    for name, (config, _) in DATA_GOLDEN.items():
-        print(name, f"data={_data_hash(config)}")
-    for kind in EVAL_GOLDEN:
-        print(kind, f"evaluation={_eval_hash(kind)}")
+    for name, (config, pin) in DATA_GOLDEN.items():
+        print(name, f"data={_against(_data_hash(config), pin)}")
+    for kind, pin in EVAL_GOLDEN.items():
+        print(kind, f"evaluation={_against(_eval_hash(kind), pin)}")

@@ -106,6 +106,16 @@ BAD_CONFIGS = [
     ("data.n_samples", {"n_samples": 2000.5}),
     ("data.top_k", {"top_k": 2.5}),
     ("train.epochs", {"epochs": True}),
+    ("opt.dense_l2", {"dense_l2": "false"}),
+    ("opt.lr_dense", {"lr_dense": True}),
+    ("model.init_sigma", {"init_sigma": True}),
+    ("data.source", {"source": 3}),
+    ("opt.lr_dense", {"lr_dense": "1"}),
+    ("clip.zeta", {"clip_variant": "cowclip", "clip_zeta": "1e-4"}),
+    ("model.hidden", {"hidden": 8}),
+    ("sweep.rules", {"sweep_rules": "none"}),
+    ("out.dir", {"out_dir": 3}),
+    ("clip.value", {"clip_value": None}),
 ]
 
 
@@ -206,8 +216,13 @@ class TestConfig:
             train(replace(TINY, **bad), seed=0)
 
     def test_every_checked_key_has_a_bad_case(self):
-        checked = {f.metadata["key"] for f in fields(ExperimentConfig) if f.metadata["check"]}
-        assert checked == {key for key, _ in BAD_CONFIGS if not key.startswith("clip.")}
+        # Every key is checked against its annotation, so every key has a case.
+        assert {f.metadata["key"] for f in fields(ExperimentConfig)} == {k for k, _ in BAD_CONFIGS}
+
+    def test_a_list_for_a_tuple_key_is_stored_as_a_tuple(self):
+        cfg = ExperimentConfig(hidden=[8, 4], sweep_batch_sizes=[64], sweep_rules=["none"])
+        assert (cfg.hidden, cfg.sweep_batch_sizes, cfg.sweep_rules) == ((8, 4), (64,), ("none",))
+        assert cfg == ExperimentConfig(hidden=(8, 4), sweep_batch_sizes=(64,), sweep_rules=("none",))
 
     @pytest.mark.parametrize("key,bad", BAD_CONFIGS)
     def test_bad_config_message_gives_key_and_value(self, key, bad):
@@ -230,6 +245,8 @@ class TestConfig:
         # Each of these keys is unused by the rest of its config.
         ExperimentConfig(source="data.npz", n_samples=0, vocab_size=0)
         ExperimentConfig(source="data.npz", n_dense=-1, n_categorical=-1)
+        cowclip = ExperimentConfig(clip_variant="cowclip", clip_value=0.0)
+        assert harness._clip_config(cowclip).value is None
 
     def test_bad_sweep_rule_fails_before_any_data(self, monkeypatch):
         monkeypatch.setattr(harness, "build_dataset", _forbid_build)
@@ -644,7 +661,13 @@ class TestCli:
         ("cowclip", {"variant": "cowclip", "value": None, "r": 1.0, "zeta": 1e-4},
          "cowclip r 1 zeta 0.0001"),
         ("none", {"variant": "none", "value": None, "r": None, "zeta": None}, "none"),
-    ], ids=["global", "cowclip", "none"])
+        ("fieldwise", {"variant": "fieldwise", "value": 25 * math.sqrt(8), "r": None,
+                       "zeta": None}, "fieldwise value 70.7107"),
+        ("columnwise", {"variant": "columnwise", "value": 25 * math.sqrt(8), "r": None,
+                        "zeta": None}, "columnwise value 70.7107"),
+        ("adaptive_fieldwise", {"variant": "adaptive_fieldwise", "value": None, "r": 1.0,
+                                "zeta": 1e-4}, "adaptive_fieldwise r 1 zeta 0.0001"),
+    ], ids=["global", "cowclip", "none", "fieldwise", "columnwise", "adaptive_fieldwise"])
     def test_scale_prints_the_applied_clip(self, tmp_path, capsys, variant, clip_json, clip_text):
         cfg = ExperimentConfig(rule="cowclip", base_batch=1024, batch_size=8192,
                                clip_variant=variant)

@@ -174,20 +174,20 @@ class TestUpdateCovariance:
 
 class TestUpdateFrequency:
     def test_frequent_id_linear_scaling_equalizes(self):
-        res = expected_update_frequency_check(1.0, b=64, s=16, eta=1e-3,
-                                              n_trials=1000, seed=0, eta_big=16e-3)
-        assert res.ratio == pytest.approx(1.0, rel=1e-12)
+        ratio = expected_update_frequency_check(1.0, b=64, s=16, eta=1e-3,
+                                                n_trials=1000, seed=0, eta_big=16e-3)
+        assert ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_rare_id_fixed_lr_matches(self):
-        res = expected_update_frequency_check(1e-4, b=64, s=16, eta=1e-3,
-                                              n_trials=200_000, seed=1)
-        assert 0.9 <= res.ratio <= 1.1
+        ratio = expected_update_frequency_check(1e-4, b=64, s=16, eta=1e-3,
+                                                n_trials=200_000, seed=1)
+        assert 0.9 <= ratio <= 1.1
 
     def test_rare_id_naive_linear_overshoots(self):
         s = 16
-        res = expected_update_frequency_check(1e-4, b=64, s=s, eta=1e-3,
-                                              n_trials=200_000, seed=2, eta_big=s * 1e-3)
-        assert 0.85 * s <= res.ratio <= 1.15 * s
+        ratio = expected_update_frequency_check(1e-4, b=64, s=s, eta=1e-3,
+                                                n_trials=200_000, seed=2, eta_big=s * 1e-3)
+        assert 0.85 * s <= ratio <= 1.15 * s
 
     def test_validation(self):
         with pytest.raises(ValueError):
