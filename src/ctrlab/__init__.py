@@ -2,10 +2,9 @@
 
 The pieces: datasets with controlled id-frequency skew (data), embedding
 tables with sparse gradients (embedding), four manually-differentiated CTR
-models (models), Adam with warmup (optim), five gradient-clipping
-variants including adaptive column-wise clipping (clip), batch-size
-hyperparameter scaling rules (scaling), AUC/logloss (metrics), and an
-experiment runner (harness, cli).
+models (models), Adam with warmup (optim), adaptive column-wise gradient
+clipping, CowClip (clip), batch-size hyperparameter scaling rules
+(scaling), AUC/logloss (metrics), and an experiment runner (harness, cli).
 """
 
 from .data import (

@@ -3,8 +3,7 @@
 All categorical fields share one row-major (sum of vocab sizes, dim) block.
 Field j owns rows offsets[j]:offsets[j+1], and row offsets[j] + k is the
 learned vector for id k of field j: the "column" of the classic
-one-hot-times-matrix view, and the unit that column-wise clipping operates
-on.  Lookup, accumulation, clipping and the optimizer steps work on these
+one-hot-times-matrix view, and the unit that CowClip clips.  Lookup, accumulation, clipping and the optimizer steps work on these
 global rows, so each is one pass over all fields.
 
 Gradients for a batch are sparse: only ids that occur in the batch carry
@@ -110,7 +109,7 @@ class SparseGradient:
 
     @cached_property
     def cuts(self) -> np.ndarray:
-        """Field boundaries in the blocks, for the field-unit clips and the views."""
+        """Field boundaries in the blocks, for the per-field views only."""
         return np.searchsorted(self.row_block, self.offsets)
 
     def check_table(self, table: EmbeddingTable) -> None:

@@ -102,7 +102,6 @@ class ExperimentConfig:
     dense_l2: bool = _key("opt.dense_l2", True)
     # clipping
     clip_variant: str = _key("clip.variant", "none")
-    clip_value: float = _key("clip.value", 25.0)
     clip_r: float = _key("clip.r", 1.0)
     clip_zeta: float = _key("clip.zeta", 1e-4)
     # scaling
@@ -289,22 +288,19 @@ def build_dataset(config: ExperimentConfig, seed: int) -> Dataset:
     return ds
 
 
-def _clip_config(config: ExperimentConfig, s: float = 1.0) -> clip.ClipConfig:
-    """The run's clip settings at batch factor s.  A constant threshold grows
-    by sqrt(s), as the gradient norm of s batches with disjoint ids does; an
-    adaptive one follows the weights and is used as given.  ClipConfig keeps
-    the parameters the variant reads and drops the others."""
-    return clip.ClipConfig(
-        config.clip_variant, config.clip_value * math.sqrt(s), config.clip_r, config.clip_zeta
-    )
+def _clip_config(config: ExperimentConfig) -> clip.ClipConfig:
+    """The run's clip settings.  CowClip's threshold follows the weights, so
+    they do not depend on the batch size.  ClipConfig keeps the parameters
+    the variant reads and drops the others."""
+    return clip.ClipConfig(config.clip_variant, config.clip_r, config.clip_zeta)
 
 
 def run_plan(config: ExperimentConfig) -> tuple[scaling.ScalingPlan, clip.ClipConfig]:
     """What a run applies: its rule's plan at s = train.batch_size /
-    scale.base_batch, and its clip settings with a constant threshold scaled to s."""
+    scale.base_batch, and its clip settings."""
     base = scaling.BaseHyperparams(config.base_batch, config.lr_dense, config.lr_embed, config.l2)
     plan = scaling.plan_for_batch(config.rule, base, config.batch_size)
-    return plan, _clip_config(config, plan.factor)
+    return plan, _clip_config(config)
 
 
 # Evaluation runs the training forward, cache and all, on chunks of 4096

@@ -25,6 +25,7 @@ rule and are carried verbatim rather than computed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,12 @@ RULE_POWERS = {
 RULES = tuple(RULE_POWERS)
 
 
+def _check_real(name: str, value) -> None:
+    # bool is an int subclass, so True would pass as 1 without the bool test.
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BaseHyperparams:
     base_batch: int = 1024
@@ -49,6 +56,10 @@ class BaseHyperparams:
     l2: float = 1e-4
 
     def __post_init__(self):
+        if not isinstance(self.base_batch, (int, np.integer)) or isinstance(self.base_batch, bool):
+            raise ValueError(f"base_batch must be an integer, got {self.base_batch!r}")
+        for name in ("eta_dense", "eta_embed", "l2"):
+            _check_real(name, getattr(self, name))
         # The comparisons also reject NaN, for which every comparison is false.
         if self.base_batch < 1 or not all(
             0 < x < math.inf for x in (self.eta_dense, self.eta_embed, self.l2)
@@ -67,6 +78,7 @@ class ScalingPlan:
 
 def scale(rule: str, base: BaseHyperparams, s: float) -> ScalingPlan:
     """Apply one scaling rule for batch factor s (target batch / base batch)."""
+    _check_real("batch factor s", s)
     if not 0 < s < math.inf:
         raise ValueError("batch factor s must be > 0 and finite")
     if rule not in RULE_POWERS:
@@ -193,8 +205,9 @@ def expected_update_frequency_check(
     the two sides agree for rare ids (presence grows linearly with batch
     size); with eta_big == s*eta the big-batch side overshoots by about s.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    # At p = 0 the id is never present, so both means are 0.
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must lie in (0, 1], got {p!r}")
     if b < 1 or s < 1:
         raise ValueError("b and s must be >= 1")
     if eta_big is None:

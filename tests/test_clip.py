@@ -1,4 +1,4 @@
-"""Clipping variants: hand-evaluated thresholds, norm/direction/idempotence laws."""
+"""CowClip: hand-evaluated thresholds, norm/direction/idempotence laws."""
 
 import math
 from dataclasses import asdict
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from ctrlab.clip import ClipConfig, apply_clip, cowclip
 from ctrlab.data import FieldSchema
 from ctrlab.embedding import init_table
-from ctrlab.harness import ExperimentConfig, _clip_config
 
 from conftest import sparse_gradient
 
@@ -20,11 +19,6 @@ def _table(vocabs, dim=4, sigma=0.1, seed=0):
     # float64, since the tests hold the clip to float64 hand values and bounds
     fields = tuple(FieldSchema(f"c{j}", v) for j, v in enumerate(vocabs))
     return init_table(fields, dim, init_sigma=sigma, seed=seed, dtype=np.float64)
-
-
-def _clip(variant, sparse, table, **params):
-    """One variant through the clip kernel."""
-    return apply_clip(ClipConfig(variant, **params), table, sparse)
 
 
 def _fields(rng, table, touched_per_field=3, scale=1.0):
@@ -40,11 +34,6 @@ def _fields(rng, table, touched_per_field=3, scale=1.0):
 
 def _sparse(rng, table, touched_per_field=3, scale=1.0):
     return sparse_gradient(table, *_fields(rng, table, touched_per_field, scale))
-
-
-def _field(sparse, j):
-    """Field j's rows of the gradient block."""
-    return sparse.grad_block[sparse.cuts[j]:sparse.cuts[j + 1]]
 
 
 class TestCowClip:
@@ -129,117 +118,20 @@ class TestCowClip:
         assert norm_out(1.0, 1e-4, 1, w_scale=4.0) >= base  # ||w||
 
 
-class TestGlobal:
-    def test_under_value_unchanged(self):
-        rng = np.random.default_rng(3)
-        table = _table([5], seed=3)
-        sparse = _sparse(rng, table, scale=0.1)
-        out = _clip("global", sparse, table, value=25.0)  # the conventional default bound
-        assert np.array_equal(out.grad_block, sparse.grad_block)
-
-    def test_double_norm_halves_entries(self):
-        table = _table([1], dim=2)
-        g = np.array([[3.0, 4.0]])  # norm 5
-        sparse = sparse_gradient(table, [np.array([0])], [g], [np.array([1])])
-        out = _clip("global", sparse, table, value=2.5)
-        assert np.allclose(out.grad_block, g / 2, rtol=0, atol=1e-15)
-
-    def test_norm_concatenated_over_fields(self):
-        table = _table([1, 2], dim=2)
-        sparse = sparse_gradient(
-            table,
-            [np.array([0]), np.array([1])],
-            [np.array([[3.0, 0.0]]), np.array([[0.0, 4.0]])],
-            [np.array([1]), np.array([1])],
-        )
-        out = _clip("global", sparse, table, value=1.0)  # total norm 5 -> scale 1/5
-        assert np.allclose(_field(out, 0), [[0.6, 0.0]], rtol=0, atol=1e-15)
-        assert np.allclose(_field(out, 1), [[0.0, 0.8]], rtol=0, atol=1e-15)
-
-
-class TestFieldwise:
-    def test_only_offending_field_rescaled(self):
-        table = _table([1, 1], dim=2)
-        sparse = sparse_gradient(
-            table,
-            [np.array([0]), np.array([0])],
-            [np.array([[10.0, 0.0]]), np.array([[0.1, 0.0]])],
-            [np.array([1]), np.array([1])],
-        )
-        out = _clip("fieldwise", sparse, table, value=1.0)
-        assert np.linalg.norm(_field(out, 0)) == pytest.approx(1.0, rel=1e-12)
-        assert np.array_equal(_field(out, 1), _field(sparse, 1))
-
-    def test_sqrt_batch_scaling(self):
-        table = _table([1], dim=2)
-        sparse = sparse_gradient(table, [np.array([0])], [np.array([[10.0, 0.0]])],
-                                 [np.array([1])])
-        # A run at batch factor s = 4 applies a constant threshold of 1 as 2.
-        cfg = _clip_config(ExperimentConfig(clip_variant="fieldwise", clip_value=1.0), s=4.0)
-        out = apply_clip(cfg, table, sparse)
-        assert np.linalg.norm(out.grad_block) == pytest.approx(2.0, rel=1e-12)
-
-    def test_disjoint_merge_norm_grows_like_sqrt_s(self):
-        # merging s small-batch gradient blocks with no shared ids: the summed
-        # block norm is sqrt(sum of squared norms) ~ sqrt(s) times one block
-        rng = np.random.default_rng(4)
-        s, cols, dim = 8, 32, 10
-        blocks = [rng.normal(size=(cols, dim)) for _ in range(s)]
-        small_norms = [np.linalg.norm(b) for b in blocks]
-        merged = np.concatenate(blocks)  # disjoint ids concatenate
-        ratio = np.linalg.norm(merged) / np.mean(small_norms)
-        assert abs(ratio - np.sqrt(s)) / np.sqrt(s) < 0.2
-
-
-class TestColumnwise:
-    def test_cases(self):
-        table = _table([3], dim=2)
-        g = np.array([[0.0, 0.0], [3.0, 4.0], [0.1, 0.0]])
-        sparse = sparse_gradient(table, [np.array([0, 1, 2])], [g], [np.array([1, 1, 1])])
-        out = _clip("columnwise", sparse, table, value=1.0)
-        assert np.array_equal(out.grad_block[0], g[0])  # zero untouched
-        assert np.linalg.norm(out.grad_block[1]) == pytest.approx(1.0, rel=1e-12)
-        assert np.array_equal(out.grad_block[2], g[2])  # under threshold
-
-
-class TestAdaptiveFieldwise:
-    def test_cases(self):
-        table = _table([2], dim=2, sigma=1.0, seed=5)
-        table.block[...] = [[2.0, 0.0], [0.0, 0.0]]  # field block norm 2
-        sparse = sparse_gradient(table, [np.array([0])], [np.array([[1.0, 0.0]])],
-                                 [np.array([1])])
-        out = _clip("adaptive_fieldwise", sparse, table, r=1.0, zeta=1e-5)
-        assert np.array_equal(out.grad_block, sparse.grad_block)  # under threshold
-        sparse_big = sparse_gradient(table, [np.array([0])], [np.array([[3.0, 0.0]])],
-                                     [np.array([1])])
-        out = _clip("adaptive_fieldwise", sparse_big, table, r=1.0, zeta=1e-5)
-        assert np.linalg.norm(out.grad_block) == pytest.approx(2.0, rel=1e-12)
-
-    def test_zeta_floor(self):
-        table = _table([2], dim=2, sigma=1e-9, seed=6)
-        sparse = sparse_gradient(table, [np.array([0])], [np.array([[1.0, 0.0]])],
-                                 [np.array([1])])
-        out = _clip("adaptive_fieldwise", sparse, table, r=1.0, zeta=1e-3)
-        assert np.linalg.norm(out.grad_block) == pytest.approx(1e-3, rel=1e-9)
-
-
 CLIPPING_CONFIGS = [
-    ("global", {"value": 1.0}),
-    ("fieldwise", {"value": 1.0}),
-    ("columnwise", {"value": 0.5}),
-    ("adaptive_fieldwise", {"r": 1.0, "zeta": 1e-4}),
     ("cowclip", {"r": 1.0, "zeta": 1e-4}),
 ]
 
 
 class TestConfigAndDispatch:
     def test_variant_field_validation(self):
-        with pytest.raises(ValueError, match="^clip.value must be > 0"):
-            ClipConfig(variant="global")  # needs value
         with pytest.raises(ValueError, match="^clip.zeta must be > 0"):
             ClipConfig(variant="cowclip", r=1.0)  # needs zeta
         with pytest.raises(ValueError, match="^clip.variant must be one of"):
             ClipConfig(variant="whatever")
+        with pytest.raises(ValueError,
+                           match="^clip.variant must be one of none, cowclip, got 'global'$"):
+            ClipConfig(variant="global", r=1.0, zeta=1e-4)
         with pytest.raises(ValueError, match="^clip.r must be > 0"):
             cowclip(_table([3]), _sparse(np.random.default_rng(0), _table([3])), r=0.0, zeta=1e-4)
         ClipConfig(variant="none")
@@ -247,18 +139,13 @@ class TestConfigAndDispatch:
 
     @pytest.mark.parametrize("variant,kept", [
         ("none", {}),
-        ("global", {"value": 2.0}),
-        ("fieldwise", {"value": 2.0}),
-        ("columnwise", {"value": 2.0}),
-        ("adaptive_fieldwise", {"r": 3.0, "zeta": 4.0}),
         ("cowclip", {"r": 3.0, "zeta": 4.0}),
     ])
     def test_variant_keeps_exactly_the_parameters_it_reads(self, variant, kept):
         # A parameter the variant does not read is dropped, in range or not.
         for unread in (1.0, 0.0, -1.0, math.nan, math.inf, None):
-            cfg = ClipConfig(variant, **{"value": unread, "r": unread, "zeta": unread, **kept})
-            assert asdict(cfg) == {"variant": variant, "value": None, "r": None, "zeta": None,
-                                   **kept}
+            cfg = ClipConfig(variant, **{"r": unread, "zeta": unread, **kept})
+            assert asdict(cfg) == {"variant": variant, "r": None, "zeta": None, **kept}
 
     def test_none_returns_same_object(self):
         rng = np.random.default_rng(7)
@@ -282,11 +169,9 @@ class TestConfigAndDispatch:
         sparse = _sparse(rng, table, scale=100.0)
         before = sparse.grad_block.copy()
         cowclip(table, sparse, r=1.0, zeta=1e-4)
-        _clip("global", sparse, table, value=0.1)
-        _clip("columnwise", sparse, table, value=0.1)
         assert np.array_equal(sparse.grad_block, before)
 
-    @pytest.mark.parametrize("variant,kwargs", [CLIPPING_CONFIGS[1], CLIPPING_CONFIGS[4]])
+    @pytest.mark.parametrize("variant,kwargs", CLIPPING_CONFIGS)
     def test_gradient_for_other_vocab_sizes_is_rejected(self, variant, kwargs):
         # the same field count, so only the offsets tell the tables apart
         table, other = _table([4, 6], seed=11), _table([6, 4], seed=11)
@@ -311,39 +196,25 @@ class TestConfigAndDispatch:
         assert not np.array_equal(out.grad_block, sparse.grad_block)
 
 
-def _clip_units(variant, cfg, table, sparse):
-    """(row indices into the grad block, threshold) for every unit the variant clips."""
-    cuts, offsets = sparse.cuts, table.offsets
-    fields = [np.arange(cuts[j], cuts[j + 1]) for j in range(len(cuts) - 1)]
-    rows = [np.array([i]) for i in range(len(sparse.grad_block))]
-    if variant == "global":
-        return [(np.arange(len(sparse.grad_block)), cfg.value)]
-    if variant == "fieldwise":
-        return [(f, cfg.value) for f in fields]
-    if variant == "columnwise":
-        return [(i, cfg.value) for i in rows]
-    if variant == "adaptive_fieldwise":
-        return [(f, max(cfg.r * np.linalg.norm(table.block[offsets[j]:offsets[j + 1]]), cfg.zeta))
-                for j, f in enumerate(fields)]
+def _clip_units(cfg, table, sparse):
+    """(row indices into the grad block, threshold) for every id CowClip clips."""
     w = table.block[sparse.row_block]
-    return [(i, sparse.count_block[i[0]] * max(cfg.r * np.linalg.norm(w[i[0]]), cfg.zeta))
-            for i in rows]
+    return [(np.array([i]), sparse.count_block[i] * max(cfg.r * np.linalg.norm(w[i]), cfg.zeta))
+            for i in range(len(sparse.grad_block))]
 
 
 class TestClipContractProperty:
     @settings(deadline=None, max_examples=150)
     @given(
-        variant=st.sampled_from([v for v, _ in CLIPPING_CONFIGS]),
         vocabs=st.lists(st.integers(1, 9), min_size=1, max_size=4),
         dropped=st.integers(0, 3),
         dim=st.integers(1, 4),
-        value=st.floats(1e-3, 1e3),
         r=st.floats(0.05, 20.0),
         zeta=st.floats(1e-4, 1.0),
         seed=st.integers(0, 2**31),
     )
     def test_every_unit_is_scaled_down_to_its_threshold(
-        self, variant, vocabs, dropped, dim, value, r, zeta, seed
+        self, vocabs, dropped, dim, r, zeta, seed
     ):
         rng = np.random.default_rng(seed)
         table = _table(vocabs, dim=dim, sigma=10.0 ** rng.uniform(-3, 1), seed=seed % 1000)
@@ -357,10 +228,7 @@ class TestClipContractProperty:
             counts.append(rng.integers(1, 6, size=k))
         sparse = sparse_gradient(table, ids, grads, counts)
         snapshot = [a.copy() for a in (sparse.row_block, sparse.grad_block, sparse.count_block)]
-        if variant in ("global", "fieldwise", "columnwise"):
-            cfg = ClipConfig(variant, value=value)
-        else:
-            cfg = ClipConfig(variant, r=r, zeta=zeta)
+        cfg = ClipConfig("cowclip", r=r, zeta=zeta)
 
         out = apply_clip(cfg, table, sparse)
 
@@ -368,7 +236,7 @@ class TestClipContractProperty:
             assert np.array_equal(a, b)
         assert np.array_equal(out.row_block, sparse.row_block)
         assert np.array_equal(out.count_block, sparse.count_block)
-        for unit, threshold in _clip_units(variant, cfg, table, sparse):
+        for unit, threshold in _clip_units(cfg, table, sparse):
             g_in, g_out = sparse.grad_block[unit], out.grad_block[unit]
             norm_in = np.linalg.norm(g_in)
             if norm_in <= threshold:

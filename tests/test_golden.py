@@ -1,9 +1,8 @@
 """Golden run fingerprints: refactors must reproduce these trainings bit for bit.
 
 Each config is a tiny training (well under a second) that takes one path
-through the trainer: the model head, the clip variant with its batch-scaled
-threshold, the scaling rule, and the embedding step's mode (dense L2 or
-lazy).  Each config pins two hashes.  The numbers hash is the hash of
+through the trainer: the model head, the clip variant (none or cowclip), the
+scaling rule, and the embedding step's mode (dense L2 or lazy).  Each config pins two hashes.  The numbers hash is the hash of
 ``record_fingerprint``: every number of the run record, that is everything
 but wall-clock time and the config, so a change that adds, drops or renames
 a config key keeps it, and its test shows that no number of the run moved.
@@ -55,35 +54,34 @@ GOLDEN = {
     "deepfm-cowclip-dense-l2": (
         replace(TINY, model_kind="deepfm", rule="cowclip", clip_variant="cowclip",
                 batch_size=128, dense_l2=True),
-        "b1354e9755139aebe35739613e4a81b1b63eeb627882d6ccbc3108c01c03bf0b",
+        "d48a742d56c6018d53ec5bc7738f23f2c51732ce31bace4bca384104f54e5c04",
         "f3636bf7814d89728e69a50e24d8ee227bafd907fd125f0b807d92a001a9f26e",
     ),
     "wd-cowclip-lazy": (
         replace(TINY, model_kind="wd", rule="cowclip", clip_variant="cowclip",
                 batch_size=128, dense_l2=False),
-        "88b4f9e34a109361a70ea5e75707bd565aced02fdded5f768c4018f82a44a990",
+        "a65ef37f80c9275838a88b8d098d7678976726fcb2d334d6e11d3918e2ededf6",
         "eb3bd2e44f2adb5eda01e5570abcda1f5b2e6bdded15d58f2e4b26775e27e8e0",
     ),
-    "dcn-fieldwise-s4-sqrt": (
-        replace(TINY, model_kind="dcn", clip_variant="fieldwise", clip_value=3e-3, **S4),
-        "7261d2d52110778a7be72ab61763655291e01521a1e0b2bcf18a8392a88ca61f",
-        "50ca2975e90efcfd0aa8bc82bd3092c0006729d52627be2eebe43ba7eeee15a3",
+    "dcn-none-s4-sqrt": (
+        replace(TINY, model_kind="dcn", rule="sqrt", **S4),
+        "72bd9e802629343c896fa966a2f13aa674fb343d8ec5b685b3c3d9fee86683e3",
+        "da3745aeb3311c0442d067ea81da9d27553ee57c4b12ce60260cbca95c9281e2",
     ),
-    "dcnv2-global-s4": (
-        replace(TINY, model_kind="dcnv2", clip_variant="global", clip_value=6e-3, **S4),
-        "af2774f6451c6df8d9529fdf45a5e1a94747085da9e17990621d185441eb8b44",
-        "5cdfd6d9efa9591f01d4a4f77c4e68a88f148fa4ea002ded59766dd30af66db1",
+    "dcnv2-none-s4": (
+        replace(TINY, model_kind="dcnv2", **S4),
+        "068eb7ad8b36055b809ca3ec85f5d0775b24b6ba559311a7ad5bc0f8b09b4852",
+        "f24b728feaa388e4ecd12c1912ce252d63837176ab208d7f12f44725bc83566d",
     ),
-    "dcnv2-columnwise-s4": (
-        replace(TINY, model_kind="dcnv2", clip_variant="columnwise", clip_value=6e-3, **S4),
-        "eadb07160c28e302c4cfaf8e0fdaa1bb88a330bf6fa75d36d4c50c6fae601598",
-        "6ac135297a2f00b0007b2fe8eac5614ee45c0d86d3958de2d1df58563d20b9ad",
+    "dcnv2-cowclip-s4-lazy": (
+        replace(TINY, model_kind="dcnv2", clip_variant="cowclip", dense_l2=False, **S4),
+        "c4872f0c894b5901ab63e119bb908df606dfbc165db5f095ccc0e2db15052029",
+        "a778492156b25af73388f055149368b4045183861e8cde381682b58d3b8efbe3",
     ),
-    "dcn-adaptive_fieldwise-s4-sqrt": (
-        replace(TINY, model_kind="dcn", rule="sqrt", clip_variant="adaptive_fieldwise",
-                clip_r=0.1, **S4),
-        "69a1c480c0654381547ba1de2249dbcd924cd2ffb9d8e9ad364f58de54ee462e",
-        "da101948f934393e46ff74c42bd9b5b51b80668184712bc8bd856c566f432e1c",
+    "dcn-cowclip-s4-sqrt": (
+        replace(TINY, model_kind="dcn", rule="sqrt", clip_variant="cowclip", **S4),
+        "b297e5eb6d7e8b58c67e14fc265e5e2d7277c57368245a3a3491f4643bddd78f",
+        "0aa34f64146d6c894ae9c286cf78f10a5ae140df042aa281b188e0ce02200ec6",
     ),
 }
 

@@ -58,13 +58,13 @@ BAD_CONFIGS = [
     ("data.split", {"split": 1.0}),
     ("data.split", {"split": 1.5}),
     ("scale.base_batch", {"base_batch": 0}),
-    ("clip.value", {"clip_variant": "global", "clip_value": 0.0}),
-    ("clip.value", {"clip_variant": "fieldwise", "clip_value": -1.0}),
-    ("clip.value", {"clip_variant": "columnwise", "clip_value": 0.0}),
+    ("clip.variant", {"clip_variant": "global"}),
+    ("clip.variant", {"clip_variant": "fieldwise"}),
+    ("clip.variant", {"clip_variant": "columnwise"}),
     ("clip.r", {"clip_variant": "cowclip", "clip_r": 0.0}),
     ("clip.zeta", {"clip_variant": "cowclip", "clip_zeta": 0.0}),
-    ("clip.r", {"clip_variant": "adaptive_fieldwise", "clip_r": -1.0}),
-    ("clip.zeta", {"clip_variant": "adaptive_fieldwise", "clip_zeta": -1e-4}),
+    ("clip.r", {"clip_variant": "cowclip", "clip_r": -1.0}),
+    ("clip.zeta", {"clip_variant": "cowclip", "clip_zeta": -1e-4}),
     ("model.hidden", {"hidden": (0,)}),
     ("model.hidden", {"hidden": (8, 0)}),
     ("model.embed_dim", {"embed_dim": 0}),
@@ -96,7 +96,7 @@ BAD_CONFIGS = [
     ("opt.l2", {"l2": math.inf}),
     ("model.init_sigma", {"init_sigma": math.inf}),
     ("data.zipf_exponent", {"zipf_exponent": math.inf}),
-    ("clip.value", {"clip_variant": "global", "clip_value": math.inf}),
+    ("clip.variant", {"clip_variant": "adaptive_fieldwise"}),
     ("clip.r", {"clip_variant": "cowclip", "clip_r": math.inf}),
     ("clip.zeta", {"clip_variant": "cowclip", "clip_zeta": math.inf}),
     ("train.epochs", {"epochs": math.inf}),
@@ -115,7 +115,6 @@ BAD_CONFIGS = [
     ("model.hidden", {"hidden": 8}),
     ("sweep.rules", {"sweep_rules": "none"}),
     ("out.dir", {"out_dir": 3}),
-    ("clip.value", {"clip_value": None}),
 ]
 
 
@@ -197,6 +196,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="^config line 1: unknown key 'opt.kind'$"):
             parse_config_text("opt.kind=adam")
 
+    def test_removed_clip_surface_is_rejected(self, monkeypatch):
+        # The clip ablation (results/clip_ablation.md) left the constant-threshold
+        # variants, and with them clip.value, and adaptive_fieldwise without a use.
+        with pytest.raises(ValueError, match="^config line 1: unknown key 'clip.value'$"):
+            parse_config_text("clip.value=25")
+        monkeypatch.setattr(harness, "build_dataset", _forbid_build)
+        with pytest.raises(ValueError,
+                           match="^clip.variant must be one of none, cowclip, got 'global'$"):
+            train(replace(TINY, clip_variant="global"), seed=0)
+
     @pytest.mark.parametrize("text,message", [
         ("data.top_k=abc", "config line 1: data.top_k: invalid literal for int"),
         ("# header\nopt.dense_l2=maybe", "config line 2: opt.dense_l2: bad boolean 'maybe'"),
@@ -245,8 +254,8 @@ class TestConfig:
         # Each of these keys is unused by the rest of its config.
         ExperimentConfig(source="data.npz", n_samples=0, vocab_size=0)
         ExperimentConfig(source="data.npz", n_dense=-1, n_categorical=-1)
-        cowclip = ExperimentConfig(clip_variant="cowclip", clip_value=0.0)
-        assert harness._clip_config(cowclip).value is None
+        unclipped = ExperimentConfig(clip_variant="none", clip_r=0.0, clip_zeta=-1.0)
+        assert harness._clip_config(unclipped) == ClipConfig("none")
 
     def test_bad_sweep_rule_fails_before_any_data(self, monkeypatch):
         monkeypatch.setattr(harness, "build_dataset", _forbid_build)
@@ -654,20 +663,10 @@ class TestCli:
         assert payload["lr_embed"] == 1e-4
 
     @pytest.mark.parametrize("variant,clip_json,clip_text", [
-        # A constant threshold grows by sqrt(s).
-        ("global", {"variant": "global", "value": 25 * math.sqrt(8), "r": None, "zeta": None},
-         "global value 70.7107"),
-        # An adaptive threshold follows the weights, so s leaves it alone.
-        ("cowclip", {"variant": "cowclip", "value": None, "r": 1.0, "zeta": 1e-4},
-         "cowclip r 1 zeta 0.0001"),
-        ("none", {"variant": "none", "value": None, "r": None, "zeta": None}, "none"),
-        ("fieldwise", {"variant": "fieldwise", "value": 25 * math.sqrt(8), "r": None,
-                       "zeta": None}, "fieldwise value 70.7107"),
-        ("columnwise", {"variant": "columnwise", "value": 25 * math.sqrt(8), "r": None,
-                        "zeta": None}, "columnwise value 70.7107"),
-        ("adaptive_fieldwise", {"variant": "adaptive_fieldwise", "value": None, "r": 1.0,
-                                "zeta": 1e-4}, "adaptive_fieldwise r 1 zeta 0.0001"),
-    ], ids=["global", "cowclip", "none", "fieldwise", "columnwise", "adaptive_fieldwise"])
+        # CowClip's threshold follows the weights, so s leaves it alone.
+        ("cowclip", {"variant": "cowclip", "r": 1.0, "zeta": 1e-4}, "cowclip r 1 zeta 0.0001"),
+        ("none", {"variant": "none", "r": None, "zeta": None}, "none"),
+    ], ids=["cowclip", "none"])
     def test_scale_prints_the_applied_clip(self, tmp_path, capsys, variant, clip_json, clip_text):
         cfg = ExperimentConfig(rule="cowclip", base_batch=1024, batch_size=8192,
                                clip_variant=variant)
@@ -689,7 +688,7 @@ class TestCli:
         ]
         assert [(r["rule"], r["batch_size"]) for r in json.loads(lines[-1])] == cells
 
-    @pytest.mark.parametrize("variant", ["global", "cowclip"])
+    @pytest.mark.parametrize("variant", ["none", "cowclip"])
     def test_scale_prints_what_train_applies(self, tmp_path, capsys, monkeypatch, variant):
         # Without warmup, the dense lr of every step is the plan's.
         cfg = replace(TINY, warmup_epochs=0.0, epochs=1, clip_variant=variant,

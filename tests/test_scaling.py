@@ -83,6 +83,27 @@ class TestRuleExactness:
         with pytest.raises(ValueError, match="must be positive"):
             BaseHyperparams(1024, **values)
 
+    @pytest.mark.parametrize("bad", [1024.5, 1024.0, True, "1024"])
+    def test_base_batch_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match=f"^base_batch must be an integer, got {bad!r}$"):
+            BaseHyperparams(bad, 1e-4, 1e-4, 1e-4)
+
+    @pytest.mark.parametrize("name", ["eta_dense", "eta_embed", "l2"])
+    @pytest.mark.parametrize("bad", [True, "1e-4"])
+    def test_base_rate_must_be_a_real_number(self, name, bad):
+        values = {"eta_dense": 1e-4, "eta_embed": 1e-4, "l2": 1e-4, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got {bad!r}$"):
+            BaseHyperparams(1024, **values)
+
+    def test_numpy_base_values_are_accepted(self):
+        base = BaseHyperparams(np.int64(1024), np.float32(1e-4), 1e-4, 1e-4)
+        assert scale("sqrt", base, np.float64(4.0)).eta_dense == pytest.approx(2e-4)
+
+    @pytest.mark.parametrize("bad", [True, "2"])
+    def test_batch_factor_must_be_a_real_number(self, bad):
+        with pytest.raises(ValueError, match=f"^batch factor s must be a real number, got {bad!r}$"):
+            scale("sqrt", BASE, bad)
+
 
 class TestSchedules:
     def test_sqrt_schedule_cells(self):
@@ -192,5 +213,8 @@ class TestUpdateFrequency:
     def test_validation(self):
         with pytest.raises(ValueError):
             expected_update_frequency_check(1.5, 8, 2, 1e-3, 10, 0)
+        # an id with p = 0 is never present, so the ratio would be 0 / 0
+        with pytest.raises(ValueError, match=r"^p must lie in \(0, 1\], got 0.0$"):
+            expected_update_frequency_check(0.0, 8, 2, 1e-3, 10, 0)
         with pytest.raises(ValueError):
             expected_update_frequency_check(0.5, 0, 2, 1e-3, 10, 0)
