@@ -211,6 +211,41 @@ def top_k_collapse(dataset: Dataset, k: int) -> Dataset:
     return Dataset(tuple(new_fields), dataset.labels, dataset.dense, np.stack(new_cols, axis=1))
 
 
+# Rows per slice of drop_unreferenced_ids's scan, so that the int64 copy of a
+# slice's ids stays small (1.7 MB for 26 fields), where one slice would copy
+# every id.  On 100k rows of 26 Criteo fields the scan took 6.6 to 7.0 ms at
+# 4096 to 32768 rows per slice and 7.2 ms in one slice; count_frequencies,
+# which could answer the same question, took 12.6 ms (min of 25, 2-core Xeon).
+_SCAN_ROWS = 8192
+
+
+def drop_unreferenced_ids(dataset: Dataset) -> tuple[Dataset, tuple[np.ndarray, ...] | None]:
+    """Drop from each field the ids that occur in no row.
+
+    Field j's n_j ids that occur are relabeled 0..n_j-1 in increasing order,
+    so the map keeps each field's id order.  Returns the relabeled dataset
+    and, per field, its kept original ids (kept[j][new id] is the old id);
+    when every id occurs, the dataset itself and None.
+    """
+    sizes = np.array([f.vocab_size for f in dataset.fields], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    # One scatter over every field's ids at once, as rows of one concatenated
+    # id space: a pass per column reads strided memory.
+    seen = np.zeros(int(sizes.sum()), dtype=bool)
+    for a in range(0, dataset.n_samples, _SCAN_ROWS):
+        seen[(dataset.categorical[a : a + _SCAN_ROWS] + starts).ravel()] = True
+    if seen.all():
+        return dataset, None
+    per_field = np.split(seen, starts[1:])
+    kept = tuple(_freeze(np.flatnonzero(s)) for s in per_field)
+    # Old id k of field j becomes its rank among the field's ids that occur.
+    new_id = np.concatenate([np.cumsum(s) - 1 for s in per_field])
+    categorical = new_id[dataset.categorical + starts]
+    fields = tuple(FieldSchema(f.name, len(k)) for f, k in zip(dataset.fields, kept))
+    # The datasets are immutable, so the labels and dense features are shared.
+    return Dataset(fields, dataset.labels, dataset.dense, categorical), kept
+
+
 def make_batches(dataset: Dataset, batch_size: int, seed: int = 0) -> Iterator[Batch]:
     """Seeded epoch: floor(N/b) disjoint batches from one permutation.
 

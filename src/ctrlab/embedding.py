@@ -14,6 +14,12 @@ between rows and field-local ids.  A gradient keeps the field offsets of the
 table it was built for; clipping and the optimizer refuse a table with other
 offsets, which would step the wrong rows.
 
+A training run's table holds only the ids that occur in its data
+(data.drop_unreferenced_ids relabels them 0..n_j-1 per field, in order, and
+take_ids keeps their rows of a table drawn over the full fields), so a pass
+over every row, as dense L2's optimizer step makes, costs what those ids
+cost, not the vocabulary.
+
 Three per-field views remain: EmbeddingTable.weights and SparseGradient.ids
 and .grads, tuples of one array per field (ids field-local).  They are read
 only by the benchmark's tracer, perfbench/spans.py, and go once it reads the
@@ -151,6 +157,17 @@ def init_table(
     for f, w in zip(fields, split_rows(table.block, table.offsets)):
         w[...] = rng.normal(0.0, init_sigma, size=(f.vocab_size, dim))
     return table
+
+
+def take_ids(table: EmbeddingTable, kept: tuple[np.ndarray, ...]) -> EmbeddingTable:
+    """A new table of table's rows for the ids kept[j] of each field j, in
+    that order: new id i of field j is old id kept[j][i], as
+    data.drop_unreferenced_ids relabels them."""
+    if len(kept) != table.n_fields:
+        raise ValueError(f"kept ids for {len(kept)} fields, the table has {table.n_fields}")
+    fields = tuple(FieldSchema(f.name, len(k)) for f, k in zip(table.fields, kept))
+    rows = np.concatenate([k + o for k, o in zip(kept, table.offsets[:-1].tolist())])
+    return EmbeddingTable(fields, table.dim, np.take(table.block, rows, axis=0))
 
 
 def lookup_forward(table: EmbeddingTable, batch: Batch) -> tuple[np.ndarray, LookupRecord]:

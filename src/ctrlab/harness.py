@@ -27,13 +27,14 @@ from .data import (
     Dataset,
     FieldSchema,
     batch_presence_probability,
+    drop_unreferenced_ids,
     generate_synthetic,
     load_criteo_tsv,
     load_dataset,
     make_batches,
     top_k_collapse,
 )
-from .embedding import init_table
+from .embedding import init_table, take_ids
 from .models import Model, init_model, model_forward
 from .optim import AdamState, EmbedAdamState, WarmupSchedule
 
@@ -336,6 +337,13 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     -> sparse step.  The L2 term is applied inside the sparse step, after
     clipping, so the clip operates on the data gradient alone.
 
+    The tables (embeddings, first-order weights and their Adam moments) hold
+    only the ids that occur in some row of the dataset, train or test split
+    (data.drop_unreferenced_ids); every other id is left out, since no
+    lookup reads it.  A row is drawn as in the full table, and every step is
+    per entry, so the record is the one a full table gives, bit for bit;
+    only dense L2's pass over every row costs less.
+
     The run diverges, and stops, on a non-finite step loss or on the third
     epoch in a row whose train loss is above 10x the initial test logloss.
     """
@@ -366,6 +374,13 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     table_seed = int(table_ss.generate_state(1)[0])
     params_seed = int(params_ss.generate_state(1)[0])
     embed = init_table(train_ds.fields, config.embed_dim, config.resolved_init_sigma(), table_seed)
+    dataset, kept = drop_unreferenced_ids(dataset)
+    if kept is not None:
+        # The draws went over the full fields, so each kept row starts from
+        # the weights it has in the full table.  Only a relabeled dataset is
+        # split again: a split re-checks every row (15 ms on criteo's 100k).
+        embed = take_ids(embed, kept)
+        train_ds, test_ds = dataset.split(config.split)
     model = init_model(
         config.model_kind, embed, train_ds.n_dense, hidden=config.hidden, seed=params_seed
     )

@@ -194,7 +194,9 @@ def mlp_backward(
     last = len(layers) - 1
     grads[f"mlp.{last}.W"] = hs[-1].T @ dlogit[:, None]
     grads[f"mlp.{last}.b"] = np.array([dlogit.sum()])
-    dh = dlogit[:, None] @ w_out.T
+    # A K=1 product is one multiply per entry, so broadcasting it is exact and
+    # skips the matmul's call overhead.
+    dh = dlogit[:, None] * w_out.T
     for i in range(len(layers) - 2, -1, -1):
         # d(pre-activation), in place: hs[i + 1] > 0 where z > 0 (a NaN fails both)
         np.multiply(dh, hs[i + 1] > 0, out=dh)

@@ -7,9 +7,12 @@ reaches the embeddings only, through adam_sparse_step.  Both steps work in
 place and return None: adam_step updates the dict's arrays and the
 AdamState, adam_sparse_step the table and the EmbedAdamState, so a step
 costs no copy of its parameters; in lazy mode the embedding step reads and
-writes only the touched rows.  Adam's arithmetic, for both steps and for
-the loss-scaling probe, is one kernel, _adam_update.  The SGD probe checks
-the same derivation for plain SGD with its own arithmetic.
+writes only the touched rows, and in dense-L2 mode it steps every row of the
+table it is given.  harness.train gives it a table of the ids that occur in
+the run's data, so that pass costs what those ids cost, not the vocabulary.
+Adam's arithmetic, for both steps and for the loss-scaling probe, is one
+kernel, _adam_update.  The SGD probe checks the same derivation for plain
+SGD with its own arithmetic.
 
 The moments and work buffers take their parameters' dtype, float32 in
 training (embedding.TRAIN_DTYPE): the dense-mode embedding pass streams
@@ -161,8 +164,10 @@ def adam_sparse_step(
     Updates table.block and the state's moments and step counts, all fields
     in one pass.  The gradient must have been built for a table with
     table's field offsets.
-    dense_l2 on: every id vector steps every time; absent ids see the pure
-    decay gradient l2*w, so regularization keeps acting between occurrences.
+    dense_l2 on: every row of table steps every time; ids absent from the
+    batch see the pure decay gradient l2*w, so regularization keeps acting
+    between occurrences.  The cost is one pass over table.block, which in
+    training holds the ids that occur in the run's data.
     Every FLUSH_EVERY steps, an entry whose weight fell below sqrt(tiny) of
     its dtype is set to 0 together with its m.
     dense_l2 off: absent ids and their moments stay untouched, bias

@@ -24,6 +24,7 @@ from ctrlab.data import (
     batch_presence_probability,
     count_frequencies,
     datasets_equal,
+    drop_unreferenced_ids,
     generate_synthetic,
     load_criteo_tsv,
     load_dataset,
@@ -520,6 +521,49 @@ class TestTopKCollapse:
         same = top_k_collapse(ds, 40)
         for name in ("labels", "dense", "categorical"):
             assert np.shares_memory(getattr(same, name), getattr(ds, name))
+
+
+class TestDropUnreferencedIds:
+    def test_relabel_keeps_each_fields_id_order(self):
+        ds = generate_synthetic(2000, seed=4, n_dense=1, n_categorical=3, vocab_sizes=[500, 7, 900])
+        out, kept = drop_unreferenced_ids(ds)
+        for j, f in enumerate(out.fields):
+            assert f.name == ds.fields[j].name and f.vocab_size == len(kept[j])
+            assert np.all(np.diff(kept[j]) > 0)  # increasing: the map is monotone
+            np.testing.assert_array_equal(kept[j], np.unique(ds.categorical[:, j]))
+            np.testing.assert_array_equal(kept[j][out.categorical[:, j]], ds.categorical[:, j])
+        assert out.fields[0].vocab_size < 500 and out.fields[1].vocab_size == 7
+        assert out.categorical.dtype == ID_DTYPE
+        assert np.shares_memory(out.labels, ds.labels) and np.shares_memory(out.dense, ds.dense)
+
+    def test_an_id_only_the_test_split_holds_is_kept(self):
+        # Id 5 occurs in the last row only, so only the test split reads it.
+        cat = np.array([[0], [2], [2], [0], [2], [0], [2], [0], [2], [5]])
+        ds = Dataset((FieldSchema("c", 8),), np.zeros(10, dtype=np.uint8), np.zeros((10, 0)), cat)
+        train_ds, test_ds = ds.split(0.9)
+        assert 5 not in train_ds.categorical and 5 in test_ds.categorical
+        out, kept = drop_unreferenced_ids(ds)
+        np.testing.assert_array_equal(kept[0], [0, 2, 5])
+        np.testing.assert_array_equal(out.categorical[:, 0], [0, 1, 1, 0, 1, 0, 1, 0, 1, 2])
+
+    def test_the_scan_reaches_the_last_slice_of_rows(self):
+        n = 2 * data_module._SCAN_ROWS + 1
+        cat = np.zeros((n, 2), dtype=ID_DTYPE)
+        cat[-1] = [3, 1]
+        fields = (FieldSchema("a", 5), FieldSchema("b", 2))
+        ds = Dataset(fields, np.zeros(n, dtype=np.uint8), np.zeros((n, 0)), cat)
+        out, kept = drop_unreferenced_ids(ds)
+        np.testing.assert_array_equal(kept[0], [0, 3])
+        assert [f.vocab_size for f in out.fields] == [2, 2]
+        assert out.categorical[-1].tolist() == [1, 1]
+        assert not kept[0].flags.writeable
+
+    def test_a_dataset_that_reads_every_id_comes_back_as_it_is(self):
+        ds = _tiny_dataset(np.random.default_rng(3), 200, [3, 5, 4])
+        assert all(len(np.unique(ds.categorical[:, j])) == f.vocab_size
+                   for j, f in enumerate(ds.fields))
+        out, kept = drop_unreferenced_ids(ds)
+        assert out is ds and kept is None
 
 
 class TestMakeBatches:

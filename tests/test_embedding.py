@@ -16,6 +16,7 @@ from ctrlab.embedding import (
     accumulate_gradients,
     init_table,
     lookup_forward,
+    take_ids,
 )
 
 from conftest import sparse_gradient
@@ -79,6 +80,18 @@ class TestInit:
     def test_nan_sigma_rejected(self):
         with pytest.raises(ValueError, match="init_sigma"):
             init_table(_fields(5), dim=2, init_sigma=float("nan"))
+
+
+def test_take_ids_keeps_each_fields_rows_in_order():
+    full = init_table(_fields(6, 4), dim=3, init_sigma=0.1, seed=2)
+    kept = (np.array([0, 2, 5]), np.array([3]))
+    table = take_ids(full, kept)
+    assert table.fields == _fields(3, 1) and table.dim == 3
+    np.testing.assert_array_equal(_field_rows(table, 0), _field_rows(full, 0)[[0, 2, 5]])
+    np.testing.assert_array_equal(_field_rows(table, 1), _field_rows(full, 1)[[3]])
+    assert not np.shares_memory(table.block, full.block)
+    with pytest.raises(ValueError, match="kept ids for 1 fields, the table has 2"):
+        take_ids(full, kept[:1])
 
 
 class TestLookup:

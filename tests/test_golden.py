@@ -2,10 +2,12 @@
 
 Each config is a tiny training (well under a second) that takes one path
 through the trainer: the model head, the clip variant (none or cowclip), the
-scaling rule, and the embedding step's mode (dense L2 or lazy).  Each config pins two hashes.  The numbers hash is the hash of
-``record_fingerprint``: every number of the run record, that is everything
-but wall-clock time and the config, so a change that adds, drops or renames
-a config key keeps it, and its test shows that no number of the run moved.
+scaling rule, the embedding step's mode (dense L2 or lazy), and whether the
+data leaves ids that the run's tables drop.  Each config pins two hashes.
+The numbers hash is the hash of ``record_fingerprint``: every number of the
+run record, that is everything but wall-clock time and the config, so a
+change that adds, drops or renames a config key keeps it, and its test shows
+that no number of the run moved.
 The full hash adds the record's config back in, so it also pins how the
 config is written into a record.
 The hashes were recorded training in float32 with numpy 2.4 on OpenBLAS; a
@@ -38,6 +40,7 @@ import numpy as np
 import pytest
 
 from ctrlab import harness, models, optim
+from ctrlab.data import drop_unreferenced_ids
 from ctrlab.embedding import TRAIN_DTYPE, init_table
 from ctrlab.harness import ExperimentConfig, RunRecord, build_dataset, record_fingerprint, train
 
@@ -82,6 +85,21 @@ GOLDEN = {
         replace(TINY, model_kind="dcn", rule="sqrt", clip_variant="cowclip", **S4),
         "b297e5eb6d7e8b58c67e14fc265e5e2d7277c57368245a3a3491f4643bddd78f",
         "0aa34f64146d6c894ae9c286cf78f10a5ae140df042aa281b188e0ce02200ec6",
+    ),
+    # 2000 ids per field, of which TINY's 2000 rows draw about 410: the run's
+    # tables leave the rest out (data.drop_unreferenced_ids), which the
+    # configs above, whose rows draw every id, never do.
+    "deepfm-cowclip-dense-l2-v2000": (
+        replace(TINY, model_kind="deepfm", rule="cowclip", clip_variant="cowclip",
+                batch_size=128, dense_l2=True, vocab_size=2000),
+        "e655517ad0074369c5a72f8493d996ecb6f50485e1a7fcfd35e3d936d9438c8d",
+        "c053eb2a3785683ff8fc4f591d5761ef39f59836e76e0d112718e5e63a692d84",
+    ),
+    "wd-cowclip-lazy-v2000": (
+        replace(TINY, model_kind="wd", rule="cowclip", clip_variant="cowclip",
+                batch_size=128, dense_l2=False, vocab_size=2000),
+        "f16b548cb5474c603642a16906572323ee50703296bbc6fe4db1b44b2f6c2a1e",
+        "c5a32225daf0d9075efb7137cb67a50c0cbd7ee1fbd5a942469b3d7836bc34bc",
     ),
 }
 
@@ -160,6 +178,14 @@ def test_golden_fingerprint(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_numbers(name):
     assert _hash(_trained(name), with_config=False) == GOLDEN[name][2]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_config_takes_its_table_path(name):
+    # The v2000 pins train over tables with unreferenced ids left out; every
+    # other pin's rows draw all of their ids, so its tables are whole.
+    _, kept = drop_unreferenced_ids(build_dataset(GOLDEN[name][0], seed=1))
+    assert (kept is not None) == name.endswith("-v2000")
 
 
 @pytest.mark.parametrize("name", sorted(DATA_GOLDEN))

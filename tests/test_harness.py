@@ -46,76 +46,81 @@ TINY = ExperimentConfig(
 
 
 # One bad value per case, for every checked key; the clip.* cases are
-# ClipConfig's.
+# ClipConfig's.  A case is named "<key>-bad<number>" by its own number, so
+# deleting a case renames no other.
 BAD_CONFIGS = [
-    ("model.kind", {"model_kind": "deepfmm"}),
-    ("sweep.batch_sizes", {"sweep_batch_sizes": (0,)}),
-    ("data.top_k", {"top_k": -2}),
-    ("clip.variant", {"clip_variant": "cow"}),
-    ("scale.rule", {"rule": "cubic"}),
-    ("opt.lr_embed", {"lr_embed": math.inf}),
-    ("data.split", {"split": 0.0}),
-    ("data.split", {"split": 1.0}),
-    ("data.split", {"split": 1.5}),
-    ("scale.base_batch", {"base_batch": 0}),
-    ("clip.variant", {"clip_variant": "global"}),
-    ("clip.variant", {"clip_variant": "fieldwise"}),
-    ("clip.variant", {"clip_variant": "columnwise"}),
-    ("clip.r", {"clip_variant": "cowclip", "clip_r": 0.0}),
-    ("clip.zeta", {"clip_variant": "cowclip", "clip_zeta": 0.0}),
-    ("clip.r", {"clip_variant": "cowclip", "clip_r": -1.0}),
-    ("clip.zeta", {"clip_variant": "cowclip", "clip_zeta": -1e-4}),
-    ("model.hidden", {"hidden": (0,)}),
-    ("model.hidden", {"hidden": (8, 0)}),
-    ("model.embed_dim", {"embed_dim": 0}),
-    ("opt.lr_dense", {"lr_dense": 0.0}),
-    ("opt.lr_embed", {"lr_embed": -1.0}),
-    ("opt.l2", {"l2": 0.0}),
-    ("data.n_samples", {"n_samples": 0}),
-    ("data.vocab_size", {"vocab_size": 0}),
-    ("data.zipf_exponent", {"zipf_exponent": 0.0}),
-    ("sweep.batch_sizes", {"sweep_batch_sizes": (256, -64)}),
-    ("sweep.rules", {"sweep_rules": ("none", "cubic")}),
-    ("sweep.rules", {"sweep_rules": ("n2-lambda",)}),
-    ("train.batch_size", {"batch_size": 0}),
-    ("train.epochs", {"epochs": -1}),
-    ("data.n_dense", {"n_dense": -1}),
-    ("data.n_categorical", {"n_categorical": -1}),
-    ("opt.warmup_epochs", {"warmup_epochs": -1.0}),
-    ("opt.warmup_epochs", {"warmup_epochs": math.inf}),
-    ("data.top_k", {"top_k": math.inf}),
-    ("model.init_sigma", {"init_sigma": 0.0}),
-    ("model.init_sigma", {"init_sigma": -1.0}),
-    ("model.init_sigma", {"init_sigma": math.nan}),
-    ("opt.warmup_epochs", {"warmup_epochs": math.nan}),
-    ("data.click_strength", {"click_strength": math.nan}),
-    ("data.click_strength", {"click_strength": math.inf}),
-    ("data.n_categorical", {"n_categorical": 0}),
-    ("data.vocab_size", {"vocab_size": 2**31 + 1}),
-    ("opt.lr_dense", {"lr_dense": math.inf}),
-    ("opt.l2", {"l2": math.inf}),
-    ("model.init_sigma", {"init_sigma": math.inf}),
-    ("data.zipf_exponent", {"zipf_exponent": math.inf}),
-    ("clip.variant", {"clip_variant": "adaptive_fieldwise"}),
-    ("clip.r", {"clip_variant": "cowclip", "clip_r": math.inf}),
-    ("clip.zeta", {"clip_variant": "cowclip", "clip_zeta": math.inf}),
-    ("train.epochs", {"epochs": math.inf}),
-    ("train.batch_size", {"batch_size": 64.5}),
-    ("model.embed_dim", {"embed_dim": 2.5}),
-    ("model.hidden", {"hidden": (8.5,)}),
-    ("data.n_samples", {"n_samples": 2000.5}),
-    ("data.top_k", {"top_k": 2.5}),
-    ("train.epochs", {"epochs": True}),
-    ("opt.dense_l2", {"dense_l2": "false"}),
-    ("opt.lr_dense", {"lr_dense": True}),
-    ("model.init_sigma", {"init_sigma": True}),
-    ("data.source", {"source": 3}),
-    ("opt.lr_dense", {"lr_dense": "1"}),
-    ("clip.zeta", {"clip_variant": "cowclip", "clip_zeta": "1e-4"}),
-    ("model.hidden", {"hidden": 8}),
-    ("sweep.rules", {"sweep_rules": "none"}),
-    ("out.dir", {"out_dir": 3}),
+    (0, "model.kind", {"model_kind": "deepfmm"}),
+    (1, "sweep.batch_sizes", {"sweep_batch_sizes": (0,)}),
+    (2, "data.top_k", {"top_k": -2}),
+    (3, "clip.variant", {"clip_variant": "cow"}),
+    (4, "scale.rule", {"rule": "cubic"}),
+    (5, "opt.lr_embed", {"lr_embed": math.inf}),
+    (6, "data.split", {"split": 0.0}),
+    (7, "data.split", {"split": 1.0}),
+    (8, "data.split", {"split": 1.5}),
+    (9, "scale.base_batch", {"base_batch": 0}),
+    (10, "clip.variant", {"clip_variant": "global"}),
+    (11, "clip.variant", {"clip_variant": "fieldwise"}),
+    (12, "clip.variant", {"clip_variant": "columnwise"}),
+    (13, "clip.r", {"clip_variant": "cowclip", "clip_r": 0.0}),
+    (14, "clip.zeta", {"clip_variant": "cowclip", "clip_zeta": 0.0}),
+    (15, "clip.r", {"clip_variant": "cowclip", "clip_r": -1.0}),
+    (16, "clip.zeta", {"clip_variant": "cowclip", "clip_zeta": -1e-4}),
+    (17, "model.hidden", {"hidden": (0,)}),
+    (18, "model.hidden", {"hidden": (8, 0)}),
+    (19, "model.embed_dim", {"embed_dim": 0}),
+    (20, "opt.lr_dense", {"lr_dense": 0.0}),
+    (21, "opt.lr_embed", {"lr_embed": -1.0}),
+    (22, "opt.l2", {"l2": 0.0}),
+    (23, "data.n_samples", {"n_samples": 0}),
+    (24, "data.vocab_size", {"vocab_size": 0}),
+    (25, "data.zipf_exponent", {"zipf_exponent": 0.0}),
+    (26, "sweep.batch_sizes", {"sweep_batch_sizes": (256, -64)}),
+    (27, "sweep.rules", {"sweep_rules": ("none", "cubic")}),
+    (28, "sweep.rules", {"sweep_rules": ("n2-lambda",)}),
+    (29, "train.batch_size", {"batch_size": 0}),
+    (30, "train.epochs", {"epochs": -1}),
+    (31, "data.n_dense", {"n_dense": -1}),
+    (32, "data.n_categorical", {"n_categorical": -1}),
+    (33, "opt.warmup_epochs", {"warmup_epochs": -1.0}),
+    (34, "opt.warmup_epochs", {"warmup_epochs": math.inf}),
+    (35, "data.top_k", {"top_k": math.inf}),
+    (36, "model.init_sigma", {"init_sigma": 0.0}),
+    (37, "model.init_sigma", {"init_sigma": -1.0}),
+    (38, "model.init_sigma", {"init_sigma": math.nan}),
+    (39, "opt.warmup_epochs", {"warmup_epochs": math.nan}),
+    (40, "data.click_strength", {"click_strength": math.nan}),
+    (41, "data.click_strength", {"click_strength": math.inf}),
+    (42, "data.n_categorical", {"n_categorical": 0}),
+    (43, "data.vocab_size", {"vocab_size": 2**31 + 1}),
+    (44, "opt.lr_dense", {"lr_dense": math.inf}),
+    (45, "opt.l2", {"l2": math.inf}),
+    (46, "model.init_sigma", {"init_sigma": math.inf}),
+    (47, "data.zipf_exponent", {"zipf_exponent": math.inf}),
+    (48, "clip.variant", {"clip_variant": "adaptive_fieldwise"}),
+    (49, "clip.r", {"clip_variant": "cowclip", "clip_r": math.inf}),
+    (50, "clip.zeta", {"clip_variant": "cowclip", "clip_zeta": math.inf}),
+    (51, "train.epochs", {"epochs": math.inf}),
+    (52, "train.batch_size", {"batch_size": 64.5}),
+    (53, "model.embed_dim", {"embed_dim": 2.5}),
+    (54, "model.hidden", {"hidden": (8.5,)}),
+    (55, "data.n_samples", {"n_samples": 2000.5}),
+    (56, "data.top_k", {"top_k": 2.5}),
+    (57, "train.epochs", {"epochs": True}),
+    (58, "opt.dense_l2", {"dense_l2": "false"}),
+    (59, "opt.lr_dense", {"lr_dense": True}),
+    (60, "model.init_sigma", {"init_sigma": True}),
+    (61, "data.source", {"source": 3}),
+    (62, "opt.lr_dense", {"lr_dense": "1"}),
+    (63, "clip.zeta", {"clip_variant": "cowclip", "clip_zeta": "1e-4"}),
+    (64, "model.hidden", {"hidden": 8}),
+    (65, "sweep.rules", {"sweep_rules": "none"}),
+    (66, "out.dir", {"out_dir": 3}),
 ]
+BAD_CASES = pytest.mark.parametrize(
+    "key,bad", [(key, bad) for _, key, bad in BAD_CONFIGS],
+    ids=[f"{key}-bad{n}" for n, key, _ in BAD_CONFIGS],
+)
 
 
 def _forbid_build(*args, **kwargs):  # pragma: no cover
@@ -218,7 +223,7 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{message}"):
             parse_config_text(text)
 
-    @pytest.mark.parametrize("key,bad", BAD_CONFIGS)
+    @BAD_CASES
     def test_bad_config_fails_before_any_data(self, monkeypatch, key, bad):
         monkeypatch.setattr(harness, "build_dataset", _forbid_build)
         with pytest.raises(ValueError, match=key):
@@ -226,14 +231,15 @@ class TestConfig:
 
     def test_every_checked_key_has_a_bad_case(self):
         # Every key is checked against its annotation, so every key has a case.
-        assert {f.metadata["key"] for f in fields(ExperimentConfig)} == {k for k, _ in BAD_CONFIGS}
+        assert {f.metadata["key"] for f in fields(ExperimentConfig)} == {k for _, k, _ in BAD_CONFIGS}
+        assert len({n for n, _, _ in BAD_CONFIGS}) == len(BAD_CONFIGS)
 
     def test_a_list_for_a_tuple_key_is_stored_as_a_tuple(self):
         cfg = ExperimentConfig(hidden=[8, 4], sweep_batch_sizes=[64], sweep_rules=["none"])
         assert (cfg.hidden, cfg.sweep_batch_sizes, cfg.sweep_rules) == ((8, 4), (64,), ("none",))
         assert cfg == ExperimentConfig(hidden=(8, 4), sweep_batch_sizes=(64,), sweep_rules=("none",))
 
-    @pytest.mark.parametrize("key,bad", BAD_CONFIGS)
+    @BAD_CASES
     def test_bad_config_message_gives_key_and_value(self, key, bad):
         with pytest.raises(ValueError, match=rf"^{re.escape(key)}( entries)? must be .+, got .+$"):
             replace(TINY, **bad)
@@ -463,6 +469,63 @@ class TestTrain:
         rec = train(cfg, seed=2)
         assert not rec.diverged
         assert rec.epochs[-1].train_loss < math.log(2.0)
+
+
+# 2000 ids per field, of which TINY's 2000 rows draw about 410.
+SPARSE_IDS = dict(vocab_size=2000)
+
+
+class TestUnreferencedIds:
+    """train builds its tables over the ids that occur in some row only."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(model_kind="deepfm", rule="cowclip", clip_variant="cowclip", dense_l2=True),
+        dict(model_kind="wd", clip_variant="cowclip", dense_l2=False),
+        dict(model_kind="dcnv2", clip_variant="none"),
+    ], ids=["deepfm-cowclip-dense-l2", "wd-cowclip-lazy", "dcnv2-none"])
+    def test_dropping_them_moves_no_number(self, monkeypatch, overrides):
+        cfg = replace(TINY, **SPARSE_IDS, **overrides)
+        stepped = []
+        sparse_step = optim.adam_sparse_step
+
+        def spy(state, table, *args, **kwargs):
+            stepped.append(len(table.block))
+            sparse_step(state, table, *args, **kwargs)
+
+        monkeypatch.setattr(optim, "adam_sparse_step", spy)
+        dropped = train(cfg, seed=1)
+        dropped_rows = set(stepped)
+        stepped.clear()
+        monkeypatch.setattr(harness, "drop_unreferenced_ids", lambda ds: (ds, None))
+        whole = train(cfg, seed=1)
+        assert record_fingerprint(dropped) == record_fingerprint(whole)
+        assert set(stepped) == {3 * 2000} and max(dropped_rows) < 3 * 2000 // 2
+
+    def test_kept_rows_start_from_the_full_tables_draws(self, monkeypatch):
+        cfg = replace(TINY, **SPARSE_IDS, model_kind="deepfm", epochs=0)
+        drawn, states = [], []
+        init_table, state_init = harness.init_table, optim.EmbedAdamState.init
+
+        def draw_spy(*args, **kwargs):
+            drawn.append(init_table(*args, **kwargs))
+            return drawn[-1]
+
+        def state_spy(table):
+            states.append(table)
+            return state_init(table)
+
+        monkeypatch.setattr(harness, "init_table", draw_spy)
+        monkeypatch.setattr(harness.EmbedAdamState, "init", staticmethod(state_spy))
+        train(cfg, seed=1)
+        dataset = harness.build_dataset(cfg, seed=1)
+        _, kept = harness.drop_unreferenced_ids(dataset)
+        (full,) = drawn
+        embed, first_order = states
+        assert full.fields == dataset.fields
+        rows = np.concatenate([k + o for k, o in zip(kept, full.offsets[:-1].tolist())])
+        np.testing.assert_array_equal(embed.block, full.block[rows])
+        for table in (embed, first_order):
+            assert [f.vocab_size for f in table.fields] == [len(k) for k in kept]
 
 
 def test_evaluation_peak_is_under_three_activations():
