@@ -67,6 +67,27 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def field_offsets(fields: Sequence[FieldSchema]) -> np.ndarray:
+    """(n_fields + 1,) first row of each field in the id space, where id k of
+    field j is row offsets[j] + k (as in an embedding block), then its size."""
+    offsets = np.zeros(len(fields) + 1, dtype=np.int64)
+    np.cumsum([f.vocab_size for f in fields], out=offsets[1:])
+    return _freeze(offsets)
+
+
+def split_rows(block: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-segment views of block: segment j is rows cuts[j]:cuts[j+1]."""
+    return tuple(block[a:b] for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()))
+
+
+def out_of_range_field(ids: np.ndarray, fields: Sequence[FieldSchema]) -> FieldSchema | None:
+    """The first field whose column of ids (n, n_fields) has an id outside
+    0..vocab_size-1, or None.  A highest id fits ID_DTYPE, so ids compare uncast."""
+    highest = np.fromiter((f.vocab_size - 1 for f in fields), ID_DTYPE, len(fields))
+    ok = (ids >= 0) & (ids <= highest)
+    return None if ok.all() else fields[int(np.argmin(ok.all(axis=0)))]
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable sample table.  fields describes the categorical columns, the
@@ -95,12 +116,12 @@ class Dataset:
             raise ValueError("categorical array shape does not match the fields")
         if n and not np.isin(self.labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
-        for j, f in enumerate(self.fields):
-            col = self.categorical[:, j]
-            if n and (col.min() < 0 or col.max() >= f.vocab_size):
-                raise ValueError(f"categorical ids out of range for field {f.name!r}")
+        # Before the range check, which a NaN id would fail as out of range.
         if self.categorical.dtype.kind not in "iu":
             raise ValueError(f"categorical ids must be integers, got dtype {self.categorical.dtype}")
+        bad = out_of_range_field(self.categorical, self.fields)
+        if bad is not None:
+            raise ValueError(f"categorical ids out of range for field {bad.name!r}")
         # The range and 0/1 checks passed, so the casts keep every value.
         object.__setattr__(self, "labels", self.labels.astype(np.uint8, copy=False))
         object.__setattr__(self, "categorical", self.categorical.astype(ID_DTYPE, copy=False))
@@ -148,15 +169,36 @@ class Batch:
     categorical: np.ndarray
 
 
+# Rows per slice of the id scan, so that the int64 copy of a slice's ids
+# stays small (1.7 MB for 26 fields), where one pass would copy every id.
+_SCAN_ROWS = 8192
+
+
+def _id_counts(dataset: Dataset) -> np.ndarray:
+    """Each id's number of occurrences over the id space; 0 rows give zeros."""
+    offsets = field_offsets(dataset.fields)
+    counts = np.zeros(offsets[-1], dtype=np.int64)
+    for a in range(0, dataset.n_samples, _SCAN_ROWS):
+        rows = dataset.categorical[a : a + _SCAN_ROWS] + offsets[:-1]
+        counts += np.bincount(rows.ravel(), minlength=len(counts))
+    return counts
+
+
 def count_frequencies(dataset: Dataset) -> tuple[np.ndarray, ...]:
     """Per categorical field, in dataset.fields order: each id's number of
     occurrences, an array of the field's vocab_size."""
     if dataset.n_samples == 0:
         raise ValueError("cannot count frequencies of an empty dataset")
-    return tuple(
-        _freeze(np.bincount(dataset.categorical[:, j], minlength=f.vocab_size))
-        for j, f in enumerate(dataset.fields)
-    )
+    return split_rows(_freeze(_id_counts(dataset)), field_offsets(dataset.fields))
+
+
+def _relabel(dataset: Dataset, maps: Sequence[np.ndarray], sizes: Sequence[int]) -> Dataset:
+    """The dataset with field j's id k relabeled maps[j][k] and sizes[j] ids."""
+    new_id = np.concatenate(maps).astype(ID_DTYPE)
+    categorical = new_id[dataset.categorical + field_offsets(dataset.fields)[:-1]]
+    fields = tuple(FieldSchema(f.name, n) for f, n in zip(dataset.fields, sizes))
+    # The datasets are immutable, so the labels and dense features are shared.
+    return Dataset(fields, dataset.labels, dataset.dense, categorical)
 
 
 def batch_presence_probability(prob_in_sample: float, batch_size: int, mode: str = "exact") -> float:
@@ -194,29 +236,15 @@ def top_k_collapse(dataset: Dataset, k: int) -> Dataset:
     fields = dataset.fields
     if dataset.n_samples == 0 or all(f.vocab_size <= k + 1 for f in fields):
         return dataset
-    counts = count_frequencies(dataset)
-    new_cols = []
-    new_fields = []
-    for j, f in enumerate(fields):
-        if f.vocab_size <= k + 1:
-            new_cols.append(dataset.categorical[:, j])
-            new_fields.append(f)
-            continue
-        order = np.lexsort((np.arange(f.vocab_size), -counts[j]))
-        mapping = np.full(f.vocab_size, k, dtype=ID_DTYPE)
-        mapping[order[:k]] = np.arange(k)
-        new_cols.append(mapping[dataset.categorical[:, j]])
-        new_fields.append(FieldSchema(f.name, k + 1))
-    # The datasets are immutable, so the labels and dense features are shared.
-    return Dataset(tuple(new_fields), dataset.labels, dataset.dense, np.stack(new_cols, axis=1))
-
-
-# Rows per slice of drop_unreferenced_ids's scan, so that the int64 copy of a
-# slice's ids stays small (1.7 MB for 26 fields), where one slice would copy
-# every id.  On 100k rows of 26 Criteo fields the scan took 6.6 to 7.0 ms at
-# 4096 to 32768 rows per slice and 7.2 ms in one slice; count_frequencies,
-# which could answer the same question, took 12.6 ms (min of 25, 2-core Xeon).
-_SCAN_ROWS = 8192
+    maps = []
+    for f, counts in zip(fields, count_frequencies(dataset)):
+        mapping = np.arange(f.vocab_size)
+        if f.vocab_size > k + 1:
+            order = np.lexsort((mapping, -counts))
+            mapping = np.full(f.vocab_size, k)
+            mapping[order[:k]] = np.arange(k)
+        maps.append(mapping)
+    return _relabel(dataset, maps, [min(f.vocab_size, k + 1) for f in fields])
 
 
 def drop_unreferenced_ids(dataset: Dataset) -> tuple[Dataset, tuple[np.ndarray, ...] | None]:
@@ -227,23 +255,13 @@ def drop_unreferenced_ids(dataset: Dataset) -> tuple[Dataset, tuple[np.ndarray, 
     and, per field, its kept original ids (kept[j][new id] is the old id);
     when every id occurs, the dataset itself and None.
     """
-    sizes = np.array([f.vocab_size for f in dataset.fields], dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    # One scatter over every field's ids at once, as rows of one concatenated
-    # id space: a pass per column reads strided memory.
-    seen = np.zeros(int(sizes.sum()), dtype=bool)
-    for a in range(0, dataset.n_samples, _SCAN_ROWS):
-        seen[(dataset.categorical[a : a + _SCAN_ROWS] + starts).ravel()] = True
+    seen = _id_counts(dataset) > 0
     if seen.all():
         return dataset, None
-    per_field = np.split(seen, starts[1:])
+    per_field = split_rows(seen, field_offsets(dataset.fields))
     kept = tuple(_freeze(np.flatnonzero(s)) for s in per_field)
     # Old id k of field j becomes its rank among the field's ids that occur.
-    new_id = np.concatenate([np.cumsum(s) - 1 for s in per_field])
-    categorical = new_id[dataset.categorical + starts]
-    fields = tuple(FieldSchema(f.name, len(k)) for f, k in zip(dataset.fields, kept))
-    # The datasets are immutable, so the labels and dense features are shared.
-    return Dataset(fields, dataset.labels, dataset.dense, categorical), kept
+    return _relabel(dataset, [np.cumsum(s) - 1 for s in per_field], [len(k) for k in kept]), kept
 
 
 def make_batches(dataset: Dataset, batch_size: int, seed: int = 0) -> Iterator[Batch]:

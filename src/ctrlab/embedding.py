@@ -3,8 +3,10 @@
 All categorical fields share one row-major (sum of vocab sizes, dim) block.
 Field j owns rows offsets[j]:offsets[j+1], and row offsets[j] + k is the
 learned vector for id k of field j: the "column" of the classic
-one-hot-times-matrix view, and the unit that CowClip clips.  Lookup, accumulation, clipping and the optimizer steps work on these
-global rows, so each is one pass over all fields.
+one-hot-times-matrix view, and the unit that CowClip clips.  These rows are
+data's id space, so field_offsets and split_rows are defined in data and
+re-exported here.  Lookup, accumulation, clipping and the optimizer steps
+work on them, so each is one pass over all fields.
 
 Gradients for a batch are sparse: only ids that occur in the batch carry
 entries, each with the number of samples that selected it.  A touched id is
@@ -44,20 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import TRAIN_DTYPE, Batch, FieldSchema
-
-
-def field_offsets(fields: tuple[FieldSchema, ...]) -> np.ndarray:
-    """(n_fields + 1,) first block row of each field, then the total row count."""
-    offsets = np.zeros(len(fields) + 1, dtype=np.int64)
-    np.cumsum([f.vocab_size for f in fields], out=offsets[1:])
-    offsets.flags.writeable = False
-    return offsets
-
-
-def split_rows(block: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-segment views of block: segment j is rows cuts[j]:cuts[j+1]."""
-    return tuple(block[a:b] for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()))
+from .data import TRAIN_DTYPE, Batch, FieldSchema, field_offsets, out_of_range_field, split_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,10 +167,9 @@ def lookup_forward(table: EmbeddingTable, batch: Batch) -> tuple[np.ndarray, Loo
         raise ValueError("batch field count does not match table")
     offsets = table.offsets
     # Unchecked, an id of vocab_j would silently read field j+1's first row.
-    if b:
-        bad = (ids.min(axis=0) < 0) | (ids.max(axis=0) >= np.diff(offsets))
-        if bad.any():
-            raise IndexError(f"id out of range for field {table.fields[int(np.argmax(bad))].name!r}")
+    bad = out_of_range_field(ids, table.fields)
+    if bad is not None:
+        raise IndexError(f"id out of range for field {bad.name!r}")
     rows = ids + offsets[:-1]
     embedded = np.take(table.block, rows.ravel(), axis=0).reshape(b, n_fields * table.dim)
     return embedded, LookupRecord(rows, offsets, table.dim)

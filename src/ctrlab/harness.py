@@ -144,7 +144,8 @@ class ExperimentConfig:
                 for entry in entries:
                     if not test(entry):
                         raise ValueError(f"{name} must be {phrase}, got {entry!r}")
-        _clip_config(self)  # ClipConfig owns the clip.* rules, which depend on the variant
+        # ClipConfig owns the clip.* rules, which depend on the variant.
+        clip.ClipConfig(self.clip_variant, self.clip_r, self.clip_zeta)
 
     def resolved_init_sigma(self) -> float:
         if self.init_sigma is not None:
@@ -289,19 +290,14 @@ def build_dataset(config: ExperimentConfig, seed: int) -> Dataset:
     return ds
 
 
-def _clip_config(config: ExperimentConfig) -> clip.ClipConfig:
-    """The run's clip settings.  CowClip's threshold follows the weights, so
-    they do not depend on the batch size.  ClipConfig keeps the parameters
-    the variant reads and drops the others."""
-    return clip.ClipConfig(config.clip_variant, config.clip_r, config.clip_zeta)
-
-
 def run_plan(config: ExperimentConfig) -> tuple[scaling.ScalingPlan, clip.ClipConfig]:
     """What a run applies: its rule's plan at s = train.batch_size /
     scale.base_batch, and its clip settings."""
     base = scaling.BaseHyperparams(config.base_batch, config.lr_dense, config.lr_embed, config.l2)
     plan = scaling.plan_for_batch(config.rule, base, config.batch_size)
-    return plan, _clip_config(config)
+    # CowClip's threshold follows the weights, so clipping does not depend on
+    # the batch size; ClipConfig keeps only the parameters the variant reads.
+    return plan, clip.ClipConfig(config.clip_variant, config.clip_r, config.clip_zeta)
 
 
 # Evaluation runs the training forward, cache and all, on chunks of 4096
@@ -338,10 +334,10 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     clipping, so the clip operates on the data gradient alone.
 
     The tables (embeddings, first-order weights and their Adam moments) hold
-    only the ids that occur in some row of the dataset, train or test split
-    (data.drop_unreferenced_ids); every other id is left out, since no
-    lookup reads it.  A row is drawn as in the full table, and every step is
-    per entry, so the record is the one a full table gives, bit for bit;
+    only the ids that occur in some row of the dataset, which is relabeled
+    (data.drop_unreferenced_ids) before its one train/test split: no lookup
+    reads any other id.  A row is drawn as in the full table, and every step
+    is per entry, so the record is the one a full table gives, bit for bit;
     only dense L2's pass over every row costs less.
 
     The run diverges, and stops, on a non-finite step loss or on the third
@@ -350,6 +346,8 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     _, init_ss, batch_ss = _seed_children(seed)
     if dataset is None:
         dataset = build_dataset(config, seed)
+    fields = dataset.fields
+    dataset, kept = drop_unreferenced_ids(dataset)
     train_ds, test_ds = dataset.split(config.split)
     b = config.batch_size
     if b > train_ds.n_samples:
@@ -373,14 +371,10 @@ def train(config: ExperimentConfig, seed: int, dataset: Dataset | None = None) -
     table_ss, params_ss = init_ss.spawn(2)
     table_seed = int(table_ss.generate_state(1)[0])
     params_seed = int(params_ss.generate_state(1)[0])
-    embed = init_table(train_ds.fields, config.embed_dim, config.resolved_init_sigma(), table_seed)
-    dataset, kept = drop_unreferenced_ids(dataset)
+    # Drawn over the full fields: each kept row starts from its full-table weights.
+    embed = init_table(fields, config.embed_dim, config.resolved_init_sigma(), table_seed)
     if kept is not None:
-        # The draws went over the full fields, so each kept row starts from
-        # the weights it has in the full table.  Only a relabeled dataset is
-        # split again: a split re-checks every row (15 ms on criteo's 100k).
         embed = take_ids(embed, kept)
-        train_ds, test_ds = dataset.split(config.split)
     model = init_model(
         config.model_kind, embed, train_ds.n_dense, hidden=config.hidden, seed=params_seed
     )

@@ -29,6 +29,7 @@ from ctrlab.data import (
     load_criteo_tsv,
     load_dataset,
     make_batches,
+    out_of_range_field,
     save_dataset,
     save_npz,
     top_k_collapse,
@@ -434,6 +435,23 @@ class TestFrequencies:
         with pytest.raises(ValueError):
             count_frequencies(ds)
 
+    def test_matches_a_bincount_per_column_across_scan_slices(self):
+        # The scan goes over the id space in slices; a field of 1 id sits
+        # between two that its offset must keep apart.
+        n, vocabs = 2 * data_module._SCAN_ROWS + 5, [7, 1, 900]
+        ds = _tiny_dataset(np.random.default_rng(5), n, vocabs)
+        counts = count_frequencies(ds)
+        assert len(counts) == 3
+        for j, v in enumerate(vocabs):
+            np.testing.assert_array_equal(counts[j], np.bincount(ds.categorical[:, j], minlength=v))
+            assert not counts[j].flags.writeable
+
+    def test_no_categorical_field_gives_no_counts(self):
+        ds = Dataset((), np.zeros(3, dtype=np.uint8), np.zeros((3, 1)), np.zeros((3, 0), dtype=int))
+        assert count_frequencies(ds) == ()
+        out, kept = drop_unreferenced_ids(ds)
+        assert out is ds and kept is None
+
 
 class TestBatchPresence:
     def test_certain_id(self):
@@ -622,6 +640,31 @@ class TestInvariants:
         cat = np.zeros((4, 1), dtype=dtype)
         with pytest.raises(ValueError, match=f"categorical ids must be integers, got dtype {np.dtype(dtype)}"):
             Dataset((FieldSchema("c", 2),), np.zeros(4, dtype=np.uint8), np.zeros((4, 0)), cat)
+
+    @pytest.mark.parametrize("bad", [np.nan, 2.0, -1.0])
+    def test_float_ids_fail_as_floats_not_as_out_of_range(self, bad):
+        # NaN fails every comparison, so only the dtype check names it.
+        cat = np.array([[0.0], [1.0], [bad]])
+        with pytest.raises(ValueError, match="^categorical ids must be integers, got dtype float64$"):
+            Dataset((FieldSchema("c", 2),), np.zeros(3, dtype=np.uint8), np.zeros((3, 0)), cat)
+
+    @pytest.mark.parametrize("bad,field", [((0, -1, 0), "b"), ((0, 7, 0), "b"), ((3, 7, 0), "a"),
+                                           ((0, 0, 2), "c")])
+    def test_out_of_range_id_names_its_first_field(self, bad, field):
+        # vocab_size (7) of the middle field is the first row of the next one
+        # in the id space, so only the range check refuses it.
+        fields = (FieldSchema("a", 3), FieldSchema("b", 7), FieldSchema("c", 2))
+        cat = np.array([[0, 0, 0], bad, [2, 6, 1]])
+        assert out_of_range_field(cat, fields).name == field
+        assert out_of_range_field(np.delete(cat, 1, axis=0), fields) is None
+        with pytest.raises(ValueError, match=f"^categorical ids out of range for field '{field}'$"):
+            Dataset(fields, np.zeros(3, dtype=np.uint8), np.zeros((3, 0)), cat)
+
+    def test_range_check_passes_on_no_rows_and_no_fields(self):
+        fields = (FieldSchema("a", 3), FieldSchema("b", 7))
+        assert out_of_range_field(np.zeros((0, 2), dtype=ID_DTYPE), fields) is None
+        assert out_of_range_field(np.zeros((4, 0), dtype=ID_DTYPE), ()) is None
+        assert out_of_range_field(np.zeros((0, 2), dtype=ID_DTYPE), (FieldSchema("a", 0),) * 2) is None
 
     @pytest.mark.parametrize("name,vocab_size,message", [
         (5, 3, "field name must be a string, got 5"),

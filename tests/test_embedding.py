@@ -140,6 +140,12 @@ class TestLookup:
         with pytest.raises(IndexError, match=repr(field)):
             lookup_forward(table, batch)
 
+    def test_empty_batch_passes_the_range_check(self):
+        table = init_table(_fields(3, 5), dim=2, init_sigma=1.0, seed=0)
+        batch = Batch(np.zeros(0, dtype=np.uint8), np.zeros((0, 0)), np.zeros((0, 2), dtype=np.int64))
+        embedded, record = lookup_forward(table, batch)
+        assert embedded.shape == (0, 4) and record.rows.shape == (0, 2)
+
 
 class TestBlockLayout:
     def test_fields_are_views_of_one_block(self):

@@ -28,7 +28,8 @@ prints each config's name, full hash, numbers hash, final AUC and final
 logloss, then each data config's name and data hash, then each evaluation
 golden's model kind and hash: the values to re-pin a config with, and to
 compare a moved one by.  Each hash is followed by "same" when it equals its
-pin and "moved" when it does not, so one run shows which pins a change keeps.
+pin and "moved" when it does not, so one run shows which pins a change keeps;
+the script exits 1 when any hash moved.
 """
 
 import functools
@@ -237,17 +238,35 @@ def test_training_stays_in_the_training_dtype(name, monkeypatch):
     assert any(row_corrections) == (not config.dense_l2)
 
 
-def _against(current: str, pin: str) -> str:
-    return f"{current} {'same' if current == pin else 'moved'}"
+def _main() -> int:
+    moved = []
+
+    def against(current: str, pin: str) -> str:
+        moved.append(current != pin)
+        return f"{current} {'moved' if moved[-1] else 'same'}"
+
+    for name, (config, full, numbers) in GOLDEN.items():
+        record = train(config, seed=1)
+        print(name, against(_hash(record), full),
+              f"numbers={against(_hash(record, with_config=False), numbers)}",
+              f"auc={record.final_auc!r}", f"logloss={record.final_logloss!r}")
+    for name, (config, pin) in DATA_GOLDEN.items():
+        print(name, f"data={against(_data_hash(config), pin)}")
+    for kind, pin in EVAL_GOLDEN.items():
+        print(kind, f"evaluation={against(_eval_hash(kind), pin)}")
+    return int(any(moved))
+
+
+def test_the_script_exits_1_when_a_hash_moved(monkeypatch, capsys):
+    config, pin = DATA_GOLDEN["no-dense"]
+    monkeypatch.setitem(globals(), "GOLDEN", {})
+    monkeypatch.setitem(globals(), "EVAL_GOLDEN", {})
+    monkeypatch.setitem(globals(), "DATA_GOLDEN", {"no-dense": (config, pin)})
+    assert _main() == 0
+    monkeypatch.setitem(globals(), "DATA_GOLDEN", {"no-dense": (config, "0" * 64)})
+    assert _main() == 1
+    assert capsys.readouterr().out.split()[-1] == "moved"
 
 
 if __name__ == "__main__":
-    for name, (config, full, numbers) in GOLDEN.items():
-        record = train(config, seed=1)
-        print(name, _against(_hash(record), full),
-              f"numbers={_against(_hash(record, with_config=False), numbers)}",
-              f"auc={record.final_auc!r}", f"logloss={record.final_logloss!r}")
-    for name, (config, pin) in DATA_GOLDEN.items():
-        print(name, f"data={_against(_data_hash(config), pin)}")
-    for kind, pin in EVAL_GOLDEN.items():
-        print(kind, f"evaluation={_against(_eval_hash(kind), pin)}")
+    raise SystemExit(_main())

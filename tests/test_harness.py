@@ -261,7 +261,7 @@ class TestConfig:
         ExperimentConfig(source="data.npz", n_samples=0, vocab_size=0)
         ExperimentConfig(source="data.npz", n_dense=-1, n_categorical=-1)
         unclipped = ExperimentConfig(clip_variant="none", clip_r=0.0, clip_zeta=-1.0)
-        assert harness._clip_config(unclipped) == ClipConfig("none")
+        assert harness.run_plan(unclipped)[1] == ClipConfig("none")
 
     def test_bad_sweep_rule_fails_before_any_data(self, monkeypatch):
         monkeypatch.setattr(harness, "build_dataset", _forbid_build)
@@ -402,6 +402,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="train.batch_size=4096 .* 1800 rows"):
             train(replace(TINY, batch_size=4096), seed=0)
 
+    def test_a_dataset_of_no_rows_fails_on_the_batch_size(self, monkeypatch):
+        # Ids are dropped before the split; count_frequencies would refuse
+        # these 0 rows, and the error must still name the batch size.
+        monkeypatch.setattr(harness, "init_table", _forbid_init)
+        empty = Dataset((FieldSchema("c", 4),), np.zeros(0, dtype=np.uint8), np.zeros((0, 2)),
+                        np.zeros((0, 1), dtype=ID_DTYPE))
+        with pytest.raises(ValueError, match="^train.batch_size=64 exceeds the training split's 0 rows$"):
+            train(TINY, seed=0, dataset=empty)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_reported_not_raised(self, monkeypatch):
         # A sky-high Adam learning rate makes the second step's loss non-finite.
@@ -500,6 +509,14 @@ class TestUnreferencedIds:
         whole = train(cfg, seed=1)
         assert record_fingerprint(dropped) == record_fingerprint(whole)
         assert set(stepped) == {3 * 2000} and max(dropped_rows) < 3 * 2000 // 2
+
+    def test_train_splits_the_relabeled_dataset_once(self, monkeypatch):
+        cfg = replace(TINY, **SPARSE_IDS, epochs=0)
+        split, splits = Dataset.split, []
+        monkeypatch.setattr(Dataset, "split", lambda ds, f: splits.append(ds) or split(ds, f))
+        train(cfg, seed=1)
+        (relabeled,) = splits
+        assert relabeled.fields == harness.drop_unreferenced_ids(harness.build_dataset(cfg, 1))[0].fields
 
     def test_kept_rows_start_from_the_full_tables_draws(self, monkeypatch):
         cfg = replace(TINY, **SPARSE_IDS, model_kind="deepfm", epochs=0)
