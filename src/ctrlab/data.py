@@ -140,13 +140,17 @@ class Dataset:
     def n_categorical(self) -> int:
         return len(self.fields)
 
+    def n_train(self, train_fraction: float) -> int:
+        """Rows in the head (training) half of split(train_fraction)."""
+        return int(math.floor(self.n_samples * train_fraction))
+
     def split(self, train_fraction: float) -> tuple["Dataset", "Dataset"]:
         """Deterministic head/tail split (rows are assumed already shuffled).
 
         Both halves are read-only views of this dataset's arrays, so a split
         allocates no sample memory.
         """
-        n_train = int(math.floor(self.n_samples * train_fraction))
+        n_train = self.n_train(train_fraction)
         return tuple(
             Dataset(self.fields, self.labels[rows], self.dense[rows], self.categorical[rows])
             for rows in (slice(None, n_train), slice(n_train, None))
@@ -180,7 +184,9 @@ def _id_counts(dataset: Dataset) -> np.ndarray:
     counts = np.zeros(offsets[-1], dtype=np.int64)
     for a in range(0, dataset.n_samples, _SCAN_ROWS):
         rows = dataset.categorical[a : a + _SCAN_ROWS] + offsets[:-1]
-        counts += np.bincount(rows.ravel(), minlength=len(counts))
+        # In place: a bincount per slice would allocate and add the whole id
+        # space, a cost of slices x ids.
+        np.add.at(counts, rows.ravel(), 1)
     return counts
 
 

@@ -16,6 +16,13 @@ between rows and field-local ids.  A gradient keeps the field offsets of the
 table it was built for; clipping and the optimizer refuse a table with other
 offsets, which would step the wrong rows.
 
+A batch is indexed once per lookup: LookupRecord.unique_rows gives the
+sorted distinct rows, each entry's place among them and their counts,
+what np.unique gives, without sorting the whole batch.  Each distinct row
+claims its slot in the table's scratch (EmbeddingTable.row_slot, one intp
+per row), and only the k distinct rows are sorted.  The scratch holds no
+state between calls: a call reads only the slots it has written.
+
 A training run's table holds only the ids that occur in its data
 (data.drop_unreferenced_ids relabels them 0..n_j-1 per field, in order, and
 take_ids keeps their rows of a table drawn over the full fields), so a pass
@@ -62,6 +69,10 @@ class EmbeddingTable:
             raise ValueError(
                 f"table block has shape {self.block.shape}, fields need ({offsets[-1]}, {self.dim})"
             )
+        # The optimizer steps the block in place and writes lazy rows whole,
+        # through a view of one record per row.
+        if not self.block.flags.c_contiguous:
+            raise ValueError(f"table block of shape {self.block.shape} is not C-contiguous")
         object.__setattr__(self, "offsets", offsets)
 
     @property
@@ -73,6 +84,13 @@ class EmbeddingTable:
         """Per-field views of the block, for perfbench/spans.py only."""
         return split_rows(self.block, self.offsets)
 
+    @cached_property
+    def row_slot(self) -> np.ndarray:
+        """Scratch of one intp per table row for LookupRecord.unique_rows;
+        its entries mean nothing between calls.  A fresh array per call
+        would fault in its pages each time (5.7 ms on a 10M-row table)."""
+        return np.empty(len(self.block), dtype=np.intp)
+
 
 @dataclass
 class LookupRecord:
@@ -81,11 +99,26 @@ class LookupRecord:
     rows: np.ndarray     # (b, n_fields) int64, field-local ids + the table's field offsets
     offsets: np.ndarray  # the table's field offsets
     dim: int
+    slot: np.ndarray     # the table's row_slot scratch
 
     @cached_property
     def unique_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """np.unique of the rows, once per batch for every table they index."""
-        return np.unique(self.rows.ravel(), return_inverse=True, return_counts=True)
+        """np.unique(rows.ravel(), return_inverse=True, return_counts=True),
+        once per batch for every table the rows index.
+
+        A slot per table row stands in for np.unique's sort of the whole
+        batch, so the cost is O(b * n_fields + k log k) for k distinct rows.
+        """
+        flat = self.rows.ravel()
+        slot, position = self.slot, np.arange(len(flat))
+        # Each row's slot ends up holding one of its positions, whichever
+        # write wins, so exactly one entry per distinct row finds its own
+        # position there.
+        slot[flat] = position
+        uniq = np.sort(flat[slot[flat] == position])
+        slot[uniq] = np.arange(len(uniq))
+        inverse = slot[flat]
+        return uniq, inverse, np.bincount(inverse, minlength=len(uniq))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +205,7 @@ def lookup_forward(table: EmbeddingTable, batch: Batch) -> tuple[np.ndarray, Loo
         raise IndexError(f"id out of range for field {bad.name!r}")
     rows = ids + offsets[:-1]
     embedded = np.take(table.block, rows.ravel(), axis=0).reshape(b, n_fields * table.dim)
-    return embedded, LookupRecord(rows, offsets, table.dim)
+    return embedded, LookupRecord(rows, offsets, table.dim, table.row_slot)
 
 
 def accumulate_gradients(
@@ -191,12 +224,15 @@ def accumulate_gradients(
     if b != len(rows) or width != rows.shape[1] * d:
         raise ValueError("upstream gradient rows do not align with the lookup record")
     uniq, inverse, counts = record.unique_rows
-    # One bin per (unique row, column).  A row belongs to one field, so
-    # bincount adds each bin's samples in row order starting from 0.0,
-    # exactly as np.add.at would on float64.
-    bins = (inverse.reshape(-1, 1) * d + np.arange(d)).ravel()
-    sums = np.bincount(bins, weights=upstream.ravel(), minlength=len(uniq) * d)
-    # bincount sums in float64; the gradient takes the upstream's dtype.
-    grads = (sums.reshape(len(uniq), d) / b).astype(upstream.dtype, copy=False)
+    # One bincount per column.  Each row's sum adds its entries in batch
+    # order from 0.0, in float64, exactly as np.add.at would; the sum over b
+    # takes the upstream's dtype.  Per column, no (row, column) bin index is
+    # built and each pass scatters into k floats, not k * d: 0.86 against
+    # 0.96 to 2.6 ms for one (row, column) bincount at criteo's b=1024, dim 10
+    # (2-core Xeon).
+    columns = upstream.reshape(-1, d)
+    grads = np.empty((len(uniq), d), upstream.dtype)
+    for c in range(d):
+        grads[:, c] = np.bincount(inverse, weights=columns[:, c], minlength=len(uniq)) / b
     return SparseGradient(uniq, grads, counts.astype(np.int64), record.offsets)
 

@@ -461,7 +461,7 @@ def sweep(config: ExperimentConfig, seed: int = 0) -> tuple[list[RunRecord], str
     """Train every cell of sweep_cells(config) on one shared dataset."""
     dataset = build_dataset(config, seed)
     # Checked before any cell trains, so that the error names the sweep key.
-    n_train = dataset.split(config.split)[0].n_samples
+    n_train = dataset.n_train(config.split)
     for b in config.sweep_batch_sizes:
         if b > n_train:
             raise ValueError(

@@ -10,6 +10,9 @@ costs no copy of its parameters; in lazy mode the embedding step reads and
 writes only the touched rows, and in dense-L2 mode it steps every row of the
 table it is given.  harness.train gives it a table of the ids that occur in
 the run's data, so that pass costs what those ids cost, not the vocabulary.
+The lazy step gathers the touched rows of w, m and v, updates them, and
+writes each row back whole, as one record of a view of its C-contiguous
+block (EmbeddingTable refuses any other block).
 Adam's arithmetic, for both steps and for the loss-scaling probe, is one
 kernel, _adam_update.  The SGD probe checks the same derivation for plain
 SGD with its own arithmetic.
@@ -201,7 +204,9 @@ def adam_sparse_step(
                 np.copyto(state.m_block[a:z], 0.0, where=low)
     elif len(rows):
         # Each touched row is gathered and scattered once per array, and
-        # bias correction runs on the rows' own step counts.
+        # bias correction runs on the rows' own step counts.  The scatters
+        # copy whole rows: 0.58 against 0.76 ms for entry-wise fancy
+        # assignment (6.4k rows of dim 10, float32).
         w_rows = np.take(w, rows, axis=0)
         # g is this step's own array, not the caller's, so it can serve as den.
         g = np.multiply(w_rows, l2) + sparse_grad.grad_block
@@ -214,9 +219,15 @@ def adam_sparse_step(
         bc1 = (1.0 - BETA1 ** tj).astype(w.dtype)
         bc2 = (1.0 - BETA2 ** tj).astype(w.dtype)
         _adam_update(w_rows, m, v, g, lr, bc1, bc2, np.empty_like(m), g)
-        state.m_block[rows] = m
-        state.v_block[rows] = v
-        w[rows] = w_rows
+        np.put(_whole_rows(state.m_block), rows, _whole_rows(m))
+        np.put(_whole_rows(state.v_block), rows, _whole_rows(v))
+        np.put(_whole_rows(w), rows, _whole_rows(w_rows))
+
+
+def _whole_rows(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous (n, dim) array as n opaque records of one row each, so
+    that a scatter copies each row's bytes in one move, not entry by entry."""
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -722,6 +722,11 @@ class TestInvariants:
                 assert np.array_equal(part, whole[rows]) and part.dtype == whole.dtype
                 assert np.shares_memory(part, whole) and not part.flags.writeable
 
+    @pytest.mark.parametrize("n, fraction", [(10, 0.7), (100, 0.29), (3, 0.999), (1, 0.5)])
+    def test_n_train_counts_the_head_of_split(self, n, fraction):
+        ds = generate_synthetic(n, seed=0, n_dense=1, n_categorical=1, vocab_sizes=5)
+        assert ds.n_train(fraction) == ds.split(fraction)[0].n_samples
+
 
 class TestNpzContainer:
     def test_plain_npz_has_no_header(self, tmp_path):

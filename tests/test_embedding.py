@@ -147,6 +147,79 @@ class TestLookup:
         assert embedded.shape == (0, 4) and record.rows.shape == (0, 2)
 
 
+def _unique_rows_match_np_unique(record):
+    expected = np.unique(record.rows.ravel(), return_inverse=True, return_counts=True)
+    for got, want in zip(record.unique_rows, expected):
+        assert got.dtype.kind == "i" and np.array_equal(got, want)
+
+
+class TestUniqueRows:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_batches_with_repeats(self, seed):
+        rng = np.random.default_rng(seed)
+        vocabs = [1, 3, 50, 1000]
+        table = init_table(_fields(*vocabs), dim=2, seed=seed)
+        _, record = lookup_forward(table, _batch(rng, vocabs, 64))
+        assert len(record.unique_rows[0]) < record.rows.size
+        _unique_rows_match_np_unique(record)
+
+    def test_one_row_batch(self):
+        table = init_table(_fields(4, 4), dim=3, seed=0)
+        _, record = lookup_forward(table, _batch(np.random.default_rng(1), [4, 4], 1))
+        _unique_rows_match_np_unique(record)
+
+    def test_every_row_once(self):
+        # Three fields of 5 ids, each id once, in a shuffled order.
+        rng = np.random.default_rng(2)
+        table = init_table(_fields(5, 5, 5), dim=2, seed=0)
+        ids = np.stack([rng.permutation(5) for _ in range(3)], axis=1)
+        _, record = lookup_forward(table, Batch(np.zeros(5, np.uint8), np.zeros((5, 0)), ids))
+        assert np.array_equal(record.unique_rows[0], np.arange(15))
+        _unique_rows_match_np_unique(record)
+
+    def test_float64_table(self):
+        table = init_table(_fields(7, 2), dim=2, seed=0, dtype=np.float64)
+        _, record = lookup_forward(table, _batch(np.random.default_rng(3), [7, 2], 30))
+        _unique_rows_match_np_unique(record)
+
+    def test_records_sharing_a_table_in_reverse_order(self):
+        # Both lookups hand out the table's one scratch; the second record is
+        # indexed first, so the first finds the scratch as the second left it.
+        rng = np.random.default_rng(4)
+        vocabs = [20, 6, 300]
+        table = init_table(_fields(*vocabs), dim=2, seed=0)
+        _, first = lookup_forward(table, _batch(rng, vocabs, 40))
+        _, second = lookup_forward(table, _batch(rng, vocabs, 17))
+        assert first.slot is second.slot is table.row_slot
+        _unique_rows_match_np_unique(second)
+        _unique_rows_match_np_unique(first)
+
+    def test_empty_batch(self):
+        table = init_table(_fields(3, 5), dim=2, seed=0)
+        batch = Batch(np.zeros(0, dtype=np.uint8), np.zeros((0, 0)), np.zeros((0, 2), dtype=np.int64))
+        _, record = lookup_forward(table, batch)
+        _unique_rows_match_np_unique(record)
+
+
+@pytest.mark.parametrize("d", [1, 10])
+def test_sums_match_one_bincount_over_row_column_bins(d):
+    # The form the per-column bincounts replaced: one bincount over the bins
+    # inverse*d + column.  It adds the same float64s in the same order, so a
+    # float32 gradient must come out with the same bits.
+    rng = np.random.default_rng(d)
+    vocabs, b = [3, 40, 500], 300
+    table = init_table(_fields(*vocabs), dim=d, seed=0)
+    _, record = lookup_forward(table, _batch(rng, vocabs, b))
+    upstream = rng.normal(size=(b, len(vocabs) * d)).astype(np.float32)
+    uniq, inverse, _ = record.unique_rows
+    bins = (inverse.reshape(-1, 1) * d + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=upstream.ravel(), minlength=len(uniq) * d)
+    want = (sums.reshape(len(uniq), d) / b).astype(np.float32)
+    got = accumulate_gradients(record, upstream).grad_block
+    assert got.flags.c_contiguous and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestBlockLayout:
     def test_fields_are_views_of_one_block(self):
         table = init_table(_fields(3, 5, 2), dim=4, init_sigma=1.0, seed=1)
@@ -172,6 +245,13 @@ class TestBlockLayout:
             table.weights[0] = np.zeros((3, 2))
         with pytest.raises(AttributeError):
             table.block = np.zeros((8, 2))
+
+    def test_block_must_be_c_contiguous(self):
+        # A column slice of a wider array has the right shape, but its rows
+        # are not packed, so no whole-row view of it exists.
+        wide = np.zeros((8, 4))
+        with pytest.raises(ValueError, match=r"table block of shape \(8, 2\) is not C-contiguous"):
+            EmbeddingTable(_fields(3, 5), 2, wide[:, :2])
 
     def test_copy_is_independent(self):
         table = init_table(_fields(3, 5), dim=2, init_sigma=1.0, seed=4)

@@ -135,6 +135,10 @@ def _forbid_train(*args, **kwargs):  # pragma: no cover
     raise AssertionError("a bad sweep must fail before any cell trains")
 
 
+def _forbid_split(*args, **kwargs):  # pragma: no cover
+    raise AssertionError("the sweep's size check must not split the dataset")
+
+
 def _reject_constant(name):  # pragma: no cover
     raise AssertionError(f"{name} is not JSON (RFC 8259)")
 
@@ -584,7 +588,9 @@ class TestSweep:
     def test_oversized_batch_fails_before_any_cell_trains(self, monkeypatch):
         # 2,000 rows leave 1,800 for training: the 64 cell could train, but
         # the 5000 cell never can, so nothing trains and the sweep key is named.
+        # The check counts the training rows without building the split.
         monkeypatch.setattr(harness, "train", _forbid_train)
+        monkeypatch.setattr(Dataset, "split", _forbid_split)
         with pytest.raises(ValueError,
                            match="^sweep.batch_sizes entry 5000 exceeds the training "
                                  "split's 1800 rows$"):

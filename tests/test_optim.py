@@ -374,6 +374,24 @@ def test_lazy_adam_step_is_o_touched():
     assert np.all(state.col_t_block[ids] == 1)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_whole_row_write_matches_fancy_assignment(dtype):
+    # The lazy step's scatter copies each row's bytes; the fancy assignment it
+    # replaced copies each entry.  A NaN with a payload must come through
+    # bit for bit, which comparing the floats would not show.
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(12, 3)).astype(dtype)
+    rows = np.array([0, 4, 5, 11])
+    values = rng.normal(size=(4, 3)).astype(dtype)
+    bits = values.view(np.uint32 if dtype == np.float32 else np.uint64)
+    bits[2, 1] = 0x7FC00123 if dtype == np.float32 else 0x7FF8000000000123
+    assert np.isnan(values[2, 1])
+    fancy, whole = block.copy(), block.copy()
+    fancy[rows] = values
+    np.put(optim._whole_rows(whole), rows, optim._whole_rows(values))
+    assert whole.tobytes() == fancy.tobytes()
+
+
 def test_dense_adam_step_allocates_a_few_slices():
     # The dense-mode pass works in buffers of one DENSE_CHUNK_BYTES slice.
     # This step is a flush step, so it allocates the flush mask too.
